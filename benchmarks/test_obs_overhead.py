@@ -162,8 +162,6 @@ def _one_runtime_burst(http_enabled):
         workload,
         http_enabled=http_enabled,
         keepalive_interval=0.2,
-        quiescence_grace=0.03,
-        settle_rounds=2,
     )
     return time.perf_counter() - start, timing
 

@@ -60,7 +60,6 @@ def run_parity():
             rt_workload,
             rt_updates,
             keepalive_interval=0.2,
-            quiescence_grace=0.03,
         )
         _RESULTS["parity"] = (
             sim_workload,

@@ -1011,8 +1011,6 @@ def _cmd_trace(args: argparse.Namespace) -> int:
             workload,
             tracer=tracer,
             keepalive_interval=0.2,
-            quiescence_grace=0.03,
-            settle_rounds=2,
         )
         registry = timing.metrics.registry
     records = tracer.records()
@@ -1135,8 +1133,6 @@ def _explain_scenario(
             workload,
             replay,
             keepalive_interval=0.2,
-            quiescence_grace=0.03,
-            settle_rounds=2,
             http_enabled=False,
         )
         dumps = timing.flight or {}

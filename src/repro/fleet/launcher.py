@@ -4,23 +4,22 @@ The launcher is the only process that sees the whole fleet, but it
 holds none of the verification state: workers rebuild everything from
 the shared :class:`~repro.fleet.spec.FleetSpec`, and the launcher just
 orchestrates over the control channel -- broadcast an injection, run
-the federated settle loop, collect per-shard results.
+the federated settle wave, collect per-shard results.
 
 Supervision: worker processes are polled for liveness on every settle
-round and every broadcast; an unexpected exit raises
+wave and every broadcast; an unexpected exit raises
 :class:`WorkerCrashed` naming the dead workers (crash propagation), and
 :meth:`FleetLauncher.restart` re-spawns one worker, which re-binds its
 planned ports and re-establishes its sessions.  Shutdown sends a
 ``stop`` op (graceful drain), then SIGTERM, then SIGKILL.
 
-Federated quiescence: each worker keeps the per-process silence
-detector of :class:`~repro.runtime.cluster.RuntimeCluster`; the
-launcher polls every worker's activity counter and busy flag and
-declares fleet convergence after ``settle_rounds`` consecutive polls
-with no new activity anywhere and every queue empty -- the distributed
-version of the single-process rule.  Convergence time is the *max* of
-the per-worker ``finish`` results (last counting activity in any
-shard).
+Federated quiescence: each worker runs the exact detector of
+:class:`~repro.runtime.cluster.RuntimeCluster` over its shard and
+reports the ``out``/``done`` counters of its cross-shard session ends;
+one wave of reports with every shard settled and every cross-shard link
+matching is convergence (:meth:`FleetLauncher.settle`).  Convergence
+time is the *max* of the per-worker ``finish`` results (last counting
+activity in any shard).
 """
 
 from __future__ import annotations
@@ -42,6 +41,10 @@ from repro.obs.log import get_logger, kv
 __all__ = ["FleetError", "FleetLauncher", "WorkerCrashed"]
 
 logger = get_logger("fleet.launcher")
+
+#: Longest one ``status`` long-poll holds a control connection; stays
+#: under :meth:`FleetLauncher.call_worker`'s default deadline.
+_STATUS_WAIT = 20.0
 
 #: Declared launcher lifecycle.  The table is the spec: spawn ->
 #: wait-ready handshake -> operation windows, the stop-op -> SIGTERM ->
@@ -207,6 +210,7 @@ class FleetLauncher:
             indices if indices is not None else self.workers.keys()
         )
         deadline = time.monotonic() + timeout
+        delay = 0.01
         while pending:
             self.check_alive()
             if time.monotonic() > deadline:
@@ -227,7 +231,8 @@ class FleetLauncher:
                 if response.get("ok") and response.get("ready"):
                     pending.discard(index)
             if pending:
-                await asyncio.sleep(0.1)
+                await asyncio.sleep(delay)
+                delay = min(0.1, delay * 2)
 
     async def restart(
         self, index: int, ready_timeout: float = 120.0
@@ -327,25 +332,49 @@ class FleetLauncher:
             raise
 
     async def settle(self, timeout: Optional[float] = None) -> None:
-        """Federated quiescence: poll every worker until fleet silence."""
+        """Federated quiescence: one exact wave of ``status`` reports.
+
+        Each ``status`` long-polls until its shard is locally settled,
+        then samples in one event-loop tick the ``(out, done)`` counters
+        of its live cross-shard session ends.  Converged: every shard
+        settled and, per cross-shard link, both ends absent or both
+        present with each ``out`` equal to the other end's ``done``.
+
+        One matched wave suffices although shards are sampled at
+        different instants.  A settled shard sends nothing until a
+        cross-shard frame reactivates it.  Take the *first* frame that
+        reactivates any shard after its sample: if it was sent before
+        its sender's sample, the sender's ``out`` counts it and the
+        receiver's ``done`` (per-connection FIFO, bumped only after
+        handling) does not, so the link cannot match; if after, the
+        sender was reactivated earlier still, contradicting *first*.
+        An unmatched wave is retried; the long-poll paces the retries.
+        """
         deadline = time.monotonic() + (timeout or self.spec.op_timeout)
-        quiet_rounds = 0
-        last_activity: Optional[int] = None
-        while quiet_rounds < self.spec.settle_rounds:
-            if time.monotonic() > deadline:
+        while True:
+            wait = max(0.0, min(deadline - time.monotonic(), _STATUS_WAIT))
+            statuses = await self.broadcast({"op": "status", "wait": wait})
+            unsettled = [
+                s["worker"] for s in statuses if not s["settled_local"]
+            ]
+            ends = {
+                (str(device), str(peer)): (int(out), int(done))
+                for s in statuses
+                for device, peer, out, done in s["links"]  # type: ignore[attr-defined]
+            }
+            unmatched = sorted(
+                end
+                for end, (out, done) in ends.items()
+                if ends.get((end[1], end[0])) != (done, out)
+            )
+            if not unsettled and not unmatched:
+                return
+            if time.monotonic() >= deadline:
                 raise FleetError(
                     "fleet did not reach quiescence within deadline "
-                    f"(last activity total: {last_activity})"
+                    f"(unsettled workers: {unsettled}, "
+                    f"unmatched cross-shard ends: {unmatched})"
                 )
-            await asyncio.sleep(self.spec.quiescence_grace)
-            statuses = await self.broadcast({"op": "status"})
-            activity = sum(int(s["activity"]) for s in statuses)  # type: ignore[arg-type]
-            busy = any(bool(s["busy"]) for s in statuses)
-            if activity == last_activity and not busy:
-                quiet_rounds += 1
-            else:
-                quiet_rounds = 0
-                last_activity = activity
 
     async def run_operation(
         self,

@@ -63,8 +63,6 @@ class FleetSpec:
     scale: str = "bench"
     keepalive_interval: float = 0.5
     hold_multiplier: float = 3.0
-    quiescence_grace: float = 0.05
-    settle_rounds: int = 2
     op_timeout: float = 60.0
     handshake_timeout: float = 5.0
     http_retry_window: int = 4

@@ -11,14 +11,17 @@ telemetry servers shut down, exit code 0.
 Control ops (see :mod:`repro.fleet.control` for the envelope):
 
 ``ping``      liveness probe (answers even before the cluster is up).
-``status``    readiness, activity counter, busy flag, phase, session
-              health -- what the launcher's federated settle loop polls.
+``status``    readiness, phase, session health, ``settled_local`` and
+              ``[device, peer, out, done]`` per live cross-shard session
+              end -- the launcher's convergence wave; ``"wait"``
+              long-polls that many seconds for the shard to settle.
 ``endpoints`` device -> ``host:port`` of this worker's telemetry servers.
 ``begin``     open an operation window (label in ``"label"``).
 ``install``   inject every plan into the locally hosted devices.
 ``update``    apply rule update ``"index"`` of the deterministic stream
               of length ``"count"`` if its device is local.
-``link``      administrative link event: ``"a"``, ``"b"``, ``"up"``.
+``link``      administrative link event: ``"a"``, ``"b"``, ``"up"``
+              (a recovery answers once the local ends re-established).
 ``finish``    close the operation window; answers convergence seconds.
 ``verdicts``  per-plan root verdicts hosted on this shard.
 ``metrics``   shard traffic totals.
@@ -43,7 +46,7 @@ from repro.fleet.spec import (
     fleet_update_stream,
 )
 from repro.obs.log import configure, get_logger, kv
-from repro.runtime.cluster import RuntimeCluster
+from repro.runtime.cluster import ClusterTimeoutError, RuntimeCluster
 
 __all__ = ["FleetWorker", "main"]
 
@@ -108,8 +111,6 @@ class FleetWorker:
             self.workload.factory,
             keepalive_interval=spec.keepalive_interval,
             hold_multiplier=spec.hold_multiplier,
-            quiescence_grace=spec.quiescence_grace,
-            settle_rounds=spec.settle_rounds,
             op_timeout=spec.op_timeout,
             handshake_timeout=spec.handshake_timeout,
             http_base_port=self.plan.http_base_port,
@@ -184,6 +185,12 @@ class FleetWorker:
                 "devices": len(self.shard),
             }
         if op == "status":
+            wait = float(request.get("wait", 0.0))  # type: ignore[arg-type]
+            if wait > 0:
+                try:
+                    await self.cluster.wait_quiescence(wait)
+                except ClusterTimeoutError:
+                    pass  # answer unsettled; the launcher asks again
             return self._status()
         if op == "endpoints":
             return {
@@ -207,11 +214,11 @@ class FleetWorker:
                 int(request.get("count", 0)),  # type: ignore[arg-type]
             )
         if op == "link":
-            self.cluster.apply_link_event(
-                str(request["a"]),
-                str(request["b"]),
-                up=bool(request.get("up", True)),
-            )
+            a, b = str(request["a"]), str(request["b"])
+            up = bool(request.get("up", True))
+            self.cluster.apply_link_event(a, b, up=up)
+            if up:
+                await self.cluster.wait_session(a, b)
             return {}
         if op == "finish":
             if self._op_start is None:
@@ -254,8 +261,8 @@ class FleetWorker:
             "worker": self.worker_index,
             "ready": self.ready,
             "devices": len(self.shard),
-            "activity": self.cluster.activity,
-            "busy": self.cluster.is_busy(),
+            "settled_local": not self.cluster.unsettled(),
+            "links": self.cluster.cross_shard_counters(),
             "phase": self.cluster.phase,
             "sessions_established": established,
             "peers_down": peers_down,

@@ -20,15 +20,15 @@ per-shard; the fleet launcher (:mod:`repro.fleet.launcher`) federates
 them through the split operation API (:meth:`RuntimeCluster
 .begin_operation` / :meth:`inject_plans` / :meth:`settle_operation`).
 
-Convergence ("quiescence") is detected the way real testbeds do it --
-by watching for silence: an activity counter ticks on every counting
-message enqueued, transmitted, or processed, and the network is deemed
-converged after ``settle_rounds`` consecutive grace windows with no
-activity and all inboxes and write queues empty.  Keepalives are session
-control traffic and never tick the counter, so idle heartbeats do not
-delay convergence.  Per-operation convergence time is measured to the
-*last counting activity*, not to the detection instant, so the grace
-tail does not inflate reported wall times.
+Convergence ("quiescence") is counted, not inferred from silence: every
+connection counts the counting frames it queued (``out``) and those
+from its peer the host finished handling (``done``), and the network has
+converged exactly when every inbox is empty and every link is balanced
+(:meth:`RuntimeCluster.unsettled`).  A frame parked in a kernel buffer
+keeps its link unbalanced, so a verdict is never read early; the waiter
+sleeps on an event, not a poll.  Keepalives are control traffic and are
+never counted.  Per-operation convergence time is measured to the *last
+counting activity*, not to the detection instant.
 """
 
 from __future__ import annotations
@@ -73,7 +73,12 @@ from repro.obs.trace import (
 )
 from repro.packetspace.predicate import PredicateFactory
 from repro.planner.tasks import Plan
-from repro.runtime.connection import BackoffPolicy, PeerSession, SessionEvents
+from repro.runtime.connection import (
+    ST_ESTABLISHED,
+    BackoffPolicy,
+    PeerSession,
+    SessionEvents,
+)
 from repro.runtime.fastpath import memory_pair
 from repro.runtime.metrics import ClusterMetrics, DeviceMetrics
 from repro.runtime.transport import SESSION_PLAN, FramedChannel
@@ -115,10 +120,12 @@ class DeviceHost:
         self.installed_plans: List[str] = []
         # Each inbox entry carries the message, the span id of the
         # handler that emitted it on the sending device (None when
-        # tracing is off or causality is unknown), and the flight seq
-        # of the frame_rx event (None when recording is off).
+        # tracing is off or causality is unknown), the flight seq of the
+        # frame_rx event (None when recording is off), and the peer and
+        # connection it arrived on (whose ``done`` counter it bumps).
         self.inbox: (
-            "asyncio.Queue[Tuple[Message, Optional[int], Optional[int]]]"
+            "asyncio.Queue[Tuple[Message, Optional[int], Optional[int], "
+            "str, FramedChannel]]"
         ) = asyncio.Queue()
         self.server: Optional[asyncio.Server] = None
         #: Planned DVM port (0 = ephemeral); ``port`` is the bound one.
@@ -285,7 +292,9 @@ class DeviceHost:
 
     # -- message processing ------------------------------------------------
 
-    def handle_incoming(self, peer: str, message: Message) -> None:
+    def handle_incoming(
+        self, peer: str, message: Message, channel: FramedChannel
+    ) -> None:
         """Session read loops push counting frames here (FIFO per peer)."""
         parent = self.cluster.pop_parent(peer, self.device)
         # Lamport receive rule: merge the frame's clock, then record the
@@ -301,7 +310,7 @@ class DeviceHost:
                 plan=message.plan_id,
                 clock=clock,
             )
-        self.inbox.put_nowait((message, parent, cause))
+        self.inbox.put_nowait((message, parent, cause, peer, channel))
         self.cluster.note_activity()
 
     def _run_handler(
@@ -332,7 +341,9 @@ class DeviceHost:
 
     async def _pump(self) -> None:
         while True:
-            message, parent, flight_cause = await self.inbox.get()
+            message, parent, flight_cause, peer, channel = (
+                await self.inbox.get()
+            )
             self.flight.set_cause(flight_cause)
             outgoing, span_id = self._run_handler(
                 f"recv {message_kind(message)}",
@@ -341,7 +352,9 @@ class DeviceHost:
             )
             self.route(outgoing, parent=span_id)
             self.flight.clear_cause()
-            self.cluster.note_activity()
+            # Done only now: its outputs are already in some ``out``.
+            channel.done += 1
+            self.cluster.frame_done(peer)
 
     def route(
         self, outgoing: Outgoing, parent: Optional[int] = None
@@ -350,7 +363,7 @@ class DeviceHost:
             session = self.sessions.get(destination)
             if session is not None and session.send(message):
                 self.cluster.push_parent(self.device, destination, parent)
-                self.cluster.note_activity()
+                self.cluster.frame_queued(destination)
             # else: session down or link failed -- the frame is dropped,
             # exactly like a TCP connection stalling over a dead link;
             # the re-OPEN refresh repairs state on reconnect.
@@ -386,7 +399,8 @@ class DeviceHost:
                 OpenMessage(plan_id=plan_id, device=self.device)
             ):
                 self.cluster.push_parent(self.device, peer, None)
-                self.cluster.note_activity()
+                self.cluster.frame_queued(peer)
+        self.cluster.session_changed()
 
     def on_peer_down(self, peer: str) -> None:
         self.cluster.clear_parents(self.device, peer)
@@ -406,6 +420,7 @@ class DeviceHost:
             name="peer_down",
             flight_cause=cause,
         )
+        self.cluster.session_changed()
 
 
 class RuntimeCluster:
@@ -421,8 +436,6 @@ class RuntimeCluster:
         hold_multiplier: float = 3.0,
         backoff: Optional[BackoffPolicy] = None,
         seed: int = 7,
-        quiescence_grace: float = 0.05,
-        settle_rounds: int = 2,
         op_timeout: float = 60.0,
         handshake_timeout: float = 5.0,
         tracer: Optional[Tracer] = None,
@@ -445,8 +458,6 @@ class RuntimeCluster:
         self.hold_multiplier = hold_multiplier
         self.backoff = backoff or BackoffPolicy()
         self.seed = seed
-        self.quiescence_grace = quiescence_grace
-        self.settle_rounds = settle_rounds
         self.op_timeout = op_timeout
         self.handshake_timeout = handshake_timeout
         self.http_enabled = http_enabled
@@ -487,8 +498,11 @@ class RuntimeCluster:
         self.hosts: Dict[str, DeviceHost] = {}
         self._plans: Dict[str, Plan] = {}
         self._failed_links: Set[Tuple[str, str]] = set()
-        self._activity = 0
         self._last_activity_wall = time.monotonic()
+        # Counting frames queued toward local peers and not yet handled:
+        # only the wake-up hint for wait_quiescence, never the verdict.
+        self._outstanding = 0
+        self._recheck = asyncio.Event()
         self._started = False
         # In-process fast-path accept tasks (one per co-located connect);
         # references keep them alive until done.
@@ -536,47 +550,107 @@ class RuntimeCluster:
     # -- activity / quiescence ---------------------------------------------
 
     def note_activity(self) -> None:
-        self._activity += 1
         self._last_activity_wall = time.monotonic()
 
-    @property
-    def activity(self) -> int:
-        """Monotonic counting-activity counter (fleet settle polls it)."""
-        return self._activity
+    def frame_queued(self, peer: str) -> None:
+        """A session toward ``peer`` accepted one counting frame."""
+        if peer in self.hosts:
+            self._outstanding += 1
+        self.note_activity()
 
-    def is_busy(self) -> bool:
-        """True while any inbox or session write queue is non-empty."""
-        return self._busy()
+    def frame_done(self, peer: str) -> None:
+        """A host finished handling one counting frame from ``peer``."""
+        if peer in self.hosts:
+            self._outstanding -= 1
+        self.note_activity()
+        if self._outstanding <= 0:
+            self._recheck.set()
+
+    def session_changed(self) -> None:
+        """A session established, or finished its loss handling."""
+        self._recheck.set()
 
     def link_admin_up(self, a: str, b: str) -> bool:
         return _normalize(a, b) not in self._failed_links
 
-    def _busy(self) -> bool:
-        for host in self.hosts.values():
-            if host.inbox.qsize() > 0:
-                return True
-            for session in host.sessions.values():
-                if session.pending_out > 0:
-                    return True
-        return False
+    def unsettled(self) -> List[str]:
+        """What still blocks local quiescence (empty = settled).
+
+        Settled: every local inbox is empty and every link is balanced
+        -- both ends ESTABLISHED on a live connection with ``a.out ==
+        b.done`` and ``b.out == a.done``, or neither end holding a
+        connection that can still deliver.  One live end, or an
+        ESTABLISHED end torn down before its ``on_peer_down`` ran, is
+        *transitional*: frames or loss handling are still coming.  Ends
+        toward other shards only need to be out of transition; the
+        launcher matches their :meth:`cross_shard_counters`.
+
+        Frames on a dead connection are lost, not in flight, so this
+        also rebuilds the outstanding count from the live channels.
+        """
+        blocking: List[str] = []
+        outstanding = 0
+        for device, host in self.hosts.items():
+            if host.inbox.qsize():
+                blocking.append(f"inbox {device} ({host.inbox.qsize()})")
+            for peer, session in host.sessions.items():
+                here = session.live_channel
+                if here is None and session.state == ST_ESTABLISHED:
+                    blocking.append(f"{device}-{peer} transitional")
+                remote = self.hosts.get(peer)
+                if remote is None or device > peer:
+                    continue  # other shard, or the link's second visit
+                there = remote.sessions[device].live_channel
+                if here is None and there is None:
+                    continue  # no connection: nothing can be in flight
+                if here is None or there is None:
+                    blocking.append(f"{device}-{peer} one end live")
+                    continue
+                outstanding += here.out - there.done + there.out - here.done
+                if here.out != there.done or there.out != here.done:
+                    blocking.append(
+                        f"{device}-{peer} out/done {here.out}/{there.done}"
+                        f" {there.out}/{here.done}"
+                    )
+        self._outstanding = outstanding
+        return blocking
+
+    def cross_shard_counters(self) -> List[List[object]]:
+        """``[device, peer, out, done]`` per live end toward another shard."""
+        rows: List[List[object]] = []
+        for device, host in self.hosts.items():
+            for peer, session in host.sessions.items():
+                channel = session.live_channel
+                if channel is not None and peer not in self.hosts:
+                    rows.append([device, peer, channel.out, channel.done])
+        return rows
 
     async def wait_quiescence(self, timeout: Optional[float] = None) -> float:
-        """Wait for counting silence; returns seconds since last activity."""
+        """Wait until :meth:`unsettled` is empty; returns seconds since
+        the last counting activity.  Sleeps on an event that fires when
+        the outstanding count reaches zero or a session comes or goes.
+        """
         deadline = time.monotonic() + (timeout or self.op_timeout)
-        quiet_rounds = 0
-        last_seen = self._activity
-        while quiet_rounds < self.settle_rounds:
-            if time.monotonic() > deadline:
+        while True:
+            self._recheck.clear()
+            blocking = self.unsettled()
+            if not blocking:
+                break
+            remaining = deadline - time.monotonic()
+            if remaining <= 0:
                 raise ClusterTimeoutError(
                     "no quiescence within deadline "
-                    f"(activity={self._activity}, busy={self._busy()})"
+                    f"(outstanding={self._outstanding}, "
+                    f"unbalanced: {'; '.join(blocking)})"
                 )
-            await asyncio.sleep(self.quiescence_grace)
-            if self._activity == last_seen and not self._busy():
-                quiet_rounds += 1
-            else:
-                quiet_rounds = 0
-                last_seen = self._activity
+            # On expiry the next pass raises with what blocks *then*.
+            timer = asyncio.get_running_loop().call_later(
+                remaining, self._recheck.set
+            )
+            try:
+                await self._recheck.wait()
+            finally:
+                timer.cancel()
         if self.tracer.enabled:
             self.tracer.event(
                 "quiescence", cat=CAT_RUNTIME, parent_id=self._op_span
@@ -647,6 +721,9 @@ class RuntimeCluster:
         other shards dial the fleet port plan and establish once the
         owning worker is up (so a fleet boots in any worker order).
         """
+        # Python 3.9 binds an Event to the loop current at construction,
+        # and the facade constructs the cluster off-loop.
+        self._recheck = asyncio.Event()
         http_ports = self._allocate_http_ports()
         for device in self.local_devices:
             verifier = OnDeviceVerifier(

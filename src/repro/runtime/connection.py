@@ -146,7 +146,7 @@ class SessionEvents:
 
     def __init__(
         self,
-        on_message: Callable[[str, Message], None],
+        on_message: Callable[[str, Message, FramedChannel], None],
         on_established: Callable[[str], None],
         on_peer_down: Callable[[str], None],
         link_up: Callable[[str], bool],
@@ -257,6 +257,23 @@ class PeerSession:
     @property
     def pending_out(self) -> int:
         return self._channel.pending_out if self._channel else 0
+
+    @property
+    def live_channel(self) -> Optional[FramedChannel]:
+        """The connection counting frames can still cross, else None.
+
+        ``None`` in ESTABLISHED means *transitional*: ``disconnect()``,
+        the watchdog or the read loop tore the connection down but the
+        loss handling (``on_peer_down``) has not run yet.
+        """
+        channel = self._channel
+        if (
+            self.state == ST_ESTABLISHED
+            and channel is not None
+            and not channel.closing
+        ):
+            return channel
+        return None
 
     def last_rx_age(self) -> Optional[float]:
         """Seconds since the last frame from the peer (None when down).
@@ -437,7 +454,7 @@ class PeerSession:
                     break  # EOF / reset
                 if is_control_frame(message):
                     continue  # keepalive or duplicate handshake OPEN
-                self.events.on_message(self.peer, message)
+                self.events.on_message(self.peer, message, channel)
         except asyncio.CancelledError:
             raise
         finally:

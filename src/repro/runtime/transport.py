@@ -23,7 +23,8 @@ from __future__ import annotations
 
 import asyncio
 import time
-from typing import List, Optional, Tuple
+from collections import deque
+from typing import Deque, List, Optional, Tuple
 
 from repro.dvm.messages import (
     KeepaliveMessage,
@@ -64,7 +65,7 @@ class FrameAssembler:
         any trailing partial frame otherwise.
         """
         messages, self._buffer = decode_stream(
-            self._buffer + data, self._factory
+            self._buffer + data if self._buffer else data, self._factory
         )
         return messages
 
@@ -88,10 +89,17 @@ class FramedChannel:
         self._assembler = FrameAssembler(factory)
         self._metrics = metrics
         self._send_queue: "asyncio.Queue[Tuple[bytes, bool]]" = asyncio.Queue()
-        self._received: List[Message] = []
+        self._received: Deque[Message] = deque()
         self._writer_task: Optional["asyncio.Task[None]"] = None
         self._closing = False
         self.last_rx = time.monotonic()
+        #: Termination-detection counters of this connection: counting
+        #: frames queued here, and counting frames from the peer that the
+        #: host has *finished handling* (bumped by ``DeviceHost._pump``).
+        #: The link is balanced when each end's ``out`` equals the other
+        #: end's ``done``; control frames are never counted.
+        self.out = 0
+        self.done = 0
 
     def start(self) -> None:
         self._writer_task = asyncio.get_running_loop().create_task(
@@ -104,26 +112,37 @@ class FramedChannel:
         """Queue ``message``; the writer task transmits in FIFO order."""
         if self._closing:
             return
-        self._send_queue.put_nowait(
-            (encode_message(message), is_control_frame(message))
-        )
+        control = is_control_frame(message)
+        if not control:
+            self.out += 1
+        self._send_queue.put_nowait((encode_message(message), control))
 
     @property
     def pending_out(self) -> int:
         return self._send_queue.qsize()
 
+    @property
+    def closing(self) -> bool:
+        """True once :meth:`close` or :meth:`abort` tore the stream down."""
+        return self._closing
+
     async def _write_loop(self) -> None:
         try:
             while True:
-                payload, control = await self._send_queue.get()
-                self._writer.write(payload)
+                # Everything already queued goes out as one write + one
+                # drain; accounting stays per frame.
+                batch = [await self._send_queue.get()]
+                while not self._send_queue.empty():
+                    batch.append(self._send_queue.get_nowait())
+                self._writer.write(b"".join(payload for payload, _ in batch))
                 await self._writer.drain()
-                if control:
-                    self._metrics.control_out += 1
-                    self._metrics.control_bytes_out += len(payload)
-                else:
-                    self._metrics.messages_out += 1
-                    self._metrics.bytes_out += len(payload)
+                for payload, control in batch:
+                    if control:
+                        self._metrics.control_out += 1
+                        self._metrics.control_bytes_out += len(payload)
+                    else:
+                        self._metrics.messages_out += 1
+                        self._metrics.bytes_out += len(payload)
         except (
             asyncio.CancelledError,
             ConnectionError,
@@ -149,24 +168,23 @@ class FramedChannel:
             self.last_rx = time.monotonic()
             before = self._assembler.pending_bytes
             try:
-                self._received = self._assembler.feed(data)
+                messages = self._assembler.feed(data)
             except MessageDecodeError:
                 self._metrics.decode_errors += 1
                 raise
+            self._received.extend(messages)
             consumed = before + len(data) - self._assembler.pending_bytes
-            counting = [
-                m for m in self._received if not is_control_frame(m)
-            ]
+            counting = sum(1 for m in messages if not is_control_frame(m))
             # Byte attribution is per batch: control frames are tiny and
             # sparse, so a mixed batch counts as counting traffic.
             if counting:
-                self._metrics.messages_in += len(counting)
-                self._metrics.control_in += len(self._received) - len(counting)
+                self._metrics.messages_in += counting
+                self._metrics.control_in += len(messages) - counting
                 self._metrics.bytes_in += consumed
             else:
-                self._metrics.control_in += len(self._received)
+                self._metrics.control_in += len(messages)
                 self._metrics.control_bytes_in += consumed
-        return self._received.pop(0)
+        return self._received.popleft()
 
     # -- teardown ----------------------------------------------------------
 

@@ -183,6 +183,9 @@ class TestBenchCommand:
                 "--out",
                 str(out),
                 "--json",
+                # No history row: tier-1 must not touch tracked files.
+                "--history",
+                "",
             ]
         )
         assert code == 0

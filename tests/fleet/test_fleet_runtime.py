@@ -29,8 +29,6 @@ def _spec(salt: int, **overrides) -> FleetSpec:
         destinations=4,
         ingresses=8,
         keepalive_interval=0.25,
-        quiescence_grace=0.05,
-        settle_rounds=2,
         op_timeout=60.0,
     )
     fields.update(overrides)
@@ -73,6 +71,45 @@ class TestFleetSmoke:
         assert exits == {0: 0, 1: 0}
 
 
+class TestExactSettle:
+    def test_cross_shard_frame_held_back_is_not_read_past(
+        self, run, tmp_path, monkeypatch
+    ):
+        """The fleet twin of tests/runtime/test_exact_convergence.py:
+        update 0 of this stream is applied on worker 0 and moves
+        verdicts rooted on both workers; its first cross-shard frame is
+        held back (tests/hold_back/sitecustomize.py) for longer than the old
+        settle window.  ``apply_update`` must still return only once the
+        merged verdicts equal the simulator's."""
+        flag = tmp_path / "hold-next-cross-shard-frame"
+        hold_dir = os.path.join(
+            os.path.dirname(os.path.dirname(__file__)), "hold_back"
+        )
+        monkeypatch.setenv("REPRO_TEST_HOLD_FLAG", str(flag))
+        monkeypatch.setenv("PYTHONPATH", hold_dir, prepend=os.pathsep)
+        spec = _spec(3)
+
+        async def drive():
+            launcher = FleetLauncher(spec)
+            try:
+                await launcher.start(ready_timeout=120.0)
+                await launcher.install_plans()
+                before = await launcher.verdicts()
+                flag.write_text("armed")
+                started = time.monotonic()
+                await launcher.apply_update(0, 1)
+                elapsed = time.monotonic() - started
+                return before, await launcher.verdicts(), elapsed
+            finally:
+                await launcher.stop()
+
+        before, after, elapsed = run(drive())
+        assert not flag.exists(), "no cross-shard frame was held back"
+        assert after != before, "the update moved no verdict: vacuous"
+        assert _fleet_simulator_parity(spec, after, 1, lambda _: None)
+        assert elapsed >= 0.3  # the operation waited the hold out
+
+
 class TestWorkerCrash:
     def test_crash_is_detected_survivors_see_it_restart_reconverges(
         self, run
@@ -100,17 +137,23 @@ class TestWorkerCrash:
                     launcher.check_alive()
                 results["crashed"] = crashed.value.workers
 
-                # The survivor's watchdogs notice the dead peer.
-                deadline = time.monotonic() + 30.0
+                # The survivor notices the dead peer and settles on its
+                # own, exactly: every cross-shard end ran on_peer_down
+                # (none is left live or in transition), so links whose
+                # remote end is gone count as balanced.  The long-poll
+                # paces this loop; nothing waits for a timeout.
+                started = time.monotonic()
                 while True:
                     status = await launcher.call_worker(
-                        0, {"op": "status"}
+                        0, {"op": "status", "wait": 10.0}
                     )
-                    if int(status["peer_down_events"]) > 0:  # type: ignore[arg-type]
+                    if status["settled_local"] and not status["links"]:
                         break
-                    assert time.monotonic() < deadline
-                    await asyncio.sleep(0.1)
+                    assert time.monotonic() < started + 30.0
                 results["survivor"] = status
+                results["survivor_settle_seconds"] = (
+                    time.monotonic() - started
+                )
 
                 # The surviving shard's flight recorders captured the
                 # loss: grab their dumps before the fleet recovers.
@@ -134,7 +177,10 @@ class TestWorkerCrash:
         results = run(drive(), timeout=300.0)
         assert results["crashed"] == [1]
         survivor = results["survivor"]
+        assert int(survivor["peer_down_events"]) > 0
         assert int(survivor["peers_down"]) > 0
+        # Loss detection is the sockets' EOF, not a hold or op timeout.
+        assert results["survivor_settle_seconds"] < 5.0
         assert int(survivor["sessions_established"]) < 2 * 32 - 0
         assert results["reinstall_seconds"] > 0.0
         holds = {

@@ -264,6 +264,12 @@ class TestLiveFleet:
                 )
                 try:
                     await cluster.install_plans(dict(workload.plans))
+                    # Keep the metric writers busy until the scraper has
+                    # read enough bodies, however fast one operation
+                    # converges (a settled wait may not yield at all).
+                    while len(bodies) < 4:
+                        await cluster.burst_fib_event()
+                        await asyncio.sleep(0)
                     await collector.scrape_once()
                 finally:
                     scraper.cancel()

@@ -28,8 +28,6 @@ def run():
 FAST_CLUSTER = dict(
     keepalive_interval=0.05,
     hold_multiplier=3.0,
-    quiescence_grace=0.02,
-    settle_rounds=2,
     op_timeout=30.0,
 )
 

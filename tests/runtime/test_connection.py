@@ -25,7 +25,7 @@ class Recorder:
 
     def events(self):
         return SessionEvents(
-            on_message=lambda peer, m: self.messages.append((peer, m)),
+            on_message=lambda peer, m, channel: self.messages.append((peer, m)),
             on_established=lambda peer: self._established(),
             on_peer_down=lambda peer: self._down(),
             link_up=lambda peer: True,

@@ -1,5 +1,8 @@
 """The ``backend="runtime"`` deployment facade."""
 
+import random
+import socket
+
 import pytest
 
 from repro.core import Tulkun
@@ -13,9 +16,32 @@ from repro.dataplane.routes import (
 from repro.packetspace.fields import DSTIP_ONLY_LAYOUT
 from repro.topology.generators import paper_example
 
+
+def _free_port_range(width):
+    """A base port whose ``width`` consecutive loopback ports bind now.
+
+    Probed below Linux's ephemeral range (32768+): a fixed port inside
+    it can be taken by any outgoing connection of the suite's other
+    sockets, which is how this test used to flake with EADDRINUSE.
+    """
+    for _ in range(64):
+        base = random.SystemRandom().randrange(10240, 32768 - width)
+        held = []
+        try:
+            for port in range(base, base + width):
+                held.append(socket.socket(socket.AF_INET, socket.SOCK_STREAM))
+                held[-1].bind(("127.0.0.1", port))
+            return base
+        except OSError:
+            continue
+        finally:
+            for sock in held:
+                sock.close()
+    raise OSError(f"no free range of {width} loopback ports")
+
+
 FAST = dict(
     keepalive_interval=0.05,
-    quiescence_grace=0.02,
     op_timeout=30.0,
 )
 
@@ -149,12 +175,13 @@ class TestTelemetryEndpoints:
         self, tulkun_and_fibs
     ):
         tulkun, fibs = tulkun_and_fibs
+        base = _free_port_range(tulkun.topology.num_devices)
         with tulkun.deploy(
-            fibs, backend="runtime", http_base_port=39400, **FAST
+            fibs, backend="runtime", http_base_port=base, **FAST
         ) as deployment:
             endpoints = deployment.http_endpoints
             for index, device in enumerate(sorted(tulkun.topology.devices)):
-                assert endpoints[device] == ("127.0.0.1", 39400 + index)
+                assert endpoints[device] == ("127.0.0.1", base + index)
 
     def test_http_disabled_leaves_no_endpoints(self, tulkun_and_fibs):
         tulkun, fibs = tulkun_and_fibs
