@@ -12,6 +12,7 @@ import itertools
 from typing import Dict, Iterator, List, Optional, Tuple
 
 from repro.dataplane.actions import Action
+from repro.packetspace.index import PredicateIndex
 from repro.packetspace.predicate import Predicate
 
 
@@ -43,6 +44,11 @@ class Rule:
         return f"Rule(#{self.rule_id} prio={self.priority}{tag} -> {self.action!r})"
 
 
+def _precedence(rule: Rule) -> Tuple[int, int]:
+    """Sort key: descending priority, ties broken by insertion order."""
+    return (-rule.priority, rule.rule_id)
+
+
 class Fib:
     """The forwarding table of one device."""
 
@@ -51,6 +57,8 @@ class Fib:
     def __init__(self, device: str) -> None:
         self.device = device
         self._rules: Dict[int, Rule] = {}
+        self._by_match: PredicateIndex[Rule] = PredicateIndex()
+        self._ordered: Optional[List[Rule]] = None  # dropped on insert/remove
         self._dirty: Optional[Predicate] = None
 
     # -- mutation ------------------------------------------------------------
@@ -78,6 +86,8 @@ class Fib:
         """Insert a rule and return it."""
         rule = Rule(next(self._ids), priority, match, action, label)
         self._rules[rule.rule_id] = rule
+        self._by_match.add(match, rule)
+        self._ordered = None
         self._mark_dirty(match)
         return rule
 
@@ -89,6 +99,8 @@ class Fib:
             raise KeyError(
                 f"device {self.device!r} has no rule #{rule_id}"
             ) from None
+        self._by_match.discard(rule.match, rule)
+        self._ordered = None
         self._mark_dirty(rule.match)
         return rule
 
@@ -112,16 +124,25 @@ class Fib:
 
     def __iter__(self) -> Iterator[Rule]:
         """Rules in descending priority (ties broken by insertion order)."""
-        return iter(
-            sorted(self._rules.values(), key=lambda r: (-r.priority, r.rule_id))
-        )
+        if self._ordered is None:
+            self._ordered = sorted(self._rules.values(), key=_precedence)
+        return iter(self._ordered)
 
     def get(self, rule_id: int) -> Optional[Rule]:
         return self._rules.get(rule_id)
 
     def rules_matching(self, packets: Predicate) -> List[Rule]:
         """All rules whose match overlaps ``packets``, highest priority first."""
-        return [rule for rule in self if rule.match.overlaps(packets)]
+        return [
+            rule
+            for rule in self.candidates(packets)
+            if rule.match.overlaps(packets)
+        ]
+
+    def candidates(self, packets: Predicate) -> List[Rule]:
+        """A superset of :meth:`rules_matching`, highest priority first,
+        read from the match index without a BDD operation."""
+        return sorted(self._by_match.candidates(packets), key=_precedence)
 
     def lookup(self, packets: Predicate) -> Optional[Action]:
         """Action of the highest-priority rule fully covering ``packets``.

@@ -78,12 +78,14 @@ def build_lec_table(
 
     Packets matched by no rule fall into an implicit default-drop class,
     per the paper's data plane model.  With ``region`` set, only that
-    slice of the packet space is classified (the incremental-maintenance
-    path: see :func:`apply_lec_update`).
+    slice of the packet space is classified, sweeping only the rules the
+    FIB's match index cannot rule out (the incremental-maintenance path:
+    see :func:`apply_lec_update`).
     """
     remaining = factory.all_packets() if region is None else region
     by_action: Dict[Action, Predicate] = {}
-    for rule in fib:  # descending priority
+    rules = fib if region is None else fib.candidates(region)
+    for rule in rules:  # descending priority
         if remaining.is_empty:
             break
         effective = rule.match & remaining

@@ -17,6 +17,7 @@ step 2).
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, Iterator, List, Optional, Sequence, Set, Tuple
 
@@ -39,6 +40,7 @@ from repro.dvm.messages import (
 )
 from repro.obs.flight import NULL_RECORDER, FlightRecorder
 from repro.obs.trace import CAT_VERIFY, NULL_TRACER, Tracer
+from repro.packetspace.index import PredicateIndex
 from repro.packetspace.predicate import Predicate, PredicateFactory
 from repro.packetspace.transform import Rewrite
 from repro.planner.dpvnet import Label
@@ -72,7 +74,9 @@ class RootVerdict:
 class _NodeState:
     """Per-DPVNet-node verifier state."""
 
-    __slots__ = ("task", "cib_in", "loc", "out", "interest", "rewrite_children")
+    __slots__ = (
+        "task", "cib_in", "loc", "out", "interest", "rewrite_children", "order",
+    )
 
     def __init__(self, task: NodeTask, interest: Predicate) -> None:
         self.task = task
@@ -84,6 +88,8 @@ class _NodeState:
         self.interest = interest
         #: child node ids we have subscribed transformed predicates on.
         self.rewrite_children: Set[str] = set()
+        #: (plan install sequence, bottom-up position): the recount order.
+        self.order: Tuple[int, int] = (0, 0)
 
 
 class _PlanContext:
@@ -95,11 +101,14 @@ class _PlanContext:
         "task",
         "nodes",
         "bottom_up",
+        "sequence",
         "scene_index",
         "unplanned",
     )
 
-    def __init__(self, plan_id: str, plan: Plan, task: DeviceTask) -> None:
+    def __init__(
+        self, plan_id: str, plan: Plan, task: DeviceTask, sequence: int
+    ) -> None:
         self.plan_id = plan_id
         self.plan = plan
         self.task = task
@@ -121,6 +130,9 @@ class _PlanContext:
                 reverse=True,
             )
         )
+        self.sequence = sequence
+        for position, state in enumerate(self.bottom_up):
+            state.order = (sequence, position)
         self.scene_index: Optional[int] = 0
         self.unplanned = False  # current failures match no planned scene
 
@@ -143,6 +155,14 @@ class OnDeviceVerifier:
         fib.consume_dirty()  # the initial build covers everything so far
         self.linkstate = LinkStateDatabase()
         self._contexts: Dict[str, _PlanContext] = {}
+        self._sequence = itertools.count()
+        #: Counting-mode node states by interest: a rule update visits the
+        #: ones its changed region can overlap, not every node of every plan.
+        self._by_interest: PredicateIndex[Tuple[_PlanContext, _NodeState]] = (
+            PredicateIndex()
+        )
+        #: ``local``-mode contexts; every rule update re-runs their checks.
+        self._local: Dict[str, _PlanContext] = {}
         self.violations: List[Violation] = []
         self.unplanned_scene_reports: List[FrozenSet[Tuple[str, str]]] = []
         # counters for the §9.4 microbenchmarks
@@ -167,7 +187,13 @@ class OnDeviceVerifier:
         task = plan.device_tasks.get(self.device)
         if task is None:
             return []
-        context = _PlanContext(plan_id, plan, task)
+        previous = self._contexts.get(plan_id)
+        if previous is None:
+            sequence = next(self._sequence)
+        else:  # a re-install keeps the plan's place in the recount order
+            sequence = previous.sequence
+            self._forget(previous)
+        context = _PlanContext(plan_id, plan, task, sequence)
         self._contexts[plan_id] = context
         outgoing: Outgoing = []
         for (child_id, child_dev, _) in _all_children(task):
@@ -175,16 +201,27 @@ class OnDeviceVerifier:
                 (child_dev, OpenMessage(plan_id=plan_id, device=self.device))
             )
         if plan.mode == "local":
+            self._local[plan_id] = context
             self._run_local_checks(context)
             return outgoing
-        for state in self._states_bottom_up(context):
+        for state in context.bottom_up:
+            self._by_interest.add(state.interest, (context, state))
             outgoing.extend(self._recompute(context, state, state.interest))
         return outgoing
 
     def uninstall_plan(self, plan_id: str) -> None:
-        self._contexts.pop(plan_id, None)
+        context = self._contexts.pop(plan_id, None)
+        if context is not None:
+            self._forget(context)
         for key in [k for k in self._verdict_holds if k[0] == plan_id]:
             del self._verdict_holds[key]
+
+    def _forget(self, context: _PlanContext) -> None:
+        """Drop what is kept about ``context`` outside of it."""
+        self._local.pop(context.plan_id, None)
+        for state in context.bottom_up:
+            self._by_interest.discard(state.interest, (context, state))
+        self._drop_violations(context.plan_id)
 
     # ------------------------------------------------------------------
     # event entry points
@@ -211,7 +248,8 @@ class OnDeviceVerifier:
         Refreshes the LEC table only within the updated rules' region
         (``Fib.consume_dirty``) and recounts only classes whose action
         actually changed -- the reason most updates touch a handful of
-        devices (§9.3.3).
+        devices (§9.3.3) -- at only the plan nodes whose interest the
+        changed region can reach, found through the interest index.
         """
         dirty = self.fib.consume_dirty()
         if dirty is None:
@@ -229,14 +267,23 @@ class OnDeviceVerifier:
         changed_region = self.factory.union(
             predicate for (predicate, _, _) in changes
         )
+        for context in self._local.values():
+            self._run_local_checks(context)  # emits no frames
+        # Exactly the node states whose affected region can be non-empty
+        # (see _affected_region), in plan install order, bottom-up.
+        touched = set(self._by_interest.candidates(changed_region))
+        for entry in self.lec.entries:
+            action = entry.action
+            if isinstance(action, Forward) and action.rewrite is not None:
+                touched.update(
+                    self._by_interest.candidates(
+                        entry.predicate & action.rewrite.inverse(changed_region)
+                    )
+                )
         outgoing: Outgoing = []
-        for context in self._contexts.values():
-            if context.plan.mode == "local":
-                self._run_local_checks(context)
-                continue
-            for state in self._states_bottom_up(context):
-                region = self._affected_region(state, changed_region)
-                outgoing.extend(self._recompute(context, state, region))
+        for context, state in sorted(touched, key=lambda hit: hit[1].order):
+            region = self._affected_region(state, changed_region)
+            outgoing.extend(self._recompute(context, state, region))
         return outgoing
 
     def on_link_event(self, link: Tuple[str, str], up: bool) -> Outgoing:
@@ -353,7 +400,9 @@ class OnDeviceVerifier:
         extra = message.transformed - state.interest
         if extra.is_empty:
             return []
+        self._by_interest.discard(state.interest, (context, state))
         state.interest = state.interest | extra
+        self._by_interest.add(state.interest, (context, state))
         return self._recompute(context, state, extra)
 
     def _on_open(self, context: _PlanContext, message: OpenMessage) -> Outgoing:
@@ -408,7 +457,7 @@ class OnDeviceVerifier:
         for context in self._contexts.values():
             if context.plan.mode == "local":
                 continue
-            for state in self._states_bottom_up(context):
+            for state in context.bottom_up:
                 lost = [
                     child_id
                     for (child_id, child_dev, _) in state.task.children
@@ -462,25 +511,18 @@ class OnDeviceVerifier:
                     self.unplanned_scene_reports.append(failed)
                 continue
             context.unplanned = False
-            scene_changed = new_index != context.scene_index
             context.scene_index = new_index
             if context.plan.mode == "local":
                 self._run_local_checks(context)
                 continue
             # Recount: even with an unchanged scene index the edge
             # aliveness may have changed (concrete-filter mode).
-            for state in self._states_bottom_up(context):
+            for state in context.bottom_up:
                 outgoing.extend(self._recompute(context, state, state.interest))
-            del scene_changed
         return outgoing
 
     # ------------------------------------------------------------------
     # counting core
-
-    def _states_bottom_up(
-        self, context: _PlanContext
-    ) -> Tuple[_NodeState, ...]:
-        return context.bottom_up
 
     def _affected_region(self, state: _NodeState, affected: Predicate) -> Predicate:
         """Map a downstream-affected region into this node's packet space.
@@ -753,11 +795,7 @@ class OnDeviceVerifier:
         exactly its downstream DPVNet neighbors (destinations must
         deliver).  Violations are recorded for the planner.
         """
-        self.violations = [
-            violation
-            for violation in self.violations
-            if violation.plan_id != context.plan_id
-        ]
+        self._drop_violations(context.plan_id)
         scene_index = context.scene_index or 0
         packet_space = context.plan.invariant.packet_space
         for state in context.nodes.values():
@@ -791,6 +829,13 @@ class OnDeviceVerifier:
                         f"forwarding set mismatch (missing={absent}, "
                         f"extra={extra})",
                     )
+
+    def _drop_violations(self, plan_id: str) -> None:
+        self.violations = [
+            violation
+            for violation in self.violations
+            if violation.plan_id != plan_id
+        ]
 
     def _record_violation(
         self,

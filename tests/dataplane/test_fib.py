@@ -55,6 +55,16 @@ class TestOrdering:
         second = fib.insert(5, factory.all_packets(), Forward(["A"]))
         assert [rule.rule_id for rule in fib] == [first.rule_id, second.rule_id]
 
+    def test_order_follows_insert_and_remove(self, fib, factory):
+        """The priority order is kept between mutations, not frozen."""
+        assert [rule.label for rule in fib] == ["specific", "agg"]
+        top = fib.insert(300, factory.dst_prefix("10.2.0.0/16"), Drop(), label="top")
+        walk = iter(fib)
+        assert next(walk) is top
+        fib.remove(top.rule_id)  # a walk in progress keeps its snapshot
+        assert [rule.label for rule in walk] == ["specific", "agg"]
+        assert [rule.label for rule in fib] == ["specific", "agg"]
+
 
 class TestLookup:
     def test_specific_rule_wins(self, fib, factory):
@@ -79,3 +89,16 @@ class TestLookup:
     def test_rules_matching(self, fib, factory):
         rules = fib.rules_matching(factory.dst_prefix("10.1.0.0/24"))
         assert [rule.label for rule in rules] == ["specific", "agg"]
+
+    def test_rules_matching_skips_disjoint_and_removed_rules(self, fib, factory):
+        other = fib.insert(300, factory.dst_prefix("192.168.0.0/16"), Drop())
+        port = fib.insert(50, factory.dst_port(80), Drop(), label="port")
+        query = factory.dst_prefix("10.1.0.0/24")
+        assert other not in fib.candidates(query)
+        assert [rule.label for rule in fib.rules_matching(query)] == [
+            "specific", "agg", "port",
+        ]
+        fib.remove(port.rule_id)
+        assert [rule.label for rule in fib.rules_matching(query)] == [
+            "specific", "agg",
+        ]

@@ -119,3 +119,71 @@ def test_incremental_changes_are_sound(ops):
                 overlap = stable & other.predicate
                 if not overlap.is_empty:
                     assert other.action == entry.action
+
+
+def sweep_whole_table(fib, factory, region):
+    """``build_lec_table(region=...)`` as a sweep over every rule of the
+    FIB: the reference the indexed sweep must equal, entry for entry."""
+    remaining = region
+    by_action = {}
+    for rule in sorted(fib, key=lambda r: (-r.priority, r.rule_id)):
+        effective = rule.match & remaining
+        if effective.is_empty:
+            continue
+        remaining = remaining - effective
+        existing = by_action.get(rule.action)
+        by_action[rule.action] = (
+            effective if existing is None else existing | effective
+        )
+    if not remaining.is_empty:
+        existing = by_action.get(Drop())
+        by_action[Drop()] = remaining if existing is None else existing | remaining
+    return [(predicate, action) for action, predicate in by_action.items()]
+
+
+multifield_operations = st.lists(
+    st.tuples(
+        st.sampled_from(["insert", "insert", "remove"]),
+        st.integers(0, len(PREFIXES) - 1),
+        st.one_of(st.none(), st.tuples(st.integers(0, 1023), st.integers(0, 1023))),
+        st.booleans(),  # AND proto = 6
+        st.integers(0, len(ACTIONS) - 1),
+        st.integers(0, 3),  # priority: ties are common
+    ),
+    min_size=1,
+    max_size=12,
+)
+
+
+@settings(max_examples=80, deadline=None)
+@given(multifield_operations, st.lists(st.integers(0, len(PREFIXES) - 1), min_size=1, max_size=2))
+def test_region_sweep_over_candidates_equals_whole_table_sweep(ops, region_indices):
+    """Skipping the rules the match index rules out changes nothing: same
+    classes, same predicates, same order -- on multi-field matches too."""
+    factory = PredicateFactory()
+    fib = Fib("X")
+    inserted = []
+    for kind, prefix_index, ports, tcp_only, action_index, priority in ops:
+        if kind == "remove" and inserted:
+            fib.remove(inserted.pop(prefix_index % len(inserted)))
+        else:
+            match = factory.dst_prefix(PREFIXES[prefix_index])
+            if ports is not None:
+                match = match & factory.field_range("dst_port", min(ports), max(ports))
+            if tcp_only:
+                match = match & factory.field_eq("proto", 6)
+            rule = fib.insert(priority, match, ACTIONS[action_index])
+            inserted.append(rule.rule_id)
+        regions = [fib.consume_dirty()]
+        regions.append(
+            factory.union(factory.dst_prefix(PREFIXES[i]) for i in region_indices)
+        )
+        regions.append(factory.dst_port(80))  # no dst-IP literal at all
+        for region in regions:
+            table = build_lec_table(fib, factory, region=region)
+            assert [
+                (entry.predicate, entry.action) for entry in table.entries
+            ] == sweep_whole_table(fib, factory, region)
+            matching = [r for r in fib if r.match.overlaps(region)]
+            assert fib.rules_matching(region) == matching
+            assert set(matching) <= set(fib.candidates(region))
