@@ -2,15 +2,11 @@
 
 Tulkun verifies a network's data plane by distributing small checkers
 onto every device; this package applies the same philosophy to the
-reproduction's own code.  Three analyzer families, stdlib ``ast`` only:
+reproduction's own code.  Two analyzer families, stdlib ``ast`` only:
 
 * :mod:`repro.checkers.asyncsafety` -- event-loop safety (ASYNC001-005):
   blocking calls in coroutines, unawaited coroutines, dropped task
   handles, sync locks across ``await``, cross-thread loop touches.
-* :mod:`repro.checkers.protocol` -- DVM wire-protocol consistency
-  (PROTO001-005): every ``TYPE_*`` message kind must carry an encode
-  branch, a decode branch, a runtime dispatch handler, and a fuzz
-  corpus entry.
 * :mod:`repro.checkers.hygiene` -- exception and API hygiene (EXC001,
   HYG001-002).
 
@@ -20,7 +16,7 @@ about behavior instead of text:
 * :mod:`repro.checkers.fsm` + :mod:`repro.checkers.modelcheck` --
   extract the PeerSession lifecycle actually implemented, diff it
   against the declared ``SESSION_TRANSITIONS`` table, and exhaustively
-  explore the two-peer-session product space (FSM001-004).
+  explore the two-peer-session product space (FSM001, 002, 004).
 * :mod:`repro.checkers.raceflow` -- flow-sensitive cross-``await``
   race detection over every coroutine (ASYNC006-008).
 
@@ -38,13 +34,9 @@ The third tier is whole-program, same entry point:
 * :mod:`repro.checkers.modelcheck` again -- the launcher x worker
   lifecycle product explored to a fixpoint (FSM005-006).
 
-The fourth tier proves the wire format itself:
-
-* :mod:`repro.checkers.wirecheck` -- an abstract interpreter over the
-  DVM codec and the BDD serializer: symbolic byte cursors prove every
-  decode read bounds-checked, every length prefix guarded, and the
-  encode/decode/``docs/PROTOCOL.md`` field tables identical
-  (WIRE001-005).
+The DVM wire format needs no checker: every frame kind is one row of
+the schema in :mod:`repro.dvm.messages`, from which the one encoder and
+the one decoder are driven.
 
 Run via ``python -m repro lint`` / ``python -m repro verify-static``
 (see :mod:`repro.checkers.cli`) or the library APIs :func:`run_lint`
@@ -68,18 +60,12 @@ from repro.checkers.modelcheck import (
     explore_product,
     extract_fleet_fsm,
 )
-from repro.checkers.protocol import check_protocol, extract_surface
 from repro.checkers.raceflow import check_raceflow
 from repro.checkers.sarif import sarif_document, write_sarif
 from repro.checkers.verifystatic import (
     VERIFY_RULES,
     VerifyReport,
     run_verify_static,
-)
-from repro.checkers.wirecheck import (
-    WIRE_RULES,
-    check_wire,
-    extract_wire_surface,
 )
 
 __all__ = [
@@ -88,22 +74,17 @@ __all__ = [
     "RULES",
     "VERIFY_RULES",
     "VerifyReport",
-    "WIRE_RULES",
     "analyze_callgraph",
     "check_control",
     "check_fleet_model",
     "check_fsm_tables",
     "check_model",
-    "check_protocol",
     "check_raceflow",
-    "check_wire",
     "explore_fleet",
     "explore_product",
     "extract_control_surface",
     "extract_fleet_fsm",
     "extract_session_fsm",
-    "extract_surface",
-    "extract_wire_surface",
     "lint_file",
     "parse_suppressions",
     "run_lint",

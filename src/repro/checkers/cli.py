@@ -100,11 +100,6 @@ def configure_parser(parser: argparse.ArgumentParser) -> None:
         help="emit findings as GitHub Actions ::error annotations",
     )
     parser.add_argument(
-        "--no-protocol",
-        action="store_true",
-        help="skip the cross-file wire-protocol consistency rules",
-    )
-    parser.add_argument(
         "--jobs",
         type=int,
         default=1,
@@ -259,14 +254,6 @@ def render_verify_report(
             f"fixpoint ({completion})",
             file=stream,
         )
-    if report.wire_checked:
-        print(
-            f"wire model: {report.wire_messages} message layout(s) / "
-            f"{report.wire_fields} field(s) proven in lockstep "
-            f"({report.wire_reads_proven} bounded read(s), "
-            f"{report.wire_guards_proven} guarded prefix(es))",
-            file=stream,
-        )
 
     if stats:
         from repro.bench.reporting import print_table
@@ -330,10 +317,7 @@ def cmd_lint(args: argparse.Namespace) -> int:
         print(str(exc), file=sys.stderr)
         return 2
     report = run_lint(
-        paths,
-        protocol=not args.no_protocol,
-        jobs=max(1, args.jobs),
-        cache=not args.no_cache,
+        paths, jobs=max(1, args.jobs), cache=not args.no_cache
     )
     _apply_select(report, selected)
     if args.sarif is not None:
@@ -352,8 +336,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     """Standalone entry point (``python -m repro.checkers.cli``)."""
     parser = argparse.ArgumentParser(
         prog="repro-lint",
-        description="AST-based async-safety, wire-protocol and hygiene "
-        "checks for the Tulkun reproduction",
+        description="AST-based async-safety and hygiene checks for the "
+        "Tulkun reproduction",
     )
     configure_parser(parser)
     return cmd_lint(parser.parse_args(argv))

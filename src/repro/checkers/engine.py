@@ -1,12 +1,7 @@
 """The repro-lint engine: file discovery, rule execution, reporting.
 
-Two kinds of rules run:
-
-* **per-file rules** (:mod:`repro.checkers.asyncsafety`,
-  :mod:`repro.checkers.hygiene`) visit each Python file's AST;
-* **project rules** (:mod:`repro.checkers.protocol`) cross-reference
-  several files and run once per invocation, whenever the scanned tree
-  contains the DVM messages module.
+The rules (:mod:`repro.checkers.asyncsafety`,
+:mod:`repro.checkers.hygiene`) visit each Python file's AST.
 
 Suppressions (``# repro-lint: disable=RULE``) are honored per line but
 never silent: every suppressed finding is carried in the report's
@@ -41,7 +36,9 @@ from repro.checkers.findings import (
     split_suppressed,
 )
 from repro.checkers.hygiene import check_hygiene
-from repro.checkers.protocol import MESSAGES_PATH, check_protocol
+
+#: The file whose presence marks the root of this repository.
+_ROOT_MARKER = Path("src/repro/dvm/messages.py")
 
 #: Rule id -> one-line description (the catalog; see docs/STATIC_ANALYSIS.md).
 RULES: Dict[str, str] = {
@@ -50,17 +47,10 @@ RULES: Dict[str, str] = {
     "ASYNC003": "asyncio task handle dropped (fire-and-forget leak)",
     "ASYNC004": "synchronous lock held across 'await'",
     "ASYNC005": "cross-thread event-loop call bypassing *_threadsafe",
-    "PROTO001": "TYPE_* constant without an encode branch",
-    "PROTO002": "TYPE_* constant without a decode branch",
-    "PROTO003": "message class without a runtime dispatch handler",
-    "PROTO004": "message class without a fuzz corpus entry",
-    "PROTO005": "message class not wired to any TYPE_* constant",
-    "PROTO006": "message class without a maximum-length fuzz vector",
     "EXC001": "broad except that swallows the exception",
     "HYG001": "mutable default argument",
     "HYG002": "parameter shadows a builtin",
     "OBS001": "bare print() in library code (use repro.obs.log)",
-    "OBS002": "TYPE_* frame type without a flight-recorder event mapping",
 }
 
 #: Directory names never scanned.
@@ -172,13 +162,14 @@ def find_project_root(paths: Sequence[Path]) -> Optional[Path]:
     """The repo root owning the DVM protocol, if the scan touches it.
 
     Walks up from each scanned path looking for the directory that
-    contains ``src/repro/dvm/messages.py``; project rules only run when
-    one is found (so linting an unrelated tree stays per-file only).
+    contains ``src/repro/dvm/messages.py``; paths are reported relative
+    to it, and ``verify-static`` runs its project-scope prongs only when
+    one is found.
     """
     for path in paths:
         candidate: Optional[Path] = path.resolve()
         while candidate is not None:
-            if (candidate / MESSAGES_PATH).is_file():
+            if (candidate / _ROOT_MARKER).is_file():
                 return candidate
             candidate = candidate.parent if candidate.parent != candidate else None
     return None
@@ -324,7 +315,6 @@ def _lint_worker(
 def run_lint(
     paths: Iterable[Path],
     *,
-    protocol: bool = True,
     project_root: Optional[Path] = None,
     jobs: int = 1,
     cache: bool = True,
@@ -380,8 +370,6 @@ def run_lint(
         if cache and key is not None:
             _cache_store(cache_root, key, active, suppressed, error)
 
-    if protocol and root is not None:
-        report.findings.extend(check_protocol(root))
     report.findings.sort()
     report.suppressed.sort()
     report.elapsed_seconds = time.perf_counter() - started

@@ -1,32 +1,27 @@
-"""Session-FSM extraction and cross-checks (rules FSM003, FSM004).
+"""Session-FSM extraction and cross-check (rule FSM004).
 
 The runtime declares the :class:`~repro.runtime.connection.PeerSession`
 lifecycle as a checked-in table (``SESSION_TRANSITIONS``) and marks
 every implemented transition with a ``self._set_state(event, STATE)``
 call.  This module recovers both sides *statically* -- the declared
 table from the dict literal, the implemented edges from the call sites
--- plus the frame-handler metadata (``FRAME_EVENTS`` in
-``repro/dvm/messages.py``), and diffs them:
+-- and diffs them:
 
 * **FSM004** -- the declared table and the implementation diverge: a
   declared (non-self-loop) transition has no ``_set_state`` call, or a
   call site implements an edge the table never declared.  Each finding
   names the exact edge (``STATE --event--> STATE``).
-* **FSM003** -- a DVM frame kind (``TYPE_*`` with a ``FRAME_EVENTS``
-  entry) has no handler transition at ESTABLISHED, or the table
-  declares an ``rx_*`` handler no frame kind raises.
 
 Self-loop edges (``ESTABLISHED --rx_update--> ESTABLISHED``) document
 absorbed stimuli; they need no ``_set_state`` call (the state does not
-change) and are exempt from FSM004 -- FSM003 is what keeps them honest
-against the wire protocol.
+change) and are exempt from FSM004 -- ``tests/dvm/test_wire_schema.py``
+keeps the ``rx_*`` ones equal to the frame kinds of the wire schema.
 
 The extracted :class:`SessionFsm` also feeds the exhaustive product
 explorer in :mod:`repro.checkers.modelcheck` (rules FSM001/FSM002).
-Like the PROTO rules, everything here is pure AST cross-referencing:
-no imports of the analyzed code, so it runs on broken working trees,
-and ``overrides`` lets the drift tests feed mutated source without
-touching disk.
+Everything here is pure AST cross-referencing: no imports of the
+analyzed code, so it runs on broken working trees, and ``overrides``
+lets the drift tests feed mutated source without touching disk.
 """
 
 from __future__ import annotations
@@ -37,7 +32,6 @@ from pathlib import Path
 from typing import Dict, List, Optional, Tuple
 
 from repro.checkers.findings import Finding
-from repro.checkers.protocol import MESSAGES_PATH
 
 #: Repo-relative path of the session implementation.
 CONNECTION_PATH = Path("src/repro/runtime/connection.py")
@@ -48,10 +42,7 @@ TRANSITIONS_NAME = "SESSION_TRANSITIONS"
 SET_STATE_METHOD = "_set_state"
 SESSION_CLASS = "PeerSession"
 
-#: Name anchoring the frame-handler metadata in messages.py.
-FRAME_EVENTS_NAME = "FRAME_EVENTS"
-
-#: The state whose declared transitions must handle every frame kind.
+#: The state in which counting traffic flows.
 ESTABLISHED_STATE = "ESTABLISHED"
 
 #: Administrative events excluded from liveness exploration (the
@@ -61,7 +52,7 @@ ADMIN_EVENTS = frozenset({"stop", "drained"})
 
 @dataclass
 class SessionFsm:
-    """Everything extracted from connection.py + messages.py."""
+    """Everything extracted from connection.py."""
 
     states: Tuple[str, ...] = ()
     states_line: int = 1
@@ -72,9 +63,6 @@ class SessionFsm:
     implemented: Dict[Tuple[str, str], List[Tuple[str, int]]] = field(
         default_factory=dict
     )
-    #: ``TYPE_* -> session event`` from messages.py (None = metadata absent).
-    frame_events: Optional[Dict[str, str]] = None
-    frame_events_line: int = 1
 
     @property
     def initial(self) -> str:
@@ -201,7 +189,7 @@ def _extract_implemented(
 def extract_session_fsm(
     root: Path, overrides: Optional[Dict[str, str]] = None
 ) -> Optional[SessionFsm]:
-    """Read declared table + implemented edges + frame metadata.
+    """Read declared table + implemented edges.
 
     Returns None when connection.py is absent (linting a foreign tree).
     """
@@ -223,20 +211,6 @@ def extract_session_fsm(
     if table_value is not None:
         fsm.transitions = _extract_transitions(table_value, constants)
     fsm.implemented = _extract_implemented(connection, constants)
-
-    messages = _parse(root, MESSAGES_PATH, overrides)
-    if messages is not None:
-        events_value, fsm.frame_events_line = _assigned_value(
-            messages, FRAME_EVENTS_NAME
-        )
-        if isinstance(events_value, ast.Dict):
-            frame_events: Dict[str, str] = {}
-            for key, value in zip(events_value.keys, events_value.values):
-                type_name = _resolve(key, {}) if key is not None else None
-                event = _resolve(value, {})
-                if type_name is not None and event is not None:
-                    frame_events[type_name] = event
-            fsm.frame_events = frame_events
     return fsm
 
 
@@ -245,10 +219,9 @@ def _edge(state: str, event: str, to: str) -> str:
 
 
 def check_fsm_tables(fsm: SessionFsm) -> List[Finding]:
-    """FSM003 + FSM004 over one extracted surface."""
+    """FSM004 over one extracted surface."""
     findings: List[Finding] = []
     connection = str(CONNECTION_PATH)
-    messages = str(MESSAGES_PATH)
 
     if not fsm.transitions:
         findings.append(
@@ -311,71 +284,6 @@ def check_fsm_tables(fsm: SessionFsm) -> List[Finding]:
                     hint=(
                         "declare the edge in the table (and let the model "
                         "checker explore it), or fix the call site"
-                    ),
-                )
-            )
-
-    # FSM003: every frame kind needs a handler event at ESTABLISHED.
-    if fsm.frame_events is None:
-        findings.append(
-            Finding(
-                path=messages,
-                line=fsm.frame_events_line,
-                col=1,
-                rule="FSM003",
-                message=(
-                    f"no {FRAME_EVENTS_NAME} metadata in messages.py: frame "
-                    "kinds cannot be checked against the session FSM"
-                ),
-                hint=(
-                    "declare the TYPE_* -> session event dict next to the "
-                    "TYPE_* constants"
-                ),
-            )
-        )
-        return findings
-
-    handled_events = {
-        event
-        for (state, event) in fsm.transitions
-        if state == ESTABLISHED_STATE
-    }
-    for type_name, event in sorted(fsm.frame_events.items()):
-        if event not in handled_events:
-            findings.append(
-                Finding(
-                    path=messages,
-                    line=fsm.frame_events_line,
-                    col=1,
-                    rule="FSM003",
-                    message=(
-                        f"{type_name} raises session event {event!r} but "
-                        f"{ESTABLISHED_STATE} declares no handler "
-                        f"transition for it"
-                    ),
-                    hint=(
-                        f"add ({ESTABLISHED_STATE}, {event!r}) to "
-                        f"{TRANSITIONS_NAME} (self-loop if the frame is "
-                        "absorbed)"
-                    ),
-                )
-            )
-    frame_event_names = set(fsm.frame_events.values())
-    for event in sorted(handled_events):
-        if event.startswith("rx_") and event not in frame_event_names:
-            findings.append(
-                Finding(
-                    path=connection,
-                    line=fsm.transitions_line,
-                    col=1,
-                    rule="FSM003",
-                    message=(
-                        f"declared handler event {event!r} matches no DVM "
-                        f"frame kind in {FRAME_EVENTS_NAME}"
-                    ),
-                    hint=(
-                        "wire the frame kind in messages.py FRAME_EVENTS, "
-                        "or drop the dead handler row"
                     ),
                 )
             )

@@ -5,7 +5,7 @@ about *behavior*:
 
 * :mod:`repro.checkers.fsm` extracts the session FSM actually
   implemented by ``runtime/connection.py`` and diffs it against the
-  declared ``SESSION_TRANSITIONS`` table (FSM003/FSM004);
+  declared ``SESSION_TRANSITIONS`` table (FSM004);
 * :mod:`repro.checkers.modelcheck` exhaustively explores the
   two-peer-session product of the declared table (FSM001/FSM002) and
   the launcher x worker fleet lifecycle product (FSM005/FSM006) for
@@ -18,11 +18,7 @@ about *behavior*:
   can-raise facts to a fixpoint (ASYNC009-ASYNC011);
 * :mod:`repro.checkers.controlproto` cross-checks the fleet control-op
   vocabulary between launcher, worker, and ``docs/RUNTIME.md``
-  (CTRL001-CTRL005);
-* :mod:`repro.checkers.wirecheck` (tier 4) abstractly interprets the
-  DVM codec and the BDD serializer, proving encode/decode layout
-  agreement, bounds-checked reads, guarded length prefixes, and
-  ``docs/PROTOCOL.md`` fidelity (WIRE001-WIRE005).
+  (CTRL001-CTRL005).
 
 Per-file results are memoized like tier 1's, but the cache key is a
 **dependency-closure key**: a file's entry is salted with the content
@@ -79,14 +75,12 @@ from repro.checkers.modelcheck import (
     extract_fleet_fsm,
 )
 from repro.checkers.raceflow import check_raceflow
-from repro.checkers.wirecheck import WIRE_RULES, check_wire
 
-#: Rule id -> one-line description (tier-2/3/4 catalog; tier 1 lives in
+#: Rule id -> one-line description (tier-2/3 catalog; tier 1 lives in
 #: :data:`repro.checkers.engine.RULES`).
 VERIFY_RULES: Dict[str, str] = {
     "FSM001": "reachable deadlock in the two-session product space",
     "FSM002": "declared session state unreachable from the initial state",
-    "FSM003": "DVM frame kind and ESTABLISHED handler events diverge",
     "FSM004": "declared transition table diverges from _set_state sites",
     "FSM005": "reachable deadlock in the launcher x worker lifecycle product",
     "FSM006": "declared fleet lifecycle state unreachable from boot",
@@ -102,7 +96,6 @@ VERIFY_RULES: Dict[str, str] = {
     "CTRL004": "control op sent with no timeout at site or wrapper",
     "CTRL005": "control-op vocabulary and docs/RUNTIME.md table diverge",
 }
-VERIFY_RULES.update(WIRE_RULES)
 
 
 @dataclass
@@ -128,13 +121,6 @@ class VerifyReport:
     #: Call-graph size evidence for --stats / bench.
     functions_indexed: int = 0
     call_edges: int = 0
-    #: Tier-4 wire-analysis evidence (zero until the codec exists).
-    wire_checked: bool = False
-    wire_messages: int = 0
-    wire_fields: int = 0
-    wire_reads_proven: int = 0
-    wire_guards_proven: int = 0
-    wire_elapsed_seconds: float = 0.0
 
     @property
     def clean(self) -> bool:
@@ -210,7 +196,6 @@ _SALT_MODULES = (
     "repro.checkers.modelcheck",
     "repro.checkers.callgraph",
     "repro.checkers.controlproto",
-    "repro.checkers.wirecheck",
     "repro.checkers.findings",
     "repro.checkers.verifystatic",
 )
@@ -453,17 +438,8 @@ def run_verify_static(
 
         control_findings = check_control(root)
 
-        wire_report = check_wire(root)
-        if wire_report.messages_checked:
-            report.wire_checked = True
-            report.wire_messages = wire_report.messages_checked
-            report.wire_fields = wire_report.fields_checked
-            report.wire_reads_proven = wire_report.reads_proven
-            report.wire_guards_proven = wire_report.guards_proven
-            report.wire_elapsed_seconds = wire_report.elapsed_seconds
-
         for display, group in _group_by_path(
-            fleet_findings + control_findings + wire_report.findings
+            fleet_findings + control_findings
         ).items():
             if not display.endswith(".py"):
                 # Findings anchored in docs carry no suppression surface.

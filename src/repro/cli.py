@@ -34,12 +34,12 @@ Commands:
   output) or generates a violation scenario on either backend; see
   ``docs/OBSERVABILITY.md``.
 * ``lint``      -- run the repro-lint static analyzers (async-safety,
-  DVM wire-protocol consistency, hygiene) over the codebase; see
-  :mod:`repro.checkers` and ``docs/STATIC_ANALYSIS.md``.
+  hygiene) over the codebase; see :mod:`repro.checkers` and
+  ``docs/STATIC_ANALYSIS.md``.
 * ``verify-static`` -- tier-2 semantic verification: model-check the
-  session FSM (two-peer product space, deadlock/reachability/frame
-  coverage) and run flow-sensitive cross-``await`` race detection;
-  see ``docs/STATIC_ANALYSIS.md``.
+  session FSM (two-peer product space, deadlock/reachability) and run
+  flow-sensitive cross-``await`` race detection; see
+  ``docs/STATIC_ANALYSIS.md``.
 
 Examples::
 
@@ -754,7 +754,6 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         if analyzer:
             lint_stats = analyzer["lint"]
             verify_stats = analyzer["verify_static"]
-            wire_stats = analyzer["wirecheck"]
             print(
                 "analyzer: lint "
                 f"{lint_stats['elapsed_seconds'] * 1e3:.1f} ms over "
@@ -764,10 +763,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
                 f"{verify_stats['elapsed_seconds'] * 1e3:.1f} ms, "
                 f"{verify_stats['states_explored']} session + "
                 f"{verify_stats['fleet_states_explored']} fleet product "
-                "states; wirecheck "
-                f"{wire_stats['elapsed_seconds'] * 1e3:.1f} ms, "
-                f"{wire_stats['messages_covered']} message(s) / "
-                f"{wire_stats['fields_proven']} field(s) proven"
+                "states"
             )
         if args.out:
             print(f"wrote {args.out}")
@@ -847,7 +843,6 @@ def _append_bench_history(path: str, document: dict) -> None:
             for name, stats in document.get("datasets", {}).items()
         },
         "flight_overhead": document.get("flight_overhead"),
-        "wirecheck": document.get("analyzer", {}).get("wirecheck"),
     }
     with open(path, "a", encoding="utf-8") as handle:
         handle.write(json.dumps(entry, sort_keys=True) + "\n")
@@ -921,14 +916,6 @@ def _analyzer_stats() -> dict:
             "functions_indexed": verify.functions_indexed,
             "call_edges": verify.call_edges,
             "rules": verify.stats_rows(),
-        },
-        "wirecheck": {
-            "checked": verify.wire_checked,
-            "elapsed_seconds": verify.wire_elapsed_seconds,
-            "messages_covered": verify.wire_messages,
-            "fields_proven": verify.wire_fields,
-            "reads_proven": verify.wire_reads_proven,
-            "guards_proven": verify.wire_guards_proven,
         },
     }
 

@@ -9,19 +9,19 @@ idempotent and let recoveries supersede failures.
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, Set, Tuple
 
 from repro.dvm.messages import (
+    FLAG,
+    STR,
+    TYPE_LINKSTATE,
+    U32,
     Message,
-    MessageDecodeError,
-    _pack_str,
-    _unpack_str,
+    Seq,
+    add_row,
+    pack_fields,
 )
-
-_U32 = struct.Struct("!I")
-_U8 = struct.Struct("!B")
 
 
 @dataclass(frozen=True)
@@ -34,39 +34,15 @@ class LinkStateMessage(Message):
     up: bool
 
 
-def encode_linkstate_body(message: LinkStateMessage) -> bytes:
-    return b"".join(
-        [
-            _pack_str(message.plan_id),
-            _pack_str(message.origin),
-            _U32.pack(message.sequence),
-            _pack_str(message.link[0]),
-            _pack_str(message.link[1]),
-            _U8.pack(1 if message.up else 0),
-        ]
-    )
+LINKSTATE = add_row(
+    TYPE_LINKSTATE, "LINKSTATE", LinkStateMessage,
+    ("plan_id", STR), ("origin", STR), ("sequence", U32),
+    ("link", Seq(STR, STR)), ("up", FLAG),
+)
 
 
-def decode_linkstate_body(body: bytes) -> LinkStateMessage:
-    offset = 0
-    plan_id, offset = _unpack_str(body, offset)
-    origin, offset = _unpack_str(body, offset)
-    if offset + _U32.size > len(body):
-        raise MessageDecodeError("truncated link-state sequence")
-    (sequence,) = _U32.unpack_from(body, offset)
-    offset += _U32.size
-    link_a, offset = _unpack_str(body, offset)
-    link_b, offset = _unpack_str(body, offset)
-    if offset + _U8.size != len(body):
-        raise MessageDecodeError("malformed link-state body length")
-    (up,) = _U8.unpack_from(body, offset)
-    return LinkStateMessage(
-        plan_id=plan_id,
-        origin=origin,
-        sequence=sequence,
-        link=(link_a, link_b),
-        up=bool(up),
-    )
+def encode_linkstate_body(message: Message) -> bytes:
+    return pack_fields(LINKSTATE, message)
 
 
 class LinkStateDatabase:

@@ -17,6 +17,13 @@ as serialized BDDs (the paper serializes JDD BDDs via Protobuf -- we use
 our own codec, same role).  The codec is exercised for every message in
 the simulator, so wire size statistics in the benchmarks are real.
 
+Each frame kind is one :class:`Row` of one table (:data:`ROWS`): its
+wire type, its name, its message class and its body as a list of
+``(field, codec)``.  One loop packs and one loop unpacks every kind from
+its row, so a kind has no layout anywhere else to drift from;
+``docs/PROTOCOL.md`` is compared with the rows by
+``tests/dvm/test_wire_schema.py``.
+
 Frame layout::
 
     u16 magic (0xD7A1)   u8 version (1)   u8 type   u32 clock
@@ -37,7 +44,7 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Protocol, Tuple, Type, Union
 
 from repro.counting.counts import CountSet
 from repro.packetspace.predicate import Predicate, PredicateFactory
@@ -69,27 +76,8 @@ TYPE_UPDATE = 3
 TYPE_SUBSCRIBE = 4
 TYPE_LINKSTATE = 5
 
-#: Frame-handler metadata: the session-FSM event each wire frame kind
-#: raises when it arrives on an ESTABLISHED session.  The declarative
-#: session FSM (``repro.runtime.connection.SESSION_TRANSITIONS``) must
-#: declare a handler transition for every event named here -- rule
-#: FSM003 (``repro.checkers.fsm``) statically cross-checks the two
-#: tables, so adding a TYPE_* constant without deciding how a live
-#: session absorbs it is a ``verify-static`` failure, not a runtime
-#: surprise on a peer.
-FRAME_EVENTS: Dict[str, str] = {
-    "TYPE_OPEN": "rx_open",
-    "TYPE_KEEPALIVE": "rx_keepalive",
-    "TYPE_UPDATE": "rx_update",
-    "TYPE_SUBSCRIBE": "rx_subscribe",
-    "TYPE_LINKSTATE": "rx_linkstate",
-}
-
-#: Plan id scoping session-level control frames (the handshake OPEN and
-#: KEEPALIVE heartbeats).  Counting traffic always carries a real plan
-#: id, so the empty string cleanly separates the two frame kinds in the
-#: shared metric schema (:mod:`repro.obs.schema`).
-SESSION_PLAN_ID = ""
+#: What the decoder reads from: a whole frame, or a view into a stream.
+Buffer = Union[bytes, memoryview]
 
 
 class MessageDecodeError(ValueError):
@@ -147,203 +135,336 @@ class SubscribeMessage(Message):
     transformed: Predicate
 
 
-def is_session_frame(message: Message) -> bool:
-    """True for session-level control frames (OPEN/KEEPALIVE, no plan).
+# ---------------------------------------------------------------------------
+# field codecs
 
-    Mirrors the transport-layer classification without importing it:
-    counting traffic always carries a real plan id, session control
-    frames carry :data:`SESSION_PLAN_ID`.  Used by the shared metric
-    schema to split counting and control traffic in both backends.
+
+class Codec(Protocol):
+    """The layout of one kind of field, in both directions.
+
+    ``pack`` appends the encoding of ``value`` to ``out`` and enforces
+    the cap its length prefix can carry; ``unpack`` reads one value from
+    ``buf[offset:end]`` -- every read preceded by its bounds check -- and
+    returns it with the offset after it.  A prefix is written and read
+    through the same ``struct`` object, so the two directions cannot
+    disagree on its width.  ``doc`` is the field's type as
+    ``docs/PROTOCOL.md`` spells it.
     """
-    return (
-        isinstance(message, (OpenMessage, KeepaliveMessage))
-        and message.plan_id == SESSION_PLAN_ID
-    )
+
+    doc: str
+
+    def pack(self, value: Any, out: List[bytes]) -> None: ...
+
+    def unpack(
+        self, buf: Buffer, offset: int, end: int, factory: PredicateFactory
+    ) -> Tuple[Any, int]: ...
 
 
-#: Frame-kind labels cached per concrete message type (hot path).
-_MESSAGE_KINDS: Dict[type, str] = {}
+class _Fixed:
+    """One fixed-width scalar; ``cast`` restores its Python type."""
+
+    def __init__(
+        self, fmt: struct.Struct, doc: str, cast: Callable[[int], Any]
+    ) -> None:
+        self.fmt, self.doc, self.cast = fmt, doc, cast
+
+    def pack(self, value: Any, out: List[bytes]) -> None:
+        out.append(self.fmt.pack(value))
+
+    def unpack(
+        self, buf: Buffer, offset: int, end: int, factory: PredicateFactory
+    ) -> Tuple[Any, int]:
+        stop = offset + self.fmt.size
+        if stop > end:
+            raise MessageDecodeError(f"truncated {self.doc}")
+        return self.cast(self.fmt.unpack_from(buf, offset)[0]), stop
+
+
+class _Prefixed:
+    """A length prefix and that many bytes; subclasses say what they hold."""
+
+    def __init__(self, prefix: struct.Struct, cap: int, doc: str) -> None:
+        self.prefix, self.cap, self.doc = prefix, cap, doc
+
+    def pack_raw(self, raw: bytes, out: List[bytes]) -> None:
+        if len(raw) > self.cap:
+            raise ValueError(f"{self.doc} too long for wire format")
+        out.append(self.prefix.pack(len(raw)))
+        out.append(raw)
+
+    def unpack_raw(self, buf: Buffer, offset: int, end: int) -> Tuple[Buffer, int]:
+        start = offset + self.prefix.size
+        if start > end:
+            raise MessageDecodeError(f"truncated {self.doc} length")
+        stop = start + self.prefix.unpack_from(buf, offset)[0]
+        if stop > end:
+            raise MessageDecodeError(f"truncated {self.doc} body")
+        return buf[start:stop], stop
+
+
+class _Str(_Prefixed):
+    def pack(self, value: str, out: List[bytes]) -> None:
+        self.pack_raw(value.encode("utf-8"), out)
+
+    def unpack(
+        self, buf: Buffer, offset: int, end: int, factory: PredicateFactory
+    ) -> Tuple[str, int]:
+        raw, offset = self.unpack_raw(buf, offset, end)
+        return str(raw, "utf-8"), offset
+
+
+class _Predicate(_Prefixed):
+    def pack(self, value: Predicate, out: List[bytes]) -> None:
+        self.pack_raw(value.to_bytes(), out)
+
+    def unpack(
+        self, buf: Buffer, offset: int, end: int, factory: PredicateFactory
+    ) -> Tuple[Predicate, int]:
+        raw, offset = self.unpack_raw(buf, offset, end)
+        return factory.from_bytes(bytes(raw)), offset
+
+
+class _CountSet:
+    doc = "countset"
+
+    def pack(self, counts: CountSet, out: List[bytes]) -> None:
+        if counts.dim > 0xFFFF:
+            raise ValueError("count set dimension too large for wire format")
+        if len(counts.tuples) > MAX_COUNTSET_COMPONENTS:
+            raise ValueError("count set too large for wire format")
+        out.append(_U16.pack(counts.dim))
+        out.append(_U32.pack(len(counts.tuples)))
+        for element in sorted(counts.tuples):
+            out.extend(_U32.pack(component) for component in element)
+
+    def unpack(
+        self, buf: Buffer, offset: int, end: int, factory: PredicateFactory
+    ) -> Tuple[CountSet, int]:
+        if offset + _U16.size + _U32.size > end:
+            raise MessageDecodeError("truncated count set header")
+        (dim,) = _U16.unpack_from(buf, offset)
+        offset += _U16.size
+        (size,) = _U32.unpack_from(buf, offset)
+        offset += _U32.size
+        # A zero dimension would make the element loop below advance the
+        # cursor by zero bytes per tuple: the bounds check would pass
+        # vacuously while the decoder allocated ``size`` empty tuples.
+        if dim == 0 and size != 0:
+            raise MessageDecodeError("count set with zero dimension")
+        if size * dim > MAX_COUNTSET_COMPONENTS:
+            raise MessageDecodeError("count set exceeds component cap")
+        if offset + size * dim * _U32.size > end:
+            raise MessageDecodeError("truncated count set body")
+        tuples = []
+        for _ in range(size):
+            element = []
+            for _ in range(dim):
+                (component,) = _U32.unpack_from(buf, offset)
+                offset += _U32.size
+                element.append(component)
+            tuples.append(tuple(element))
+        return CountSet(dim, tuples), offset
+
+
+class Repeat:
+    """``u16 n`` and then ``n`` items: a tuple-valued field."""
+
+    def __init__(self, item: Codec) -> None:
+        self.item, self.doc = item, f"u16 n * ({item.doc})"
+
+    def pack(self, values: Tuple[Any, ...], out: List[bytes]) -> None:
+        if len(values) > 0xFFFF:
+            raise ValueError("too many entries for one frame")
+        out.append(_U16.pack(len(values)))
+        pack = self.item.pack
+        for value in values:
+            pack(value, out)
+
+    def unpack(
+        self, buf: Buffer, offset: int, end: int, factory: PredicateFactory
+    ) -> Tuple[Tuple[Any, ...], int]:
+        if offset + _U16.size > end:
+            raise MessageDecodeError("truncated entry count")
+        (count,) = _U16.unpack_from(buf, offset)
+        offset += _U16.size
+        unpack = self.item.unpack
+        values = []
+        for _ in range(count):
+            value, offset = unpack(buf, offset, end, factory)
+            values.append(value)
+        return tuple(values), offset
+
+
+class Seq:
+    """Several codecs side by side, no prefix: a fixed-length tuple."""
+
+    def __init__(self, *items: Codec) -> None:
+        self.items, self.doc = items, ", ".join(item.doc for item in items)
+
+    def pack(self, values: Tuple[Any, ...], out: List[bytes]) -> None:
+        for item, value in zip(self.items, values):
+            item.pack(value, out)
+
+    def unpack(
+        self, buf: Buffer, offset: int, end: int, factory: PredicateFactory
+    ) -> Tuple[Tuple[Any, ...], int]:
+        values = []
+        for item in self.items:
+            value, offset = item.unpack(buf, offset, end, factory)
+            values.append(value)
+        return tuple(values), offset
+
+
+STR = _Str(_U16, 0xFFFF, "str")
+U32 = _Fixed(_U32, "u32", int)
+FLAG = _Fixed(struct.Struct("!B"), "u8", bool)
+PREDICATE = _Predicate(_U32, MAX_BODY_LENGTH, "predicate")
+COUNTSET = _CountSet()
+
+
+# ---------------------------------------------------------------------------
+# the wire schema
+
+
+@dataclass(frozen=True)
+class Row:
+    """One frame kind: everything the codec, the flight recorder and the
+    session FSM know about it.
+
+    ``fields`` is the body layout, in wire order; each name is also the
+    keyword of ``cls``.  ``name`` is the label :func:`message_kind`
+    gives spans, metrics and flight-recorder ``frame_tx``/``frame_rx``
+    events.
+    """
+
+    type: int
+    name: str
+    cls: Type[Message]
+    fields: Tuple[Tuple[str, Codec], ...]
+
+    @property
+    def event(self) -> str:
+        """The session-FSM event a frame of this kind raises when it
+        arrives (``repro.runtime.connection.SESSION_TRANSITIONS``)."""
+        return "rx_" + self.name.lower()
+
+
+#: The schema, by wire type (decoding) and by message class (encoding).
+ROWS: Dict[int, Row] = {}
+_ROW_OF: Dict[type, Row] = {}
+
+
+def add_row(
+    type_: int, name: str, cls: Type[Message], *fields: Tuple[str, Codec]
+) -> Row:
+    """Declare a frame kind.  This is all a new kind needs."""
+    row = ROWS[type_] = _ROW_OF[cls] = Row(type_, name, cls, fields)
+    return row
+
+
+#: How the frames that travel along one DPVNet edge begin.
+_EDGE = (("plan_id", STR), ("up_node", STR), ("down_node", STR))
+
+add_row(TYPE_OPEN, "OPEN", OpenMessage, ("plan_id", STR), ("device", STR))
+add_row(
+    TYPE_KEEPALIVE, "KEEPALIVE", KeepaliveMessage,
+    ("plan_id", STR), ("device", STR),
+)
+add_row(
+    TYPE_UPDATE, "UPDATE", UpdateMessage, *_EDGE,
+    ("withdrawn", Repeat(PREDICATE)),
+    ("results", Repeat(Seq(PREDICATE, COUNTSET))),
+)
+add_row(
+    TYPE_SUBSCRIBE, "SUBSCRIBE", SubscribeMessage, *_EDGE,
+    ("original", PREDICATE), ("transformed", PREDICATE),
+)
+# LINKSTATE (5) is declared beside its message class, in repro.dvm.linkstate.
 
 
 def message_kind(message: Message) -> str:
     """Short frame-kind label for span names and metric attributes."""
-    kind = _MESSAGE_KINDS.get(type(message))
-    if kind is None:
-        kind = _classify_message(message)
-        _MESSAGE_KINDS[type(message)] = kind
-    return kind
+    return _ROW_OF[type(message)].name
 
 
-def _classify_message(message: Message) -> str:
-    from repro.dvm.linkstate import LinkStateMessage
-
-    if isinstance(message, OpenMessage):
-        return "OPEN"
-    if isinstance(message, KeepaliveMessage):
-        return "KEEPALIVE"
-    if isinstance(message, UpdateMessage):
-        return "UPDATE"
-    if isinstance(message, SubscribeMessage):
-        return "SUBSCRIBE"
-    if isinstance(message, LinkStateMessage):
-        return "LINKSTATE"
-    return type(message).__name__
+def pack_fields(row: Row, message: Message) -> bytes:
+    """The body of ``message``: its row's fields, in order."""
+    out: List[bytes] = []
+    for name, codec in row.fields:
+        codec.pack(getattr(message, name), out)
+    return b"".join(out)
 
 
-# ---------------------------------------------------------------------------
-# primitive encoders
-
-
-def _pack_str(value: str) -> bytes:
-    raw = value.encode("utf-8")
-    if len(raw) > 0xFFFF:
-        raise ValueError("string too long for wire format")
-    return _U16.pack(len(raw)) + raw
-
-
-def _unpack_str(payload: bytes, offset: int) -> Tuple[str, int]:
-    if offset + _U16.size > len(payload):
-        raise MessageDecodeError("truncated string length")
-    (length,) = _U16.unpack_from(payload, offset)
-    offset += _U16.size
-    if offset + length > len(payload):
-        raise MessageDecodeError("truncated string body")
-    value = payload[offset : offset + length].decode("utf-8")
-    return value, offset + length
-
-
-def _pack_bytes(raw: bytes) -> bytes:
-    if len(raw) > MAX_BODY_LENGTH:
-        raise ValueError("byte string too long for wire format")
-    return _U32.pack(len(raw)) + raw
-
-
-def _unpack_bytes(payload: bytes, offset: int) -> Tuple[bytes, int]:
-    if offset + _U32.size > len(payload):
-        raise MessageDecodeError("truncated bytes length")
-    (length,) = _U32.unpack_from(payload, offset)
-    offset += _U32.size
-    if offset + length > len(payload):
-        raise MessageDecodeError("truncated bytes body")
-    return payload[offset : offset + length], offset + length
-
-
-def _pack_countset(counts: CountSet) -> bytes:
-    if counts.dim > 0xFFFF:
-        raise ValueError("count set dimension too large for wire format")
-    if len(counts.tuples) > MAX_COUNTSET_COMPONENTS:
-        raise ValueError("count set too large for wire format")
-    parts = [_U16.pack(counts.dim), _U32.pack(len(counts.tuples))]
-    for element in sorted(counts.tuples):
-        parts.extend(_U32.pack(component) for component in element)
-    return b"".join(parts)
-
-
-def _unpack_countset(payload: bytes, offset: int) -> Tuple[CountSet, int]:
-    if offset + _U16.size + _U32.size > len(payload):
-        raise MessageDecodeError("truncated count set header")
-    (dim,) = _U16.unpack_from(payload, offset)
-    offset += _U16.size
-    (size,) = _U32.unpack_from(payload, offset)
-    offset += _U32.size
-    # A zero dimension would make the element loop below advance the
-    # cursor by zero bytes per tuple: the bounds check would pass
-    # vacuously while the decoder allocated ``size`` empty tuples.
-    if dim == 0 and size != 0:
-        raise MessageDecodeError("count set with zero dimension")
-    if size * dim > MAX_COUNTSET_COMPONENTS:
-        raise MessageDecodeError("count set exceeds component cap")
-    if offset + size * dim * _U32.size > len(payload):
-        raise MessageDecodeError("truncated count set body")
-    tuples = []
-    for _ in range(size):
-        element = []
-        for _ in range(dim):
-            (component,) = _U32.unpack_from(payload, offset)
-            offset += _U32.size
-            element.append(component)
-        tuples.append(tuple(element))
-    return CountSet(dim, tuples), offset
-
-
-# ---------------------------------------------------------------------------
-# message codec
+def unpack_fields(
+    row: Row, buf: Buffer, offset: int, end: int, factory: PredicateFactory
+) -> Message:
+    """The message whose body is exactly ``buf[offset:end]``."""
+    values: Dict[str, Any] = {}
+    for name, codec in row.fields:
+        values[name], offset = codec.unpack(buf, offset, end, factory)
+    if offset != end:
+        raise MessageDecodeError(
+            f"{end - offset} trailing bytes after message body"
+        )
+    return row.cls(**values)
 
 
 def encode_message(message: Message) -> bytes:
     """Encode a message into one wire frame."""
-    if isinstance(message, OpenMessage):
-        body = _pack_str(message.plan_id) + _pack_str(message.device)
-        kind = TYPE_OPEN
-    elif isinstance(message, KeepaliveMessage):
-        body = _pack_str(message.plan_id) + _pack_str(message.device)
-        kind = TYPE_KEEPALIVE
-    elif isinstance(message, UpdateMessage):
-        if len(message.withdrawn) > 0xFFFF or len(message.results) > 0xFFFF:
-            raise ValueError("too many entries for one UPDATE frame")
-        parts = [
-            _pack_str(message.plan_id),
-            _pack_str(message.up_node),
-            _pack_str(message.down_node),
-            _U16.pack(len(message.withdrawn)),
-        ]
-        parts.extend(
-            _pack_bytes(predicate.to_bytes()) for predicate in message.withdrawn
-        )
-        parts.append(_U16.pack(len(message.results)))
-        for predicate, counts in message.results:
-            parts.append(_pack_bytes(predicate.to_bytes()))
-            parts.append(_pack_countset(counts))
-        body = b"".join(parts)
-        kind = TYPE_UPDATE
-    elif isinstance(message, SubscribeMessage):
-        body = b"".join(
-            [
-                _pack_str(message.plan_id),
-                _pack_str(message.up_node),
-                _pack_str(message.down_node),
-                _pack_bytes(message.original.to_bytes()),
-                _pack_bytes(message.transformed.to_bytes()),
-            ]
-        )
-        kind = TYPE_SUBSCRIBE
-    else:
-        from repro.dvm.linkstate import LinkStateMessage, encode_linkstate_body
+    row = _ROW_OF.get(type(message))
+    if row is None:
+        raise TypeError(f"cannot encode {message!r}")
+    if row.type == TYPE_LINKSTATE:
+        # Reached through the module, at call time, once per frame:
+        # benchmarks/perf counts floods (``dvm.linkstate.flood_frames``)
+        # by patching this name in ``repro.dvm.linkstate``.
+        from repro.dvm import linkstate
 
-        if isinstance(message, LinkStateMessage):
-            body = encode_linkstate_body(message)
-            kind = TYPE_LINKSTATE
-        else:
-            raise TypeError(f"cannot encode {message!r}")
+        body = linkstate.encode_linkstate_body(message)
+    else:
+        body = pack_fields(row, message)
     if len(body) > MAX_BODY_LENGTH:
         raise ValueError("encoded body exceeds MAX_BODY_LENGTH")
     clock = getattr(message, "clock", 0)
-    return _FRAME.pack(MAGIC, VERSION, kind, clock & 0xFFFFFFFF, len(body)) + body
+    return (
+        _FRAME.pack(MAGIC, VERSION, row.type, clock & 0xFFFFFFFF, len(body))
+        + body
+    )
 
 
-def decode_message(payload: bytes, factory: PredicateFactory) -> Message:
-    """Decode one wire frame (predicates land in ``factory``)."""
-    if len(payload) < _FRAME.size:
-        raise MessageDecodeError("frame too short")
-    magic, version, kind, clock, length = _FRAME.unpack_from(payload, 0)
+def _read_header(buf: Buffer, offset: int) -> Tuple[int, int, int]:
+    """``(type, clock, end of frame)`` of the frame whose fixed header
+    is at ``buf[offset:]``: the one place a header is validated."""
+    magic, version, kind, clock, length = _FRAME.unpack_from(buf, offset)
     if magic != MAGIC:
         raise MessageDecodeError(f"bad magic 0x{magic:04X}")
     if version != VERSION:
         raise MessageDecodeError(f"unsupported version {version}")
     if length > MAX_BODY_LENGTH:
         raise MessageDecodeError(f"body length {length} exceeds maximum")
-    body = payload[_FRAME.size :]
-    if len(body) != length:
+    return kind, clock, offset + _FRAME.size + length
+
+
+def decode_message(payload: Buffer, factory: PredicateFactory) -> Message:
+    """Decode one wire frame (predicates land in ``factory``)."""
+    if len(payload) < _FRAME.size:
+        raise MessageDecodeError("frame too short")
+    kind, clock, end = _read_header(payload, 0)
+    if end != len(payload):
         raise MessageDecodeError(
-            f"frame length mismatch: header says {length}, got {len(body)}"
+            f"frame length mismatch: header says {end - _FRAME.size} body "
+            f"bytes, got {len(payload) - _FRAME.size}"
         )
+    row = ROWS.get(kind)
+    if row is None:
+        raise MessageDecodeError(f"unknown message type {kind}")
     try:
-        message = _decode_body(kind, body, factory)
+        message = unpack_fields(row, payload, _FRAME.size, end, factory)
     except MessageDecodeError:
         raise
     except (struct.error, ValueError, IndexError, UnicodeDecodeError) as exc:
         # Bounds hold, but the body's contents are inconsistent (corrupt
-        # BDD payload, zero count dimension, broken UTF-8, ...).
+        # BDD payload, broken UTF-8, ...).
         raise MessageDecodeError(f"malformed type-{kind} body: {exc}") from exc
     if clock:
         # The Lamport clock rides outside the frozen dataclass fields so
@@ -364,89 +485,13 @@ def decode_stream(
     should drop the connection.
     """
     messages: List[Message] = []
+    view = memoryview(buffer)
     offset = 0
     total = len(buffer)
     while total - offset >= _FRAME.size:
-        magic, version, kind, clock, length = _FRAME.unpack_from(buffer, offset)
-        if magic != MAGIC:
-            raise MessageDecodeError(f"bad magic 0x{magic:04X} in stream")
-        if version != VERSION:
-            raise MessageDecodeError(f"unsupported version {version}")
-        if length > MAX_BODY_LENGTH:
-            raise MessageDecodeError(
-                f"body length {length} exceeds maximum"
-            )
-        end = offset + _FRAME.size + length
+        end = _read_header(view, offset)[2]
         if end > total:
             break  # partial frame: wait for more bytes
-        messages.append(decode_message(buffer[offset:end], factory))
+        messages.append(decode_message(view[offset:end], factory))
         offset = end
     return messages, buffer[offset:]
-
-
-def _decode_body(kind: int, body: bytes, factory: PredicateFactory) -> Message:
-    offset = 0
-    if kind in (TYPE_OPEN, TYPE_KEEPALIVE):
-        plan_id, offset = _unpack_str(body, offset)
-        device, offset = _unpack_str(body, offset)
-        _check_consumed(body, offset)
-        cls = OpenMessage if kind == TYPE_OPEN else KeepaliveMessage
-        return cls(plan_id=plan_id, device=device)
-    if kind == TYPE_UPDATE:
-        plan_id, offset = _unpack_str(body, offset)
-        up_node, offset = _unpack_str(body, offset)
-        down_node, offset = _unpack_str(body, offset)
-        if offset + _U16.size > len(body):
-            raise MessageDecodeError("truncated withdrawn count")
-        (n_withdrawn,) = _U16.unpack_from(body, offset)
-        offset += _U16.size
-        withdrawn = []
-        for _ in range(n_withdrawn):
-            raw, offset = _unpack_bytes(body, offset)
-            withdrawn.append(factory.from_bytes(raw))
-        if offset + _U16.size > len(body):
-            raise MessageDecodeError("truncated result count")
-        (n_results,) = _U16.unpack_from(body, offset)
-        offset += _U16.size
-        results = []
-        for _ in range(n_results):
-            raw, offset = _unpack_bytes(body, offset)
-            predicate = factory.from_bytes(raw)
-            counts, offset = _unpack_countset(body, offset)
-            results.append((predicate, counts))
-        _check_consumed(body, offset)
-        return UpdateMessage(
-            plan_id=plan_id,
-            up_node=up_node,
-            down_node=down_node,
-            withdrawn=tuple(withdrawn),
-            results=tuple(results),
-        )
-    if kind == TYPE_SUBSCRIBE:
-        plan_id, offset = _unpack_str(body, offset)
-        up_node, offset = _unpack_str(body, offset)
-        down_node, offset = _unpack_str(body, offset)
-        raw, offset = _unpack_bytes(body, offset)
-        original = factory.from_bytes(raw)
-        raw, offset = _unpack_bytes(body, offset)
-        transformed = factory.from_bytes(raw)
-        _check_consumed(body, offset)
-        return SubscribeMessage(
-            plan_id=plan_id,
-            up_node=up_node,
-            down_node=down_node,
-            original=original,
-            transformed=transformed,
-        )
-    if kind == TYPE_LINKSTATE:
-        from repro.dvm.linkstate import decode_linkstate_body
-
-        return decode_linkstate_body(body)
-    raise MessageDecodeError(f"unknown message type {kind}")
-
-
-def _check_consumed(body: bytes, offset: int) -> None:
-    if offset != len(body):
-        raise MessageDecodeError(
-            f"{len(body) - offset} trailing bytes after message body"
-        )

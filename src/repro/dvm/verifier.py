@@ -19,7 +19,18 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import (
+    Any,
+    Callable,
+    Dict,
+    FrozenSet,
+    Iterator,
+    List,
+    Optional,
+    Sequence,
+    Set,
+    Tuple,
+)
 
 from repro.counting.counts import CountSet, cross_sum_all, union_all
 from repro.dataplane.actions import ANY, Action, Forward
@@ -33,6 +44,7 @@ from repro.dataplane.lec import (
 from repro.dvm.cib import CibIn, CibOut, LocCib, LocEntry
 from repro.dvm.linkstate import LinkStateDatabase, LinkStateMessage
 from repro.dvm.messages import (
+    KeepaliveMessage,
     Message,
     OpenMessage,
     SubscribeMessage,
@@ -137,6 +149,18 @@ class _PlanContext:
         self.unplanned = False  # current failures match no planned scene
 
 
+def _in_plan(
+    handler: Callable[["OnDeviceVerifier", _PlanContext, Any], Outgoing],
+) -> Callable[["OnDeviceVerifier", Any], Outgoing]:
+    """A frame handler that drops frames of a plan not installed here."""
+
+    def dispatch(self: "OnDeviceVerifier", message: Message) -> Outgoing:
+        context = self._contexts.get(message.plan_id)
+        return [] if context is None else handler(self, context, message)
+
+    return dispatch
+
+
 class OnDeviceVerifier:
     """The verification agent running on one device (paper Figure 9)."""
 
@@ -229,18 +253,7 @@ class OnDeviceVerifier:
     def on_message(self, message: Message) -> Outgoing:
         """Handle one received DVM message."""
         self.messages_received += 1
-        if isinstance(message, LinkStateMessage):
-            return self._on_linkstate(message)
-        context = self._contexts.get(message.plan_id)
-        if context is None:
-            return []
-        if isinstance(message, UpdateMessage):
-            return self._on_update(context, message)
-        if isinstance(message, SubscribeMessage):
-            return self._on_subscribe(context, message)
-        if isinstance(message, OpenMessage):
-            return self._on_open(context, message)
-        return []  # KEEPALIVE carries no counting state
+        return self._HANDLERS[type(message)](self, message)
 
     def on_fib_changed(self) -> Outgoing:
         """Recompute after local rule updates (the incremental-DPV path).
@@ -520,6 +533,17 @@ class OnDeviceVerifier:
             for state in context.bottom_up:
                 outgoing.extend(self._recompute(context, state, state.interest))
         return outgoing
+
+    #: The handler of each frame kind of the wire schema
+    #: (``repro.dvm.messages.ROWS``).  Link state floods whatever plans
+    #: are installed; the counting frames need theirs.
+    _HANDLERS: Dict[type, Callable[["OnDeviceVerifier", Any], Outgoing]] = {
+        LinkStateMessage: _on_linkstate,
+        UpdateMessage: _in_plan(_on_update),
+        SubscribeMessage: _in_plan(_on_subscribe),
+        OpenMessage: _in_plan(_on_open),
+        KeepaliveMessage: lambda self, message: [],  # no counting state
+    }
 
     # ------------------------------------------------------------------
     # counting core

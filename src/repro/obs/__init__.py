@@ -24,7 +24,6 @@ from repro.obs.collector import (
     parse_prometheus_text,
 )
 from repro.obs.flight import (
-    FRAME_FLIGHT_EVENTS,
     NULL_RECORDER,
     FlightRecorder,
     LamportClock,
@@ -68,7 +67,6 @@ __all__ = [
     "DVM_METRIC_NAMES",
     "DeviceSample",
     "FLEET_METRIC_NAMES",
-    "FRAME_FLIGHT_EVENTS",
     "FleetSnapshot",
     "FlightRecorder",
     "Gauge",

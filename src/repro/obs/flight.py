@@ -40,7 +40,6 @@ import time
 from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 __all__ = [
-    "FRAME_FLIGHT_EVENTS",
     "FlightRecorder",
     "LamportClock",
     "NULL_RECORDER",
@@ -51,21 +50,6 @@ __all__ = [
     "render_chain",
     "render_timeline",
 ]
-
-#: Flight-recorder metadata for the wire protocol: the ``kind`` label a
-#: frame of each ``TYPE_*`` constant carries in ``frame_rx``/``frame_tx``
-#: events (the :func:`repro.dvm.messages.message_kind` vocabulary).
-#: Rule OBS002 (``repro.checkers.protocol``) statically cross-checks
-#: this table against the ``TYPE_*`` constants in the messages module,
-#: so adding a frame type without deciding how the flight recorder logs
-#: it is a lint failure, not a blind spot discovered mid-incident.
-FRAME_FLIGHT_EVENTS: Dict[str, str] = {
-    "TYPE_OPEN": "OPEN",
-    "TYPE_KEEPALIVE": "KEEPALIVE",
-    "TYPE_UPDATE": "UPDATE",
-    "TYPE_SUBSCRIBE": "SUBSCRIBE",
-    "TYPE_LINKSTATE": "LINKSTATE",
-}
 
 Event = Dict[str, Any]
 

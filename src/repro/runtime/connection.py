@@ -65,8 +65,8 @@ Connector = Callable[
 # coroutine methods actually implement (every ``self._set_state(event,
 # STATE)`` call site) and diffs them against this table (rule FSM004),
 # and ``repro.checkers.modelcheck`` exhaustively explores the product
-# of two peer sessions over this table for deadlocks, unreachable
-# states, and DVM frame kinds without a handler event (FSM001-FSM003).
+# of two peer sessions over this table for deadlocks and unreachable
+# states (FSM001, FSM002).
 # Editing the lifecycle means editing the table and the code together
 # -- ``python -m repro verify-static`` fails on any divergence.
 
@@ -88,8 +88,8 @@ SESSION_STATES = (
 )
 
 #: ``(state, event) -> next state``.  Events are the protocol-visible
-#: stimuli; ``rx_*`` events are derived from the DVM frame kinds
-#: (:data:`repro.dvm.messages.FRAME_EVENTS`).  Self-loop edges document
+#: stimuli; the ``rx_*`` events are the frame kinds of the wire schema
+#: (:attr:`repro.dvm.messages.Row.event`).  Self-loop edges document
 #: stimuli absorbed without a state change (no ``_set_state`` call is
 #: required for them -- see FSM004 in ``docs/STATIC_ANALYSIS.md``).
 SESSION_TRANSITIONS: Dict[Tuple[str, str], str] = {
@@ -103,8 +103,9 @@ SESSION_TRANSITIONS: Dict[Tuple[str, str], str] = {
     # handshake completion / failure
     (ST_OPEN_SENT, "peer_open"): ST_ESTABLISHED,
     (ST_OPEN_SENT, "open_timeout"): ST_RECONNECTING,
-    # established: every DVM frame kind must have a handler event here
-    # (rule FSM003); all are absorbed without leaving the state
+    # established: every DVM frame kind has a handler event here
+    # (tests/dvm/test_wire_schema.py); all are absorbed without leaving
+    # the state
     (ST_ESTABLISHED, "rx_open"): ST_ESTABLISHED,  # plan refresh / dup OPEN
     (ST_ESTABLISHED, "rx_keepalive"): ST_ESTABLISHED,
     (ST_ESTABLISHED, "rx_update"): ST_ESTABLISHED,

@@ -73,3 +73,26 @@ def test_size_grows_with_structure(bdd):
         parity = bdd.apply_xor(parity, bdd.var(index))
     large = serialize_bdd(bdd, parity)
     assert len(large) > len(small)
+
+
+def test_prefixes_and_corruptions_decode_or_raise_value_error(bdd):
+    """The decoder reads bytes that arrived from a socket: whatever they
+    are, it returns a node or raises ``ValueError`` -- never
+    ``struct.error``, ``IndexError`` or a node the manager does not own."""
+    parity = bdd.var(0)
+    for index in range(1, 6):
+        parity = bdd.apply_xor(parity, bdd.var(index))
+    payload = serialize_bdd(bdd, parity)  # 11 nodes
+    assert deserialize_bdd(bdd, payload) == parity
+    for cut in range(len(payload)):
+        with pytest.raises(ValueError):
+            deserialize_bdd(bdd, payload[:cut])
+    for position in range(len(payload)):
+        for flip in (0x01, 0x80, 0xFF):
+            corrupted = bytearray(payload)
+            corrupted[position] ^= flip
+            try:
+                node = deserialize_bdd(bdd, bytes(corrupted))
+            except ValueError:
+                continue
+            assert 0 <= node < bdd.num_nodes

@@ -65,13 +65,6 @@ def test_suppression_budget_is_reported(capsys):
     assert "ASYNC001 x1" in out and "HYG001 x1" in out
 
 
-def test_no_protocol_flag_skips_cross_file_rules(capsys):
-    # Linting src/ without protocol rules is still clean; the flag is
-    # for linting trees that are not this repo.
-    assert repro_main(["lint", "--no-protocol", str(ROOT / "src")]) == 0
-    capsys.readouterr()
-
-
 def test_select_filters_out_other_rules(capsys):
     # BAD_FILE's only finding is EXC001; selecting a different rule
     # leaves nothing to report, so the run is clean.

@@ -89,7 +89,7 @@ def test_bad_directive_reported_alongside_findings(tmp_path):
 def test_bad_directive_keeps_lint_failing_via_report(tmp_path):
     target = tmp_path / "mod.py"
     target.write_text("# repro-lint: disable=\n" + FLAGGED)
-    report = run_lint([tmp_path], protocol=False, cache=False)
+    report = run_lint([tmp_path], cache=False)
     assert [f.rule for f in report.findings] == ["HYG001"]
     assert len(report.errors) == 1
     assert not report.clean
@@ -112,7 +112,7 @@ def _tree(tmp_path, files=30, lines=80):
 
 def _run(root, cache_dir, **kwargs):
     return run_lint(
-        [root], protocol=False, cache_dir=cache_dir, **kwargs
+        [root], cache_dir=cache_dir, **kwargs
     )
 
 
@@ -182,8 +182,8 @@ def test_no_cache_leaves_no_directory(tmp_path):
 
 def test_jobs_produce_identical_reports(tmp_path):
     root = _tree(tmp_path, files=6, lines=10)
-    serial = run_lint([root], protocol=False, cache=False, jobs=1)
-    parallel = run_lint([root], protocol=False, cache=False, jobs=2)
+    serial = run_lint([root], cache=False, jobs=1)
+    parallel = run_lint([root], cache=False, jobs=2)
     assert [f.render() for f in parallel.findings] == [
         f.render() for f in serial.findings
     ]

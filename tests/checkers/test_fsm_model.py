@@ -1,9 +1,9 @@
-"""Session-FSM verification: extraction, drift (FSM003/FSM004), and
-the two-peer-session product model checker (FSM001/FSM002).
+"""Session-FSM verification: extraction, drift (FSM004), and the
+two-peer-session product model checker (FSM001/FSM002).
 
-Drift is simulated exactly like the PROTO tests: a fixture copy of
-``connection.py`` (or ``messages.py``) is mutated in memory and fed to
-the extractor via ``overrides`` -- the files on disk are never touched.
+Drift is simulated on a copy of ``connection.py`` mutated in memory and
+fed to the extractor via ``overrides`` -- the files on disk are never
+touched.
 """
 
 from pathlib import Path
@@ -13,7 +13,6 @@ import pytest
 from repro.checkers import check_fsm_tables, check_model, extract_session_fsm
 from repro.checkers.fsm import CONNECTION_PATH
 from repro.checkers.modelcheck import explore_product, render_trace
-from repro.checkers.protocol import MESSAGES_PATH
 
 ROOT = Path(__file__).resolve().parents[2]
 
@@ -48,8 +47,6 @@ def test_extracts_declared_table_and_call_sites():
     assert ("start", "DIALING") in fsm.implemented
     methods = {m for m, _ in fsm.implemented[("redial", "DIALING")]}
     assert methods == {"_dial_loop"}
-    assert fsm.frame_events is not None
-    assert fsm.frame_events["TYPE_UPDATE"] == "rx_update"
 
 
 def test_shipped_tables_have_no_drift():
@@ -109,37 +106,6 @@ def test_fsm004_self_loops_need_no_call_site():
         _extract({str(CONNECTION_PATH): mutated})
     )
     assert findings == []
-
-
-# -- FSM003: frame kinds vs handler events -----------------------------------
-
-
-def test_fsm003_frame_kind_without_handler():
-    source = _read(CONNECTION_PATH)
-    mutated = source.replace(
-        '    (ST_ESTABLISHED, "rx_linkstate"): ST_ESTABLISHED,\n', ""
-    )
-    assert mutated != source
-    findings = check_fsm_tables(
-        _extract({str(CONNECTION_PATH): mutated})
-    )
-    fsm003 = [f for f in findings if f.rule == "FSM003"]
-    assert len(fsm003) == 1
-    assert "TYPE_LINKSTATE" in fsm003[0].message
-    assert fsm003[0].path == str(MESSAGES_PATH)
-
-
-def test_fsm003_handler_without_frame_kind():
-    source = _read(MESSAGES_PATH)
-    mutated = source.replace(
-        '    "TYPE_SUBSCRIBE": "rx_subscribe",\n', ""
-    )
-    assert mutated != source
-    findings = check_fsm_tables(_extract({str(MESSAGES_PATH): mutated}))
-    fsm003 = [f for f in findings if f.rule == "FSM003"]
-    assert len(fsm003) == 1
-    assert "'rx_subscribe'" in fsm003[0].message
-    assert fsm003[0].path == str(CONNECTION_PATH)
 
 
 # -- model checking ----------------------------------------------------------

@@ -45,22 +45,11 @@ def expected_findings(path: Path):
 
 
 def test_fixture_inventory_covers_every_per_file_rule():
-    """One fixture per per-file rule family.
-
-    PROTO* and OBS002 are cross-file rules (they compare the wire
-    constants against other modules of the repo), so a standalone
-    fixture cannot trigger them; ``test_protocol_drift.py`` proves
-    them by mutation instead.
-    """
+    """One fixture per rule family."""
     covered = set()
     for path in _EXPECT_FIXTURES:
         covered |= {rule for (_, rule) in expected_findings(path)}
-    per_file_rules = {
-        rule
-        for rule in RULES
-        if not rule.startswith("PROTO") and rule != "OBS002"
-    }
-    assert covered == per_file_rules
+    assert covered == set(RULES)
 
 
 @pytest.mark.parametrize(

@@ -72,7 +72,7 @@ def test_malformed_directive_becomes_report_error(tmp_path):
     bad.write_text("x = 1  # repro-lint: disable=\n", encoding="utf-8")
     findings, suppressed, error = lint_file(bad)
     assert error is not None and "repro-lint" in error
-    report = run_lint([bad], protocol=False)
+    report = run_lint([bad])
     assert report.errors and not report.clean
 
 
@@ -94,7 +94,7 @@ def test_suppressed_findings_land_in_the_budget_not_the_failures():
     assert findings == []  # nothing actively fails ...
     assert sorted(f.rule for f in suppressed) == ["ASYNC001", "HYG001"]
 
-    report = run_lint([BUDGET_FIXTURE], protocol=False)
+    report = run_lint([BUDGET_FIXTURE])
     assert report.clean  # suppressions do not fail the run ...
     assert report.suppressed_counts() == {"ASYNC001": 1, "HYG001": 1}
     rows = {row["rule"]: row for row in report.stats_rows()}

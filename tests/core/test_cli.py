@@ -204,17 +204,11 @@ class TestBenchCommand:
         assert analyzer["lint"]["cache_hits"] >= 0
         assert {row["rule"] for row in analyzer["lint"]["rules"]} >= {
             "ASYNC001",
-            "PROTO001",
+            "EXC001",
         }
         verify = analyzer["verify_static"]
         assert verify["states_explored"] > 0
         assert verify["established_reachable"] is True
         assert verify["findings"] == 0
-        wire = analyzer["wirecheck"]
-        assert wire["checked"] is True
-        assert wire["messages_covered"] >= 6
-        assert wire["fields_proven"] >= 30
-        assert wire["reads_proven"] > 0
-        assert wire["guards_proven"] > 0
         # --json mirrors the document to stdout.
         assert json.loads(capsys.readouterr().out) == document

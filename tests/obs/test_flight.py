@@ -8,12 +8,9 @@ never emits a torn event, and the chain walk follows ``cause`` edges
 on-device and Lamport-matched tx/rx pairs across devices.
 """
 
-import ast
 import threading
-from pathlib import Path
 
 from repro.obs.flight import (
-    FRAME_FLIGHT_EVENTS,
     NULL_RECORDER,
     FlightRecorder,
     LamportClock,
@@ -22,8 +19,6 @@ from repro.obs.flight import (
     find_verdict,
     merge_dumps,
 )
-
-ROOT = Path(__file__).resolve().parents[2]
 
 
 # -- Lamport clock -----------------------------------------------------------
@@ -340,25 +335,3 @@ def test_chain_survives_cause_cycles():
     )
     chain = causal_chain(merge_dumps(a))
     assert len(chain) == 2  # visited guard breaks the loop
-
-
-# -- OBS002's runtime mirror -------------------------------------------------
-
-
-def test_frame_flight_events_cover_every_wire_type():
-    """Every TYPE_* constant in the messages module has a mapping.
-
-    The static OBS002 rule checks this cross-file; this is the runtime
-    mirror so a broken mapping fails even with lint skipped.
-    """
-    source = (ROOT / "src/repro/dvm/messages.py").read_text(encoding="utf-8")
-    module = ast.parse(source)
-    types = {
-        target.id
-        for node in ast.walk(module)
-        if isinstance(node, ast.Assign)
-        for target in node.targets
-        if isinstance(target, ast.Name) and target.id.startswith("TYPE_")
-    }
-    assert types == set(FRAME_FLIGHT_EVENTS)
-    assert all(FRAME_FLIGHT_EVENTS.values())

@@ -247,12 +247,16 @@ class TestPlannedPortRetry:
             squatter = await _served(registry)
             blockers = []
             try:
-                # Occupy the retry window too.
+                # Occupy the retry window too.  A port some other
+                # socket already holds blocks the window just as well.
                 for offset in (1, 2):
                     blocker = TelemetryServer(
                         lambda: registry, port=squatter.port + offset
                     )
-                    await blocker.start()
+                    try:
+                        await blocker.start()
+                    except OSError:
+                        continue
                     blockers.append(blocker)
                 server = TelemetryServer(
                     lambda: registry,

@@ -103,9 +103,10 @@ def test_held_back_frame_is_not_read_past(run, fast_options, hold):
             await cluster.install_plans(dict(workload.plans))
             assert state(cluster, mirror.plan_ids) == mirror.state()
 
-            # Link events first: after the error updates below, the two
-            # backends disagree on link scenes at the parent commit too
-            # (ROADMAP item 5) -- that is not what this test is about.
+            # Link events first: after the error updates below, delivery
+            # order fragments the regions of a link scene differently on
+            # the two backends (same verdicts, different lists; see
+            # test_link_scenes_after_injected_loops_agree_as_functions).
             link = next(iter(workload.topology.links))
             for operate in ("fail_link", "recover_link"):
                 getattr(mirror.network, operate)(link.a, link.b)
