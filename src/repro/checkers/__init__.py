@@ -13,30 +13,19 @@ reproduction's own code.  Two analyzer families, stdlib ``ast`` only:
 A second, semantic tier (``python -m repro verify-static``) reasons
 about behavior instead of text:
 
-* :mod:`repro.checkers.fsm` + :mod:`repro.checkers.modelcheck` --
-  extract the PeerSession lifecycle actually implemented, diff it
-  against the declared ``SESSION_TRANSITIONS`` table, and exhaustively
-  explore the two-peer-session product space (FSM001, 002, 004).
-* :mod:`repro.checkers.raceflow` -- flow-sensitive cross-``await``
-  race detection over every coroutine (ASYNC006-008).
-
-The third tier is whole-program, same entry point:
-
+* :mod:`repro.checkers.modelcheck` -- exhaustively explores the
+  two-peer-session product of ``SESSION_TRANSITIONS``, the table
+  ``PeerSession._fire`` executes (FSM001, 002).
 * :mod:`repro.checkers.callgraph` -- a module-resolving call graph
   with fixpoint fact propagation: blocking calls reachable from
   coroutines through sync helpers, locks held across transitive
   event-loop waits, fire-and-forget tasks that can raise unobserved
   (ASYNC009-011).
-* :mod:`repro.checkers.controlproto` -- the fleet launcher/worker
-  control-op vocabulary cross-checked against dispatch branches,
-  response schemas, timeouts, and the ``docs/RUNTIME.md`` table
-  (CTRL001-005).
-* :mod:`repro.checkers.modelcheck` again -- the launcher x worker
-  lifecycle product explored to a fixpoint (FSM005-006).
 
-The DVM wire format needs no checker: every frame kind is one row of
-the schema in :mod:`repro.dvm.messages`, from which the one encoder and
-the one decoder are driven.
+The DVM wire format and the fleet control protocol need no checker:
+every frame kind is one row of the schema in :mod:`repro.dvm.messages`
+and every control op one row of :data:`repro.fleet.control.OPS`; the
+code on both ends is driven by the row.
 
 Run via ``python -m repro lint`` / ``python -m repro verify-static``
 (see :mod:`repro.checkers.cli`) or the library APIs :func:`run_lint`
@@ -46,21 +35,9 @@ examples lives in ``docs/STATIC_ANALYSIS.md``.
 """
 
 from repro.checkers.callgraph import analyze_callgraph, summarize_module
-from repro.checkers.controlproto import (
-    check_control,
-    extract_control_surface,
-)
 from repro.checkers.engine import RULES, LintReport, lint_file, run_lint
 from repro.checkers.findings import Finding, parse_suppressions
-from repro.checkers.fsm import check_fsm_tables, extract_session_fsm
-from repro.checkers.modelcheck import (
-    check_fleet_model,
-    check_model,
-    explore_fleet,
-    explore_product,
-    extract_fleet_fsm,
-)
-from repro.checkers.raceflow import check_raceflow
+from repro.checkers.modelcheck import check_model, explore_product
 from repro.checkers.sarif import sarif_document, write_sarif
 from repro.checkers.verifystatic import (
     VERIFY_RULES,
@@ -75,16 +52,8 @@ __all__ = [
     "VERIFY_RULES",
     "VerifyReport",
     "analyze_callgraph",
-    "check_control",
-    "check_fleet_model",
-    "check_fsm_tables",
     "check_model",
-    "check_raceflow",
-    "explore_fleet",
     "explore_product",
-    "extract_control_surface",
-    "extract_fleet_fsm",
-    "extract_session_fsm",
     "lint_file",
     "parse_suppressions",
     "run_lint",

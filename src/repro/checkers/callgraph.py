@@ -5,10 +5,9 @@ blocking call *inside* an ``async def``, never one hidden behind a sync
 helper.  This module closes that gap with a module-resolving call graph
 over the scanned tree:
 
-* every function gets a picklable :class:`FunctionSummary` (blocking
-  call sites, event-loop re-entry sites, unshielded ``raise`` sites,
-  spawned tasks, resolved call sites with their lock context), built
-  per file so ``--jobs`` can fan the extraction out;
+* every function gets a :class:`FunctionSummary` (blocking call sites,
+  event-loop re-entry sites, unshielded ``raise`` sites, spawned tasks,
+  resolved call sites with their lock context), built per file;
 * call references are resolved against a global index -- module-level
   functions, imported names (absolute and relative imports),
   ``self.method()`` with base-class lookup, and ``self.attr.method()``
@@ -149,11 +148,10 @@ class ClassSummary:
 
 @dataclass
 class ModuleSummary:
-    """The per-file extraction result (picklable for --jobs fan-out)."""
+    """The per-file extraction result."""
 
     module: str
     display: str
-    import_modules: List[str] = field(default_factory=list)
     functions: Dict[str, FunctionSummary] = field(default_factory=dict)
     classes: Dict[str, ClassSummary] = field(default_factory=dict)
     attr_loads: Set[str] = field(default_factory=set)
@@ -200,14 +198,12 @@ class _Imports:
         self, module: ast.Module, module_name: str, is_package: bool
     ) -> None:
         self.aliases: Dict[str, str] = {}
-        self.modules: Set[str] = set()
         package = (
             module_name if is_package else module_name.rpartition(".")[0]
         )
         for node in ast.walk(module):
             if isinstance(node, ast.Import):
                 for alias in node.names:
-                    self.modules.add(alias.name)
                     if alias.asname:
                         self.aliases[alias.asname] = alias.name
                     else:
@@ -226,11 +222,10 @@ class _Imports:
                     )
                 if not base:
                     continue
-                self.modules.add(base)
                 for alias in node.names:
-                    target = f"{base}.{alias.name}"
-                    self.modules.add(target)
-                    self.aliases[alias.asname or alias.name] = target
+                    self.aliases[alias.asname or alias.name] = (
+                        f"{base}.{alias.name}"
+                    )
 
     def resolve(self, node: ast.AST) -> Optional[str]:
         dotted = _dotted_name(node)
@@ -472,11 +467,7 @@ def summarize_module(
     """Parse one file into its :class:`ModuleSummary` (raises on bad syntax)."""
     tree = ast.parse(source, filename=display)
     imports = _Imports(tree, module_name, is_package)
-    summary = ModuleSummary(
-        module=module_name,
-        display=display,
-        import_modules=sorted(imports.modules),
-    )
+    summary = ModuleSummary(module=module_name, display=display)
     local_defs = {
         node.name
         for node in tree.body

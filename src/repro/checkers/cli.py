@@ -16,7 +16,7 @@ from __future__ import annotations
 import argparse
 import sys
 from pathlib import Path
-from typing import FrozenSet, List, Optional, TextIO
+from typing import FrozenSet, List, Optional, TextIO, Union
 
 from repro.checkers.engine import RULES, LintReport, run_lint
 from repro.checkers.sarif import write_sarif
@@ -83,6 +83,7 @@ def _apply_select(report, selected: Optional[FrozenSet[str]]) -> None:
 
 
 def configure_parser(parser: argparse.ArgumentParser) -> None:
+    """Arguments of both ``lint`` and ``verify-static``."""
     parser.add_argument(
         "paths",
         nargs="*",
@@ -99,19 +100,36 @@ def configure_parser(parser: argparse.ArgumentParser) -> None:
         action="store_true",
         help="emit findings as GitHub Actions ::error annotations",
     )
-    parser.add_argument(
-        "--jobs",
-        type=int,
-        default=1,
-        metavar="N",
-        help="analyze cold files on N worker processes (default: 1)",
-    )
-    parser.add_argument(
-        "--no-cache",
-        action="store_true",
-        help="bypass the .repro-lint-cache/ finding cache",
-    )
     _add_select_args(parser)
+
+
+def _render_findings(
+    report: Union[LintReport, VerifyReport], github: bool, stream: TextIO
+) -> None:
+    """Findings, unanalyzable files and the suppression budget."""
+    for finding in report.findings:
+        if github:
+            print(finding.render_github(), file=stream)
+        else:
+            print(finding.render(), file=stream)
+            if finding.hint:
+                print(f"    hint: {finding.hint}", file=stream)
+    for error in report.errors:
+        if github:
+            print(f"::error::{error}", file=stream)
+        else:
+            print(f"error: {error}", file=stream)
+
+    if report.suppressed:
+        budget = ", ".join(
+            f"{rule} x{count}"
+            for rule, count in sorted(report.suppressed_counts().items())
+        )
+        print(
+            f"suppression budget: {len(report.suppressed)} finding(s) "
+            f"disabled inline ({budget})",
+            file=stream,
+        )
 
 
 def render_report(
@@ -122,29 +140,7 @@ def render_report(
     out: Optional[TextIO] = None,
 ) -> None:
     stream = out or sys.stdout
-    for finding in report.findings:
-        if github:
-            print(finding.render_github(), file=stream)
-        else:
-            print(finding.render(), file=stream)
-            if finding.hint:
-                print(f"    hint: {finding.hint}", file=stream)
-    for error in report.errors:
-        if github:
-            print(f"::error::{error}", file=stream)
-        else:
-            print(f"error: {error}", file=stream)
-
-    if report.suppressed:
-        budget = ", ".join(
-            f"{rule} x{count}"
-            for rule, count in sorted(report.suppressed_counts().items())
-        )
-        print(
-            f"suppression budget: {len(report.suppressed)} finding(s) "
-            f"disabled inline ({budget})",
-            file=stream,
-        )
+    _render_findings(report, github, stream)
 
     if stats:
         from repro.bench.reporting import print_table
@@ -152,8 +148,7 @@ def render_report(
         print_table("repro-lint: per-rule statistics", report.stats_rows())
         print(
             f"analyzed {report.files_scanned} file(s) in "
-            f"{report.elapsed_seconds * 1e3:.1f} ms "
-            f"({report.cache_hits} cache hit(s))",
+            f"{report.elapsed_seconds * 1e3:.1f} ms",
             file=stream,
         )
 
@@ -164,38 +159,6 @@ def render_report(
         )
 
 
-def configure_verify_parser(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "paths",
-        nargs="*",
-        default=["src"],
-        help="files or directories to analyze (default: src)",
-    )
-    parser.add_argument(
-        "--stats",
-        action="store_true",
-        help="print per-rule finding counts and analysis wall time",
-    )
-    parser.add_argument(
-        "--github",
-        action="store_true",
-        help="emit findings as GitHub Actions ::error annotations",
-    )
-    parser.add_argument(
-        "--jobs",
-        type=int,
-        default=1,
-        metavar="N",
-        help="summarize/analyze files on N worker processes (default: 1)",
-    )
-    parser.add_argument(
-        "--no-cache",
-        action="store_true",
-        help="bypass the .repro-lint-cache/ finding cache",
-    )
-    _add_select_args(parser)
-
-
 def render_verify_report(
     report: VerifyReport,
     *,
@@ -204,29 +167,7 @@ def render_verify_report(
     out: Optional[TextIO] = None,
 ) -> None:
     stream = out or sys.stdout
-    for finding in report.findings:
-        if github:
-            print(finding.render_github(), file=stream)
-        else:
-            print(finding.render(), file=stream)
-            if finding.hint:
-                print(f"    hint: {finding.hint}", file=stream)
-    for error in report.errors:
-        if github:
-            print(f"::error::{error}", file=stream)
-        else:
-            print(f"error: {error}", file=stream)
-
-    if report.suppressed:
-        budget = ", ".join(
-            f"{rule} x{count}"
-            for rule, count in sorted(report.suppressed_counts().items())
-        )
-        print(
-            f"suppression budget: {len(report.suppressed)} finding(s) "
-            f"disabled inline ({budget})",
-            file=stream,
-        )
+    _render_findings(report, github, stream)
 
     if report.fsm_checked:
         liveness = (
@@ -241,19 +182,6 @@ def render_verify_report(
             f"({liveness})",
             file=stream,
         )
-    if report.fleet_checked:
-        completion = (
-            "DONE/EXITED reachable"
-            if report.fleet_done_reachable
-            else "DONE/EXITED UNREACHABLE"
-        )
-        print(
-            "fleet model: explored "
-            f"{report.fleet_states_explored} product state(s) / "
-            f"{report.fleet_transitions_explored} transition(s) to "
-            f"fixpoint ({completion})",
-            file=stream,
-        )
 
     if stats:
         from repro.bench.reporting import print_table
@@ -266,8 +194,7 @@ def render_verify_report(
         )
         print(
             f"analyzed {report.files_scanned} file(s) in "
-            f"{report.elapsed_seconds * 1e3:.1f} ms "
-            f"({report.cache_hits} cache hit(s))",
+            f"{report.elapsed_seconds * 1e3:.1f} ms",
             file=stream,
         )
 
@@ -289,9 +216,7 @@ def cmd_verify_static(args: argparse.Namespace) -> int:
     except ValueError as exc:
         print(str(exc), file=sys.stderr)
         return 2
-    report = run_verify_static(
-        paths, jobs=max(1, args.jobs), cache=not args.no_cache
-    )
+    report = run_verify_static(paths)
     _apply_select(report, selected)
     if args.sarif is not None:
         write_sarif(
@@ -316,9 +241,7 @@ def cmd_lint(args: argparse.Namespace) -> int:
     except ValueError as exc:
         print(str(exc), file=sys.stderr)
         return 2
-    report = run_lint(
-        paths, jobs=max(1, args.jobs), cache=not args.no_cache
-    )
+    report = run_lint(paths)
     _apply_select(report, selected)
     if args.sarif is not None:
         write_sarif(

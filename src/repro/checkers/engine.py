@@ -8,19 +8,11 @@ never silent: every suppressed finding is carried in the report's
 budget section, and ``python -m repro lint --stats`` prints per-rule
 counts plus wall time so analyzer cost and suppression creep are both
 trackable across PRs.
-
-Per-file results are memoized in ``.repro-lint-cache/`` keyed on a
-content hash salted with the checker sources themselves, so a warm
-full-tree run re-analyzes nothing and stays byte-identical to a cold
-one; ``--jobs N`` fans cold files out over multiprocessing workers.
 """
 
 from __future__ import annotations
 
 import ast
-import hashlib
-import json
-import multiprocessing
 import os
 import time
 from collections import Counter
@@ -64,11 +56,8 @@ _SKIP_DIRS = {
     ".venv",
     ".tox",
     "node_modules",
-    ".repro-lint-cache",
+    ".repro-lint-cache",  # left behind by older versions of this analyzer
 }
-
-#: Finding-cache directory (created next to the project root).
-CACHE_DIR_NAME = ".repro-lint-cache"
 
 
 @dataclass
@@ -80,7 +69,6 @@ class LintReport:
     errors: List[str] = field(default_factory=list)  # unparsable files
     files_scanned: int = 0
     elapsed_seconds: float = 0.0
-    cache_hits: int = 0
 
     @property
     def clean(self) -> bool:
@@ -203,173 +191,21 @@ def lint_file(
     return active, suppressed, directive_error
 
 
-# -- per-file finding cache -------------------------------------------------
-#
-# Key = sha256(checker-source salt + display path + file content), so a
-# cache entry is invalidated by editing the file, moving it, or
-# changing any checker module (rule logic, catalog, suppressions).
-# Entries store the exact lint_file() result; replaying them is
-# byte-identical to re-analyzing.
-
-_SALT_MODULES = (
-    "repro.checkers.asyncsafety",
-    "repro.checkers.hygiene",
-    "repro.checkers.findings",
-    "repro.checkers.engine",
-)
-_salt_cache: Optional[str] = None
-
-
-def _cache_salt() -> str:
-    global _salt_cache
-    if _salt_cache is None:
-        import importlib
-
-        digest = hashlib.sha256()
-        for name in _SALT_MODULES:
-            module = importlib.import_module(name)
-            module_file = getattr(module, "__file__", None)
-            if module_file:
-                digest.update(Path(module_file).read_bytes())
-        _salt_cache = digest.hexdigest()[:16]
-    return _salt_cache
-
-
-def cache_key(content: bytes, display: str) -> str:
-    digest = hashlib.sha256()
-    digest.update(_cache_salt().encode("ascii"))
-    digest.update(display.encode("utf-8", "replace"))
-    digest.update(b"\x00")
-    digest.update(content)
-    return digest.hexdigest()
-
-
-def _finding_to_row(finding: Finding) -> List[object]:
-    return [
-        finding.path,
-        finding.line,
-        finding.col,
-        finding.rule,
-        finding.message,
-        finding.hint,
-    ]
-
-
-def _finding_from_row(row: List[object]) -> Finding:
-    return Finding(
-        path=str(row[0]),
-        line=int(row[1]),  # type: ignore[arg-type]
-        col=int(row[2]),  # type: ignore[arg-type]
-        rule=str(row[3]),
-        message=str(row[4]),
-        hint=str(row[5]),
-    )
-
-
-def _cache_load(
-    cache_dir: Path, key: str
-) -> Optional[Tuple[List[Finding], List[Finding], Optional[str]]]:
-    try:
-        payload = json.loads(
-            (cache_dir / f"{key}.json").read_text(encoding="utf-8")
-        )
-        active = [_finding_from_row(row) for row in payload["findings"]]
-        suppressed = [
-            _finding_from_row(row) for row in payload["suppressed"]
-        ]
-        error = payload["error"]
-    except (OSError, ValueError, KeyError, IndexError, TypeError):
-        return None  # missing or corrupt entry: just re-analyze
-    return active, suppressed, error if error is None else str(error)
-
-
-def _cache_store(
-    cache_dir: Path,
-    key: str,
-    active: List[Finding],
-    suppressed: List[Finding],
-    error: Optional[str],
-) -> None:
-    payload = {
-        "findings": [_finding_to_row(f) for f in active],
-        "suppressed": [_finding_to_row(f) for f in suppressed],
-        "error": error,
-    }
-    target = cache_dir / f"{key}.json"
-    scratch = cache_dir / f".{key}.{os.getpid()}.tmp"
-    try:
-        cache_dir.mkdir(parents=True, exist_ok=True)
-        scratch.write_text(json.dumps(payload), encoding="utf-8")
-        os.replace(scratch, target)  # atomic vs concurrent runs
-    except OSError:
-        pass  # read-only checkout: caching is best-effort
-
-
-def _lint_worker(
-    path_str: str, display: str
-) -> Tuple[List[Finding], List[Finding], Optional[str]]:
-    """Top-level worker so multiprocessing can pickle it."""
-    return lint_file(Path(path_str), display)
-
-
 def run_lint(
-    paths: Iterable[Path],
-    *,
-    project_root: Optional[Path] = None,
-    jobs: int = 1,
-    cache: bool = True,
-    cache_dir: Optional[Path] = None,
+    paths: Iterable[Path], *, project_root: Optional[Path] = None
 ) -> LintReport:
     """Run every analyzer over ``paths`` and return the full report."""
     started = time.perf_counter()
     report = LintReport()
     targets = [Path(p) for p in paths]
     root = project_root or find_project_root(targets)
-    cache_root = cache_dir or (root or Path(".")) / CACHE_DIR_NAME
-
-    pending: List[Tuple[Path, str, Optional[str]]] = []
     for path in iter_python_files(targets):
-        display = _display_path(path, root)
-        key: Optional[str] = None
-        if cache:
-            try:
-                key = cache_key(path.read_bytes(), display)
-            except OSError:
-                key = None
-            if key is not None:
-                entry = _cache_load(cache_root, key)
-                if entry is not None:
-                    active, suppressed, error = entry
-                    report.cache_hits += 1
-                    report.files_scanned += 1
-                    report.findings.extend(active)
-                    report.suppressed.extend(suppressed)
-                    if error is not None:
-                        report.errors.append(error)
-                    continue
-        pending.append((path, display, key))
-
-    if jobs > 1 and len(pending) > 1:
-        with multiprocessing.Pool(processes=jobs) as pool:
-            results = pool.starmap(
-                _lint_worker,
-                [(str(path), display) for path, display, _ in pending],
-            )
-    else:
-        results = [
-            lint_file(path, display) for path, display, _ in pending
-        ]
-    for (path, display, key), (active, suppressed, error) in zip(
-        pending, results
-    ):
+        active, suppressed, error = lint_file(path, _display_path(path, root))
         report.files_scanned += 1
         report.findings.extend(active)
         report.suppressed.extend(suppressed)
         if error is not None:
             report.errors.append(error)
-        if cache and key is not None:
-            _cache_store(cache_root, key, active, suppressed, error)
-
     report.findings.sort()
     report.suppressed.sort()
     report.elapsed_seconds = time.perf_counter() - started

@@ -1,19 +1,19 @@
-"""Explicit-state model checking of the session FSM (FSM001, FSM002)
-and of the fleet launcher x worker lifecycle product (FSM005, FSM006).
+"""Explicit-state model checking of the session FSM (FSM001, FSM002).
 
 A small-scope, stdlib-only BFS explorer in the Plankton tradition: the
-declared :data:`~repro.runtime.connection.SESSION_TRANSITIONS` table is
-explored as the *product of two peer sessions* -- the two endpoints of
-one topology link -- to a fixpoint, and every reachable product state
-is checked for liveness.
+:data:`~repro.runtime.connection.SESSION_TRANSITIONS` table -- the dict
+``PeerSession._fire`` executes, passed in by the caller, not scraped
+from source -- is explored as the *product of two peer sessions* (the
+two endpoints of one topology link) to a fixpoint, and every reachable
+product state is checked for liveness.
 
 Semantics
 ---------
 
-* Both sessions start CLOSED; exploration covers a run in which the
-  operator never calls ``stop()`` (the administrative events in
-  :data:`~repro.checkers.fsm.ADMIN_EVENTS` are excluded -- shutting a
-  session down is not a protocol deadlock).
+* Both sessions start in the first declared state (CLOSED); exploration
+  covers a run in which the operator never calls ``stop()`` (the
+  administrative events in :data:`ADMIN_EVENTS` are excluded --
+  shutting a session down is not a protocol deadlock).
 * Either side may take any transition its local state enables, subject
   to the *coupling rules* tying the two endpoints together:
 
@@ -38,26 +38,6 @@ Semantics
 The state space is tiny by construction (|states|^2 = 36 product states
 at most), which is the point: the session FSM is *meant* to be small
 enough to check exhaustively on every CI run.
-
-Fleet lifecycle product (tier 3)
---------------------------------
-
-The same machinery, asymmetric: ``repro/fleet/launcher.py`` declares
-``LAUNCHER_STATES``/``LAUNCHER_TRANSITIONS`` and
-``repro/fleet/worker.py`` declares ``WORKER_STATES``/
-``WORKER_TRANSITIONS`` -- boot, handshake, begin/finish operation
-windows, the stop-op -> SIGTERM -> SIGKILL escalation, and the
-crash/respawn edges.  :func:`explore_fleet` BFS-explores the product of
-one launcher and one representative worker to a fixpoint under the
-coupling rules below (a worker only takes ``begin`` while the launcher
-is OPERATING, only sees ``sigterm`` while the launcher is TERMINATING,
-and so on), and:
-
-* **FSM005** -- a reachable product state where neither machine can
-  move and the run is not complete (launcher DONE with the worker
-  EXITED or CRASHED), with the shortest counterexample trace;
-* **FSM006** -- a declared lifecycle state unreachable in its own
-  machine's closure: a dead table row.
 """
 
 from __future__ import annotations
@@ -65,20 +45,23 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.checkers.findings import Finding
-from repro.checkers.fsm import (
-    ADMIN_EVENTS,
-    CONNECTION_PATH,
-    ESTABLISHED_STATE,
-    SessionFsm,
-    _assigned_value,
-    _extract_transitions,
-    _parse,
-    _resolve,
-    _string_constants,
-)
+
+#: Repo-relative path of the session implementation (where findings
+#: anchor; its presence is what marks a tree as having a session FSM).
+CONNECTION_PATH = Path("src/repro/runtime/connection.py")
+
+#: The state in which counting traffic flows.
+ESTABLISHED_STATE = "ESTABLISHED"
+
+#: Administrative events excluded from liveness exploration (the
+#: operator stopping a session is not a protocol deadlock).
+ADMIN_EVENTS = frozenset({"stop", "drained"})
+
+#: ``(state, event) -> next state``, as ``SESSION_TRANSITIONS`` is.
+Transitions = Mapping[Tuple[str, str], str]
 
 #: ``event -> peer states that enable it`` (None = always enabled).
 _PEER_COUPLING: Dict[str, Tuple[str, ...]] = {
@@ -118,12 +101,12 @@ def _enabled(event: str, peer_state: str) -> bool:
 
 
 def _moves(
-    fsm: SessionFsm, state: ProductState
+    transitions: Transitions, state: ProductState
 ) -> List[Tuple[str, str, ProductState]]:
     """Every enabled ``(side, event, successor)`` from ``state``."""
     a, b = state
     moves: List[Tuple[str, str, ProductState]] = []
-    for (source, event), target in sorted(fsm.transitions.items()):
+    for (source, event), target in sorted(transitions.items()):
         if source == a and _enabled(event, b):
             moves.append(("A", event, (target, b)))
         if source == b and _enabled(event, a):
@@ -131,9 +114,11 @@ def _moves(
     return moves
 
 
-def explore_product(fsm: SessionFsm) -> ExplorationResult:
+def explore_product(
+    states: Sequence[str], transitions: Transitions
+) -> ExplorationResult:
     """BFS the two-session product space to a fixpoint."""
-    initial: ProductState = (fsm.initial, fsm.initial)
+    initial: ProductState = (states[0], states[0])
     result = ExplorationResult(initial=initial)
     parents: Dict[ProductState, Optional[Tuple[ProductState, str, str]]] = {
         initial: None
@@ -143,7 +128,7 @@ def explore_product(fsm: SessionFsm) -> ExplorationResult:
     while queue:
         state = queue.popleft()
         result.states_explored += 1
-        moves = _moves(fsm, state)
+        moves = _moves(transitions, state)
         if not moves:
             deadlocked.append(state)
             continue
@@ -160,21 +145,20 @@ def explore_product(fsm: SessionFsm) -> ExplorationResult:
     for state in deadlocked:
         result.deadlocks.append((state, _trace(parents, state)))
 
-    result.unreachable = [
-        state
-        for state in fsm.states
-        if state not in _single_session_closure(fsm)
-    ]
+    closure = _single_session_closure(states[0], transitions)
+    result.unreachable = [s for s in states if s not in closure]
     return result
 
 
-def _single_session_closure(fsm: SessionFsm) -> frozenset:
+def _single_session_closure(
+    initial: str, transitions: Transitions
+) -> "frozenset[str]":
     """States reachable in one session alone, admin events included."""
-    seen = {fsm.initial}
-    frontier = [fsm.initial]
+    seen = {initial}
+    frontier = [initial]
     while frontier:
         state = frontier.pop()
-        for (source, _event), target in fsm.transitions.items():
+        for (source, _event), target in transitions.items():
             if source == state and target not in seen:
                 seen.add(target)
                 frontier.append(target)
@@ -208,17 +192,20 @@ def render_trace(initial: ProductState, steps: List[Step]) -> str:
 
 
 def check_model(
-    fsm: SessionFsm,
+    states: Sequence[str], transitions: Transitions, line: int = 1
 ) -> Tuple[List[Finding], ExplorationResult]:
-    """FSM001/FSM002 over the explored product space."""
+    """FSM001/FSM002 over the explored product space.
+
+    ``line`` is where the table sits in ``connection.py``, for anchoring.
+    """
     findings: List[Finding] = []
-    result = explore_product(fsm)
+    result = explore_product(states, transitions)
     path = str(CONNECTION_PATH)
     for state, steps in result.deadlocks:
         findings.append(
             Finding(
                 path=path,
-                line=fsm.transitions_line,
+                line=line,
                 col=1,
                 rule="FSM001",
                 message=(
@@ -237,293 +224,16 @@ def check_model(
         findings.append(
             Finding(
                 path=path,
-                line=fsm.states_line,
+                line=line,
                 col=1,
                 rule="FSM002",
                 message=(
                     f"declared session state {state} is unreachable from "
-                    f"{fsm.initial} in the two-session product space"
+                    f"{states[0]} in the two-session product space"
                 ),
                 hint=(
                     "add the transition that enters it, or delete the dead "
                     "state from SESSION_STATES"
-                ),
-            )
-        )
-    return findings, result
-
-
-# ---------------------------------------------------------------------------
-# Fleet lifecycle product (tier 3): FSM005 / FSM006
-# ---------------------------------------------------------------------------
-
-#: Repo-relative paths of the fleet lifecycle declarations.
-LAUNCHER_FSM_PATH = Path("src/repro/fleet/launcher.py")
-WORKER_FSM_PATH = Path("src/repro/fleet/worker.py")
-
-#: Names anchoring the declarative tables in the fleet modules.
-LAUNCHER_STATES_NAME = "LAUNCHER_STATES"
-LAUNCHER_TRANSITIONS_NAME = "LAUNCHER_TRANSITIONS"
-WORKER_STATES_NAME = "WORKER_STATES"
-WORKER_TRANSITIONS_NAME = "WORKER_TRANSITIONS"
-
-#: The complete-run product: launcher DONE with the worker gone.  A
-#: crash during shutdown counts -- the launcher's ``_stopping`` flag
-#: makes a crashed worker look exited once stop() is underway.
-_LAUNCHER_DONE = "DONE"
-_WORKER_TERMINAL = frozenset({"EXITED", "CRASHED"})
-
-#: ``worker event -> launcher states that enable it``.  Absent events
-#: are local stimuli, always enabled.  A leading ``"!"`` negates: the
-#: event is enabled in any launcher state *except* those listed.
-_FLEET_WORKER_COUPLING: Dict[str, Tuple[str, ...]] = {
-    "control_up": ("!", "INIT"),  # no control channel before spawn
-    "crash": ("!", "INIT"),  # no process to crash before spawn
-    "begin": ("OPERATING",),  # op frames only flow during an op window
-    "finish": ("OPERATING",),
-    "stop_op": ("STOPPING",),  # graceful stop op sent in STOPPING
-    "sigterm": ("TERMINATING",),  # escalation step one
-    "sigkill": ("KILLING",),  # escalation step two
-    "respawn": ("WAITING",),  # launcher respawns while (re-)waiting
-}
-
-#: ``launcher event -> worker states that enable it``.
-_FLEET_LAUNCHER_COUPLING: Dict[str, Tuple[str, ...]] = {
-    "workers_ready": ("READY",),
-    "op_begin": ("READY",),
-    "op_finish": ("READY",),  # the worker has already finished
-    "crash_detected": ("CRASHED",),
-    "restart": ("CRASHED",),
-    "workers_exited": tuple(sorted(_WORKER_TERMINAL)),
-}
-
-
-@dataclass
-class MachineFsm:
-    """One declared lifecycle table (launcher or worker side)."""
-
-    name: str
-    path: str
-    states: Tuple[str, ...] = ()
-    states_line: int = 1
-    transitions: Dict[Tuple[str, str], str] = field(default_factory=dict)
-    transitions_line: int = 1
-
-    @property
-    def initial(self) -> str:
-        return self.states[0] if self.states else "INIT"
-
-
-@dataclass
-class FleetFsm:
-    """Both sides of the launcher x worker lifecycle product."""
-
-    launcher: MachineFsm
-    worker: MachineFsm
-
-
-@dataclass
-class FleetExplorationResult:
-    """The fixpoint of one launcher x worker product exploration."""
-
-    initial: ProductState = ("INIT", "BOOT")
-    states_explored: int = 0
-    transitions_explored: int = 0
-    #: Deadlocked (non-terminal, move-less) states with shortest traces.
-    deadlocks: List[Tuple[ProductState, List[Step]]] = field(
-        default_factory=list
-    )
-    #: ``(machine name, state)`` rows dead in their own machine's closure.
-    unreachable: List[Tuple[str, str]] = field(default_factory=list)
-    #: Whether a completed run (DONE with the worker gone) is reachable.
-    done_reachable: bool = False
-
-
-def _extract_machine(
-    module,  # ast.Module
-    name: str,
-    path: Path,
-    states_name: str,
-    transitions_name: str,
-) -> MachineFsm:
-    constants = _string_constants(module)
-    machine = MachineFsm(name=name, path=str(path))
-    states_value, machine.states_line = _assigned_value(module, states_name)
-    if states_value is not None and hasattr(states_value, "elts"):
-        resolved = [_resolve(elt, constants) for elt in states_value.elts]
-        machine.states = tuple(s for s in resolved if s is not None)
-    table_value, machine.transitions_line = _assigned_value(
-        module, transitions_name
-    )
-    if table_value is not None:
-        machine.transitions = _extract_transitions(table_value, constants)
-    return machine
-
-
-def extract_fleet_fsm(
-    root: Path, overrides: Optional[Dict[str, str]] = None
-) -> Optional[FleetFsm]:
-    """Read the declared launcher + worker lifecycle tables.
-
-    Returns None when either fleet module is absent or declares no
-    transition table (linting a foreign tree, or a tree predating the
-    fleet runtime) -- there is nothing to explore.
-    """
-    overrides = overrides or {}
-    launcher_module = _parse(root, LAUNCHER_FSM_PATH, overrides)
-    worker_module = _parse(root, WORKER_FSM_PATH, overrides)
-    if launcher_module is None or worker_module is None:
-        return None
-    launcher = _extract_machine(
-        launcher_module,
-        "launcher",
-        LAUNCHER_FSM_PATH,
-        LAUNCHER_STATES_NAME,
-        LAUNCHER_TRANSITIONS_NAME,
-    )
-    worker = _extract_machine(
-        worker_module,
-        "worker",
-        WORKER_FSM_PATH,
-        WORKER_STATES_NAME,
-        WORKER_TRANSITIONS_NAME,
-    )
-    if not launcher.transitions or not worker.transitions:
-        return None
-    return FleetFsm(launcher=launcher, worker=worker)
-
-
-def _fleet_enabled(
-    coupling: Dict[str, Tuple[str, ...]], event: str, peer_state: str
-) -> bool:
-    required = coupling.get(event)
-    if required is None:
-        return True
-    if required and required[0] == "!":
-        return peer_state not in required[1:]
-    return peer_state in required
-
-
-def _fleet_moves(
-    fleet: FleetFsm, state: ProductState
-) -> List[Tuple[str, str, ProductState]]:
-    """Every enabled ``(side, event, successor)`` from ``state``."""
-    launcher_state, worker_state = state
-    moves: List[Tuple[str, str, ProductState]] = []
-    for (source, event), target in sorted(
-        fleet.launcher.transitions.items()
-    ):
-        if source == launcher_state and _fleet_enabled(
-            _FLEET_LAUNCHER_COUPLING, event, worker_state
-        ):
-            moves.append(("L", event, (target, worker_state)))
-    for (source, event), target in sorted(fleet.worker.transitions.items()):
-        if source == worker_state and _fleet_enabled(
-            _FLEET_WORKER_COUPLING, event, launcher_state
-        ):
-            moves.append(("W", event, (launcher_state, target)))
-    return moves
-
-
-def _machine_closure(machine: MachineFsm) -> frozenset:
-    """States reachable in one machine alone, all events enabled."""
-    seen = {machine.initial}
-    frontier = [machine.initial]
-    while frontier:
-        state = frontier.pop()
-        for (source, _event), target in machine.transitions.items():
-            if source == state and target not in seen:
-                seen.add(target)
-                frontier.append(target)
-    return frozenset(seen)
-
-
-def explore_fleet(fleet: FleetFsm) -> FleetExplorationResult:
-    """BFS the launcher x worker product space to a fixpoint."""
-    initial: ProductState = (fleet.launcher.initial, fleet.worker.initial)
-    result = FleetExplorationResult(initial=initial)
-    parents: Dict[ProductState, Optional[Tuple[ProductState, str, str]]] = {
-        initial: None
-    }
-    queue: "deque[ProductState]" = deque([initial])
-    deadlocked: List[ProductState] = []
-    while queue:
-        state = queue.popleft()
-        result.states_explored += 1
-        moves = _fleet_moves(fleet, state)
-        if not moves:
-            launcher_state, worker_state = state
-            if not (
-                launcher_state == _LAUNCHER_DONE
-                and worker_state in _WORKER_TERMINAL
-            ):
-                deadlocked.append(state)
-            continue
-        for side, event, successor in moves:
-            result.transitions_explored += 1
-            if successor not in parents:
-                parents[successor] = (state, side, event)
-                queue.append(successor)
-
-    result.done_reachable = any(
-        launcher_state == _LAUNCHER_DONE
-        and worker_state in _WORKER_TERMINAL
-        for launcher_state, worker_state in parents
-    )
-    for state in deadlocked:
-        result.deadlocks.append((state, _trace(parents, state)))
-
-    for machine in (fleet.launcher, fleet.worker):
-        closure = _machine_closure(machine)
-        for state in machine.states:
-            if state not in closure:
-                result.unreachable.append((machine.name, state))
-    return result
-
-
-def check_fleet_model(
-    fleet: FleetFsm,
-) -> Tuple[List[Finding], FleetExplorationResult]:
-    """FSM005/FSM006 over the explored launcher x worker product."""
-    findings: List[Finding] = []
-    result = explore_fleet(fleet)
-    for state, steps in result.deadlocks:
-        findings.append(
-            Finding(
-                path=fleet.launcher.path,
-                line=fleet.launcher.transitions_line,
-                col=1,
-                rule="FSM005",
-                message=(
-                    f"deadlock: fleet product state ({state[0]},{state[1]}) "
-                    "is reachable, incomplete, and enables no transition on "
-                    "either machine"
-                ),
-                hint=(
-                    "counterexample: "
-                    + render_trace(result.initial, steps)
-                    + " -- add the escalation/recovery edge that moves the "
-                    "stuck machine"
-                ),
-            )
-        )
-    for machine_name, state in result.unreachable:
-        machine = (
-            fleet.launcher if machine_name == "launcher" else fleet.worker
-        )
-        findings.append(
-            Finding(
-                path=machine.path,
-                line=machine.states_line,
-                col=1,
-                rule="FSM006",
-                message=(
-                    f"declared {machine_name} lifecycle state {state} is "
-                    f"unreachable from {machine.initial}: a dead table row"
-                ),
-                hint=(
-                    "add the transition that enters it, or delete the dead "
-                    f"state from {machine_name.upper()}_STATES"
                 ),
             )
         )

@@ -758,11 +758,9 @@ def _cmd_bench(args: argparse.Namespace) -> int:
                 "analyzer: lint "
                 f"{lint_stats['elapsed_seconds'] * 1e3:.1f} ms over "
                 f"{lint_stats['files_scanned']} file(s) "
-                f"({lint_stats['cache_hits']} cache hits, "
-                f"{lint_stats['suppressed']} suppressed); verify-static "
+                f"({lint_stats['suppressed']} suppressed); verify-static "
                 f"{verify_stats['elapsed_seconds'] * 1e3:.1f} ms, "
-                f"{verify_stats['states_explored']} session + "
-                f"{verify_stats['fleet_states_explored']} fleet product "
+                f"{verify_stats['states_explored']} session product "
                 "states"
             )
         if args.out:
@@ -878,9 +876,9 @@ def _analyzer_stats() -> dict:
     """Static-analyzer cost + suppression budget for BENCH_summary.json.
 
     Tracked across PRs like any benchmark number: per-rule finding and
-    suppression counts (creep detection), wall time, and cache
-    effectiveness for tier 1, plus the model checker's explored state
-    space for tier 2.  Empty when not run from the repo root.
+    suppression counts (creep detection) and wall time, plus the model
+    checker's explored state space for tier 2.  Empty when not run from
+    the repo root.
     """
     from pathlib import Path
 
@@ -896,7 +894,6 @@ def _analyzer_stats() -> dict:
         "lint": {
             "files_scanned": lint.files_scanned,
             "elapsed_seconds": lint.elapsed_seconds,
-            "cache_hits": lint.cache_hits,
             "findings": len(lint.findings),
             "suppressed": len(lint.suppressed),
             "rules": lint.stats_rows(),
@@ -904,15 +901,11 @@ def _analyzer_stats() -> dict:
         "verify_static": {
             "files_scanned": verify.files_scanned,
             "elapsed_seconds": verify.elapsed_seconds,
-            "cache_hits": verify.cache_hits,
             "findings": len(verify.findings),
             "suppressed": len(verify.suppressed),
             "states_explored": verify.states_explored,
             "transitions_explored": verify.transitions_explored,
             "established_reachable": verify.established_reachable,
-            "fleet_states_explored": verify.fleet_states_explored,
-            "fleet_transitions_explored": verify.fleet_transitions_explored,
-            "fleet_done_reachable": verify.fleet_done_reachable,
             "functions_indexed": verify.functions_indexed,
             "call_edges": verify.call_edges,
             "rules": verify.stats_rows(),
@@ -1699,18 +1692,15 @@ def build_parser() -> argparse.ArgumentParser:
         "lint",
         help="run the repro-lint static analyzers (exit 1 on findings)",
     )
-    from repro.checkers.cli import configure_parser as _configure_lint
-    from repro.checkers.cli import (
-        configure_verify_parser as _configure_verify,
-    )
+    from repro.checkers.cli import configure_parser as _configure_analyzer
 
-    _configure_lint(lint)
+    _configure_analyzer(lint)
 
     verify_static = commands.add_parser(
         "verify-static",
-        help="model-check the session FSM and detect cross-await races",
+        help="model-check the session FSM and run the call-graph rules",
     )
-    _configure_verify(verify_static)
+    _configure_analyzer(verify_static)
     return parser
 
 

@@ -42,46 +42,9 @@ __all__ = ["FleetError", "FleetLauncher", "WorkerCrashed"]
 
 logger = get_logger("fleet.launcher")
 
-#: Longest one ``status`` long-poll holds a control connection; stays
-#: under :meth:`FleetLauncher.call_worker`'s default deadline.
-_STATUS_WAIT = 20.0
-
-#: Declared launcher lifecycle.  The table is the spec: spawn ->
-#: wait-ready handshake -> operation windows, the stop-op -> SIGTERM ->
-#: SIGKILL escalation of :meth:`FleetLauncher.stop`, and the
-#: crash-detected/restart recovery loop.  ``repro.checkers.modelcheck``
-#: BFS-explores its product with the worker's ``WORKER_TRANSITIONS``
-#: on every ``repro verify-static`` run (rules FSM005/FSM006).
-LAUNCHER_STATES = (
-    "INIT",
-    "WAITING",
-    "RUNNING",
-    "OPERATING",
-    "RECOVERING",
-    "STOPPING",
-    "TERMINATING",
-    "KILLING",
-    "DONE",
-)
-LAUNCHER_TRANSITIONS: Dict[Tuple[str, str], str] = {
-    ("INIT", "spawn"): "WAITING",
-    ("WAITING", "workers_ready"): "RUNNING",
-    ("WAITING", "crash_detected"): "RECOVERING",
-    ("WAITING", "stop"): "STOPPING",
-    ("RUNNING", "op_begin"): "OPERATING",
-    ("RUNNING", "crash_detected"): "RECOVERING",
-    ("RUNNING", "stop"): "STOPPING",
-    ("OPERATING", "op_finish"): "RUNNING",
-    ("OPERATING", "crash_detected"): "RECOVERING",
-    ("OPERATING", "stop"): "STOPPING",
-    ("RECOVERING", "restart"): "WAITING",
-    ("RECOVERING", "stop"): "STOPPING",
-    ("STOPPING", "grace_elapsed"): "TERMINATING",
-    ("STOPPING", "workers_exited"): "DONE",
-    ("TERMINATING", "grace_elapsed"): "KILLING",
-    ("TERMINATING", "workers_exited"): "DONE",
-    ("KILLING", "workers_exited"): "DONE",
-}
+#: Share of its op's deadline a long-poll may hold the control
+#: connection; the rest is for the answer to come back.
+_LONG_POLL_SHARE = 2 / 3
 
 
 class FleetError(RuntimeError):
@@ -220,12 +183,7 @@ class FleetLauncher:
                 )
             for index in sorted(pending):
                 try:
-                    response = await control.call(
-                        "127.0.0.1",
-                        self.workers[index].control_port,
-                        {"op": "ping"},
-                        timeout=2.0,
-                    )
+                    response = await self._call(index, {"op": "ping"})
                 except (ConnectionError, OSError, asyncio.TimeoutError):
                     continue
                 if response.get("ok") and response.get("ready"):
@@ -252,12 +210,7 @@ class FleetLauncher:
             if handle.process.poll() is not None:
                 continue
             try:
-                await control.call(
-                    "127.0.0.1",
-                    handle.control_port,
-                    {"op": "stop"},
-                    timeout=2.0,
-                )
+                await self._call(handle.index, {"op": "stop"})
             except (
                 ConnectionError,
                 OSError,
@@ -265,21 +218,11 @@ class FleetLauncher:
                 asyncio.TimeoutError,
             ):
                 pass  # unreachable worker: escalate to signals below
-        deadline = time.monotonic() + grace
-        while time.monotonic() < deadline and any(
-            handle.process.poll() is None
-            for handle in self.workers.values()
-        ):
-            await asyncio.sleep(0.05)
+        await self._wait_exit(grace)
         for handle in self.workers.values():
             if handle.process.poll() is None:
                 handle.process.terminate()
-        deadline = time.monotonic() + grace
-        while time.monotonic() < deadline and any(
-            handle.process.poll() is None
-            for handle in self.workers.values()
-        ):
-            await asyncio.sleep(0.05)
+        await self._wait_exit(grace)
         for handle in self.workers.values():
             if handle.process.poll() is None:
                 logger.warning(
@@ -289,21 +232,41 @@ class FleetLauncher:
                 handle.process.kill()
                 handle.process.wait()
 
+    async def _wait_exit(self, grace: float) -> None:
+        """Wait until every worker exited, at most ``grace`` seconds."""
+        deadline = time.monotonic() + grace
+        while time.monotonic() < deadline and any(
+            handle.process.poll() is None
+            for handle in self.workers.values()
+        ):
+            await asyncio.sleep(0.05)
+
     # -- control-plane orchestration ---------------------------------------
+
+    async def _call(
+        self,
+        index: int,
+        request: Dict[str, object],
+        timeout: Optional[float] = None,
+    ) -> Dict[str, object]:
+        """One round-trip: the ``OPS`` row refuses an op or key it does
+        not hold before anything is sent, and supplies the deadline."""
+        row = control.row_of(request)
+        return await control.call(
+            "127.0.0.1",
+            self.workers[index].control_port,
+            request,
+            timeout=row.timeout if timeout is None else timeout,
+        )
 
     async def call_worker(
         self,
         index: int,
         request: Dict[str, object],
-        timeout: float = 30.0,
+        timeout: Optional[float] = None,
     ) -> Dict[str, object]:
         """One checked control call to one worker."""
-        response = await control.call(
-            "127.0.0.1",
-            self.workers[index].control_port,
-            request,
-            timeout=timeout,
-        )
+        response = await self._call(index, request, timeout)
         if not response.get("ok"):
             raise FleetError(
                 f"worker {index} rejected {request.get('op')!r}: "
@@ -312,7 +275,7 @@ class FleetLauncher:
         return response
 
     async def broadcast(
-        self, request: Dict[str, object], timeout: float = 30.0
+        self, request: Dict[str, object], timeout: Optional[float] = None
     ) -> List[Dict[str, object]]:
         """The same control call to every worker, in worker order."""
         self.check_alive()
@@ -351,9 +314,11 @@ class FleetLauncher:
         An unmatched wave is retried; the long-poll paces the retries.
         """
         deadline = time.monotonic() + (timeout or self.spec.op_timeout)
+        poll: Dict[str, object] = {"op": "status"}
+        longest = control.row_of(poll).timeout * _LONG_POLL_SHARE
         while True:
-            wait = max(0.0, min(deadline - time.monotonic(), _STATUS_WAIT))
-            statuses = await self.broadcast({"op": "status", "wait": wait})
+            poll["wait"] = max(0.0, min(deadline - time.monotonic(), longest))
+            statuses = await self.broadcast(poll)
             unsettled = [
                 s["worker"] for s in statuses if not s["settled_local"]
             ]
@@ -391,11 +356,9 @@ class FleetLauncher:
         """
         await self.broadcast({"op": "begin", "label": label})
         if only_worker is None:
-            await self.broadcast(dict(inject), timeout=timeout or 60.0)
+            await self.broadcast(dict(inject), timeout=timeout)
         else:
-            await self.call_worker(
-                only_worker, dict(inject), timeout=timeout or 60.0
-            )
+            await self.call_worker(only_worker, dict(inject), timeout=timeout)
         await self.settle(timeout)
         finishes = await self.broadcast({"op": "finish"})
         return max(float(f["seconds"]) for f in finishes)  # type: ignore[arg-type]

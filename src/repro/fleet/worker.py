@@ -8,25 +8,9 @@ for its devices, and serves the launcher's JSON-lines control ops until
 told to stop.  SIGTERM/SIGINT drain gracefully: sessions close cleanly,
 telemetry servers shut down, exit code 0.
 
-Control ops (see :mod:`repro.fleet.control` for the envelope):
-
-``ping``      liveness probe (answers even before the cluster is up).
-``status``    readiness, phase, session health, ``settled_local`` and
-              ``[device, peer, out, done]`` per live cross-shard session
-              end -- the launcher's convergence wave; ``"wait"``
-              long-polls that many seconds for the shard to settle.
-``endpoints`` device -> ``host:port`` of this worker's telemetry servers.
-``begin``     open an operation window (label in ``"label"``).
-``install``   inject every plan into the locally hosted devices.
-``update``    apply rule update ``"index"`` of the deterministic stream
-              of length ``"count"`` if its device is local.
-``link``      administrative link event: ``"a"``, ``"b"``, ``"up"``
-              (a recovery answers once the local ends re-established).
-``finish``    close the operation window; answers convergence seconds.
-``verdicts``  per-plan root verdicts hosted on this shard.
-``metrics``   shard traffic totals.
-``dump_flight``  per-device flight-recorder dumps of this shard.
-``stop``      graceful shutdown.
+Control ops are the rows of :data:`repro.fleet.control.OPS`; each is
+served by the ``_op_<name>`` method below (``docs/RUNTIME.md`` has the
+table with payloads).
 """
 
 from __future__ import annotations
@@ -35,7 +19,7 @@ import argparse
 import asyncio
 import signal
 import sys
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 from repro.bench.workloads import RuleUpdate
 from repro.fleet.control import ControlServer
@@ -51,48 +35,6 @@ from repro.runtime.cluster import ClusterTimeoutError, RuntimeCluster
 __all__ = ["FleetWorker", "main"]
 
 logger = get_logger("fleet.worker")
-
-#: Declared worker lifecycle, the peer machine of the launcher's
-#: ``LAUNCHER_TRANSITIONS``: boot -> session establishment -> op
-#: windows, graceful drain on a ``stop`` op or SIGTERM, hard exit on
-#: SIGKILL, and the crash/respawn edge driven by the launcher's
-#: :meth:`~repro.fleet.launcher.FleetLauncher.restart`.  Explored by
-#: ``repro.checkers.modelcheck`` (rules FSM005/FSM006).
-WORKER_STATES = (
-    "BOOT",
-    "ESTABLISHING",
-    "READY",
-    "IN_OP",
-    "DRAINING",
-    "CRASHED",
-    "EXITED",
-)
-WORKER_TRANSITIONS: Dict[Tuple[str, str], str] = {
-    ("BOOT", "control_up"): "ESTABLISHING",
-    ("BOOT", "sigterm"): "DRAINING",
-    ("BOOT", "sigkill"): "EXITED",
-    ("BOOT", "crash"): "CRASHED",
-    ("ESTABLISHING", "established"): "READY",
-    ("ESTABLISHING", "stop_op"): "DRAINING",
-    ("ESTABLISHING", "sigterm"): "DRAINING",
-    ("ESTABLISHING", "sigkill"): "EXITED",
-    ("ESTABLISHING", "crash"): "CRASHED",
-    ("READY", "begin"): "IN_OP",
-    ("READY", "stop_op"): "DRAINING",
-    ("READY", "sigterm"): "DRAINING",
-    ("READY", "sigkill"): "EXITED",
-    ("READY", "crash"): "CRASHED",
-    ("IN_OP", "finish"): "READY",
-    ("IN_OP", "stop_op"): "DRAINING",
-    ("IN_OP", "sigterm"): "DRAINING",
-    ("IN_OP", "sigkill"): "EXITED",
-    ("IN_OP", "crash"): "CRASHED",
-    ("DRAINING", "drained"): "EXITED",
-    ("DRAINING", "sigkill"): "EXITED",
-    ("DRAINING", "crash"): "CRASHED",
-    ("CRASHED", "respawn"): "BOOT",
-}
-
 
 class FleetWorker:
     """One worker process: shard cluster + control server."""
@@ -120,7 +62,7 @@ class FleetWorker:
             local_fastpath=spec.fastpath,
         )
         self.control = ControlServer(
-            self._handle, port=self.plan.control_port(worker_index)
+            self, port=self.plan.control_port(worker_index)
         )
         self.ready = False
         self._op_start: Optional[float] = None
@@ -174,75 +116,24 @@ class FleetWorker:
 
     # -- control ops -------------------------------------------------------
 
-    async def _handle(
-        self, request: Dict[str, object]
-    ) -> Dict[str, object]:
-        op = request.get("op")
-        if op == "ping":
-            return {
-                "worker": self.worker_index,
-                "ready": self.ready,
-                "devices": len(self.shard),
-            }
-        if op == "status":
-            wait = float(request.get("wait", 0.0))  # type: ignore[arg-type]
-            if wait > 0:
-                try:
-                    await self.cluster.wait_quiescence(wait)
-                except ClusterTimeoutError:
-                    pass  # answer unsettled; the launcher asks again
-            return self._status()
-        if op == "endpoints":
-            return {
-                "http": {
-                    device: [host, port]
-                    for device, (host, port) in sorted(
-                        self.cluster.http_endpoints.items()
-                    )
-                }
-            }
-        if op == "begin":
-            label = str(request.get("label", "fleet_op"))
-            self._op_start = self.cluster.begin_operation(label)
-            return {}
-        if op == "install":
-            self.cluster.inject_plans(dict(self.workload.plans))
-            return {"plans": len(self.workload.plans)}
-        if op == "update":
-            return self._apply_update(
-                int(request.get("index", 0)),  # type: ignore[arg-type]
-                int(request.get("count", 0)),  # type: ignore[arg-type]
-            )
-        if op == "link":
-            a, b = str(request["a"]), str(request["b"])
-            up = bool(request.get("up", True))
-            self.cluster.apply_link_event(a, b, up=up)
-            if up:
-                await self.cluster.wait_session(a, b)
-            return {}
-        if op == "finish":
-            if self._op_start is None:
-                raise RuntimeError("finish without begin")
-            seconds = self.cluster.finish_operation(self._op_start)
-            self._op_start = None
-            return {"seconds": seconds}
-        if op == "verdicts":
-            return {"verdicts": self._verdicts()}
-        if op == "metrics":
-            metrics = self.cluster.metrics
-            return {
-                "messages": metrics.total_messages,
-                "bytes": metrics.total_bytes,
-                "reconnects": metrics.total_reconnects,
-            }
-        if op == "dump_flight":
-            return {"flight": self.cluster.dump_flight()}
-        if op == "stop":
-            self._stop_event.set()
-            return {}
-        raise ValueError(f"unknown control op {op!r}")
+    async def _op_ping(self) -> Dict[str, object]:
+        """Liveness probe (answers even before the cluster is up)."""
+        return {
+            "worker": self.worker_index,
+            "ready": self.ready,
+            "devices": len(self.shard),
+        }
 
-    def _status(self) -> Dict[str, object]:
+    async def _op_status(self, wait: float = 0.0) -> Dict[str, object]:
+        """Readiness, session health and the launcher's convergence wave:
+        ``settled_local`` plus ``[device, peer, out, done]`` per live
+        cross-shard session end; ``wait`` long-polls that many seconds
+        for the shard to settle first."""
+        if wait > 0:
+            try:
+                await self.cluster.wait_quiescence(wait)
+            except ClusterTimeoutError:
+                pass  # answer unsettled; the launcher asks again
         peers_down = 0
         established = 0
         for host in self.cluster.hosts.values():
@@ -269,8 +160,32 @@ class FleetWorker:
             "peer_down_events": peer_down_events,
         }
 
-    def _apply_update(self, index: int, count: int) -> Dict[str, object]:
-        """Apply one update of the shared deterministic stream."""
+    async def _op_endpoints(self) -> Dict[str, object]:
+        """device -> ``[host, port]`` of this worker's telemetry servers."""
+        return {
+            "http": {
+                device: [host, port]
+                for device, (host, port) in sorted(
+                    self.cluster.http_endpoints.items()
+                )
+            }
+        }
+
+    async def _op_begin(self, label: str = "fleet_op") -> Dict[str, object]:
+        """Open an operation window."""
+        self._op_start = self.cluster.begin_operation(label)
+        return {}
+
+    async def _op_install(self) -> Dict[str, object]:
+        """Inject every plan into the locally hosted devices."""
+        self.cluster.inject_plans(dict(self.workload.plans))
+        return {"plans": len(self.workload.plans)}
+
+    async def _op_update(
+        self, index: int = 0, count: int = 0
+    ) -> Dict[str, object]:
+        """Apply update ``index`` of the shared deterministic stream of
+        length ``count`` if its device is local."""
         if count < 1 or index >= count:
             raise ValueError(f"bad update index {index} of {count}")
         if len(self._updates) != count:
@@ -286,6 +201,45 @@ class FleetWorker:
             "device": update.device,
             "description": update.description,
         }
+
+    async def _op_link(
+        self, a: str, b: str, up: bool = True
+    ) -> Dict[str, object]:
+        """Administrative link event (a recovery answers once the local
+        ends re-established)."""
+        self.cluster.apply_link_event(a, b, up=up)
+        if up:
+            await self.cluster.wait_session(a, b)
+        return {}
+
+    async def _op_finish(self) -> Dict[str, object]:
+        """Close the operation window; answers convergence seconds."""
+        if self._op_start is None:
+            raise RuntimeError("finish without begin")
+        seconds = self.cluster.finish_operation(self._op_start)
+        self._op_start = None
+        return {"seconds": seconds}
+
+    async def _op_verdicts(self) -> Dict[str, object]:
+        return {"verdicts": self._verdicts()}
+
+    async def _op_metrics(self) -> Dict[str, object]:
+        """Shard traffic totals."""
+        metrics = self.cluster.metrics
+        return {
+            "messages": metrics.total_messages,
+            "bytes": metrics.total_bytes,
+            "reconnects": metrics.total_reconnects,
+        }
+
+    async def _op_dump_flight(self) -> Dict[str, object]:
+        """Per-device flight-recorder dumps of this shard."""
+        return {"flight": self.cluster.dump_flight()}
+
+    async def _op_stop(self) -> Dict[str, object]:
+        """Graceful shutdown."""
+        self._stop_event.set()
+        return {}
 
     def _verdicts(self) -> Dict[str, List[List[object]]]:
         """Per-plan root verdicts of the locally hosted devices.

@@ -60,15 +60,13 @@ Connector = Callable[
 # ---------------------------------------------------------------------------
 # Declarative session FSM
 #
-# The PeerSession lifecycle below is *checked*, not just documented:
-# ``repro.checkers.fsm`` statically extracts the transitions the
-# coroutine methods actually implement (every ``self._set_state(event,
-# STATE)`` call site) and diffs them against this table (rule FSM004),
-# and ``repro.checkers.modelcheck`` exhaustively explores the product
-# of two peer sessions over this table for deadlocks and unreachable
-# states (FSM001, FSM002).
-# Editing the lifecycle means editing the table and the code together
-# -- ``python -m repro verify-static`` fails on any divergence.
+# The table below *is* the PeerSession lifecycle: the only way the
+# session changes state is ``PeerSession._fire(event)``, which looks the
+# edge up here, so an edge the table does not declare is a ``KeyError``
+# in the first test that takes it.  ``repro.checkers.modelcheck``
+# imports the same table and exhaustively explores the product of two
+# peer sessions over it for deadlocks and unreachable states (FSM001,
+# FSM002) on every ``python -m repro verify-static`` run.
 
 #: Session lifecycle states.
 ST_CLOSED = "CLOSED"  # no connection; passive side idles here awaiting adoption
@@ -89,9 +87,8 @@ SESSION_STATES = (
 
 #: ``(state, event) -> next state``.  Events are the protocol-visible
 #: stimuli; the ``rx_*`` events are the frame kinds of the wire schema
-#: (:attr:`repro.dvm.messages.Row.event`).  Self-loop edges document
-#: stimuli absorbed without a state change (no ``_set_state`` call is
-#: required for them -- see FSM004 in ``docs/STATIC_ANALYSIS.md``).
+#: (:attr:`repro.dvm.messages.Row.event`).  The ``rx_*`` self-loops
+#: document frames absorbed without a state change; nothing fires them.
 SESSION_TRANSITIONS: Dict[Tuple[str, str], str] = {
     # establishment -- active (dialing) side
     (ST_CLOSED, "start"): ST_DIALING,
@@ -209,31 +206,30 @@ class PeerSession:
 
     # -- lifecycle ---------------------------------------------------------
 
-    def _set_state(self, event: str, state: str) -> None:
-        """Record one declared FSM transition (see SESSION_TRANSITIONS).
+    def _fire(self, event: str) -> None:
+        """Take the declared edge ``(self.state, event)``.
 
-        Call sites are statically extracted by ``repro.checkers.fsm``
-        and diffed against the declarative table -- always pass the
-        event name literally and the state as one of the ``ST_*``
-        constants.
+        An edge missing from :data:`SESSION_TRANSITIONS` raises
+        ``KeyError``: declare it there (the model checker then explores
+        it) rather than special-casing it here.
         """
-        self.state = state
+        self.state = SESSION_TRANSITIONS[(self.state, event)]
         if self.flight.enabled:
             self._flight_last_edge = self.flight.record(
-                "session", event=event, state=state, peer=self.peer
+                "session", event=event, state=self.state, peer=self.peer
             )
 
     def start(self) -> None:
         """Begin dialing (active side).  Passive sessions wait to adopt."""
         if self.active:
-            self._set_state("start", ST_DIALING)
+            self._fire("start")
             self._dial_task = asyncio.get_running_loop().create_task(
                 self._dial_loop()
             )
 
     async def stop(self) -> None:
         self._stopped = True
-        self._set_state("stop", ST_DRAINING)
+        self._fire("stop")
         for task in (self._dial_task, self._serve_task):
             if task is not None:
                 task.cancel()
@@ -249,7 +245,7 @@ class PeerSession:
             await self._channel.close()
             self._channel = None
         self.established.clear()
-        self._set_state("drained", ST_CLOSED)
+        self._fire("drained")
 
     @property
     def is_established(self) -> bool:
@@ -333,49 +329,55 @@ class PeerSession:
 
     async def _dial_loop(self) -> None:
         attempt = 0
-        try:
-            while not self._stopped:
-                now = time.monotonic()
-                if now < self._suspend_until or not self.events.link_up(
-                    self.peer
-                ):
-                    await asyncio.sleep(
-                        min(0.05, self.keepalive_interval / 2)
+        while not self._stopped:
+            now = time.monotonic()
+            if now < self._suspend_until or not self.events.link_up(
+                self.peer
+            ):
+                await asyncio.sleep(min(0.05, self.keepalive_interval / 2))
+                continue
+            try:
+                if self.connector is not None:
+                    reader, writer = await self.connector()
+                else:
+                    host, port = self.peer_address()
+                    reader, writer = await asyncio.open_connection(
+                        host, port
                     )
-                    continue
-                try:
-                    if self.connector is not None:
-                        reader, writer = await self.connector()
-                    else:
-                        host, port = self.peer_address()
-                        reader, writer = await asyncio.open_connection(
-                            host, port
-                        )
-                except (ConnectionError, OSError):
-                    self._set_state("connect_fail", ST_DIALING)
-                    await asyncio.sleep(self.backoff.delay(attempt, self.rng))
-                    attempt += 1
-                    continue
-                self._set_state("connect_ok", ST_OPEN_SENT)
-                channel = FramedChannel(
-                    reader, writer, self.factory, self.metrics
-                )
-                channel.start()
-                channel.send(
-                    OpenMessage(plan_id=SESSION_PLAN, device=self.device)
-                )
-                if not await self._await_peer_open(channel):
-                    self._set_state("open_timeout", ST_RECONNECTING)
-                    await channel.close()
-                    await asyncio.sleep(self.backoff.delay(attempt, self.rng))
-                    attempt += 1
-                    self._set_state("redial", ST_DIALING)
-                    continue
+            except (ConnectionError, OSError):
+                self._fire("connect_fail")
+                await asyncio.sleep(self.backoff.delay(attempt, self.rng))
+                attempt += 1
+                continue
+            self._fire("connect_ok")
+            channel = FramedChannel(
+                reader, writer, self.factory, self.metrics
+            )
+            channel.start()
+            channel.send(
+                OpenMessage(plan_id=SESSION_PLAN, device=self.device)
+            )
+            opened = await self._await_peer_open(channel)
+            # stop() cancels this task, but a cancellation landing while
+            # an await below is already completing is absorbed
+            # (``FramedChannel.close`` forwards it to the writer task it
+            # is reaping, ``wait_for`` drops it on a finished future).
+            # From DRAINING on the session is stop()'s: re-check after
+            # those awaits and fire nothing.
+            if self._stopped:
+                await channel.close()
+                return
+            if opened:
                 attempt = 0
                 await self._serve(channel)
-                self._set_state("redial", ST_DIALING)
-        except asyncio.CancelledError:
-            raise
+            else:
+                self._fire("open_timeout")
+                await channel.close()
+                await asyncio.sleep(self.backoff.delay(attempt, self.rng))
+                attempt += 1
+            if self._stopped:
+                return
+            self._fire("redial")
 
     async def _await_peer_open(self, channel: FramedChannel) -> bool:
         """Wait for the peer's session OPEN (handshake completion)."""
@@ -395,9 +397,6 @@ class PeerSession:
 
     async def adopt(self, channel: FramedChannel) -> None:
         """Take over an accepted connection whose OPEN named our peer."""
-        if self._stopped or not self.events.link_up(self.peer):
-            await channel.close()
-            return
         if self._serve_task is not None:
             # A stale session is still around; replace it.
             self._serve_task.cancel()
@@ -406,7 +405,10 @@ class PeerSession:
             except asyncio.CancelledError:
                 pass
             self._serve_task = None
-        self._set_state("adopt", ST_OPEN_SENT)
+        if self._stopped or not self.events.link_up(self.peer):
+            await channel.close()
+            return
+        self._fire("adopt")
         channel.send(OpenMessage(plan_id=SESSION_PLAN, device=self.device))
         self._serve_task = asyncio.get_running_loop().create_task(
             self._serve(channel)
@@ -419,7 +421,7 @@ class PeerSession:
         self._channel = channel
         channel.last_rx = time.monotonic()
         self._hold_expired = False
-        self._set_state("peer_open", ST_ESTABLISHED)
+        self._fire("peer_open")
         reconnect = self._ever_established
         if reconnect:
             self.metrics.reconnects += 1
@@ -470,9 +472,9 @@ class PeerSession:
             await channel.close()
             if not self._stopped:
                 if self._hold_expired:
-                    self._set_state("hold_expired", ST_RECONNECTING)
+                    self._fire("hold_expired")
                 else:
-                    self._set_state("conn_lost", ST_RECONNECTING)
+                    self._fire("conn_lost")
                 self.metrics.peer_down_events += 1
                 if self.tracer.enabled:
                     self.tracer.event(

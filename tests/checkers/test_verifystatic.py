@@ -10,21 +10,16 @@ from repro.cli import main as repro_main
 
 ROOT = Path(__file__).resolve().parents[2]
 
-RACY = textwrap.dedent(
+#: One ASYNC009 chain: a coroutine reaches ``time.sleep`` via a helper.
+BLOCKING = textwrap.dedent(
     """
-    import asyncio
+    import time
 
-    class Tally:
-        def __init__(self):
-            self.total = 0
+    def low():
+        time.sleep(1)
 
-        async def bump(self, source):
-            value = self.total
-            await source.read()
-            self.total = value + 1
-
-        async def report(self):
-            return self.total
+    async def top():
+        low()
     """
 )
 
@@ -40,11 +35,6 @@ def test_shipped_tree_is_verify_clean():
     assert report.transitions_explored > 0
     assert report.established_reachable
     assert report.files_scanned > 50
-    # Tier-3 prongs all ran: fleet product model, call graph, control.
-    assert report.fleet_checked
-    assert report.fleet_states_explored == 34
-    assert report.fleet_transitions_explored == 85
-    assert report.fleet_done_reachable
     assert report.functions_indexed > 500
     assert report.call_edges > 500
 
@@ -56,8 +46,6 @@ def test_cli_clean_run_prints_fixpoint_evidence(capsys):
     assert "product state" in out
     assert "to fixpoint" in out
     assert "ESTABLISHED/ESTABLISHED reachable" in out
-    assert "fleet model: explored" in out
-    assert "DONE/EXITED reachable" in out
     assert "verify-static clean" in out
 
 
@@ -69,26 +57,25 @@ def test_cli_stats_lists_every_tier2_rule(capsys):
     for rule in VERIFY_RULES:
         assert rule in out
     assert "call graph:" in out
-    assert "cache hit(s)" in out
     assert "analyzed" in out
 
 
 def test_cli_seeded_race_exits_one(tmp_path, capsys):
-    (tmp_path / "racy.py").write_text(RACY)
+    (tmp_path / "racy.py").write_text(BLOCKING)
     assert repro_main(["verify-static", str(tmp_path)]) == 1
     out = capsys.readouterr().out
-    assert "ASYNC006" in out
-    assert "Tally.bump" in out
+    assert "ASYNC009" in out
+    assert "'time.sleep' is reachable from 'async def top'" in out
     assert "hint:" in out
 
 
 def test_cli_github_annotations(tmp_path, capsys):
-    (tmp_path / "racy.py").write_text(RACY)
+    (tmp_path / "racy.py").write_text(BLOCKING)
     assert repro_main(["verify-static", "--github", str(tmp_path)]) == 1
     lines = capsys.readouterr().out.splitlines()
     annotations = [l for l in lines if l.startswith("::error ")]
     assert len(annotations) == 1
-    assert "title=ASYNC006" in annotations[0]
+    assert "title=ASYNC009" in annotations[0]
 
 
 def test_cli_missing_path_exits_two(capsys):
@@ -97,25 +84,24 @@ def test_cli_missing_path_exits_two(capsys):
 
 
 def test_suppression_counted_never_silent(tmp_path, capsys):
-    source = RACY.replace(
-        "self.total = value + 1",
-        "self.total = value + 1  # repro-lint: disable=ASYNC006",
+    source = BLOCKING.replace(
+        "    low()", "    low()  # repro-lint: disable=ASYNC009"
     )
     (tmp_path / "racy.py").write_text(source)
     report = run_verify_static([tmp_path])
     assert report.findings == []
-    assert [f.rule for f in report.suppressed] == ["ASYNC006"]
+    assert [f.rule for f in report.suppressed] == ["ASYNC009"]
     assert repro_main(["verify-static", str(tmp_path)]) == 0
     out = capsys.readouterr().out
     assert "suppression budget: 1 finding(s)" in out
-    assert "ASYNC006 x1" in out
+    assert "ASYNC009 x1" in out
 
 
 def test_bad_directive_reported_alongside_findings(tmp_path):
-    source = "# repro-lint: enable=ASYNC006\n" + RACY
+    source = "# repro-lint: enable=ASYNC009\n" + BLOCKING
     (tmp_path / "racy.py").write_text(source)
     report = run_verify_static([tmp_path])
-    assert [f.rule for f in report.findings] == ["ASYNC006"]
+    assert [f.rule for f in report.findings] == ["ASYNC009"]
     assert len(report.errors) == 1
     assert "unknown repro-lint directive" in report.errors[0]
 
@@ -124,26 +110,24 @@ def test_foreign_tree_skips_fsm_prong(tmp_path):
     (tmp_path / "mod.py").write_text("X = 1\n")
     report = run_verify_static([tmp_path])
     assert not report.fsm_checked
-    assert not report.fleet_checked
     assert report.states_explored == 0
-    assert report.fleet_states_explored == 0
     assert report.clean
 
 
 def test_cli_select_restricts_verify_rules(tmp_path, capsys):
-    (tmp_path / "racy.py").write_text(RACY)
+    (tmp_path / "racy.py").write_text(BLOCKING)
     assert (
         repro_main(
-            ["verify-static", str(tmp_path), "--select", "FSM005,CTRL001"]
+            ["verify-static", str(tmp_path), "--select", "FSM001,ASYNC010"]
         )
         == 0
     )
     out = capsys.readouterr().out
-    assert "ASYNC006" not in out
+    assert "ASYNC009" not in out
 
 
 def test_cli_sarif_carries_the_tier3_catalog(tmp_path, capsys):
-    (tmp_path / "racy.py").write_text(RACY)
+    (tmp_path / "racy.py").write_text(BLOCKING)
     out_file = tmp_path / "verify.sarif"
     assert (
         repro_main(
@@ -157,5 +141,5 @@ def test_cli_sarif_carries_the_tier3_catalog(tmp_path, capsys):
     assert run["tool"]["driver"]["name"] == "repro-verify-static"
     ids = {r["id"] for r in run["tool"]["driver"]["rules"]}
     assert ids == set(VERIFY_RULES)
-    assert {"ASYNC009", "ASYNC010", "ASYNC011", "CTRL001", "FSM005"} <= ids
-    assert [r["ruleId"] for r in run["results"]] == ["ASYNC006"]
+    assert {"ASYNC009", "ASYNC010", "ASYNC011", "FSM001", "FSM002"} == ids
+    assert [r["ruleId"] for r in run["results"]] == ["ASYNC009"]

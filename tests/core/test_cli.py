@@ -201,7 +201,7 @@ class TestBenchCommand:
         assert analyzer["lint"]["findings"] == 0
         assert analyzer["lint"]["suppressed"] == 0
         assert analyzer["lint"]["elapsed_seconds"] > 0
-        assert analyzer["lint"]["cache_hits"] >= 0
+        assert "cache_hits" not in analyzer["lint"]
         assert {row["rule"] for row in analyzer["lint"]["rules"]} >= {
             "ASYNC001",
             "EXC001",
@@ -210,5 +210,6 @@ class TestBenchCommand:
         assert verify["states_explored"] > 0
         assert verify["established_reachable"] is True
         assert verify["findings"] == 0
+        assert not [key for key in verify if key.startswith("fleet_")]
         # --json mirrors the document to stdout.
         assert json.loads(capsys.readouterr().out) == document

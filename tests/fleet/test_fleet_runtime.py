@@ -170,6 +170,17 @@ class TestWorkerCrash:
                     "fleet_reinstall", {"op": "install"}, only_worker=1
                 )
                 results["verdicts"] = await launcher.verdicts()
+
+                # The stop ladder on real processes: a frozen worker
+                # answers neither the stop op nor SIGTERM, so stop()
+                # returns only because it escalates to SIGKILL, while
+                # the healthy worker drains on the stop op.
+                os.kill(launcher.workers[1].process.pid, signal.SIGSTOP)
+                await launcher.stop(grace=0.3)
+                results["exits"] = {
+                    index: handle.process.poll()
+                    for index, handle in launcher.workers.items()
+                }
             finally:
                 await launcher.stop()
             return results
@@ -192,6 +203,7 @@ class TestWorkerCrash:
         assert _fleet_simulator_parity(
             spec, results["verdicts"], 0, lambda _: None
         )
+        assert results["exits"] == {0: 0, 1: -signal.SIGKILL}
 
         # Forensics: surviving agents auto-snapshotted on the peer loss,
         # and the causal chain behind the peer_down event names the dead

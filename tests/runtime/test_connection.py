@@ -6,6 +6,7 @@ import random
 import pytest
 
 from repro.dvm.messages import OpenMessage, UpdateMessage
+from repro.obs.flight import FlightRecorder
 from repro.runtime.connection import (
     BackoffPolicy,
     PeerSession,
@@ -256,3 +257,52 @@ class TestDeadPeerDetection:
             await remote.stop()
 
         run(scenario())
+
+    def test_stop_racing_the_loss_path_takes_no_edge_out_of_draining(
+        self, run, dst_factory
+    ):
+        """``stop()`` lands while the loss path reaps the dead channel's
+        writer task, which absorbs the dial task's cancellation.  The
+        dial loop used to carry on and fire ``redial`` out of DRAINING,
+        stamping a bogus ``redial/DIALING`` into every such shutdown."""
+
+        async def scenario():
+            remote = ScriptedPeer(dst_factory)
+            port = [await remote.start()]
+            flight = FlightRecorder("local")
+            session = make_session(
+                "local", "remote", dst_factory, Recorder(), port,
+                flight=flight,
+            )
+            session.start()
+            await asyncio.wait_for(session.established.wait(), 5.0)
+            channel = session._channel
+            real_close = channel.close
+            stops = []
+
+            async def close_then_stop():
+                # Queued ahead of the writer task's wake-up, so stop()
+                # runs while real_close() is awaiting that task.
+                stops.append(asyncio.ensure_future(session.stop()))
+                await real_close()
+
+            channel.close = close_then_stop
+            await remote.stop()  # EOF: _serve's loss path closes the channel
+            deadline = asyncio.get_running_loop().time() + 5.0
+            while not stops:
+                assert asyncio.get_running_loop().time() < deadline
+                await asyncio.sleep(0.01)
+            await asyncio.wait_for(stops[0], 5.0)
+            return [
+                f"{event['event']}/{event['state']}"
+                for event in flight.dump()["events"]
+                if event["etype"] == "session"
+            ]
+
+        assert run(scenario()) == [
+            "start/DIALING",
+            "connect_ok/OPEN_SENT",
+            "peer_open/ESTABLISHED",
+            "stop/DRAINING",
+            "drained/CLOSED",
+        ]
