@@ -54,6 +54,12 @@ class BDDManager:
         self._exists_cache: Dict[Tuple[int, Tuple[int, ...]], int] = {}
         self._restrict_cache: Dict[Tuple[int, int, int], int] = {}
         self._satcount_cache: Dict[int, int] = {}
+        #: Wire forms of this manager's nodes, both directions, and the
+        #: payload bytes they hold; filled and bounded by
+        #: :mod:`repro.packetspace.predicate`.
+        self.wire_of_node: Dict[int, bytes] = {}
+        self.node_of_wire: Dict[bytes, int] = {}
+        self.wire_memo_bytes = 0
 
     # ------------------------------------------------------------------
     # node construction
@@ -396,7 +402,8 @@ class BDDManager:
     # maintenance
 
     def clear_caches(self) -> None:
-        """Drop operation caches (the unique table is kept for canonicity)."""
+        """Drop operation caches and wire-form memos (the unique table is
+        kept for canonicity)."""
         self._and_cache.clear()
         self._or_cache.clear()
         self._xor_cache.clear()
@@ -404,3 +411,9 @@ class BDDManager:
         self._exists_cache.clear()
         self._restrict_cache.clear()
         self._satcount_cache.clear()
+        self.drop_wire_memos()
+
+    def drop_wire_memos(self) -> None:
+        self.wire_of_node.clear()
+        self.node_of_wire.clear()
+        self.wire_memo_bytes = 0

@@ -7,8 +7,10 @@ Per DPVNet node, an on-device verifier stores:
   ``(predicate, count set)`` partition of the tracked packet space;
 * :class:`LocCib` -- the node's own latest counts, each entry carrying
   the ``action`` applied and the ``causality`` inputs (which downstream
-  results produced the count), so an update from one neighbor can be
-  folded in without recomputing unrelated entries;
+  results produced the count), so an update from one neighbor is folded
+  in without recomputing unrelated entries: the verifier recounts only
+  entries whose causality names the sender, where :meth:`CibIn.apply`
+  says the sender's count changed;
 * :class:`CibOut` -- the last results *sent* upstream, kept to compute
   the withdrawn-predicates set of the next UPDATE and to honor the
   protocol principle (withdrawn union == incoming union).
@@ -16,8 +18,9 @@ Per DPVNet node, an on-device verifier stores:
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.counting.counts import CountSet
 from repro.dataplane.actions import Action
@@ -35,27 +38,94 @@ class CibEntry:
 class CibIn:
     """Latest counts received from one downstream neighbor.
 
-    Entries are kept disjoint: inserting a region first withdraws any
-    overlap with existing entries (the DVM withdrawn/incoming discipline
-    makes explicit withdrawals exact, but defensive trimming keeps the
-    invariant even for overlapping senders).
+    Entries are kept disjoint: recording counts for a region first
+    withdraws any overlap with existing entries (the DVM
+    withdrawn/incoming discipline makes explicit withdrawals exact, but
+    defensive trimming keeps the invariant even for overlapping senders).
+    A region no entry covers is *unknown* and reads as the caller's
+    default (zero), so an entry holding the default and no entry at all
+    are the same fact.
     """
 
     def __init__(self) -> None:
         self.entries: List[CibEntry] = []
 
-    def withdraw(self, predicates: Iterable[Predicate]) -> None:
+    def withdraw(self, predicates: Iterable[Predicate]) -> List[CibEntry]:
+        """Forget the union of ``predicates`` in one pass over the entries;
+        return what was known there."""
+        region: Optional[Predicate] = None
         for predicate in predicates:
-            remaining: List[CibEntry] = []
-            for entry in self.entries:
-                kept = entry.predicate - predicate
-                if not kept.is_empty:
-                    remaining.append(CibEntry(kept, entry.counts))
-            self.entries = remaining
+            region = predicate if region is None else region | predicate
+        removed: List[CibEntry] = []
+        if region is None:
+            return removed
+        remaining: List[CibEntry] = []
+        for entry in self.entries:
+            overlap = entry.predicate & region
+            if overlap.is_empty:
+                remaining.append(entry)
+                continue
+            removed.append(CibEntry(overlap, entry.counts))
+            kept = entry.predicate - region
+            if not kept.is_empty:
+                remaining.append(CibEntry(kept, entry.counts))
+        self.entries = remaining
+        return removed
 
     def insert(self, predicate: Predicate, counts: CountSet) -> None:
         self.withdraw([predicate])
         self.entries.append(CibEntry(predicate, counts))
+
+    def apply(
+        self,
+        withdrawn: Sequence[Predicate],
+        results: Sequence[Tuple[Predicate, CountSet]],
+        default: CountSet,
+    ) -> Optional[Predicate]:
+        """Apply one UPDATE; return the region whose count changed.
+
+        The withdrawn predicates are forgotten and every result recorded
+        (a later result wins where two overlap).  The return value is
+        where :meth:`lookup` with ``default`` now answers differently
+        than before -- ``None`` when nowhere, which is what a refresh of
+        counts already held, or a withdrawal of a region that was unknown
+        or held ``default``, amounts to.
+        """
+        removed = self.withdraw(
+            itertools.chain(withdrawn, (predicate for predicate, _ in results))
+        )
+        # The function over the touched region before and after, as
+        # {counts: where}, default left out: a packet changed iff it moved
+        # into or out of some non-default class.
+        before: Dict[CountSet, Predicate] = {}
+        for entry in removed:
+            if entry.counts != default:
+                _add(before, entry.counts, entry.predicate)
+        after: Dict[CountSet, Predicate] = {}
+        claimed: Optional[Predicate] = None
+        fresh: List[CibEntry] = []
+        for predicate, counts in reversed(results):
+            part = predicate if claimed is None else predicate - claimed
+            if part.is_empty:
+                continue
+            claimed = part if claimed is None else claimed | part
+            fresh.append(CibEntry(part, counts))
+            if counts != default:
+                _add(after, counts, part)
+        self.entries.extend(reversed(fresh))
+        changed: Optional[Predicate] = None
+        for counts, was in before.items():
+            now = after.pop(counts, None)
+            if now is None:
+                moved = was
+            elif now == was:
+                continue
+            else:
+                moved = (was - now) | (now - was)
+            changed = moved if changed is None else changed | moved
+        for now in after.values():
+            changed = now if changed is None else changed | now
+        return changed
 
     def lookup(
         self, region: Predicate, default: CountSet
@@ -80,6 +150,11 @@ class CibIn:
         return parts
 
 
+def _add(classes: Dict[CountSet, Predicate], counts: CountSet, part: Predicate) -> None:
+    held = classes.get(counts)
+    classes[counts] = part if held is None else held | part
+
+
 @dataclass
 class LocEntry:
     """One LocCIB row: count of ``predicate`` plus how it was derived.
@@ -88,7 +163,9 @@ class LocEntry:
     count to the count set used -- the right-hand side of Eq. (1)/(2) --
     so that when a neighbor withdraws this predicate the verifier can
     identify affected entries ("its causality field has one predicate
-    from v") and recompute by replacing exactly that input.
+    from v") and recompute by replacing exactly that input.  The keys
+    are what ``OnDeviceVerifier._on_update`` reads: an entry that does
+    not name the sending node is left alone.
     """
 
     predicate: Predicate
@@ -167,8 +244,7 @@ class CibOut:
         # Merge fresh parts by count set value.
         merged: Dict[CountSet, Predicate] = {}
         for predicate, counts in fresh:
-            existing = merged.get(counts)
-            merged[counts] = predicate if existing is None else existing | predicate
+            _add(merged, counts, predicate)
 
         changed_region = None
         for counts, predicate in merged.items():

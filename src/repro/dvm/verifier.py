@@ -11,8 +11,9 @@ Counting follows Equations (1)/(2) per LEC x CIBIn refinement: the
 tracked packet space is partitioned into regions where both the local
 action and every relevant downstream count are constant; each region gets
 one LocCIB entry whose causality records the exact downstream inputs, so
-a neighbor's withdrawal identifies affected entries precisely (§5.2
-step 2).
+a neighbor's UPDATE identifies affected entries precisely (§5.2 step 2):
+``_on_update`` recounts where the entries naming the sender meet the
+region of CIBIn whose count changed, and nowhere when there is none.
 """
 
 from __future__ import annotations
@@ -24,7 +25,6 @@ from typing import (
     Callable,
     Dict,
     FrozenSet,
-    Iterator,
     List,
     Optional,
     Sequence,
@@ -55,7 +55,6 @@ from repro.obs.trace import CAT_VERIFY, NULL_TRACER, Tracer
 from repro.packetspace.index import PredicateIndex
 from repro.packetspace.predicate import Predicate, PredicateFactory
 from repro.packetspace.transform import Rewrite
-from repro.planner.dpvnet import Label
 from repro.planner.tasks import DeviceTask, NodeTask, Plan
 
 Outgoing = List[Tuple[str, Message]]
@@ -189,9 +188,8 @@ class OnDeviceVerifier:
         self._local: Dict[str, _PlanContext] = {}
         self.violations: List[Violation] = []
         self.unplanned_scene_reports: List[FrozenSet[Tuple[str, str]]] = []
-        # counters for the §9.4 microbenchmarks
+        #: Frames handled, for the §9.4 microbenchmarks.
         self.messages_received = 0
-        self.messages_sent = 0
         #: Observability hook; the owning backend (simulator network or
         #: runtime device host) swaps in its tracer when tracing is on.
         self.tracer: Tracer = NULL_TRACER
@@ -219,11 +217,15 @@ class OnDeviceVerifier:
             self._forget(previous)
         context = _PlanContext(plan_id, plan, task, sequence)
         self._contexts[plan_id] = context
-        outgoing: Outgoing = []
-        for (child_id, child_dev, _) in _all_children(task):
-            outgoing.append(
-                (child_dev, OpenMessage(plan_id=plan_id, device=self.device))
-            )
+        # One OPEN per peer device: the peer's refresh already covers
+        # every node of it that has a parent here (_on_open).
+        peers = dict.fromkeys(
+            child_dev for node in task.nodes for (_, child_dev, _) in node.children
+        )
+        outgoing: Outgoing = [
+            (peer, OpenMessage(plan_id=plan_id, device=self.device))
+            for peer in peers
+        ]
         if plan.mode == "local":
             self._local[plan_id] = context
             self._run_local_checks(context)
@@ -392,17 +394,38 @@ class OnDeviceVerifier:
                 withdrawn=len(message.withdrawn),
                 results=len(message.results),
             )
-        cib.withdraw(message.withdrawn)
-        affected = None
-        for predicate in message.withdrawn:
-            affected = predicate if affected is None else affected | predicate
-        for predicate, counts in message.results:
-            cib.insert(predicate, counts)
-            affected = predicate if affected is None else affected | predicate
-        if affected is None:
-            return []
-        region = self._affected_region(state, affected)
+        changed = cib.apply(
+            message.withdrawn, message.results, CountSet.zero(context.plan.dim)
+        )
+        if changed is None:
+            return []  # a refresh of what CIBIn already held
+        region = self._read_region(state, message.down_node, changed)
+        if region is None:
+            return []  # nothing here reads what changed
         return self._recompute(context, state, region)
+
+    def _read_region(
+        self, state: _NodeState, child_id: str, changed: Predicate
+    ) -> Optional[Predicate]:
+        """Where this node's counts were computed from ``child_id``'s
+        counts over ``changed`` -- §5.2 step 2: the LocCIB entries whose
+        causality names the child, met with ``changed`` (through the
+        inverse of the entry's rewrite, which is how it reads the child).
+        Everything else would recount to what it holds and emit nothing.
+        """
+        region: Optional[Predicate] = None
+        for entry in state.loc.entries:
+            action = entry.action
+            if child_id not in entry.causality or not isinstance(action, Forward):
+                continue
+            part = entry.predicate & (
+                changed
+                if action.rewrite is None
+                else action.rewrite.inverse(changed)
+            )
+            if not part.is_empty:
+                region = part if region is None else region | part
+        return region
 
     def _on_subscribe(
         self, context: _PlanContext, message: SubscribeMessage
@@ -792,7 +815,6 @@ class OnDeviceVerifier:
         withdrawn, results = state.out.diff_against(region, fresh)
         if not withdrawn and not results:
             return []
-        self.messages_sent += len(state.task.parents)
         outgoing: Outgoing = []
         for parent_id, parent_dev in state.task.parents:
             message = UpdateMessage(
@@ -900,11 +922,3 @@ def _combine(
         combined = union_all(dim, parts)
         return combined.with_zero() if missing else combined
     return cross_sum_all(dim, parts)
-
-
-def _all_children(
-    task: DeviceTask,
-) -> Iterator[Tuple[str, str, FrozenSet[Label]]]:
-    for node in task.nodes:
-        for child in node.children:
-            yield child

@@ -15,6 +15,23 @@ from repro.bdd import BDDManager, deserialize_bdd, serialize_bdd
 from repro.bdd.manager import FALSE, TRUE
 from repro.packetspace.fields import DEFAULT_LAYOUT, HeaderLayout
 
+#: Payload bytes one manager's wire-form memos may hold (both directions
+#: together).  BDD nodes are hash-consed and immutable, so a node has one
+#: wire form and a payload decodes to one node; at the budget the memos
+#: are dropped whole and refill from what is still being sent.
+WIRE_MEMO_BUDGET = 4 * 1024 * 1024
+
+
+def _remember_wire(bdd: BDDManager, payload: bytes) -> bool:
+    """Account for one more memoized ``payload``; False if it cannot fit."""
+    size = len(payload)
+    if bdd.wire_memo_bytes + size > WIRE_MEMO_BUDGET:
+        bdd.drop_wire_memos()
+        if size > WIRE_MEMO_BUDGET:
+            return False
+    bdd.wire_memo_bytes += size
+    return True
+
 
 class Predicate:
     """An immutable set of packets, backed by a canonical BDD node.
@@ -101,7 +118,13 @@ class Predicate:
     # -- wire format -----------------------------------------------------
 
     def to_bytes(self) -> bytes:
-        return serialize_bdd(self.factory.bdd, self.node)
+        bdd = self.factory.bdd
+        payload = bdd.wire_of_node.get(self.node)
+        if payload is None:
+            payload = serialize_bdd(bdd, self.node)
+            if _remember_wire(bdd, payload):
+                bdd.wire_of_node[self.node] = payload
+        return payload
 
     def __repr__(self) -> str:
         if self.is_empty:
@@ -131,7 +154,15 @@ class PredicateFactory:
         return Predicate(self, node)
 
     def from_bytes(self, payload: bytes) -> Predicate:
-        return Predicate(self, deserialize_bdd(self.bdd, payload))
+        """Decode a wire form.  Only a payload that passed every check of
+        ``deserialize_bdd`` is remembered (under its exact bytes, in this
+        manager), so a malformed one is rejected on every presentation."""
+        node = self.bdd.node_of_wire.get(payload)
+        if node is None:
+            node = deserialize_bdd(self.bdd, payload)
+            if _remember_wire(self.bdd, payload):
+                self.bdd.node_of_wire[payload] = node
+        return Predicate(self, node)
 
     # -- field constraints -------------------------------------------------
 

@@ -105,6 +105,10 @@ class MessageStats:
         self.per_message_seconds: List[float] = []
         self.per_device_seconds: Dict[str, float] = {}
         self.convergence_seconds: List[float] = []
+        #: Registry children bound on first use: a frame costs increments,
+        #: not label lookups.
+        self._counters: Dict[Tuple[str, str, str, str], Tuple[Counter, Counter]] = {}
+        self._processing: Dict[str, Histogram] = {}
 
     @property
     def messages(self) -> int:
@@ -130,43 +134,40 @@ class MessageStats:
         """Count one frame leaving ``source`` and arriving at
         ``destination`` (``nbytes`` may be 0 when byte counting is off)."""
         kind = KIND_CONTROL if control else KIND_COUNTING
-        messages = self.families["dvm_messages_total"]
-        wire = self.families["dvm_bytes_total"]
-        cast(
-            Counter,
-            messages.labels(
-                device=source, direction=DIRECTION_OUT, kind=kind
-            ),
-        ).inc()
-        cast(
-            Counter,
-            messages.labels(
-                device=destination, direction=DIRECTION_IN, kind=kind
-            ),
-        ).inc()
+        sent, received = self._bound("dvm_messages_total", source, destination, kind)
+        sent.inc()
+        received.inc()
         if nbytes:
-            cast(
-                Counter,
-                wire.labels(
-                    device=source, direction=DIRECTION_OUT, kind=kind
-                ),
-            ).inc(nbytes)
-            cast(
-                Counter,
-                wire.labels(
-                    device=destination, direction=DIRECTION_IN, kind=kind
-                ),
-            ).inc(nbytes)
+            sent, received = self._bound("dvm_bytes_total", source, destination, kind)
+            sent.inc(nbytes)
+            received.inc(nbytes)
+
+    def _bound(
+        self, family: str, source: str, destination: str, kind: str
+    ) -> Tuple[Counter, Counter]:
+        """One family's (sender's out, receiver's in) counters for a
+        directed link, looked up in the registry once."""
+        key = (family, source, destination, kind)
+        pair = self._counters.get(key)
+        if pair is None:
+            labels = self.families[family].labels
+            out = labels(device=source, direction=DIRECTION_OUT, kind=kind)
+            into = labels(device=destination, direction=DIRECTION_IN, kind=kind)
+            pair = self._counters[key] = (cast(Counter, out), cast(Counter, into))
+        return pair
 
     def record_processing(self, device: str, seconds: float) -> None:
         self.per_message_seconds.append(seconds)
         self.per_device_seconds[device] = (
             self.per_device_seconds.get(device, 0.0) + seconds
         )
-        histogram = self.families["verifier_processing_seconds"].labels(
-            device=device
-        )
-        cast(Histogram, histogram).observe(seconds)
+        histogram = self._processing.get(device)
+        if histogram is None:
+            histogram = self._processing[device] = cast(
+                Histogram,
+                self.families["verifier_processing_seconds"].labels(device=device),
+            )
+        histogram.observe(seconds)
 
     def record_convergence(self, seconds: float) -> None:
         """One workload operation's injection-to-quiescence time."""
