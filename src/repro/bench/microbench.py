@@ -92,14 +92,14 @@ def collect_update_traces(workload: Workload) -> Dict[str, List[Message]]:
     network = SimulatedNetwork(
         workload.topology, workload.fibs, workload.factory
     )
-    original = network._transmit
+    for device, verifier in network.verifiers.items():
 
-    def recording_transmit(source, destination, message, when, **kwargs):
-        if isinstance(message, UpdateMessage):
-            traces[destination].append(message)
-        return original(source, destination, message, when, **kwargs)
+        def recording(message, handle=verifier.on_message, trace=traces[device]):
+            if isinstance(message, UpdateMessage):
+                trace.append(message)
+            return handle(message)
 
-    network._transmit = recording_transmit
+        verifier.on_message = recording
     network.install_plans(dict(workload.plans))
     return traces
 

@@ -150,7 +150,7 @@ def run_runtime_burst(
             timing.bytes = cluster.metrics.total_bytes
             timing.metrics = cluster.metrics
             if cluster.flight_enabled:
-                timing.flight = cluster.dump_flight()
+                timing.flight = cluster.flight_dump()
             return timing
         finally:
             await cluster.stop()
@@ -218,12 +218,7 @@ def run_tulkun_fault_scenes(
             workload.topology, workload.fibs, workload.factory, profile=profile
         )
         network.install_plans(dict(workload.plans))
-        start = network.queue.now
-        for (a, b) in scene:
-            network._failed_links.add(tuple(sorted((a, b))))
-        for (a, b) in scene:
-            network._link_event(a, b, up=False)
-        times.append(network.queue.now - start)
+        times.append(network.fail_links(scene))
     return times
 
 

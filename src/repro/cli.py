@@ -24,8 +24,7 @@ Commands:
   telemetry; see ``docs/RUNTIME.md`` ("Fleet mode").
 * ``bench``     -- run the burst + incremental benchmark over datasets
   and write ``BENCH_summary.json`` (timings, traffic, scrape overhead,
-  and the fattree scale sweep: devices vs. diameter vs. convergence);
-  every run also appends a dated entry to ``BENCH_history.jsonl``.
+  and the fattree scale sweep: devices vs. diameter vs. convergence).
 * ``explain``   -- verdict forensics over flight-recorder dumps: merge
   per-device rings into one causally-ordered log and reconstruct the
   causal chain from the triggering update to a device's verdict flip
@@ -641,8 +640,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     overhead numbers (one :class:`~repro.obs.serve.TelemetryServer` over
     the run's registry, timed ``GET /metrics`` round-trips).  The
     ``flight_overhead`` section times the same burst with the flight
-    recorder off and on, and every run appends a dated entry to the
-    ``--history`` JSONL file so those numbers are trackable across PRs.
+    recorder off and on.
 
     The ``fleet_sweep`` section sweeps fattree fabrics (``--sweep``)
     at a fixed workload shape and records devices vs. diameter vs.
@@ -734,8 +732,6 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     )
     document["analyzer"] = analyzer = _analyzer_stats()
     text = render_json(document, args.out)
-    if args.history:
-        _append_bench_history(args.history, document)
     if args.json:
         print(text, end="")
     else:
@@ -765,8 +761,6 @@ def _cmd_bench(args: argparse.Namespace) -> int:
             )
         if args.out:
             print(f"wrote {args.out}")
-        if args.history:
-            print(f"appended history entry to {args.history}")
     return 0
 
 
@@ -817,33 +811,6 @@ def _flight_overhead(
         ),
         "events_recorded": events,
     }
-
-
-def _append_bench_history(path: str, document: dict) -> None:
-    """Append one dated entry to the benchmark history JSONL file.
-
-    The history accretes one line per ``repro bench`` run (CI uploads it
-    next to ``BENCH_summary.json``), so convergence, traffic, and
-    flight-recorder overhead regressions stay visible across PRs.
-    """
-    import json
-
-    entry = {
-        "date": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
-        "scale": document.get("scale"),
-        "datasets": {
-            name: {
-                "burst_seconds": stats["burst_seconds"],
-                "incremental_p80_seconds": stats["incremental_p80_seconds"],
-                "messages_total": stats["messages_total"],
-                "bytes_total": stats["bytes_total"],
-            }
-            for name, stats in document.get("datasets", {}).items()
-        },
-        "flight_overhead": document.get("flight_overhead"),
-    }
-    with open(path, "a", encoding="utf-8") as handle:
-        handle.write(json.dumps(entry, sort_keys=True) + "\n")
 
 
 def _sweep_entry(name: str) -> dict:
@@ -1545,15 +1512,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--json",
         action="store_true",
         help="also print the summary document to stdout",
-    )
-    bench.add_argument(
-        "--history",
-        default="BENCH_history.jsonl",
-        metavar="FILE",
-        help=(
-            "append a dated summary entry to this JSONL history file "
-            "(default: BENCH_history.jsonl; pass '' to skip)"
-        ),
     )
     bench.add_argument(
         "--sweep",

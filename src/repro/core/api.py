@@ -15,6 +15,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.errors import InconsistentInvariantError, TulkunError
 from repro.dataplane.fib import Fib
+from repro.dvm.agent import plan_holds
 from repro.dvm.verifier import RootVerdict, Violation
 from repro.packetspace.fields import DEFAULT_LAYOUT, HeaderLayout
 from repro.packetspace.predicate import Predicate, PredicateFactory
@@ -47,6 +48,26 @@ class Report:
             f"{self.verification_seconds * 1e3:.3f} ms to converge, "
             f"{self.message_count} msgs)"
         )
+
+
+def make_report(
+    plan: Plan,
+    verdicts: List[RootVerdict],
+    violations: List[Violation],
+    elapsed: float,
+    message_count: int,
+    message_bytes: int,
+) -> Report:
+    """A backend's read-out of one plan as a :class:`Report`."""
+    return Report(
+        invariant=plan.invariant,
+        holds=plan_holds(plan, verdicts, violations),
+        verdicts=verdicts,
+        violations=violations,
+        verification_seconds=elapsed,
+        message_count=message_count,
+        message_bytes=message_bytes,
+    )
 
 
 class Tulkun:
@@ -203,24 +224,12 @@ class Deployment:
         messages_before: int,
         bytes_before: int,
     ) -> Report:
-        verdicts = self.network.verdicts(plan_id)
-        violations = [
-            violation
-            for violation in self.network.all_violations()
-            if violation.plan_id == plan_id
-        ]
-        if plan.mode == "local":
-            holds = not violations
-        else:
-            holds = bool(verdicts) and all(v.holds for v in verdicts)
-        return Report(
-            invariant=plan.invariant,
-            holds=holds,
-            verdicts=verdicts,
-            violations=violations,
-            verification_seconds=elapsed,
-            message_count=self.network.stats.messages - messages_before,
-            message_bytes=self.network.stats.bytes - bytes_before,
+        return make_report(
+            plan,
+            *self.network.read_out(plan_id),
+            elapsed,
+            self.network.stats.messages - messages_before,
+            self.network.stats.bytes - bytes_before,
         )
 
     # -- dynamics -----------------------------------------------------------------

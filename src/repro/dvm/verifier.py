@@ -320,6 +320,11 @@ class OnDeviceVerifier:
     # ------------------------------------------------------------------
     # results
 
+    @property
+    def plan_ids(self) -> List[str]:
+        """The installed plans, in install order."""
+        return list(self._contexts)
+
     def root_verdicts(self, plan_id: str) -> List[RootVerdict]:
         """Per-region verdicts at DPVNet source nodes hosted on this device."""
         context = self._contexts.get(plan_id)

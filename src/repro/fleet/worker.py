@@ -22,6 +22,7 @@ import sys
 from typing import Dict, List, Optional
 
 from repro.bench.workloads import RuleUpdate
+from repro.dvm.agent import OpWindow
 from repro.fleet.control import ControlServer
 from repro.fleet.sharding import make_shard_plan
 from repro.fleet.spec import (
@@ -65,7 +66,7 @@ class FleetWorker:
             self, port=self.plan.control_port(worker_index)
         )
         self.ready = False
-        self._op_start: Optional[float] = None
+        self._op_window: Optional[OpWindow] = None
         self._updates: List[RuleUpdate] = []
         self._stop_event = asyncio.Event()
 
@@ -173,7 +174,7 @@ class FleetWorker:
 
     async def _op_begin(self, label: str = "fleet_op") -> Dict[str, object]:
         """Open an operation window."""
-        self._op_start = self.cluster.begin_operation(label)
+        self._op_window = self.cluster.begin_operation(label)
         return {}
 
     async def _op_install(self) -> Dict[str, object]:
@@ -214,10 +215,10 @@ class FleetWorker:
 
     async def _op_finish(self) -> Dict[str, object]:
         """Close the operation window; answers convergence seconds."""
-        if self._op_start is None:
+        if self._op_window is None:
             raise RuntimeError("finish without begin")
-        seconds = self.cluster.finish_operation(self._op_start)
-        self._op_start = None
+        seconds = self.cluster.finish_operation(self._op_window)
+        self._op_window = None
         return {"seconds": seconds}
 
     async def _op_verdicts(self) -> Dict[str, object]:
@@ -234,7 +235,7 @@ class FleetWorker:
 
     async def _op_dump_flight(self) -> Dict[str, object]:
         """Per-device flight-recorder dumps of this shard."""
-        return {"flight": self.cluster.dump_flight()}
+        return {"flight": self.cluster.flight_dump()}
 
     async def _op_stop(self) -> Dict[str, object]:
         """Graceful shutdown."""

@@ -1,8 +1,8 @@
 """The asyncio testbed: one verifier agent per device over localhost TCP.
 
 :class:`RuntimeCluster` boots a :class:`DeviceHost` per topology device.
-Each host runs the *same* :class:`~repro.dvm.verifier.OnDeviceVerifier`
-the simulator drives, behind a real TCP server socket; hosts are wired
+Each host runs the *same* :class:`~repro.dvm.agent.DeviceAgent` the
+simulator drives, behind a real TCP server socket; hosts are wired
 along topology links with :class:`~repro.runtime.connection.PeerSession`
 (the smaller endpoint dials).  All DVM traffic travels as the real
 length-prefixed binary frames end-to-end.
@@ -49,28 +49,12 @@ from typing import (
 )
 
 from repro.dataplane.fib import Fib
-from repro.dvm.messages import (
-    Message,
-    MessageDecodeError,
-    OpenMessage,
-    message_kind,
-)
-from repro.dvm.verifier import (
-    OnDeviceVerifier,
-    Outgoing,
-    RootVerdict,
-    Violation,
-)
-from repro.obs.flight import FlightRecorder
+from repro.dvm.agent import AgentBackend, DeviceAgent, OpWindow, Step
+from repro.dvm.messages import Message, MessageDecodeError, OpenMessage
+from repro.dvm.verifier import Outgoing
 from repro.obs.log import get_logger, kv
 from repro.obs.serve import TelemetryServer
-from repro.obs.trace import (
-    CAT_OP,
-    CAT_RUNTIME,
-    CAT_SESSION,
-    NULL_TRACER,
-    Tracer,
-)
+from repro.obs.trace import CAT_RUNTIME, CAT_SESSION, Tracer
 from repro.packetspace.predicate import PredicateFactory
 from repro.planner.tasks import Plan
 from repro.runtime.connection import (
@@ -97,35 +81,29 @@ def _normalize(a: str, b: str) -> Tuple[str, str]:
 
 
 class DeviceHost:
-    """One device's runtime agent: verifier + server + peer sessions."""
+    """One device's transport: its agent's server + peer sessions."""
 
     def __init__(
         self,
-        device: str,
-        verifier: OnDeviceVerifier,
+        agent: DeviceAgent,
         factory: PredicateFactory,
         metrics: DeviceMetrics,
         cluster: "RuntimeCluster",
-        flight: FlightRecorder,
         http_port: Optional[int] = None,
         dvm_port: int = 0,
     ) -> None:
-        self.device = device
-        self.verifier = verifier
+        self.agent = agent
+        self.device = agent.device
         self.factory = factory
         self.metrics = metrics
         self.cluster = cluster
-        self.flight = flight
         self.sessions: Dict[str, PeerSession] = {}
-        self.installed_plans: List[str] = []
         # Each inbox entry carries the message, the span id of the
         # handler that emitted it on the sending device (None when
-        # tracing is off or causality is unknown), the flight seq of the
-        # frame_rx event (None when recording is off), and the peer and
+        # tracing is off or causality is unknown), and the peer and
         # connection it arrived on (whose ``done`` counter it bumps).
         self.inbox: (
-            "asyncio.Queue[Tuple[Message, Optional[int], Optional[int], "
-            "str, FramedChannel]]"
+            "asyncio.Queue[Tuple[Message, Optional[int], str, FramedChannel]]"
         ) = asyncio.Queue()
         self.server: Optional[asyncio.Server] = None
         #: Planned DVM port (0 = ephemeral); ``port`` is the bound one.
@@ -163,7 +141,7 @@ class DeviceHost:
                 host=self.cluster.http_host,
                 port=self._requested_http_port,
                 port_retry_window=self.cluster.http_retry_window,
-                flight_provider=self.flight.dump,
+                flight_provider=self.agent.flight.dump,
             )
             await self.telemetry.start()
 
@@ -297,29 +275,20 @@ class DeviceHost:
     ) -> None:
         """Session read loops push counting frames here (FIFO per peer)."""
         parent = self.cluster.pop_parent(peer, self.device)
-        # Lamport receive rule: merge the frame's clock, then record the
-        # arrival so the handler's effects can be chained to it.
-        clock = getattr(message, "clock", 0)
-        self.flight.clock.observe(clock)
-        cause: Optional[int] = None
-        if self.flight.enabled:
-            cause = self.flight.record(
-                "frame_rx",
-                kind=message_kind(message),
-                peer=peer,
-                plan=message.plan_id,
-                clock=clock,
-            )
-        self.inbox.put_nowait((message, parent, cause, peer, channel))
+        self.agent.arrived(peer, message, getattr(message, "clock", 0))
+        self.inbox.put_nowait((message, parent, peer, channel))
         self.cluster.note_activity()
 
-    def _run_handler(
-        self,
-        name: str,
-        handler: Callable[[], Outgoing],
-        parent: Optional[int] = None,
-    ) -> Tuple[Outgoing, Optional[int]]:
-        """Run a verifier entry point; returns (outgoing, span id).
+    async def _pump(self) -> None:
+        while True:
+            message, parent, peer, channel = await self.inbox.get()
+            self.call(self.agent.handle(message), parent)
+            # Done only now: its outputs are already in some ``out``.
+            channel.done += 1
+            self.cluster.frame_done(peer)
+
+    def call(self, step: Step, parent: Optional[int] = None) -> None:
+        """Run one agent step and transmit what it emits.
 
         Always feeds the per-device processing-time histogram; with
         tracing on, the execution additionally becomes a span whose
@@ -330,31 +299,15 @@ class DeviceHost:
         span_id: Optional[int] = None
         if tracer.enabled:
             with tracer.span(
-                name, device=self.device, cat=CAT_RUNTIME, parent_id=parent
+                step.name, device=self.device, cat=CAT_RUNTIME, parent_id=parent
             ) as handle:
-                outgoing = handler()
+                outgoing = step()
             span_id = handle.span_id
         else:
-            outgoing = handler()
+            outgoing = step()
         self.metrics.observe_processing(time.perf_counter() - start)
-        return outgoing, span_id
-
-    async def _pump(self) -> None:
-        while True:
-            message, parent, flight_cause, peer, channel = (
-                await self.inbox.get()
-            )
-            self.flight.set_cause(flight_cause)
-            outgoing, span_id = self._run_handler(
-                f"recv {message_kind(message)}",
-                lambda m=message: self.verifier.on_message(m),
-                parent,
-            )
-            self.route(outgoing, parent=span_id)
-            self.flight.clear_cause()
-            # Done only now: its outputs are already in some ``out``.
-            channel.done += 1
-            self.cluster.frame_done(peer)
+        self.route(outgoing, parent=span_id)
+        self.cluster.note_activity()
 
     def route(
         self, outgoing: Outgoing, parent: Optional[int] = None
@@ -368,63 +321,28 @@ class DeviceHost:
             # exactly like a TCP connection stalling over a dead link;
             # the re-OPEN refresh repairs state on reconnect.
 
-    def call(
-        self,
-        handler: Callable[[], Outgoing],
-        name: str = "handler",
-        parent: Optional[int] = None,
-        flight_cause: Optional[int] = None,
-    ) -> None:
-        """Run a verifier entry point and transmit what it emits."""
-        self.flight.set_cause(flight_cause)
-        outgoing, span_id = self._run_handler(name, handler, parent)
-        self.route(outgoing, parent=span_id)
-        self.flight.clear_cause()
-        self.cluster.note_activity()
-
-    def _flight_admin(self, kind: str, detail: str = "") -> Optional[int]:
-        """Record a workload-injection event; returns its seq (or None)."""
-        if not self.flight.enabled:
-            return None
-        return self.flight.record("admin", kind=kind, detail=detail)
-
     # -- session callbacks -------------------------------------------------
 
     def on_session_established(self, peer: str) -> None:
         """Re-OPEN every installed plan so the peer refreshes our state."""
         self.cluster.clear_parents(self.device, peer)
-        session = self.sessions[peer]
-        for plan_id in self.installed_plans:
-            if session.send(
-                OpenMessage(plan_id=plan_id, device=self.device)
-            ):
-                self.cluster.push_parent(self.device, peer, None)
-                self.cluster.frame_queued(peer)
+        self.route(self.agent.refresh(peer))
         self.cluster.session_changed()
 
     def on_peer_down(self, peer: str) -> None:
         self.cluster.clear_parents(self.device, peer)
-        cause: Optional[int] = None
-        if self.flight.enabled:
-            # Chain the loss to the session's last FSM edge (conn_lost /
-            # hold_expired), then freeze the ring: a dead peer is exactly
-            # the moment the evidence must survive further traffic.
-            session = self.sessions.get(peer)
-            edge = session._flight_last_edge if session is not None else None
-            self.flight.set_cause(edge)
-            cause = self.flight.record("peer_down", peer=peer)
-            self.flight.clear_cause()
-            self.flight.snapshot("peer_down", peer=peer)
-        self.call(
-            lambda: self.verifier.on_peer_down(peer),
-            name="peer_down",
-            flight_cause=cause,
-        )
+        # The loss chains to the session's last FSM edge (conn_lost /
+        # hold_expired).
+        session = self.sessions.get(peer)
+        edge = session.last_edge if session is not None else None
+        self.call(self.agent.event("peer_down", peer, cause=edge))
         self.cluster.session_changed()
 
 
-class RuntimeCluster:
+class RuntimeCluster(AgentBackend):
     """All device hosts of one topology, ready for workload injection."""
+
+    backend = "runtime"
 
     def __init__(
         self,
@@ -449,11 +367,18 @@ class RuntimeCluster:
         flight_enabled: bool = True,
         flight_capacity: int = 512,
     ) -> None:
-        self.topology = topology
-        self.factory = factory
-        self.fibs = fibs
         self.metrics = ClusterMetrics()
-        self.tracer = tracer if tracer is not None else NULL_TRACER
+        # Flight recording defaults on for the testbed: forensics are
+        # the point of running real sockets.
+        super().__init__(
+            topology,
+            fibs,
+            factory,
+            tracer,
+            self.metrics.record_convergence,
+            flight_enabled,
+            flight_capacity,
+        )
         self.keepalive_interval = keepalive_interval
         self.hold_multiplier = hold_multiplier
         self.backoff = backoff or BackoffPolicy()
@@ -462,11 +387,6 @@ class RuntimeCluster:
         self.handshake_timeout = handshake_timeout
         self.http_enabled = http_enabled
         self.http_base_port = http_base_port
-        # Flight recording defaults on for the testbed (forensics are
-        # the point of running real sockets); frames carry the Lamport
-        # clock either way, so disabling it never changes the traffic.
-        self.flight_enabled = flight_enabled
-        self.flight_capacity = flight_capacity
         self.http_host = http_host
         self.http_retry_window = http_retry_window
         #: Devices hosted by *this* process (sorted); the whole topology
@@ -496,7 +416,6 @@ class RuntimeCluster:
                 )
         self.local_fastpath = local_fastpath
         self.hosts: Dict[str, DeviceHost] = {}
-        self._plans: Dict[str, Plan] = {}
         self._failed_links: Set[Tuple[str, str]] = set()
         self._last_activity_wall = time.monotonic()
         # Counting frames queued toward local peers and not yet handled:
@@ -511,12 +430,8 @@ class RuntimeCluster:
         # handlers whose frames are in flight (FIFO matches the per-link
         # TCP ordering).  Best-effort -- cleared on session churn.
         self._parent_links: Dict[Tuple[str, str], Deque[Optional[int]]] = {}
-        self._op_span: Optional[int] = None
-        self._op_label = ""
-        self._op_trace_start = 0.0
-        # Convergence phase for /healthz: True between an operation's
-        # injection and its _finish_op (independent of tracing).
-        self._op_open = False
+        # The open operation window (None = idle; /healthz's phase).
+        self._op: Optional[OpWindow] = None
 
     # -- cross-device causality (tracing) -----------------------------------
 
@@ -653,42 +568,16 @@ class RuntimeCluster:
                 timer.cancel()
         if self.tracer.enabled:
             self.tracer.event(
-                "quiescence", cat=CAT_RUNTIME, parent_id=self._op_span
+                "quiescence",
+                cat=CAT_RUNTIME,
+                parent_id=self._op.span if self._op is not None else None,
             )
         return time.monotonic() - self._last_activity_wall
 
     @property
     def phase(self) -> str:
         """``"converging"`` while an operation is open, else ``"idle"``."""
-        return "converging" if self._op_open else "idle"
-
-    def _begin_op(self, label: str = "op") -> float:
-        start = time.monotonic()
-        self._last_activity_wall = start
-        self._op_open = True
-        if self.tracer.enabled:
-            self.tracer.begin_operation(label)
-            self._op_span = self.tracer.next_id()
-            self._op_label = label
-            self._op_trace_start = self.tracer.now()
-        return start
-
-    def _finish_op(self, start: float) -> float:
-        """Convergence wall time: last counting activity minus start."""
-        elapsed = max(0.0, self._last_activity_wall - start)
-        self._op_open = False
-        self.metrics.record_convergence(elapsed)
-        if self.tracer.enabled and self._op_span is not None:
-            self.tracer.record_span(
-                self._op_label,
-                start=self._op_trace_start,
-                end=self._op_trace_start + elapsed,
-                cat=CAT_OP,
-                span_id=self._op_span,
-                attrs={"convergence_seconds": elapsed},
-            )
-            self._op_span = None
-        return elapsed
+        return "converging" if self._op is not None else "idle"
 
     # -- lifecycle ---------------------------------------------------------
 
@@ -726,28 +615,11 @@ class RuntimeCluster:
         self._recheck = asyncio.Event()
         http_ports = self._allocate_http_ports()
         for device in self.local_devices:
-            verifier = OnDeviceVerifier(
-                device,
-                self.factory,
-                self.fibs[device],
-                self.topology.neighbors(device),
-            )
-            if self.tracer.enabled:
-                verifier.tracer = self.tracer
-            flight = FlightRecorder(
-                device,
-                capacity=self.flight_capacity,
-                enabled=self.flight_enabled,
-                backend="runtime",
-            )
-            verifier.flight = flight
             host = DeviceHost(
-                device,
-                verifier,
+                self._spawn(device),
                 self.factory,
                 self.metrics.device(device),
                 self,
-                flight,
                 http_port=http_ports[device],
                 dvm_port=self.dvm_ports.get(device, 0),
             )
@@ -794,6 +666,7 @@ class RuntimeCluster:
             on_established=host.on_session_established,
             on_peer_down=host.on_peer_down,
             link_up=lambda p, d=device: self.link_admin_up(d, p),
+            stamp=host.agent.stamp,
         )
         use_fastpath = (
             self.local_fastpath
@@ -813,7 +686,7 @@ class RuntimeCluster:
             backoff=self.backoff,
             rng=random.Random(f"{self.seed}:{device}:{peer}"),
             tracer=self.tracer,
-            flight=host.flight,
+            flight=host.agent.flight,
             connector=(
                 (lambda p=peer: self._local_connect(p))
                 if use_fastpath
@@ -859,6 +732,7 @@ class RuntimeCluster:
         if pending:
             await asyncio.gather(*pending, return_exceptions=True)
         self.hosts.clear()
+        self.agents.clear()
         self._started = False
 
     # -- split operation API (fleet workers inject, settle, report) ---------
@@ -869,56 +743,53 @@ class RuntimeCluster:
     # then each worker settles in the background while /healthz reports
     # phase="converging".
 
-    def begin_operation(self, label: str = "op") -> float:
-        """Open an operation window; returns its start timestamp."""
-        return self._begin_op(label)
+    def begin_operation(self, label: str = "op") -> OpWindow:
+        """Open an operation window."""
+        now = self._last_activity_wall = time.monotonic()
+        self._op = self.open_op(label, now, self.tracer.now())
+        return self._op
 
-    def finish_operation(self, start: float) -> float:
-        """Close the window; returns convergence seconds (last activity)."""
-        return self._finish_op(start)
+    def finish_operation(self, window: OpWindow) -> float:
+        """Close the window; returns convergence seconds (last counting
+        activity minus start)."""
+        self._op = None
+        return self.close_op(
+            window, max(0.0, self._last_activity_wall - window.start)
+        )
 
-    async def settle_operation(self, start: float) -> float:
+    async def settle_operation(self, window: OpWindow) -> float:
         """Wait for quiescence, then close the operation window."""
         await self.wait_quiescence()
-        return self._finish_op(start)
+        return self.finish_operation(window)
 
-    def inject_plans(self, plans: Dict[str, Plan]) -> None:
-        """Install plans on their *locally hosted* devices (no settle).
+    def _inject(self, devices: Iterable[str], event: str, *args: object) -> None:
+        """Record ``event`` on each *locally hosted* device and run its
+        step there (no settle).
 
         Sharded mode: devices owned by other workers are skipped here --
-        their own worker injects the same plans, so fleet-wide every
-        device still receives its tasks exactly once.
+        their own worker injects the same event, so fleet-wide every
+        device still receives it exactly once.
         """
+        span = self._op.span if self._op is not None else None
+        for device in devices:
+            host = self.hosts.get(device)
+            if host is not None:
+                host.call(host.agent.event(event, *args), span)
+
+    def inject_plans(self, plans: Dict[str, Plan]) -> None:
+        """Install plans on their locally hosted devices."""
         for plan_id, plan in plans.items():
             self._plans[plan_id] = plan
-            for device in plan.devices():
-                host = self.hosts.get(device)
-                if host is None:
-                    continue
-                host.installed_plans.append(plan_id)
-                host.call(
-                    lambda v=host.verifier, i=plan_id, p=plan: v.install_plan(
-                        i, p
-                    ),
-                    name="install_plan",
-                    parent=self._op_span,
-                    flight_cause=host._flight_admin("install", plan_id),
-                )
+            self._inject(plan.devices(), "install", plan_id, plan)
 
     def inject_fib_update(
         self, device: str, mutate: Callable[[], None]
     ) -> bool:
         """Apply one rule update if ``device`` is local; True when it was."""
-        host = self.hosts.get(device)
-        if host is None:
+        if device not in self.hosts:
             return False
         mutate()
-        host.call(
-            host.verifier.on_fib_changed,
-            name="fib_changed",
-            parent=self._op_span,
-            flight_cause=host._flight_admin("fib_update", device),
-        )
+        self._inject((device,), "fib_update")
         return True
 
     def apply_link_event(self, a: str, b: str, up: bool) -> None:
@@ -928,17 +799,9 @@ class RuntimeCluster:
         else:
             self._failed_links.add(_normalize(a, b))
         for device, peer in ((a, b), (b, a)):
-            host = self.hosts.get(device)
-            if host is None:
-                continue
-            if not up:
-                host.sessions[peer].disconnect()
-            host.call(
-                lambda v=host.verifier: v.on_link_event((a, b), up=up),
-                name="link_event",
-                parent=self._op_span,
-                flight_cause=host._flight_admin("link", f"{a}-{b} up={up}"),
-            )
+            if not up and device in self.hosts:
+                self.hosts[device].sessions[peer].disconnect()
+            self._inject((device,), "link", (a, b), up)
 
     # -- workload operations (each returns convergence seconds) ------------
 
@@ -947,42 +810,36 @@ class RuntimeCluster:
 
     async def install_plans(self, plans: Dict[str, Plan]) -> float:
         """Install plans on their devices as one burst, run to quiescence."""
-        start = self._begin_op(f"install_plans:{len(plans)}")
+        window = self.begin_operation(f"install_plans:{len(plans)}")
         self.inject_plans(plans)
-        return await self.settle_operation(start)
+        return await self.settle_operation(window)
 
     async def fib_update(
         self, device: str, mutate: Callable[[], None]
     ) -> float:
         """Apply one rule update at ``device``, verify incrementally."""
-        start = self._begin_op(f"fib_update:{device}")
+        window = self.begin_operation(f"fib_update:{device}")
         if not self.inject_fib_update(device, mutate):
             raise KeyError(f"device {device!r} is not hosted locally")
-        return await self.settle_operation(start)
+        return await self.settle_operation(window)
 
     async def burst_fib_event(self) -> float:
-        start = self._begin_op("burst_fib_event")
-        for host in self.hosts.values():
-            host.call(
-                host.verifier.on_fib_changed,
-                name="fib_changed",
-                parent=self._op_span,
-                flight_cause=host._flight_admin("fib_burst"),
-            )
-        return await self.settle_operation(start)
+        window = self.begin_operation("burst_fib_event")
+        self._inject(self.hosts, "fib_burst")
+        return await self.settle_operation(window)
 
     async def fail_link(self, a: str, b: str) -> float:
         """Fail link (a, b): cut its TCP sessions, flood, recount."""
-        start = self._begin_op(f"link_fail:{a}-{b}")
+        window = self.begin_operation(f"link_fail:{a}-{b}")
         self.apply_link_event(a, b, up=False)
-        return await self.settle_operation(start)
+        return await self.settle_operation(window)
 
     async def recover_link(self, a: str, b: str) -> float:
         """Recover link (a, b): redial, refresh sessions, recount."""
-        start = self._begin_op(f"link_recover:{a}-{b}")
+        window = self.begin_operation(f"link_recover:{a}-{b}")
         self.apply_link_event(a, b, up=True)
         await self.wait_session(a, b)
-        return await self.settle_operation(start)
+        return await self.settle_operation(window)
 
     async def drop_connection(
         self, a: str, b: str, hold_down: float = 0.0, reconnect: bool = True
@@ -994,13 +851,12 @@ class RuntimeCluster:
         False) backoff-reconnect re-establishes the session after
         ``hold_down`` seconds and refreshes state via re-OPEN.
         """
-        start = self._begin_op(f"drop_connection:{a}-{b}")
+        window = self.begin_operation(f"drop_connection:{a}-{b}")
         self.hosts[a].sessions[b].disconnect(hold_down)
         self.hosts[b].sessions[a].disconnect(hold_down)
         if reconnect:
             await self.wait_session(a, b)
-        await self.wait_quiescence()
-        return self._finish_op(start)
+        return await self.settle_operation(window)
 
     @property
     def http_endpoints(self) -> Dict[str, Tuple[str, int]]:
@@ -1009,43 +865,4 @@ class RuntimeCluster:
             device: (self.http_host, host.telemetry.port)
             for device, host in sorted(self.hosts.items())
             if host.telemetry is not None
-        }
-
-    # -- results (mirror SimulatedNetwork) ----------------------------------
-
-    @property
-    def verifiers(self) -> Dict[str, OnDeviceVerifier]:
-        return {
-            device: host.verifier for device, host in self.hosts.items()
-        }
-
-    def verdicts(self, plan_id: str) -> List[RootVerdict]:
-        results: List[RootVerdict] = []
-        for host in self.hosts.values():
-            results.extend(host.verifier.root_verdicts(plan_id))
-        return results
-
-    def holds(self, plan_id: str) -> bool:
-        plan = self._plans[plan_id]
-        if plan.mode == "local":
-            return not any(
-                violation.plan_id == plan_id
-                for host in self.hosts.values()
-                for violation in host.verifier.violations
-            )
-        results = self.verdicts(plan_id)
-        return bool(results) and all(verdict.holds for verdict in results)
-
-    def all_violations(self) -> List[Violation]:
-        return [
-            violation
-            for host in self.hosts.values()
-            for violation in host.verifier.violations
-        ]
-
-    def dump_flight(self) -> Dict[str, Dict[str, object]]:
-        """Per-device flight-recorder dumps for the locally hosted shard."""
-        return {
-            device: host.flight.dump()
-            for device, host in sorted(self.hosts.items())
         }

@@ -30,12 +30,7 @@ import time
 from dataclasses import dataclass
 from typing import Awaitable, Callable, Dict, Optional, Tuple
 
-from repro.dvm.messages import (
-    Message,
-    MessageDecodeError,
-    OpenMessage,
-    message_kind,
-)
+from repro.dvm.messages import Message, MessageDecodeError, OpenMessage
 from repro.obs.flight import NULL_RECORDER, FlightRecorder
 from repro.obs.log import get_logger, kv
 from repro.obs.trace import CAT_SESSION, NULL_TRACER, Tracer
@@ -148,11 +143,15 @@ class SessionEvents:
         on_established: Callable[[str], None],
         on_peer_down: Callable[[str], None],
         link_up: Callable[[str], bool],
+        stamp: Callable[[str, Message], int] = lambda peer, message: 0,
     ) -> None:
         self.on_message = on_message
         self.on_established = on_established
         self.on_peer_down = on_peer_down
         self.link_up = link_up
+        #: ``DeviceAgent.stamp``: clocks a frame that is leaving (a bare
+        #: session, as in tests, sends its frames unstamped).
+        self.stamp = stamp
 
 
 class PeerSession:
@@ -183,10 +182,10 @@ class PeerSession:
         self.events = events
         self.tracer = tracer if tracer is not None else NULL_TRACER
         # Device-wide recorder shared across the host's sessions; the
-        # Lamport clock always ticks (frame stamping must not depend on
-        # whether recording is enabled, so traffic stays byte-identical).
+        # session records its FSM edges there.
         self.flight = flight if flight is not None else NULL_RECORDER
-        self._flight_last_edge: Optional[int] = None
+        #: Flight seq of the last FSM edge (what a peer loss chains to).
+        self.last_edge: Optional[int] = None
         self.active = active
         self.peer_address = peer_address
         self.connector = connector
@@ -215,7 +214,7 @@ class PeerSession:
         """
         self.state = SESSION_TRANSITIONS[(self.state, event)]
         if self.flight.enabled:
-            self._flight_last_edge = self.flight.record(
+            self.last_edge = self.flight.record(
                 "session", event=event, state=self.state, peer=self.peer
             )
 
@@ -289,19 +288,10 @@ class PeerSession:
         """Queue ``message``; False when the session is down (dropped)."""
         if self._channel is None or not self.is_established:
             return False
-        # Stamp the frame with the device's Lamport clock.  Messages fan
-        # out to several peers as one shared instance; FramedChannel.send
-        # encodes synchronously, so re-stamping per peer is safe.
-        clock = self.flight.clock.tick()
-        object.__setattr__(message, "clock", clock)
-        if self.flight.enabled:
-            self.flight.record(
-                "frame_tx",
-                kind=message_kind(message),
-                peer=self.peer,
-                plan=message.plan_id,
-                clock=clock,
-            )
+        # Messages fan out to several peers as one shared instance;
+        # FramedChannel.send encodes synchronously, so re-stamping per
+        # peer is safe.
+        self.events.stamp(self.peer, message)
         self._channel.send(message)
         return True
 

@@ -160,37 +160,21 @@ class RuntimeDeployment:
         messages_before: int,
         bytes_before: int,
     ) -> "Report":
-        from repro.core.api import Report
+        from repro.core.api import make_report
 
-        verdicts, violations = self._submit(
-            self._snapshot(plan_id)
-        )
-        if plan.mode == "local":
-            holds = not violations
-        else:
-            holds = bool(verdicts) and all(v.holds for v in verdicts)
-        return Report(
-            invariant=plan.invariant,
-            holds=holds,
-            verdicts=verdicts,
-            violations=violations,
-            verification_seconds=elapsed,
-            message_count=self.cluster.metrics.total_messages
-            - messages_before,
-            message_bytes=self.cluster.metrics.total_bytes - bytes_before,
+        return make_report(
+            plan,
+            *self._submit(self._read_out(plan_id)),
+            elapsed,
+            self.cluster.metrics.total_messages - messages_before,
+            self.cluster.metrics.total_bytes - bytes_before,
         )
 
-    async def _snapshot(
+    async def _read_out(
         self, plan_id: str
     ) -> Tuple[List[RootVerdict], List[Violation]]:
         """Read verdicts on the loop thread (between handler runs)."""
-        verdicts = self.cluster.verdicts(plan_id)
-        violations = [
-            violation
-            for violation in self.cluster.all_violations()
-            if violation.plan_id == plan_id
-        ]
-        return verdicts, violations
+        return self.cluster.read_out(plan_id)
 
     # -- dynamics ----------------------------------------------------------
 
@@ -219,7 +203,7 @@ class RuntimeDeployment:
     async def _device_counts(
         self, plan_id: str, device: str
     ) -> List[Tuple[str, Predicate, CountSet]]:
-        return self.cluster.hosts[device].verifier.local_counts(plan_id)
+        return self.cluster.agents[device].verifier.local_counts(plan_id)
 
     def reports(self) -> List["Report"]:
         return self.reverify()

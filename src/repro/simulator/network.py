@@ -22,16 +22,19 @@ from __future__ import annotations
 
 import time as _time
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, cast
-
-from repro.dvm.messages import (
-    Message,
-    decode_message,
-    encode_message,
-    message_kind,
+from typing import (
+    Callable,
+    Dict,
+    Iterable,
+    List,
+    Optional,
+    Sequence,
+    Tuple,
+    cast,
 )
-from repro.dvm.verifier import OnDeviceVerifier, RootVerdict, Violation
-from repro.obs.flight import FlightRecorder
+
+from repro.dvm.agent import AgentBackend, OpWindow, Step
+from repro.dvm.messages import Message, decode_message, encode_message
 from repro.obs.metrics import Counter, Histogram, MetricsRegistry
 from repro.obs.schema import (
     DIRECTION_IN,
@@ -40,24 +43,11 @@ from repro.obs.schema import (
     KIND_COUNTING,
     install_dvm_schema,
 )
-from repro.obs.trace import CAT_OP, CAT_SIM, NULL_TRACER, Tracer
+from repro.obs.trace import CAT_SIM, Tracer
 from repro.packetspace.predicate import PredicateFactory
 from repro.planner.tasks import Plan
 from repro.simulator.engine import EventQueue
 from repro.topology.graph import Topology
-
-
-#: "recv <KIND>" span names, cached by message type (per-delivery
-#: f-string formatting would dominate the tracing hot path).
-_RECV_NAMES: Dict[type, str] = {}
-
-
-def _recv_name(message: Message) -> str:
-    name = _RECV_NAMES.get(type(message))
-    if name is None:
-        name = f"recv {message_kind(message)}"
-        _RECV_NAMES[type(message)] = name
-    return name
 
 
 @dataclass(frozen=True)
@@ -132,15 +122,14 @@ class MessageStats:
         control: bool = False,
     ) -> None:
         """Count one frame leaving ``source`` and arriving at
-        ``destination`` (``nbytes`` may be 0 when byte counting is off)."""
+        ``destination``."""
         kind = KIND_CONTROL if control else KIND_COUNTING
         sent, received = self._bound("dvm_messages_total", source, destination, kind)
         sent.inc()
         received.inc()
-        if nbytes:
-            sent, received = self._bound("dvm_bytes_total", source, destination, kind)
-            sent.inc(nbytes)
-            received.inc(nbytes)
+        sent, received = self._bound("dvm_bytes_total", source, destination, kind)
+        sent.inc(nbytes)
+        received.inc(nbytes)
 
     def _bound(
         self, family: str, source: str, destination: str, kind: str
@@ -175,8 +164,10 @@ class MessageStats:
         self.families["convergence_seconds"].observe(seconds)
 
 
-class SimulatedNetwork:
-    """A topology's worth of on-device verifiers under simulation."""
+class SimulatedNetwork(AgentBackend):
+    """A topology's worth of device agents under simulation."""
+
+    backend = "simulator"
 
     def __init__(
         self,
@@ -186,7 +177,6 @@ class SimulatedNetwork:
         profile: DeviceProfile = DeviceProfile(),
         profiles: Optional[Dict[str, DeviceProfile]] = None,
         strict_wire: bool = False,
-        count_wire_bytes: bool = True,
         verifier_hosts: Optional[Dict[str, str]] = None,
         tracer: Optional[Tracer] = None,
         flight: bool = False,
@@ -201,14 +191,18 @@ class SimulatedNetwork:
         the device→host latency.  Unmapped devices verify on-device, so
         mixed deployments work (RCDC's all-off-device layout being one
         extreme)."""
-        self.topology = topology
-        self.factory = factory
-        self.fibs = fibs
+        self.stats = MessageStats()
+        super().__init__(
+            topology,
+            fibs,
+            factory,
+            tracer,
+            self.stats.record_convergence,
+            flight,
+            flight_capacity,
+        )
         self.queue = EventQueue()
         self.strict_wire = strict_wire
-        self.count_wire_bytes = count_wire_bytes
-        self.stats = MessageStats()
-        self.tracer = tracer if tracer is not None else NULL_TRACER
         if self.tracer.enabled and self.tracer.clock is None:
             # Span timestamps become simulation seconds.
             self.tracer.clock = lambda: self.queue.now
@@ -221,40 +215,14 @@ class SimulatedNetwork:
                     f"verifier host mapping {device!r} -> {host!r} names an "
                     "unknown device"
                 )
-        self.verifiers: Dict[str, OnDeviceVerifier] = {
-            device: OnDeviceVerifier(
-                device, factory, fibs[device], topology.neighbors(device)
-            )
-            for device in topology.devices
-        }
-        if self.tracer.enabled:
-            for verifier in self.verifiers.values():
-                verifier.tracer = self.tracer
-        # One flight recorder (and Lamport clock) per device.  Clock
-        # stamping is unconditional -- wire traffic is identical whether
-        # or not forensics are on -- so the recorders always exist; the
-        # ``flight`` flag only gates event recording.
-        self._flight_enabled = flight
-        self.flight_recorders: Dict[str, FlightRecorder] = {
-            device: FlightRecorder(
-                device,
-                capacity=flight_capacity,
-                enabled=flight,
-                backend="simulator",
-                monotonic=lambda: self.queue.now,
-            )
-            for device in topology.devices
-        }
-        if flight:
-            for device, verifier in self.verifiers.items():
-                verifier.flight = self.flight_recorders[device]
+        for device in topology.devices:
+            self._spawn(device, monotonic=lambda: self.queue.now)
         self._busy_until: Dict[str, List[float]] = {
             device: [0.0] * max(1, self.profile_of(device).cores)
             for device in topology.devices
         }
         self._channel_clock: Dict[Tuple[str, str], float] = {}
         self._failed_links: set = set()
-        self._plans: Dict[str, Plan] = {}
         self._latency_cache: Dict[str, Dict[str, float]] = {}
 
     # ------------------------------------------------------------------
@@ -284,14 +252,9 @@ class SimulatedNetwork:
     # core execution
 
     def _execute(
-        self,
-        device: str,
-        handler: Callable[[], List[Tuple[str, Message]]],
-        name: str = "execute",
-        parent_id: Optional[int] = None,
-        flight_cause: Optional[int] = None,
+        self, device: str, step: Step, parent_id: Optional[int] = None
     ) -> None:
-        """Run ``handler`` on ``device``, charging measured CPU time.
+        """Run ``step`` on ``device``, charging measured CPU time.
 
         The device's thread pool (§8) is modeled as ``cores`` parallel
         lanes: each event runs on the least-busy core.  With tracing on,
@@ -303,18 +266,10 @@ class SimulatedNetwork:
         cores = self._busy_until[host]
         core_index = min(range(len(cores)), key=cores.__getitem__)
         start_sim = max(self.queue.now, cores[core_index])
-        flight = (
-            self.flight_recorders[device] if self._flight_enabled else None
-        )
-        if flight is not None:
-            # Everything recorded while the handler runs -- CIB deltas,
-            # verdict flips, the frames it sends -- points at the event
-            # that triggered it (the frame_rx or admin event).
-            flight.set_cause(flight_cause)
         tracer = self.tracer
         if not tracer.enabled:
             wall_start = _time.perf_counter()
-            outgoing = handler()
+            outgoing = step()
             elapsed = (_time.perf_counter() - wall_start) * self.profile_of(
                 host
             ).cpu_scale
@@ -326,14 +281,14 @@ class SimulatedNetwork:
             span_id = tracer.begin_span()
             try:
                 wall_start = _time.perf_counter()
-                outgoing = handler()
+                outgoing = step()
                 elapsed = (
                     _time.perf_counter() - wall_start
                 ) * self.profile_of(host).cpu_scale
             finally:
                 tracer.pop_span()
             tracer.record_span(
-                name,
+                step.name,
                 start=start_sim,
                 end=start_sim + elapsed,
                 device=host,
@@ -349,8 +304,6 @@ class SimulatedNetwork:
             self._transmit(
                 device, destination, message, completion, parent_id=span_id
             )
-        if flight is not None:
-            flight.clear_cause()
 
     def _transmit(
         self,
@@ -380,170 +333,84 @@ class SimulatedNetwork:
             )
             if latency == float("inf"):
                 return  # hosts disconnected
-        # Stamp the sender's Lamport clock into the frame header.  This
-        # is unconditional (recorder enablement only gates *events*), so
-        # the wire traffic is byte-identical with forensics on or off.
-        # The clock value is threaded to the delivery explicitly: one
-        # message instance can fan out to several peers (link-state
-        # floods), each send getting its own stamp.
-        clock = self.flight_recorders[source].clock.tick()
-        object.__setattr__(message, "clock", clock)
-        nbytes = 0
-        if self.count_wire_bytes:
-            payload = encode_message(message)
-            nbytes = len(payload)
-            if self.strict_wire:
-                message = decode_message(payload, self.factory)
-        self.stats.record_transmit(source, destination, nbytes)
-        if self._flight_enabled:
-            self.flight_recorders[source].record(
-                "frame_tx",
-                kind=message_kind(message),
-                peer=destination,
-                plan=message.plan_id,
-                clock=clock,
-            )
+        # The stamp is threaded to the delivery explicitly: the same
+        # message instance may be stamped again for the next peer.
+        clock = self.agents[source].stamp(destination, message)
+        payload = encode_message(message)
+        if self.strict_wire:
+            message = decode_message(payload, self.factory)
+        self.stats.record_transmit(source, destination, len(payload))
         arrival = max(
             when + latency, self._channel_clock.get(link_key, 0.0)
         )
         self._channel_clock[link_key] = arrival
-        recv_name = _recv_name(message) if self.tracer.enabled else "recv"
-
-        def deliver(
-            device: str = destination,
-            payload_message: Message = message,
-            frame_clock: int = clock,
-        ) -> None:
-            recorder = self.flight_recorders[device]
-            recorder.clock.observe(frame_clock)
-            cause: Optional[int] = None
-            if recorder.enabled:
-                cause = recorder.record(
-                    "frame_rx",
-                    kind=message_kind(payload_message),
-                    peer=source,
-                    plan=payload_message.plan_id,
-                    clock=frame_clock,
-                )
-            self._execute(
-                device,
-                lambda: self.verifiers[device].on_message(payload_message),
-                name=recv_name,
-                parent_id=parent_id,
-                flight_cause=cause,
-            )
-
-        self.queue.schedule(max(arrival, self.queue.now), deliver)
+        self.queue.schedule(
+            max(arrival, self.queue.now),
+            lambda: self._execute(
+                destination,
+                self.agents[destination].frame(source, message, clock),
+                parent_id,
+            ),
+        )
 
     # ------------------------------------------------------------------
-    # workload operations (each returns the convergence time in seconds)
+    # workload operations (each returns the convergence time in seconds):
+    # open window -> inject -> settle
 
-    def _begin_op(self, label: str) -> Optional[int]:
-        """Start a traced verification session; returns the op span id.
+    def _inject(
+        self,
+        window: OpWindow,
+        devices: Iterable[str],
+        event: str,
+        *args: object,
+        delay: float = 0.0,
+    ) -> None:
+        """Record ``event`` on each device now and schedule its step
+        there ``delay`` seconds on."""
+        for device in devices:
+            step = self.agents[device].event(event, *args)
+            self.queue.schedule(
+                self.queue.now + delay,
+                lambda d=device, s=step: self._execute(d, s, window.span),
+            )
 
-        The id is allocated up front so every event the operation
-        schedules can parent to it; the span itself is recorded once the
-        network quiesces (:meth:`_finish_op`).
-        """
-        if not self.tracer.enabled:
-            return None
-        self.tracer.begin_operation(label)
-        return self.tracer.next_id()
-
-    def _finish_op(
-        self, span_id: Optional[int], name: str, start: float, elapsed: float
-    ) -> float:
-        self.stats.record_convergence(elapsed)
-        if span_id is not None:
+    def _settle(self, window: OpWindow) -> float:
+        """Run to quiescence and close the operation window."""
+        elapsed = self.run_to_quiescence() - window.start
+        if window.span is not None:
             self.tracer.event(
-                "quiescence", cat=CAT_SIM, parent_id=span_id
+                "quiescence", cat=CAT_SIM, parent_id=window.span
             )
-            self.tracer.record_span(
-                name,
-                start=start,
-                end=start + elapsed,
-                cat=CAT_OP,
-                span_id=span_id,
-                attrs={"convergence_seconds": elapsed},
-            )
-        return elapsed
+        return self.close_op(window, elapsed)
 
-    def _flight_admin(
-        self, device: str, kind: str, detail: str = ""
-    ) -> Optional[int]:
-        """Record one admin event -- the root cause of an operation's
-        cascade -- on ``device``'s flight recorder."""
-        if not self._flight_enabled:
-            return None
-        return self.flight_recorders[device].record(
-            "admin", kind=kind, detail=detail
-        )
+    def _operate(
+        self, label: str, devices: Iterable[str], event: str, *args: object
+    ) -> float:
+        window = self.open_op(label, self.queue.now)
+        self._inject(window, devices, event, *args)
+        return self._settle(window)
 
     def install_plan(self, plan_id: str, plan: Plan) -> float:
         """Distribute tasks (planner-side, untimed) and run to quiescence."""
-        self._plans[plan_id] = plan
-        op = self._begin_op(f"install_plan:{plan_id}")
-        start = self.queue.now
-        for device in plan.devices():
-            verifier = self.verifiers[device]
-            cause = self._flight_admin(device, "install", plan_id)
-            self.queue.schedule(
-                self.queue.now,
-                lambda v=verifier, c=cause: self._execute(
-                    v.device,
-                    lambda: v.install_plan(plan_id, plan),
-                    name="install_plan",
-                    parent_id=op,
-                    flight_cause=c,
-                ),
-            )
-        elapsed = self.run_to_quiescence() - start
-        return self._finish_op(op, f"install_plan:{plan_id}", start, elapsed)
+        return self._install({plan_id: plan}, f"install_plan:{plan_id}")
 
     def install_plans(self, plans: Dict[str, Plan]) -> float:
         """Install many plans as one burst; returns total convergence time."""
-        op = self._begin_op(f"install_plans:{len(plans)}")
-        start = self.queue.now
+        return self._install(plans, f"install_plans:{len(plans)}")
+
+    def _install(self, plans: Dict[str, Plan], label: str) -> float:
+        window = self.open_op(label, self.queue.now)
         for plan_id, plan in plans.items():
             self._plans[plan_id] = plan
-            for device in plan.devices():
-                verifier = self.verifiers[device]
-                cause = self._flight_admin(device, "install", plan_id)
-                self.queue.schedule(
-                    self.queue.now,
-                    lambda v=verifier, i=plan_id, p=plan, c=cause: self._execute(
-                        v.device,
-                        lambda: v.install_plan(i, p),
-                        name="install_plan",
-                        parent_id=op,
-                        flight_cause=c,
-                    ),
-                )
-        elapsed = self.run_to_quiescence() - start
-        return self._finish_op(
-            op, f"install_plans:{len(plans)}", start, elapsed
-        )
+            self._inject(window, plan.devices(), "install", plan_id, plan)
+        return self._settle(window)
 
     def burst_fib_event(self, devices: Optional[Sequence[str]] = None) -> float:
         """All devices (re)read their FIBs at once -- the burst-update
         scenario of §9.2/§9.3.2."""
-        op = self._begin_op("burst_fib_event")
-        start = self.queue.now
-        for device in devices or self.topology.devices:
-            verifier = self.verifiers[device]
-            cause = self._flight_admin(device, "fib_burst")
-            self.queue.schedule(
-                self.queue.now,
-                lambda v=verifier, c=cause: self._execute(
-                    v.device,
-                    v.on_fib_changed,
-                    name="fib_changed",
-                    parent_id=op,
-                    flight_cause=c,
-                ),
-            )
-        elapsed = self.run_to_quiescence() - start
-        return self._finish_op(op, "burst_fib_event", start, elapsed)
+        return self._operate(
+            "burst_fib_event", devices or self.topology.devices, "fib_burst"
+        )
 
     def fib_update(self, device: str, mutate: Callable[[], None]) -> float:
         """Apply one rule update at ``device`` and verify incrementally.
@@ -551,55 +418,34 @@ class SimulatedNetwork:
         For proxied devices the update must first travel from the device
         to its verifier's host over the management network.
         """
-        op = self._begin_op(f"fib_update:{device}")
-        start = self.queue.now
+        window = self.open_op(f"fib_update:{device}", self.queue.now)
         mutate()
-        verifier = self.verifiers[device]
-        cause = self._flight_admin(device, "fib_update", device)
-        delay = self._host_latency(device, self.host_of(device))
-        self.queue.schedule(
-            self.queue.now + delay,
-            lambda: self._execute(
-                device,
-                verifier.on_fib_changed,
-                name="fib_changed",
-                parent_id=op,
-                flight_cause=cause,
-            ),
+        self._inject(
+            window,
+            (device,),
+            "fib_update",
+            delay=self._host_latency(device, self.host_of(device)),
         )
-        elapsed = self.run_to_quiescence() - start
-        return self._finish_op(op, f"fib_update:{device}", start, elapsed)
+        return self._settle(window)
 
     def fail_link(self, a: str, b: str) -> float:
         """Fail link (a, b); both endpoints flood and the network recounts."""
-        self._failed_links.add(tuple(sorted((a, b))))
-        return self._link_event(a, b, up=False)
+        return self.fail_links(((a, b),))
+
+    def fail_links(self, scene: Iterable[Tuple[str, str]]) -> float:
+        """Fail every link of ``scene`` at once (a §6 fault scene): all
+        go down, then each endpoint of each link floods and recounts."""
+        links = list(scene)
+        self._failed_links.update(tuple(sorted(link)) for link in links)
+        label = "link_fail:" + ",".join(f"{a}-{b}" for a, b in links)
+        window = self.open_op(label, self.queue.now)
+        for link in links:
+            self._inject(window, link, "link", link, False)
+        return self._settle(window)
 
     def recover_link(self, a: str, b: str) -> float:
         self._failed_links.discard(tuple(sorted((a, b))))
-        return self._link_event(a, b, up=True)
-
-    def _link_event(self, a: str, b: str, up: bool) -> float:
-        label = f"link_{'recover' if up else 'fail'}:{a}-{b}"
-        op = self._begin_op(label)
-        start = self.queue.now
-        for device in (a, b):
-            verifier = self.verifiers[device]
-            cause = self._flight_admin(
-                device, "link", f"{a}-{b} up={up}"
-            )
-            self.queue.schedule(
-                self.queue.now,
-                lambda v=verifier, c=cause: self._execute(
-                    v.device,
-                    lambda: v.on_link_event((a, b), up),
-                    name="link_event",
-                    parent_id=op,
-                    flight_cause=c,
-                ),
-            )
-        elapsed = self.run_to_quiescence() - start
-        return self._finish_op(op, label, start, elapsed)
+        return self._operate(f"link_recover:{a}-{b}", (a, b), "link", (a, b), True)
 
     def run_to_quiescence(self) -> float:
         """Drain all events; returns the simulation time reached.
@@ -626,42 +472,3 @@ class SimulatedNetwork:
         if tail > self.queue.now:
             self.queue.now = tail
         return self.queue.now
-
-    # ------------------------------------------------------------------
-    # results
-
-    def verdicts(self, plan_id: str) -> List[RootVerdict]:
-        results: List[RootVerdict] = []
-        for verifier in self.verifiers.values():
-            results.extend(verifier.root_verdicts(plan_id))
-        return results
-
-    def holds(self, plan_id: str) -> bool:
-        """True when every root region of the plan verifies.
-
-        For local-mode (equal) plans the verdict is the absence of
-        violations instead of root counts.
-        """
-        plan = self._plans[plan_id]
-        if plan.mode == "local":
-            return not any(
-                violation.plan_id == plan_id
-                for verifier in self.verifiers.values()
-                for violation in verifier.violations
-            )
-        results = self.verdicts(plan_id)
-        return bool(results) and all(verdict.holds for verdict in results)
-
-    def all_violations(self) -> List[Violation]:
-        return [
-            violation
-            for verifier in self.verifiers.values()
-            for violation in verifier.violations
-        ]
-
-    def flight_dump(self) -> Dict[str, Dict[str, object]]:
-        """Per-device flight-recorder dumps (empty rings when disabled)."""
-        return {
-            device: recorder.dump()
-            for device, recorder in self.flight_recorders.items()
-        }

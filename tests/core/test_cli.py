@@ -183,9 +183,6 @@ class TestBenchCommand:
                 "--out",
                 str(out),
                 "--json",
-                # No history row: tier-1 must not touch tracked files.
-                "--history",
-                "",
             ]
         )
         assert code == 0

@@ -54,7 +54,7 @@ def test_distributed_equals_centralized(seed, num_updates, ecmp):
     invariant = library.bounded_reachability(packets, ingress, destination, 2)
     plan = plan_invariant(invariant, topology)
 
-    network = SimulatedNetwork(topology, fibs, factory, count_wire_bytes=False)
+    network = SimulatedNetwork(topology, fibs, factory)
     network.install_plan("eq", plan)
 
     # random localized updates: reroutes and drops on sub-prefixes

@@ -14,8 +14,7 @@ TOOLS = (ApKeepVerifier, VeriFlowVerifier, DeltaNetVerifier)
 def test_verdicts_track_through_update_stream(seed):
     workload = build_workload("INet2", max_destinations=3)
     network = SimulatedNetwork(
-        workload.topology, workload.fibs, workload.factory,
-        count_wire_bytes=False,
+        workload.topology, workload.fibs, workload.factory
     )
     network.install_plans(dict(workload.plans))
 
@@ -46,8 +45,7 @@ def test_verdicts_track_through_update_stream(seed):
 def test_final_states_agree():
     workload = build_workload("B4-13", max_destinations=3)
     network = SimulatedNetwork(
-        workload.topology, workload.fibs, workload.factory,
-        count_wire_bytes=False,
+        workload.topology, workload.fibs, workload.factory
     )
     network.install_plans(dict(workload.plans))
     updates = random_rule_updates(workload, 15, seed=9, error_rate=0.2)

@@ -24,7 +24,7 @@ def build(seed=3):
         ),
         topology,
     )
-    network = SimulatedNetwork(topology, fibs, factory, count_wire_bytes=False)
+    network = SimulatedNetwork(topology, fibs, factory)
     return network, plan
 
 
@@ -77,7 +77,6 @@ class TestDeterminism:
                 fibs,
                 factory,
                 profile=DeviceProfile("x", 1.0, cores=cores),
-                count_wire_bytes=False,
             )
             return network.install_plans(plans)
 

@@ -1,9 +1,12 @@
 """Tests for the simulated network (timing, FIFO channels, wire stats)."""
 
+import inspect
+
 import pytest
 
 from repro.dataplane.actions import Drop, Forward
 from repro.dataplane.routes import PRIORITY_ERROR, RouteConfig, install_routes
+from repro.dvm.messages import decode_message
 from repro.planner import plan_invariant
 from repro.simulator.network import DeviceProfile, SimulatedNetwork
 from repro.spec import library
@@ -56,6 +59,32 @@ class TestVerification:
         network.recover_link("B", "D")
         assert network.holds("p")
 
+    def test_fail_links_fails_a_whole_scene_in_one_operation(
+        self, topology, dst_factory, plan
+    ):
+        def verdicts_after(fail):
+            fibs = install_routes(topology, dst_factory, RouteConfig(ecmp="any"))
+            network = SimulatedNetwork(topology, fibs, dst_factory)
+            network.install_plan("p", plan)
+            operations = len(network.stats.convergence_seconds)
+            fail(network)
+            return (
+                len(network.stats.convergence_seconds) - operations,
+                sorted(
+                    (v.ingress, v.holds, sorted(v.counts.tuples))
+                    for v in network.verdicts("p")
+                ),
+            )
+
+        scene = [("B", "D"), ("W", "D")]
+        one_by_one = verdicts_after(
+            lambda network: [network.fail_link(a, b) for a, b in scene]
+        )
+        at_once = verdicts_after(lambda network: network.fail_links(scene))
+        assert one_by_one[0] == 2 and at_once[0] == 1
+        assert at_once[1] == one_by_one[1]
+        assert not any(holds for _, holds, _ in at_once[1])
+
     def test_strict_wire_round_trip(self, topology, dst_factory, plan):
         fibs = install_routes(topology, dst_factory, RouteConfig(ecmp="any"))
         network = SimulatedNetwork(
@@ -64,6 +93,34 @@ class TestVerification:
         network.install_plan("p", plan)
         assert network.holds("p")
         assert network.stats.bytes > 0
+
+    def test_strict_wire_decodes_every_frame_with_no_knob_to_skip_it(
+        self, topology, dst_factory, plan, monkeypatch
+    ):
+        """``count_wire_bytes=False`` used to switch the ``strict_wire``
+        round trip off silently (the decode sat under the byte-counting
+        branch).  The knob is gone: every frame is encoded, and a strict
+        network hands each receiver the decoded copy."""
+        from repro.simulator import network as module
+
+        assert "count_wire_bytes" not in inspect.signature(
+            SimulatedNetwork
+        ).parameters
+        decoded = []
+
+        def spy(payload, factory):
+            decoded.append(payload)
+            return decode_message(payload, factory)
+
+        monkeypatch.setattr(module, "decode_message", spy)
+        fibs = install_routes(topology, dst_factory, RouteConfig(ecmp="any"))
+        network = SimulatedNetwork(
+            topology, fibs, dst_factory, strict_wire=True
+        )
+        network.install_plan("p", plan)
+        assert network.holds("p")
+        assert len(decoded) == network.stats.messages > 0
+        assert sum(map(len, decoded)) == network.stats.bytes
 
 
 class TestTiming:
