@@ -9,6 +9,8 @@ about a second, memory stays in the tens of MB, the ARM-based Centec is
 the slowest model.
 """
 
+import statistics
+
 from conftest import write_table
 
 from repro.bench.microbench import measure_initialization
@@ -64,15 +66,20 @@ def test_fig14_cdfs(out_dir, benchmark):
 
 
 def test_shape_centec_slowest(benchmark):
-    """The ARM-based Centec model has the worst time CDF (paper §9.4)."""
+    """The ARM-based Centec model has the worst time CDF (paper §9.4).
+
+    Medians, not maxima: the first-measured model's first device pays a
+    one-off cold start as large as Centec's slowest device.
+    """
     benchmark.pedantic(lambda: None, rounds=1, iterations=1)
     results = run_measurements()
     by_model = {}
     for overhead in results:
         by_model.setdefault(overhead.model, []).append(overhead.total_seconds)
-    centec_max = max(by_model["Centec"])
-    mellanox_max = max(by_model["Mellanox"])
-    assert centec_max > mellanox_max
+    medians = {
+        model: statistics.median(times) for model, times in by_model.items()
+    }
+    assert max(medians, key=medians.get) == "Centec"
 
 
 def test_shape_cpu_load_bounded(benchmark):

@@ -25,7 +25,6 @@ from repro.obs.schema import (
     KIND_CONTROL,
     KIND_COUNTING,
 )
-from repro.obs.trace import Tracer
 
 NUM_UPDATES = 10
 
@@ -134,24 +133,27 @@ def test_control_plane_split_is_parity_checkable():
 
 
 def test_telemetry_leaves_counting_traffic_byte_identical():
-    """Tracing on the same deterministic workload must not change one
-    message or byte of counting traffic, and verdicts stay identical."""
+    """Flight recording on the same deterministic workload must not
+    change one message or byte of counting traffic, and verdicts stay
+    identical."""
     (_, _, _, plain_inc, _, _) = run_parity()
-    traced_workload = build_workload("INet2", max_destinations=3)
-    tracer = Tracer()
-    traced_burst = run_tulkun_burst(traced_workload, tracer=tracer)
-    traced_updates = random_rule_updates(
-        traced_workload, NUM_UPDATES, seed=92
+    recorded_workload = build_workload("INet2", max_destinations=3)
+    recorded_burst = run_tulkun_burst(recorded_workload, flight=True)
+    recorded_updates = random_rule_updates(
+        recorded_workload, NUM_UPDATES, seed=92
     )
-    traced_inc = run_tulkun_incremental(
-        traced_workload, traced_updates, network=traced_burst.network
+    recorded_inc = run_tulkun_incremental(
+        recorded_workload, recorded_updates, network=recorded_burst.network
     )
-    assert len(tracer) > 0, "tracer attached but recorded nothing"
-    assert traced_inc.messages == plain_inc.messages
-    assert traced_inc.bytes == plain_inc.bytes
-    for plan_id, _ in traced_workload.plans:
+    assert not plain_inc.network.flight
+    assert any(
+        dump["next_seq"] for dump in recorded_inc.network.flight_dump().values()
+    ), "recorders on but nothing recorded"
+    assert recorded_inc.messages == plain_inc.messages
+    assert recorded_inc.bytes == plain_inc.bytes
+    for plan_id, _ in recorded_workload.plans:
         assert canonical_verdicts(
-            traced_inc.network.verdicts(plan_id)
+            recorded_inc.network.verdicts(plan_id)
         ) == canonical_verdicts(plain_inc.network.verdicts(plan_id))
 
 

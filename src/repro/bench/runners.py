@@ -45,7 +45,6 @@ def run_tulkun_burst(
     workload: Workload,
     profile: DeviceProfile = DeviceProfile(),
     strict_wire: bool = False,
-    tracer=None,
     flight: bool = False,
 ) -> TulkunTiming:
     """Burst update: plans distributed, then all devices count at once."""
@@ -55,7 +54,6 @@ def run_tulkun_burst(
         workload.factory,
         profile=profile,
         strict_wire=strict_wire,
-        tracer=tracer,
         flight=flight,
     )
     elapsed = network.install_plans(dict(workload.plans))
@@ -72,12 +70,11 @@ def run_tulkun_incremental(
     updates: Sequence[RuleUpdate],
     network: Optional[SimulatedNetwork] = None,
     profile: DeviceProfile = DeviceProfile(),
-    tracer=None,
 ) -> TulkunTiming:
     """Apply updates one by one; records per-update convergence times."""
     timing = TulkunTiming()
     if network is None:
-        burst = run_tulkun_burst(workload, profile, tracer=tracer)
+        burst = run_tulkun_burst(workload, profile)
         network = burst.network
         timing.burst_seconds = burst.burst_seconds
     for update in updates:
@@ -149,7 +146,7 @@ def run_runtime_burst(
             timing.messages = cluster.metrics.total_messages
             timing.bytes = cluster.metrics.total_bytes
             timing.metrics = cluster.metrics
-            if cluster.flight_enabled:
+            if cluster.flight:
                 timing.flight = cluster.flight_dump()
             return timing
         finally:

@@ -10,9 +10,10 @@ Commands:
   (one verifier agent per device over real localhost sockets), verify
   reachability, inject a rule update, a link failure and a forced
   connection drop, and print per-device traffic metrics.
-* ``trace``     -- run one traced burst workload on either backend and
-  export telemetry artifacts (JSONL + Chrome-trace spans, metrics in
-  JSON and Prometheus text form); see ``docs/OBSERVABILITY.md``.
+* ``trace``     -- derive the span trace of flight-recorder dumps (the
+  files given, or one burst run here on either backend) and export it
+  (JSONL + Chrome-trace spans; the run's metrics in JSON and Prometheus
+  text form); see ``docs/OBSERVABILITY.md``.
 * ``top``       -- scrape the live ``/metrics`` + ``/healthz`` endpoints
   of a running fleet (testbed agents or a ``serve_registry`` export)
   and render a refreshing per-device table (``--once --json`` for
@@ -771,8 +772,8 @@ def _flight_overhead(
 
     Traffic must be byte-identical either way (the Lamport clock is
     stamped unconditionally, at fixed width); wall times are interleaved
-    best-of-``rounds`` to damp scheduler noise.  The tracked budget
-    lives in ``benchmarks/test_obs_overhead.py``.
+    best-of-``rounds`` to damp scheduler noise.  The standing benchmark
+    (``benchmarks/perf``) tracks the cost as ``obs.flight_record_self_s``.
     """
     from repro.bench.runners import run_tulkun_burst
     from repro.bench.workloads import build_workload
@@ -911,77 +912,131 @@ def _scrape_overhead(registry, samples: int = 5) -> dict:
     return asyncio.run(measure())
 
 
-def _cmd_trace(args: argparse.Namespace) -> int:
-    """Run one traced workload and export telemetry artifacts.
+#: Ring capacity `repro trace` runs its own scenario with: per device,
+#: above anything a built-in dataset's burst records (the INet2 default
+#: peaks below 1k events per device).
+_TRACE_RING = 1 << 16
 
-    Writes ``trace.jsonl``, ``trace.chrome.json``, ``metrics.json`` and
-    ``metrics.prom`` into ``--out`` and validates the trace against the
-    schema in :mod:`repro.obs.export` (exit 1 on violations), so CI can
-    smoke-test the whole observability path in one command.
+
+def _load_dumps(paths) -> list:
+    """The JSON documents of flight dump files (`explain`, `trace`)."""
+    import json
+
+    documents = []
+    for path in paths:
+        with open(path, encoding="utf-8") as handle:
+            try:
+                documents.append(json.load(handle))
+            except ValueError as exc:
+                raise ValueError(f"{path}: {exc}") from exc
+    return documents
+
+
+def _cmd_trace(args: argparse.Namespace) -> int:
+    """Export the trace derived from flight dumps.
+
+    The dumps are the positional files (whatever ``repro explain``
+    accepts) or, with none given, those of one burst run here.  Writes
+    ``trace.jsonl`` and ``trace.chrome.json`` (plus the run's
+    ``metrics.json`` / ``metrics.prom``) into ``--out`` and validates
+    the trace against the schema in :mod:`repro.obs.export`.  Exit 1 on
+    a schema violation or when a ring lost events (the counts are
+    printed; the parents they took with them are ``null``), 2 on
+    unreadable input.
     """
     import os
 
-    from repro.bench.runners import run_runtime_burst, run_tulkun_burst
-    from repro.bench.workloads import build_workload
     from repro.obs.export import validate_jsonl, write_chrome, write_jsonl
-    from repro.obs.trace import Tracer
+    from repro.obs.flight import merge_dumps, records_from_flight
+
+    registry = None
+    if args.dumps:
+        try:
+            dumps = _load_dumps(args.dumps)
+        except (OSError, ValueError) as exc:
+            print(f"cannot read flight dump: {exc}", file=sys.stderr)
+            return 2
+    else:
+        from repro.bench.runners import run_runtime_burst
+        from repro.bench.workloads import build_workload
+        from repro.simulator.network import SimulatedNetwork
+
+        try:
+            name = _resolve_dataset(args.dataset)
+        except KeyError as exc:
+            print(exc.args[0], file=sys.stderr)
+            return 2
+        backend = "simulator" if args.backend == "sim" else args.backend
+        max_destinations = args.destinations if args.destinations > 0 else None
+        workload = build_workload(
+            name, scale=args.scale, max_destinations=max_destinations
+        )
+        print(
+            f"tracing {name} burst on the {backend} backend "
+            f"({workload.topology.num_devices} devices, "
+            f"{len(workload.plans)} plans) ..."
+        )
+        if backend == "simulator":
+            network = SimulatedNetwork(
+                workload.topology,
+                workload.fibs,
+                workload.factory,
+                flight=True,
+                flight_capacity=_TRACE_RING,
+            )
+            seconds = network.install_plans(dict(workload.plans))
+            traffic = network.stats
+            registry = network.stats.registry
+            dumps = network.flight_dump()
+        else:
+            traffic = run_runtime_burst(
+                workload,
+                keepalive_interval=0.2,
+                flight_capacity=_TRACE_RING,
+            )
+            seconds = traffic.burst_seconds
+            registry = traffic.metrics.registry
+            dumps = traffic.flight
+        print(
+            f"  converged in {seconds * 1e3:.1f} ms; "
+            f"{traffic.messages} messages, {traffic.bytes} bytes"
+        )
 
     try:
-        name = _resolve_dataset(args.dataset)
-    except KeyError as exc:
-        print(exc.args[0], file=sys.stderr)
+        merged = merge_dumps(dumps)
+        records = records_from_flight(merged)
+    except (TypeError, ValueError) as exc:
+        print(f"malformed flight dump: {exc!r}", file=sys.stderr)
         return 2
-    backend = {"sim": "simulator", "simulator": "simulator",
-               "runtime": "runtime"}.get(args.backend)
-    if backend is None:
-        print(
-            f"unknown backend {args.backend!r} "
-            "(expected 'simulator' or 'runtime')",
-            file=sys.stderr,
-        )
-        return 2
-    max_destinations = args.destinations if args.destinations > 0 else None
-    workload = build_workload(
-        name, scale=args.scale, max_destinations=max_destinations
-    )
-    tracer = Tracer()
     print(
-        f"tracing {name} burst on the {backend} backend "
-        f"({workload.topology.num_devices} devices, "
-        f"{len(workload.plans)} plans) ..."
+        f"  {len(merged['events'])} flight event(s) from "
+        f"{len(merged['devices'])} device(s)"
     )
-    if backend == "simulator":
-        timing = run_tulkun_burst(workload, tracer=tracer)
-        registry = timing.network.stats.registry
-    else:
-        timing = run_runtime_burst(
-            workload,
-            tracer=tracer,
-            keepalive_interval=0.2,
-        )
-        registry = timing.metrics.registry
-    records = tracer.records()
-    print(
-        f"  converged in {timing.burst_seconds * 1e3:.1f} ms; "
-        f"{timing.messages} messages, {timing.bytes} bytes, "
-        f"{len(records)} trace records"
-    )
-
     os.makedirs(args.out, exist_ok=True)
     jsonl_path = os.path.join(args.out, "trace.jsonl")
     chrome_path = os.path.join(args.out, "trace.chrome.json")
     write_jsonl(records, jsonl_path)
     event_count = write_chrome(records, chrome_path)
-    with open(os.path.join(args.out, "metrics.json"), "w") as handle:
-        handle.write(registry.render_json())
-    with open(os.path.join(args.out, "metrics.prom"), "w") as handle:
-        handle.write(registry.render_text())
     print(
         f"  wrote {jsonl_path} ({len(records)} records), "
-        f"{chrome_path} ({event_count} Chrome trace events), "
-        "metrics.json, metrics.prom"
+        f"{chrome_path} ({event_count} Chrome trace events)"
     )
+    if registry is not None:
+        with open(os.path.join(args.out, "metrics.json"), "w") as handle:
+            handle.write(registry.render_json())
+        with open(os.path.join(args.out, "metrics.prom"), "w") as handle:
+            handle.write(registry.render_text())
+        print("  wrote metrics.json, metrics.prom")
 
+    status = 0
+    if merged["truncated"]:
+        print(
+            f"flight rings lost events: {merged['dropped']} dropped, "
+            f"{merged['missing']} missing -- spans whose cause is gone "
+            "have no parent",
+            file=sys.stderr,
+        )
+        status = 1
     errors = validate_jsonl(jsonl_path)
     if errors:
         print(
@@ -994,7 +1049,7 @@ def _cmd_trace(args: argparse.Namespace) -> int:
             print(f"  ... and {len(errors) - 20} more", file=sys.stderr)
         return 1
     print("  trace schema validation OK")
-    if args.serve > 0:
+    if args.serve > 0 and registry is not None:
         from repro.obs.serve import serve_registry
 
         serve_registry(
@@ -1006,7 +1061,7 @@ def _cmd_trace(args: argparse.Namespace) -> int:
                 f"http://127.0.0.1:{port} for {args.serve:g}s ..."
             ),
         )
-    return 0
+    return status
 
 
 def _explain_scenario(
@@ -1107,18 +1162,11 @@ def _cmd_explain(args: argparse.Namespace) -> int:
     )
 
     if args.dumps:
-        documents = []
-        for path in args.dumps:
-            try:
-                with open(path, encoding="utf-8") as handle:
-                    documents.append(json.load(handle))
-            except (OSError, ValueError) as exc:
-                print(
-                    f"cannot read flight dump {path}: {exc}",
-                    file=sys.stderr,
-                )
-                return 2
-        merged = merge_dumps(documents)
+        try:
+            merged = merge_dumps(_load_dumps(args.dumps))
+        except (OSError, ValueError) as exc:
+            print(f"cannot read flight dump: {exc}", file=sys.stderr)
+            return 2
         source = ", ".join(args.dumps)
     else:
         try:
@@ -1526,7 +1574,16 @@ def build_parser() -> argparse.ArgumentParser:
 
     trace = commands.add_parser(
         "trace",
-        help="run a traced burst workload and export telemetry artifacts",
+        help="export the span trace derived from flight-recorder dumps",
+    )
+    trace.add_argument(
+        "dumps",
+        nargs="*",
+        metavar="DUMP.json",
+        help=(
+            "flight dump file(s), as for `explain`; with none given, one "
+            "burst is run via --dataset/--backend and its dumps traced"
+        ),
     )
     trace.add_argument(
         "--dataset",

@@ -126,7 +126,7 @@ class Tulkun:
         profiles: Optional[Dict[str, DeviceProfile]] = None,
         strict_wire: bool = False,
         backend: str = "sim",
-        tracer=None,
+        flight: Optional[bool] = None,
         **runtime_options,
     ) -> "Deployment":
         """Create on-device verifiers over ``fibs``.
@@ -139,8 +139,11 @@ class Tulkun:
         Runtime deployments hold sockets and a background thread: close
         them (``with`` statement or ``.close()``) when done.
 
-        ``tracer`` (a :class:`repro.obs.Tracer`) turns on causally-linked
-        span tracing on either backend; see ``docs/OBSERVABILITY.md``.
+        ``flight`` switches the per-device flight recorders on or off
+        (default: the backend's own -- off in the simulator, on in the
+        runtime); ``deployment.flight_dump()`` is the causal event log
+        and :func:`repro.obs.records_from_flight` its trace, see
+        ``docs/OBSERVABILITY.md``.
         """
         missing = [d for d in self.topology.devices if d not in fibs]
         if missing:
@@ -148,8 +151,8 @@ class Tulkun:
         if backend == "runtime":
             from repro.runtime.deployment import RuntimeDeployment
 
-            if tracer is not None:
-                runtime_options["tracer"] = tracer
+            if flight is not None:
+                runtime_options["flight"] = flight
             return RuntimeDeployment(self, fibs, **runtime_options)
         if backend != "sim":
             raise TulkunError(
@@ -167,7 +170,7 @@ class Tulkun:
             profile=profile,
             profiles=profiles,
             strict_wire=strict_wire,
-            tracer=tracer,
+            flight=bool(flight),
         )
         return Deployment(self, network)
 
@@ -254,3 +257,7 @@ class Deployment:
 
     def holds(self, plan_id: str) -> bool:
         return self.network.holds(plan_id)
+
+    def flight_dump(self) -> Dict[str, Dict[str, object]]:
+        """Per-device flight-recorder dumps (see ``repro.obs.flight``)."""
+        return self.network.flight_dump()

@@ -4,8 +4,8 @@ The paper's on-device agent (§5, §8) turns an event -- tasks installed,
 FIB changed, link changed, peer lost, DVM frame received -- into frames
 to send, whatever carries them.  :class:`DeviceAgent` is that agent:
 it owns the device's :class:`~repro.dvm.verifier.OnDeviceVerifier`, its
-:class:`~repro.obs.flight.FlightRecorder` and the tracer hook, and is
-the only code that knows the flight-causality protocol:
+:class:`~repro.obs.flight.FlightRecorder`, and is the only code that
+knows the flight-causality protocol:
 
 * :meth:`DeviceAgent.event` records an injected event (a row of
   :data:`EVENTS`) *now* and :meth:`DeviceAgent.frame` applies the
@@ -15,7 +15,8 @@ the only code that knows the flight-causality protocol:
   :meth:`~DeviceAgent.handle`);
 * calling the step runs the verifier entry point with that record as
   the flight *cause* of everything it records, and returns the frames
-  to send;
+  to send; the driver that timed it writes the interval onto the same
+  record (:meth:`Step.timed`);
 * :meth:`DeviceAgent.stamp` ticks the clock into a frame that is really
   leaving and records ``frame_tx``, caused by the step that emitted it.
 
@@ -50,7 +51,6 @@ from repro.dvm.verifier import (
     Violation,
 )
 from repro.obs.flight import FlightRecorder
-from repro.obs.trace import CAT_OP, NULL_TRACER, Tracer
 from repro.packetspace.predicate import PredicateFactory
 from repro.planner.tasks import Plan
 from repro.topology.graph import Topology
@@ -62,7 +62,7 @@ class Event(NamedTuple):
     #: The ``OnDeviceVerifier`` entry point the step calls with the
     #: event's arguments.
     method: str
-    #: Tracer span name of the step.
+    #: Span name of the step in a derived trace (its record's ``step``).
     span: str
     #: Flight ``admin`` kind; empty for an event that is not an
     #: administrative action and is recorded under its own name.
@@ -83,10 +83,6 @@ EVENTS: Dict[str, Event] = {
     "peer_down": Event("on_peer_down", "peer_down", "", "{0}"),
 }
 
-#: "recv <KIND>" span names by message type (formatting one per frame
-#: would dominate the tracing hot path).
-_RECV_NAMES: Dict[type, str] = {}
-
 
 class Step:
     """One unit of device work, ready to run.
@@ -100,17 +96,15 @@ class Step:
     # One is made per event and per frame handled, so it is one small
     # object: the entry point by name (looked up when the step runs),
     # not a bound method or a closure.
-    __slots__ = ("name", "_agent", "_cause", "_method", "_args")
+    __slots__ = ("_agent", "_cause", "_method", "_args")
 
     def __init__(
         self,
         agent: "DeviceAgent",
-        name: str,
         cause: Optional[int],
         method: str,
         args: Tuple[object, ...],
     ) -> None:
-        self.name = name
         self._agent = agent
         self._cause = cause
         self._method = method
@@ -129,9 +123,15 @@ class Step:
         finally:
             flight.clear_cause()
 
+    def timed(self, start: float, dur: float) -> None:
+        """The driver ran the step at ``start`` (its recorder's time)
+        for ``dur`` seconds: say so on the step's own flight record."""
+        if self._cause is not None:
+            self._agent.flight.annotate(self._cause, start=start, dur=dur)
+
 
 class DeviceAgent:
-    """A device's verifier, flight recorder and tracer hook."""
+    """A device's verifier and flight recorder."""
 
     def __init__(
         self,
@@ -140,11 +140,9 @@ class DeviceAgent:
         fib: Fib,
         neighbors: Sequence[str],
         flight: FlightRecorder,
-        tracer: Tracer = NULL_TRACER,
     ) -> None:
         self.device = device
         self.verifier = OnDeviceVerifier(device, factory, fib, neighbors)
-        self.verifier.tracer = tracer
         self.flight = self.verifier.flight = flight
         #: Flight seq behind the frames of the last step run.
         self._tx_cause: Optional[int] = None
@@ -161,22 +159,26 @@ class DeviceAgent:
         row = EVENTS[name]
         flight = self.flight
         if not flight.enabled:
-            return Step(self, row.span, None, row.method, args)
+            return Step(self, None, row.method, args)
         detail = row.detail.format(*args, device=self.device)
         flight.set_cause(cause)
         if row.kind:
-            seq = flight.record("admin", kind=row.kind, detail=detail)
+            seq = flight.record(
+                "admin", kind=row.kind, detail=detail, step=row.span
+            )
         else:
-            seq = flight.record(name, peer=detail)
+            seq = flight.record(name, peer=detail, step=row.span)
             flight.snapshot(name, peer=detail)
         flight.clear_cause()
-        return Step(self, row.span, seq, row.method, args)
+        return Step(self, seq, row.method, args)
 
     def frame(self, peer: str, message: Message, clock: int) -> Step:
         """A frame from ``peer`` stamped ``clock`` arrived: merge the
         clock (Lamport receive rule), record the arrival, and return the
         step that handles the message."""
-        return self._handling(message, self._receive(peer, message, clock))
+        return Step(
+            self, self._receive(peer, message, clock), "on_message", (message,)
+        )
 
     def arrived(self, peer: str, message: Message, clock: int) -> None:
         """:meth:`frame` for a driver that queues what it receives: the
@@ -188,7 +190,7 @@ class DeviceAgent:
 
     def handle(self, message: Message) -> Step:
         """The step for the oldest frame that :meth:`arrived`."""
-        return self._handling(message, self._arrivals.popleft())
+        return Step(self, self._arrivals.popleft(), "on_message", (message,))
 
     def _receive(self, peer: str, message: Message, clock: int) -> Optional[int]:
         flight = self.flight
@@ -202,12 +204,6 @@ class DeviceAgent:
             plan=message.plan_id,
             clock=clock,
         )
-
-    def _handling(self, message: Message, cause: Optional[int]) -> Step:
-        name = _RECV_NAMES.get(type(message))
-        if name is None:
-            name = _RECV_NAMES[type(message)] = f"recv {message_kind(message)}"
-        return Step(self, name, cause, "on_message", (message,))
 
     def refresh(self, peer: str) -> Outgoing:
         """The session to ``peer`` (re-)established: an OPEN per
@@ -258,14 +254,12 @@ class OpWindow(NamedTuple):
 
     label: str
     start: float  #: backend clock at open
-    span: Optional[int]  #: op span id the injected steps parent to
-    trace_start: float  #: tracer clock at open
 
 
 class AgentBackend:
     """What every backend is under its transport: a device agent per
     hosted device, the plans installed on them, the verdict read-out
-    and the traced operation window."""
+    and the operation window."""
 
     #: Flight-dump label of the backend.
     backend = ""
@@ -275,72 +269,52 @@ class AgentBackend:
         topology: Topology,
         fibs: Dict[str, Fib],
         factory: PredicateFactory,
-        tracer: Optional[Tracer],
         record_convergence: Callable[[float], None],
         flight: bool,
         flight_capacity: int,
+        monotonic: Optional[Callable[[], float]] = None,
     ) -> None:
+        """``monotonic`` is the backend clock, which times operation
+        windows and steps and stamps every flight event (default:
+        host-monotonic)."""
         self.topology = topology
         self.fibs = fibs
         self.factory = factory
-        self.tracer = tracer if tracer is not None else NULL_TRACER
         # Frames carry the Lamport clock either way, so the recorders
         # always exist; the flag only gates event recording.
-        self.flight_enabled = flight
+        self.flight = flight
         self.flight_capacity = flight_capacity
+        self._monotonic = monotonic
         self.agents: Dict[str, DeviceAgent] = {}
+        #: The backend's own ring (no device name): operation windows.
+        self.ops = self._recorder("")
         self._plans: Dict[str, Plan] = {}
         self._record_convergence = record_convergence
 
-    def _spawn(
-        self, device: str, monotonic: Optional[Callable[[], float]] = None
-    ) -> DeviceAgent:
-        """Create ``device``'s agent (``monotonic`` is the recorder's
-        time source; default host-monotonic)."""
+    def _recorder(self, device: str) -> FlightRecorder:
+        return FlightRecorder(
+            device,
+            capacity=self.flight_capacity,
+            enabled=self.flight,
+            backend=self.backend,
+            monotonic=self._monotonic,
+        )
+
+    def _spawn(self, device: str) -> DeviceAgent:
+        """Create ``device``'s agent."""
         agent = self.agents[device] = DeviceAgent(
             device,
             self.factory,
             self.fibs[device],
             self.topology.neighbors(device),
-            FlightRecorder(
-                device,
-                capacity=self.flight_capacity,
-                enabled=self.flight_enabled,
-                backend=self.backend,
-                monotonic=monotonic,
-            ),
-            self.tracer,
+            self._recorder(device),
         )
         return agent
-
-    # -- operation window ----------------------------------------------------
-
-    def open_op(
-        self, label: str, now: float, trace_now: Optional[float] = None
-    ) -> OpWindow:
-        """Start a (traced) verification session at backend time ``now``.
-
-        The op span id is allocated up front so every step the
-        operation injects can parent to it; the span itself is recorded
-        by :meth:`close_op`."""
-        span: Optional[int] = None
-        if self.tracer.enabled:
-            self.tracer.begin_operation(label)
-            span = self.tracer.next_id()
-        return OpWindow(label, now, span, now if trace_now is None else trace_now)
 
     def close_op(self, window: OpWindow, elapsed: float) -> float:
         """Record the operation's injection-to-quiescence time."""
         self._record_convergence(elapsed)
-        if window.span is not None:
-            self.tracer.record_span(
-                window.label,
-                start=window.trace_start,
-                end=window.trace_start + elapsed,
-                cat=CAT_OP,
-                span_id=window.span,
-                attrs={"convergence_seconds": elapsed},
-            )
+        self.ops.record("op", label=window.label, start=window.start, dur=elapsed)
         return elapsed
 
     # -- results -------------------------------------------------------------
@@ -374,8 +348,9 @@ class AgentBackend:
         return plan_holds(self._plans[plan_id], *self.read_out(plan_id))
 
     def flight_dump(self) -> Dict[str, Dict[str, object]]:
-        """Per-device flight-recorder dumps (empty rings when disabled)."""
-        return {
-            device: agent.flight.dump()
-            for device, agent in sorted(self.agents.items())
-        }
+        """Flight-recorder dumps by device, the backend's operation ring
+        under ``""`` (empty rings when disabled)."""
+        dumps = {"": self.ops.dump()}
+        for device, agent in sorted(self.agents.items()):
+            dumps[device] = agent.flight.dump()
+        return dumps

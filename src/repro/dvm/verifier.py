@@ -51,7 +51,6 @@ from repro.dvm.messages import (
     UpdateMessage,
 )
 from repro.obs.flight import NULL_RECORDER, FlightRecorder
-from repro.obs.trace import CAT_VERIFY, NULL_TRACER, Tracer
 from repro.packetspace.index import PredicateIndex
 from repro.packetspace.predicate import Predicate, PredicateFactory
 from repro.packetspace.transform import Rewrite
@@ -190,12 +189,9 @@ class OnDeviceVerifier:
         self.unplanned_scene_reports: List[FrozenSet[Tuple[str, str]]] = []
         #: Frames handled, for the §9.4 microbenchmarks.
         self.messages_received = 0
-        #: Observability hook; the owning backend (simulator network or
-        #: runtime device host) swaps in its tracer when tracing is on.
-        self.tracer: Tracer = NULL_TRACER
-        #: Flight-recorder hook (same ownership model as the tracer):
-        #: the backend swaps in the device's recorder so CIB deltas and
-        #: verdict transitions land in the forensic ring buffer.
+        #: Flight-recorder hook: the owning device agent swaps in the
+        #: device's recorder so CIB deltas and verdict transitions land
+        #: in the forensic ring buffer.
         self.flight: FlightRecorder = NULL_RECORDER
         #: Last known root verdict per (plan_id, node_id) -- transition
         #: detection for the flight recorder's ``verdict`` events.
@@ -380,16 +376,6 @@ class OnDeviceVerifier:
         cib = state.cib_in.get(message.down_node)
         if cib is None:
             return []
-        if self.tracer.enabled:
-            self.tracer.event(
-                "cib.update",
-                device=self.device,
-                cat=CAT_VERIFY,
-                plan=context.plan_id,
-                node=message.up_node,
-                withdrawn=len(message.withdrawn),
-                results=len(message.results),
-            )
         if self.flight.enabled:
             self.flight.record(
                 "cib_delta",
@@ -516,13 +502,6 @@ class OnDeviceVerifier:
     def _on_linkstate(self, message: LinkStateMessage) -> Outgoing:
         if not self.linkstate.observe(message):
             return []  # already known: stop the flood
-        if self.tracer.enabled:
-            self.tracer.event(
-                "linkstate.flood",
-                device=self.device,
-                cat=CAT_VERIFY,
-                fanout=len(self.neighbors),
-            )
         outgoing: Outgoing = [
             (neighbor, message) for neighbor in self.neighbors
         ]
@@ -611,43 +590,7 @@ class OnDeviceVerifier:
     def _recompute(
         self, context: _PlanContext, state: _NodeState, region: Predicate
     ) -> Outgoing:
-        """Recount ``region`` at one node and emit the resulting UPDATEs.
-
-        With tracing on, each counting-task evaluation becomes a
-        ``cib.recount`` span (zero simulated duration on the simulator
-        backend -- the clock is frozen during handlers -- real wall time
-        on the runtime backend).
-        """
-        tracer = self.tracer
-        if not tracer.enabled:
-            return self._recompute_region(context, state, region)
-        # Inlined tracer.span() -- this runs once per CIB delta.
-        parent_id = tracer.current_parent()
-        span_id = tracer.begin_span()
-        start = tracer.now()
-        try:
-            outgoing = self._recompute_region(context, state, region)
-        finally:
-            tracer.pop_span()
-        tracer.record_span(
-            "cib.recount",
-            start=start,
-            end=tracer.now(),
-            device=self.device,
-            cat=CAT_VERIFY,
-            span_id=span_id,
-            parent_id=parent_id,
-            attrs={
-                "plan": context.plan_id,
-                "node": state.task.node_id,
-                "updates": len(outgoing),
-            },
-        )
-        return outgoing
-
-    def _recompute_region(
-        self, context: _PlanContext, state: _NodeState, region: Predicate
-    ) -> Outgoing:
+        """Recount ``region`` at one node and emit the resulting UPDATEs."""
         region = region & state.interest
         if region.is_empty:
             return []

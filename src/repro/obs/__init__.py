@@ -5,16 +5,18 @@ and the asyncio/TCP runtime (see ``docs/OBSERVABILITY.md``):
 
 * :mod:`repro.obs.metrics` + :mod:`repro.obs.schema` -- the metrics
   registry and the one DVM metric schema both backends install;
-* :mod:`repro.obs.trace` + :mod:`repro.obs.export` -- causally-linked
-  span tracing with JSONL and Chrome-trace (Perfetto) exporters;
+* :mod:`repro.obs.trace` + :mod:`repro.obs.export` -- the span /
+  instant trace record (derived from flight dumps, never recorded
+  live) with JSONL and Chrome-trace (Perfetto) exporters;
 * :mod:`repro.obs.log` -- structured (key=value / JSON) logging;
 * :mod:`repro.obs.serve` + :mod:`repro.obs.collector` -- the live
   telemetry plane: per-agent ``/metrics`` + ``/healthz`` + ``/vars``
   HTTP endpoints and the fleet-scraping collector behind
   ``python -m repro top``;
 * :mod:`repro.obs.flight` -- the per-device flight recorder (bounded
-  ring of typed events with Lamport clocks) plus the merge / causal
-  chain machinery behind ``python -m repro explain``.
+  ring of typed events with Lamport clocks), the one causal record,
+  plus the merge / causal chain / trace derivation behind ``python -m
+  repro explain`` and ``python -m repro trace``.
 """
 
 from repro.obs.collector import (
@@ -31,6 +33,7 @@ from repro.obs.flight import (
     chain_signature,
     find_verdict,
     merge_dumps,
+    records_from_flight,
     render_chain,
     render_timeline,
 )
@@ -59,7 +62,7 @@ from repro.obs.schema import (
     install_fleet_schema,
 )
 from repro.obs.serve import TelemetryServer, http_get, serve_registry
-from repro.obs.trace import NULL_TRACER, SpanHandle, TraceRecord, Tracer
+from repro.obs.trace import TraceRecord
 
 __all__ = [
     "Collector",
@@ -76,11 +79,8 @@ __all__ = [
     "MetricFamily",
     "MetricsRegistry",
     "NULL_RECORDER",
-    "NULL_TRACER",
-    "SpanHandle",
     "TelemetryServer",
     "TraceRecord",
-    "Tracer",
     "causal_chain",
     "chain_signature",
     "configure_logging",
@@ -93,6 +93,7 @@ __all__ = [
     "merge_dumps",
     "parse_prometheus_text",
     "read_jsonl",
+    "records_from_flight",
     "render_chain",
     "render_timeline",
     "serve_registry",

@@ -1,16 +1,16 @@
 """Per-device flight recorder: bounded forensic event log + causal chains.
 
-Aggregate metrics (:mod:`repro.obs.metrics`) and spans
-(:mod:`repro.obs.trace`) say *that* a verdict flipped; neither says
-*why*.  The :class:`FlightRecorder` is the missing evidence layer: every
-device keeps a fixed-size ring buffer of typed events -- frame rx/tx,
-CIB deltas, verdict transitions, session-FSM edges, link/admin events --
-each stamped with the device's Lamport logical clock (carried in every
-DVM frame header, see :mod:`repro.dvm.messages`) plus local monotonic
-time.  The ring is allocation-light (one small dict per event, no
-locks, no I/O) so it can stay on in production; when it wraps, old
-events are evicted and the dump says exactly how many (``dropped``) --
-loss is always visible, never silent.
+Aggregate metrics (:mod:`repro.obs.metrics`) say *that* a verdict
+flipped, not *why*.  The :class:`FlightRecorder` is the evidence layer,
+and the only record the hot path writes: every device keeps a fixed-size
+ring buffer of typed events -- frame rx/tx, CIB deltas, verdict
+transitions, session-FSM edges, link/admin events -- each stamped with
+the device's Lamport logical clock (carried in every DVM frame header,
+see :mod:`repro.dvm.messages`) plus local monotonic time.  The ring is
+allocation-light (one small dict per event, no locks, no I/O) so it can
+stay on in production; when it wraps, old events are evicted and the
+dump says exactly how many (``dropped``) -- loss is always visible,
+never silent.
 
 Causality is explicit, not inferred: while a device processes an
 incoming frame (or an admin operation), the recorder carries that
@@ -32,12 +32,32 @@ sender's clock first.
 The recorder also keeps bounded anomaly snapshots: on a verdict flip to
 violation, a peer loss, or a collector stall alert, the tail of the
 ring is copied aside so the evidence survives further wrapping.
+
+The same merged log is the trace: the driver that times a step writes
+``start`` / ``dur`` onto the step's own event (:meth:`FlightRecorder
+.annotate`), the backend records each operation window as an ``op``
+event, and :func:`records_from_flight` turns the log into the span /
+instant records ``repro trace`` exports -- a ``frame_rx`` span's parent
+is the step behind the matching ``frame_tx``, by the same join.
 """
 
 from __future__ import annotations
 
+import itertools
 import time
+from bisect import bisect_right
 from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Tuple
+
+from repro.obs.trace import (
+    CAT_OP,
+    CAT_RUNTIME,
+    CAT_SESSION,
+    CAT_SIM,
+    CAT_VERIFY,
+    KIND_EVENT,
+    KIND_SPAN,
+    TraceRecord,
+)
 
 __all__ = [
     "FlightRecorder",
@@ -47,6 +67,7 @@ __all__ = [
     "chain_signature",
     "find_verdict",
     "merge_dumps",
+    "records_from_flight",
     "render_chain",
     "render_timeline",
 ]
@@ -163,6 +184,17 @@ class FlightRecorder:
         self._seq = seq + 1
         return seq
 
+    def annotate(self, seq: int, **fields: Any) -> None:
+        """Add ``fields`` to event ``seq`` if the ring still holds it.
+
+        The slot is replaced, not mutated, so an event a dump already
+        handed out never changes under its reader.
+        """
+        index = seq % self.capacity
+        slot = self._buf[index]
+        if slot is not None and slot["seq"] == seq:
+            self._buf[index] = {**slot, **fields}
+
     def snapshot(self, reason: str, **fields: Any) -> Optional[Event]:
         """Copy the ring tail aside so anomaly evidence survives wrap."""
         if not self.enabled:
@@ -216,8 +248,7 @@ class FlightRecorder:
 
 
 #: Shared disabled recorder: the default hook value everywhere, so the
-#: hot paths pay one attribute load + branch when forensics are off
-#: (mirrors ``NULL_TRACER`` in :mod:`repro.obs.trace`).
+#: hot paths pay one attribute load + branch when forensics are off.
 NULL_RECORDER = FlightRecorder(device="", capacity=1, enabled=False)
 
 
@@ -251,9 +282,13 @@ def merge_dumps(*dumps: Any) -> Event:
     happens-before partial order, because a frame's receiver observes
     the sender's clock before recording.  Duplicate ``(device, seq)``
     pairs (the same dump merged twice) collapse to one event.
+    ``devices`` lists the named recorders (a backend's own operation
+    ring has no device name); ``backend`` is the dumps' common backend
+    label, empty when they disagree.
     """
     events: List[Event] = []
     devices = set()
+    backends = set()
     snapshots: Dict[str, List[Event]] = {}
     dropped = 0
     missing = 0
@@ -267,6 +302,7 @@ def merge_dumps(*dumps: Any) -> Event:
             snaps = dump.get("snapshots") or []
             if snaps:
                 snapshots.setdefault(str(dump["device"]), []).extend(snaps)
+        backends.add(str(dump.get("backend", "")))
         dropped += int(dump.get("dropped", 0) or 0)
         missing += int(dump.get("missing", 0) or 0)
     events.sort(
@@ -285,7 +321,8 @@ def merge_dumps(*dumps: Any) -> Event:
         seen.add(key)
         unique.append(event)
     return {
-        "devices": sorted(devices),
+        "devices": sorted(devices - {""}),
+        "backend": backends.pop() if len(backends) == 1 else "",
         "events": unique,
         "dropped": dropped,
         "missing": missing,
@@ -302,6 +339,17 @@ def _events_of(merged: Any) -> List[Event]:
     if isinstance(merged, dict):
         return list(merged.get("events", []))
     return list(merged)
+
+
+def _tx_index(events: Sequence[Event]) -> Dict[Tuple[Any, Any, Any], Event]:
+    """``frame_tx`` events by ``(sender, peer, clock)``: each sender's
+    clock is strictly increasing, so the key names one send and a
+    ``frame_rx`` ``(peer, device, clock)`` joins to it."""
+    return {
+        (event.get("device"), event.get("peer"), event.get("clock")): event
+        for event in events
+        if event.get("etype") == "frame_tx"
+    }
 
 
 def find_verdict(
@@ -349,11 +397,7 @@ def causal_chain(
     by_key: Dict[Tuple[Any, Any], Event] = {
         (event.get("device"), event.get("seq")): event for event in events
     }
-    tx_index: Dict[Tuple[Any, Any, Any], Event] = {}
-    for event in events:
-        if event.get("etype") == "frame_tx":
-            key = (event.get("device"), event.get("peer"), event.get("clock"))
-            tx_index[key] = event
+    tx_index = _tx_index(events)
     if target is None:
         target = find_verdict(merged, device=device, plan=plan)
     if target is None:
@@ -410,6 +454,122 @@ def chain_signature(chain: Sequence[Event]) -> List[Tuple[str, str, str]]:
 
 
 # ---------------------------------------------------------------------------
+# derived traces (the `repro trace` engine)
+
+#: Fields every event has, or that place it in time and causality; the
+#: rest is its payload (a derived record's ``attrs``).
+_STRUCTURAL = ("seq", "device", "etype", "lamport", "t", "cause", "start", "dur")
+
+#: The events a :class:`~repro.dvm.agent.Step` runs for: one span each.
+_STEPS = ("admin", "frame_rx", "peer_down")
+
+#: Category of the instant derived from an event (default: the steps').
+_INSTANT_CATS = {
+    "cib_delta": CAT_VERIFY,
+    "verdict": CAT_VERIFY,
+    "session": CAT_SESSION,
+    "handshake_failed": CAT_SESSION,
+}
+
+
+def records_from_flight(*dumps: Any) -> List[TraceRecord]:
+    """The span / instant trace of a (merged) flight log.
+
+    * every step event (``admin`` / ``frame_rx`` / ``peer_down``) is a
+      span over the ``start`` / ``dur`` its driver annotated (zero
+      length at ``t`` when none did).  A ``frame_rx`` span's parent is
+      the step behind the matching ``frame_tx`` -- on another device --
+      and an injected ``admin`` span's is its operation;
+    * every ``op`` event is an operation span with
+      ``convergence_seconds``, plus a ``quiescence`` instant parented to
+      it at the time the backend closed the window;
+    * every other event but ``frame_tx`` (the join, not a record) is an
+      instant parented to the step that caused it.
+
+    Records carry the trace id of the last operation opened before
+    them.  A parent that fell off a ring is ``None``, never dangling.
+    """
+    merged = merge_dumps(*dumps)
+    events = [e for e in merged["events"] if e.get("etype") != "frame_tx"]
+    step_cat = CAT_SIM if merged["backend"] == "simulator" else CAT_RUNTIME
+    ids = {
+        (event.get("device"), event.get("seq")): number
+        for number, event in enumerate(events, start=1)
+    }
+    extra_ids = itertools.count(len(events) + 1)
+    tx_index = _tx_index(merged["events"])
+    ops = sorted(
+        (event for event in events if event.get("etype") == "op"),
+        key=lambda event: float(event.get("start", 0.0)),
+    )
+    op_starts = [float(op.get("start", 0.0)) for op in ops]
+    op_ids = [ids[(op.get("device"), op.get("seq"))] for op in ops]
+    op_number = {ident: number for number, ident in enumerate(op_ids)}
+
+    records: List[TraceRecord] = []
+    for event in events:
+        etype = str(event.get("etype", ""))
+        device = str(event.get("device", ""))
+        ident = ids[(event.get("device"), event.get("seq"))]
+        at = float(event.get("t", 0.0))
+        start = float(event.get("start", at))
+        end = start + float(event.get("dur", 0.0))
+        number = op_number.get(ident, bisect_right(op_starts, at) - 1)
+        trace_id = (
+            f"op{number + 1}:{ops[number].get('label', '')}" if number >= 0 else ""
+        )
+        if etype == "op":
+            closed = max(at, end)
+            records.append(
+                TraceRecord(
+                    KIND_SPAN, str(event.get("label", etype)), CAT_OP, device,
+                    trace_id, ident, None, start, end,
+                    {"convergence_seconds": event.get("dur", 0.0)},
+                )
+            )
+            records.append(
+                TraceRecord(
+                    KIND_EVENT, "quiescence", step_cat, device, trace_id,
+                    next(extra_ids), ident, closed, closed,
+                )
+            )
+            continue
+        source: Optional[Event] = event
+        if etype == "frame_rx":
+            source = tx_index.get(
+                (event.get("peer"), event.get("device"), event.get("clock"))
+            )
+        parent: Optional[int] = None
+        if source is not None and source.get("cause") is not None:
+            parent = ids.get((source.get("device"), source.get("cause")))
+        attrs = {k: v for k, v in event.items() if k not in _STRUCTURAL}
+        if etype in _STEPS:
+            if etype == "frame_rx":
+                name = f"recv {event.get('kind', '?')}"
+            else:
+                name = str(event.get("step", etype))
+                if parent is None and etype == "admin" and number >= 0:
+                    parent = op_ids[number]
+            records.append(
+                TraceRecord(
+                    KIND_SPAN, name, step_cat, device, trace_id,
+                    ident, parent, start, end, attrs,
+                )
+            )
+        else:
+            name = etype or "event"
+            if etype == "session":
+                name = f"session.{event.get('event', '?')}"
+            records.append(
+                TraceRecord(
+                    KIND_EVENT, name, _INSTANT_CATS.get(etype, step_cat),
+                    device, trace_id, ident, parent, at, at, attrs,
+                )
+            )
+    return records
+
+
+# ---------------------------------------------------------------------------
 # rendering (the `repro explain` output)
 
 
@@ -449,12 +609,12 @@ def _summarize(event: Event) -> str:
     if etype == "admin":
         detail = event.get("detail", "")
         return f"{event.get('kind', '?')}" + (f" {detail}" if detail else "")
-    if etype == "snapshot":
-        return f"snapshot: {event.get('reason', '?')}"
+    if etype == "op":
+        return f"{event.get('label', '?')} converged in {event.get('dur', '?')} s"
     extra = {
         key: value
         for key, value in event.items()
-        if key not in ("seq", "device", "etype", "lamport", "t", "cause")
+        if key not in _STRUCTURAL
     }
     return " ".join(f"{key}={value}" for key, value in sorted(extra.items()))
 

@@ -1,6 +1,9 @@
-"""Causally-linked event tracing for the verification wave.
+"""The trace record: what ``repro trace`` writes, one per span or instant.
 
-A :class:`Tracer` records two record kinds:
+Nothing records these while the system runs.  The one hot-path record is
+the flight recorder's event stream (:mod:`repro.obs.flight`);
+:func:`repro.obs.flight.records_from_flight` derives the records from
+its dumps:
 
 * **spans** -- named intervals with a device, a start/end timestamp, an
   id, and an optional parent id.  Parent links express causality: the
@@ -8,40 +11,29 @@ A :class:`Tracer` records two record kinds:
   it, across devices -- so a trace of one verification session renders
   as the propagation wave itself (the diameter-not-size picture of the
   paper's §6 analysis).
-* **events** -- zero-duration instants (quiescence detected, session
-  established, frame dropped).
+* **events** -- zero-duration instants (quiescence detected, a session
+  FSM edge, a verdict transition).
 
-Time comes from ``clock``: the runtime leaves it at the wall clock, the
-simulator points it at the simulated clock so span timestamps are
-simulation seconds.  Spans opened with the :meth:`Tracer.span` context
-manager nest via an explicit stack -- valid because every instrumented
-section is synchronous (no ``await`` inside a ``with span(...)`` body);
-sections that do cross awaits (workload operations) record their spans
-with explicit timestamps via :meth:`Tracer.record_span` instead.
-
-Tracing is opt-in: the module-level :data:`NULL_TRACER` is disabled and
-every hot-path call site guards on ``tracer.enabled``, so a
-non-observed run pays one attribute load and one branch per event.
+Timestamps are the recorders' own: simulation seconds on the simulator,
+host-monotonic seconds on the runtime and the fleet.
 """
 
 from __future__ import annotations
 
-import itertools
-import time
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional
+from typing import Dict, Optional
 
-__all__ = ["NULL_TRACER", "SpanHandle", "TraceRecord", "Tracer"]
+__all__ = ["TraceRecord"]
 
 #: Record kinds (the JSONL ``kind`` field).
 KIND_SPAN = "span"
 KIND_EVENT = "event"
 
-#: Span categories used by the instrumentation (the ``cat`` field).
-CAT_VERIFY = "verify"  # verifier entry points (CIB updates, recounts)
-CAT_SIM = "sim"  # simulator device executions
-CAT_RUNTIME = "runtime"  # runtime pump/dispatch
-CAT_SESSION = "session"  # handshake / keepalive / reconnect lifecycle
+#: Record categories (the ``cat`` field).
+CAT_VERIFY = "verify"  # CIB deltas and verdict transitions
+CAT_SIM = "sim"  # simulator device steps
+CAT_RUNTIME = "runtime"  # runtime / fleet device steps
+CAT_SESSION = "session"  # handshake / session FSM lifecycle
 CAT_OP = "op"  # workload operations (injection -> quiescence)
 
 
@@ -77,252 +69,3 @@ class TraceRecord:
             "dur": self.duration,
             "attrs": self.attrs,
         }
-
-
-class SpanHandle:
-    """Mutable view of an open span (yielded by :meth:`Tracer.span`)."""
-
-    __slots__ = ("span_id", "attrs", "_start", "_end")
-
-    def __init__(self, span_id: int) -> None:
-        self.span_id = span_id
-        self.attrs: Dict[str, object] = {}
-        self._start: Optional[float] = None
-        self._end: Optional[float] = None
-
-    def set(self, **attrs: object) -> None:
-        self.attrs.update(attrs)
-
-    def set_times(self, start: float, end: float) -> None:
-        """Override the clock-derived interval (simulated time)."""
-        self._start = start
-        self._end = end
-
-
-#: Shared dummy handle handed out by disabled tracers.
-_NULL_HANDLE = SpanHandle(0)
-
-
-class _SpanContext:
-    """Hand-rolled context manager behind :meth:`Tracer.span`.
-
-    A plain class instead of ``contextlib.contextmanager`` because spans
-    wrap the hottest instrumented sections: this saves the generator
-    machinery (~1 us per span) on every use.
-    """
-
-    __slots__ = ("_tracer", "_name", "_device", "_cat", "_parent", "_handle",
-                 "_start")
-
-    def __init__(
-        self,
-        tracer: "Tracer",
-        name: str,
-        device: str,
-        cat: str,
-        parent_id: Optional[int],
-        attrs: Dict[str, object],
-    ) -> None:
-        self._tracer = tracer
-        self._name = name
-        self._device = device
-        self._cat = cat
-        self._parent = parent_id
-        self._handle = SpanHandle(0)
-        self._handle.attrs = attrs
-
-    def __enter__(self) -> SpanHandle:
-        tracer = self._tracer
-        if self._parent is None:
-            self._parent = tracer.current_parent()
-        self._handle.span_id = tracer.begin_span()
-        self._start = tracer.now()
-        return self._handle
-
-    def __exit__(self, *exc_info: object) -> None:
-        tracer = self._tracer
-        tracer.pop_span()
-        end = tracer.now()
-        handle = self._handle
-        tracer.record_span(
-            self._name,
-            start=handle._start if handle._start is not None else self._start,
-            end=handle._end if handle._end is not None else end,
-            device=self._device,
-            cat=self._cat,
-            span_id=handle.span_id,
-            parent_id=self._parent,
-            attrs=handle.attrs,
-        )
-
-
-class _NullSpanContext:
-    """Shared no-op context handed out by disabled tracers."""
-
-    __slots__ = ()
-
-    def __enter__(self) -> SpanHandle:
-        return _NULL_HANDLE
-
-    def __exit__(self, *exc_info: object) -> None:
-        return None
-
-
-_NULL_SPAN_CONTEXT = _NullSpanContext()
-
-
-class Tracer:
-    """Collects trace records for one backend run.
-
-    Thread-safe for the patterns the backends use (the runtime appends
-    from its loop thread while the facade thread snapshots) because the
-    only shared mutation is ``list.append`` / ``list(...)``, both atomic
-    under the GIL -- the hot record path deliberately takes no lock.
-    """
-
-    def __init__(
-        self,
-        clock: Optional[Callable[[], float]] = None,
-        enabled: bool = True,
-    ) -> None:
-        self.enabled = enabled
-        self.clock = clock
-        self._records: List[TraceRecord] = []
-        self._ids = itertools.count(1)
-        self._stack: List[int] = []
-        self._operations = itertools.count(1)
-        self._trace_id = ""
-
-    # -- time / ids ---------------------------------------------------------
-
-    def now(self) -> float:
-        clock = self.clock
-        return clock() if clock is not None else time.perf_counter()
-
-    def next_id(self) -> int:
-        return next(self._ids)
-
-    def current_parent(self) -> Optional[int]:
-        """Innermost open :meth:`span`, if any (synchronous nesting)."""
-        return self._stack[-1] if self._stack else None
-
-    def begin_span(self) -> int:
-        """Fast path: allocate a span id and make it the current parent.
-
-        Callers pair it with :meth:`pop_span` (in a ``finally``) and then
-        :meth:`record_span` with the returned id -- the inlined
-        equivalent of :meth:`span` for per-message hot paths.
-        """
-        span_id = next(self._ids)
-        self._stack.append(span_id)
-        return span_id
-
-    def pop_span(self) -> None:
-        self._stack.pop()
-
-    # -- operations (verification-session ids) ------------------------------
-
-    def begin_operation(self, label: str) -> str:
-        """Start a verification session; subsequent records carry its id."""
-        self._trace_id = f"op{next(self._operations)}:{label}"
-        return self._trace_id
-
-    @property
-    def trace_id(self) -> str:
-        return self._trace_id
-
-    # -- recording ----------------------------------------------------------
-
-    def record_span(
-        self,
-        name: str,
-        start: float,
-        end: float,
-        device: str = "",
-        cat: str = CAT_SIM,
-        span_id: Optional[int] = None,
-        parent_id: Optional[int] = None,
-        trace_id: Optional[str] = None,
-        attrs: Optional[Dict[str, object]] = None,
-    ) -> int:
-        """Record a closed span with explicit timestamps; returns its id."""
-        if not self.enabled:
-            return 0
-        identifier = span_id if span_id is not None else next(self._ids)
-        self._records.append(
-            TraceRecord(
-                kind=KIND_SPAN,
-                name=name,
-                cat=cat,
-                device=device,
-                trace_id=trace_id if trace_id is not None else self._trace_id,
-                span_id=identifier,
-                parent_id=parent_id,
-                start=start,
-                end=end,
-                attrs=attrs if attrs is not None else {},
-            )
-        )
-        return identifier
-
-    def event(
-        self,
-        name: str,
-        device: str = "",
-        cat: str = CAT_RUNTIME,
-        parent_id: Optional[int] = None,
-        **attrs: object,
-    ) -> int:
-        """Record an instant event at the current clock; returns its id."""
-        if not self.enabled:
-            return 0
-        clock = self.clock
-        timestamp = clock() if clock is not None else time.perf_counter()
-        identifier = next(self._ids)
-        if parent_id is None and self._stack:
-            parent_id = self._stack[-1]
-        self._records.append(
-            TraceRecord(
-                kind=KIND_EVENT,
-                name=name,
-                cat=cat,
-                device=device,
-                trace_id=self._trace_id,
-                span_id=identifier,
-                parent_id=parent_id,
-                start=timestamp,
-                end=timestamp,
-                attrs=attrs,
-            )
-        )
-        return identifier
-
-    def span(
-        self,
-        name: str,
-        device: str = "",
-        cat: str = CAT_VERIFY,
-        parent_id: Optional[int] = None,
-        **attrs: object,
-    ):
-        """Open a span around a synchronous section (no awaits inside)."""
-        if not self.enabled:
-            return _NULL_SPAN_CONTEXT
-        return _SpanContext(self, name, device, cat, parent_id, attrs)
-
-    # -- access -------------------------------------------------------------
-
-    def records(self) -> List[TraceRecord]:
-        """Snapshot of everything recorded so far (chronological append
-        order; simulator spans may close out of timestamp order)."""
-        return list(self._records)
-
-    def __len__(self) -> int:
-        return len(self._records)
-
-    def clear(self) -> None:
-        self._records.clear()
-
-
-#: The disabled tracer every component defaults to.
-NULL_TRACER = Tracer(enabled=False)

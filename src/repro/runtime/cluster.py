@@ -36,10 +36,8 @@ from __future__ import annotations
 import asyncio
 import random
 import time
-from collections import deque
 from typing import (
     Callable,
-    Deque,
     Dict,
     Iterable,
     List,
@@ -54,7 +52,6 @@ from repro.dvm.messages import Message, MessageDecodeError, OpenMessage
 from repro.dvm.verifier import Outgoing
 from repro.obs.log import get_logger, kv
 from repro.obs.serve import TelemetryServer
-from repro.obs.trace import CAT_RUNTIME, CAT_SESSION, Tracer
 from repro.packetspace.predicate import PredicateFactory
 from repro.planner.tasks import Plan
 from repro.runtime.connection import (
@@ -98,13 +95,11 @@ class DeviceHost:
         self.metrics = metrics
         self.cluster = cluster
         self.sessions: Dict[str, PeerSession] = {}
-        # Each inbox entry carries the message, the span id of the
-        # handler that emitted it on the sending device (None when
-        # tracing is off or causality is unknown), and the peer and
+        # Each inbox entry carries the message and the peer and
         # connection it arrived on (whose ``done`` counter it bumps).
-        self.inbox: (
-            "asyncio.Queue[Tuple[Message, Optional[int], str, FramedChannel]]"
-        ) = asyncio.Queue()
+        self.inbox: "asyncio.Queue[Tuple[Message, str, FramedChannel]]" = (
+            asyncio.Queue()
+        )
         self.server: Optional[asyncio.Server] = None
         #: Planned DVM port (0 = ephemeral); ``port`` is the bound one.
         self.dvm_port = dvm_port
@@ -237,17 +232,10 @@ class DeviceHost:
         ) as exc:
             # A peer that dials and then stalls, resets, or sends
             # garbage before its OPEN: refuse the connection, but leave
-            # a trace -- silent handshake failures made reconnect storms
+            # a record -- silent handshake failures made reconnect storms
             # undiagnosable.
             self.metrics.handshake_failures += 1
-            tracer = self.cluster.tracer
-            if tracer.enabled:
-                tracer.event(
-                    "handshake.failed",
-                    device=self.device,
-                    cat=CAT_SESSION,
-                    error=repr(exc),
-                )
+            self.agent.flight.record("handshake_failed", error=repr(exc))
             logger.debug(
                 "inbound handshake failed before OPEN",
                 extra=kv(device=self.device, error=repr(exc)),
@@ -274,48 +262,32 @@ class DeviceHost:
         self, peer: str, message: Message, channel: FramedChannel
     ) -> None:
         """Session read loops push counting frames here (FIFO per peer)."""
-        parent = self.cluster.pop_parent(peer, self.device)
         self.agent.arrived(peer, message, getattr(message, "clock", 0))
-        self.inbox.put_nowait((message, parent, peer, channel))
+        self.inbox.put_nowait((message, peer, channel))
         self.cluster.note_activity()
 
     async def _pump(self) -> None:
         while True:
-            message, parent, peer, channel = await self.inbox.get()
-            self.call(self.agent.handle(message), parent)
+            message, peer, channel = await self.inbox.get()
+            self.call(self.agent.handle(message))
             # Done only now: its outputs are already in some ``out``.
             channel.done += 1
             self.cluster.frame_done(peer)
 
-    def call(self, step: Step, parent: Optional[int] = None) -> None:
-        """Run one agent step and transmit what it emits.
-
-        Always feeds the per-device processing-time histogram; with
-        tracing on, the execution additionally becomes a span whose
-        parent is the emitting handler on the sending device.
-        """
-        tracer = self.cluster.tracer
-        start = time.perf_counter()
-        span_id: Optional[int] = None
-        if tracer.enabled:
-            with tracer.span(
-                step.name, device=self.device, cat=CAT_RUNTIME, parent_id=parent
-            ) as handle:
-                outgoing = step()
-            span_id = handle.span_id
-        else:
-            outgoing = step()
-        self.metrics.observe_processing(time.perf_counter() - start)
-        self.route(outgoing, parent=span_id)
+    def call(self, step: Step) -> None:
+        """Run one agent step, time it and transmit what it emits."""
+        start = time.monotonic()
+        outgoing = step()
+        elapsed = time.monotonic() - start
+        step.timed(start, elapsed)
+        self.metrics.observe_processing(elapsed)
+        self.route(outgoing)
         self.cluster.note_activity()
 
-    def route(
-        self, outgoing: Outgoing, parent: Optional[int] = None
-    ) -> None:
+    def route(self, outgoing: Outgoing) -> None:
         for destination, message in outgoing:
             session = self.sessions.get(destination)
             if session is not None and session.send(message):
-                self.cluster.push_parent(self.device, destination, parent)
                 self.cluster.frame_queued(destination)
             # else: session down or link failed -- the frame is dropped,
             # exactly like a TCP connection stalling over a dead link;
@@ -325,12 +297,10 @@ class DeviceHost:
 
     def on_session_established(self, peer: str) -> None:
         """Re-OPEN every installed plan so the peer refreshes our state."""
-        self.cluster.clear_parents(self.device, peer)
         self.route(self.agent.refresh(peer))
         self.cluster.session_changed()
 
     def on_peer_down(self, peer: str) -> None:
-        self.cluster.clear_parents(self.device, peer)
         # The loss chains to the session's last FSM edge (conn_lost /
         # hold_expired).
         session = self.sessions.get(peer)
@@ -356,7 +326,6 @@ class RuntimeCluster(AgentBackend):
         seed: int = 7,
         op_timeout: float = 60.0,
         handshake_timeout: float = 5.0,
-        tracer: Optional[Tracer] = None,
         http_enabled: bool = True,
         http_base_port: Optional[int] = None,
         http_host: str = "127.0.0.1",
@@ -364,7 +333,7 @@ class RuntimeCluster(AgentBackend):
         shard: Optional[Iterable[str]] = None,
         dvm_ports: Optional[Dict[str, int]] = None,
         local_fastpath: bool = False,
-        flight_enabled: bool = True,
+        flight: bool = True,
         flight_capacity: int = 512,
     ) -> None:
         self.metrics = ClusterMetrics()
@@ -374,9 +343,8 @@ class RuntimeCluster(AgentBackend):
             topology,
             fibs,
             factory,
-            tracer,
             self.metrics.record_convergence,
-            flight_enabled,
+            flight,
             flight_capacity,
         )
         self.keepalive_interval = keepalive_interval
@@ -426,41 +394,8 @@ class RuntimeCluster(AgentBackend):
         # In-process fast-path accept tasks (one per co-located connect);
         # references keep them alive until done.
         self._accept_tasks: Set["asyncio.Task[None]"] = set()
-        # Out-of-band causality: per directed link, the span ids of the
-        # handlers whose frames are in flight (FIFO matches the per-link
-        # TCP ordering).  Best-effort -- cleared on session churn.
-        self._parent_links: Dict[Tuple[str, str], Deque[Optional[int]]] = {}
         # The open operation window (None = idle; /healthz's phase).
         self._op: Optional[OpWindow] = None
-
-    # -- cross-device causality (tracing) -----------------------------------
-
-    def push_parent(
-        self, source: str, destination: str, span_id: Optional[int]
-    ) -> None:
-        """Remember who emitted the frame now in flight on (source, dest)."""
-        if not self.tracer.enabled:
-            return
-        self._parent_links.setdefault(
-            (source, destination), deque()
-        ).append(span_id)
-
-    def pop_parent(self, source: str, destination: str) -> Optional[int]:
-        if not self.tracer.enabled:
-            return None
-        pending = self._parent_links.get((source, destination))
-        if pending:
-            return pending.popleft()
-        return None
-
-    def clear_parents(self, a: str, b: str) -> None:
-        """Drop in-flight causality for both directions of link (a, b).
-
-        Called on session loss and (re-)establishment: frames queued on
-        a dying connection never arrive, so the pending ids would
-        misalign the FIFO pairing for the next session."""
-        self._parent_links.pop((a, b), None)
-        self._parent_links.pop((b, a), None)
 
     # -- activity / quiescence ---------------------------------------------
 
@@ -566,12 +501,6 @@ class RuntimeCluster(AgentBackend):
                 await self._recheck.wait()
             finally:
                 timer.cancel()
-        if self.tracer.enabled:
-            self.tracer.event(
-                "quiescence",
-                cat=CAT_RUNTIME,
-                parent_id=self._op.span if self._op is not None else None,
-            )
         return time.monotonic() - self._last_activity_wall
 
     @property
@@ -685,7 +614,6 @@ class RuntimeCluster(AgentBackend):
             hold_multiplier=self.hold_multiplier,
             backoff=self.backoff,
             rng=random.Random(f"{self.seed}:{device}:{peer}"),
-            tracer=self.tracer,
             flight=host.agent.flight,
             connector=(
                 (lambda p=peer: self._local_connect(p))
@@ -745,8 +673,8 @@ class RuntimeCluster(AgentBackend):
 
     def begin_operation(self, label: str = "op") -> OpWindow:
         """Open an operation window."""
-        now = self._last_activity_wall = time.monotonic()
-        self._op = self.open_op(label, now, self.tracer.now())
+        self._last_activity_wall = time.monotonic()
+        self._op = OpWindow(label, self._last_activity_wall)
         return self._op
 
     def finish_operation(self, window: OpWindow) -> float:
@@ -770,11 +698,10 @@ class RuntimeCluster(AgentBackend):
         their own worker injects the same event, so fleet-wide every
         device still receives it exactly once.
         """
-        span = self._op.span if self._op is not None else None
         for device in devices:
             host = self.hosts.get(device)
             if host is not None:
-                host.call(host.agent.event(event, *args), span)
+                host.call(host.agent.event(event, *args))
 
     def inject_plans(self, plans: Dict[str, Plan]) -> None:
         """Install plans on their locally hosted devices."""

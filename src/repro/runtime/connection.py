@@ -33,7 +33,6 @@ from typing import Awaitable, Callable, Dict, Optional, Tuple
 from repro.dvm.messages import Message, MessageDecodeError, OpenMessage
 from repro.obs.flight import NULL_RECORDER, FlightRecorder
 from repro.obs.log import get_logger, kv
-from repro.obs.trace import CAT_SESSION, NULL_TRACER, Tracer
 from repro.packetspace.predicate import PredicateFactory
 from repro.runtime.metrics import DeviceMetrics
 from repro.runtime.transport import (
@@ -171,7 +170,6 @@ class PeerSession:
         hold_multiplier: float = 3.0,
         backoff: Optional[BackoffPolicy] = None,
         rng: Optional[random.Random] = None,
-        tracer: Optional[Tracer] = None,
         connector: Optional[Connector] = None,
         flight: Optional[FlightRecorder] = None,
     ) -> None:
@@ -180,7 +178,6 @@ class PeerSession:
         self.factory = factory
         self.metrics = metrics
         self.events = events
-        self.tracer = tracer if tracer is not None else NULL_TRACER
         # Device-wide recorder shared across the host's sessions; the
         # session records its FSM edges there.
         self.flight = flight if flight is not None else NULL_RECORDER
@@ -417,14 +414,6 @@ class PeerSession:
             self.metrics.reconnects += 1
         self._ever_established = True
         self.metrics.sessions_established += 1
-        if self.tracer.enabled:
-            self.tracer.event(
-                "session.established",
-                device=self.device,
-                cat=CAT_SESSION,
-                peer=self.peer,
-                reconnect=reconnect,
-            )
         logger.debug(
             "session established",
             extra=kv(device=self.device, peer=self.peer, reconnect=reconnect),
@@ -466,13 +455,6 @@ class PeerSession:
                 else:
                     self._fire("conn_lost")
                 self.metrics.peer_down_events += 1
-                if self.tracer.enabled:
-                    self.tracer.event(
-                        "session.lost",
-                        device=self.device,
-                        cat=CAT_SESSION,
-                        peer=self.peer,
-                    )
                 logger.debug(
                     "session lost",
                     extra=kv(device=self.device, peer=self.peer),

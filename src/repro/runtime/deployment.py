@@ -214,6 +214,13 @@ class RuntimeDeployment:
     async def _holds(self, plan_id: str) -> bool:
         return self.cluster.holds(plan_id)
 
+    def flight_dump(self) -> Dict[str, Dict[str, object]]:
+        """Per-device flight-recorder dumps (see ``repro.obs.flight``)."""
+        return self._submit(self._flight_dump())
+
+    async def _flight_dump(self) -> Dict[str, Dict[str, object]]:
+        return self.cluster.flight_dump()
+
     # -- metrics -----------------------------------------------------------
 
     @property

@@ -43,7 +43,6 @@ from repro.obs.schema import (
     KIND_COUNTING,
     install_dvm_schema,
 )
-from repro.obs.trace import CAT_SIM, Tracer
 from repro.packetspace.predicate import PredicateFactory
 from repro.planner.tasks import Plan
 from repro.simulator.engine import EventQueue
@@ -178,7 +177,6 @@ class SimulatedNetwork(AgentBackend):
         profiles: Optional[Dict[str, DeviceProfile]] = None,
         strict_wire: bool = False,
         verifier_hosts: Optional[Dict[str, str]] = None,
-        tracer: Optional[Tracer] = None,
         flight: bool = False,
         flight_capacity: int = 512,
     ) -> None:
@@ -196,16 +194,14 @@ class SimulatedNetwork(AgentBackend):
             topology,
             fibs,
             factory,
-            tracer,
             self.stats.record_convergence,
             flight,
             flight_capacity,
+            # Flight timestamps are simulation seconds.
+            monotonic=lambda: self.queue.now,
         )
         self.queue = EventQueue()
         self.strict_wire = strict_wire
-        if self.tracer.enabled and self.tracer.clock is None:
-            # Span timestamps become simulation seconds.
-            self.tracer.clock = lambda: self.queue.now
         self._profiles = profiles or {}
         self._default_profile = profile
         self.verifier_hosts = dict(verifier_hosts or {})
@@ -216,7 +212,7 @@ class SimulatedNetwork(AgentBackend):
                     "unknown device"
                 )
         for device in topology.devices:
-            self._spawn(device, monotonic=lambda: self.queue.now)
+            self._spawn(device)
         self._busy_until: Dict[str, List[float]] = {
             device: [0.0] * max(1, self.profile_of(device).cores)
             for device in topology.devices
@@ -251,59 +247,29 @@ class SimulatedNetwork(AgentBackend):
     # ------------------------------------------------------------------
     # core execution
 
-    def _execute(
-        self, device: str, step: Step, parent_id: Optional[int] = None
-    ) -> None:
+    def _execute(self, device: str, step: Step) -> None:
         """Run ``step`` on ``device``, charging measured CPU time.
 
         The device's thread pool (§8) is modeled as ``cores`` parallel
-        lanes: each event runs on the least-busy core.  With tracing on,
-        the execution becomes a span at simulated time whose parent is
-        the span that emitted the message being processed -- possibly on
-        another device -- so the trace renders the propagation wave.
+        lanes: each event runs on the least-busy core.  The step's
+        flight record gets its simulated start and cost, so a derived
+        trace shows the modeled wave, not host noise.
         """
         host = self.host_of(device)
         cores = self._busy_until[host]
         core_index = min(range(len(cores)), key=cores.__getitem__)
         start_sim = max(self.queue.now, cores[core_index])
-        tracer = self.tracer
-        if not tracer.enabled:
-            wall_start = _time.perf_counter()
-            outgoing = step()
-            elapsed = (_time.perf_counter() - wall_start) * self.profile_of(
-                host
-            ).cpu_scale
-            span_id: Optional[int] = None
-        else:
-            # Inlined tracer.span() (begin/pop + one record_span) so the
-            # measured section carries no context-manager machinery: the
-            # cost model stays byte-for-byte the untraced one.
-            span_id = tracer.begin_span()
-            try:
-                wall_start = _time.perf_counter()
-                outgoing = step()
-                elapsed = (
-                    _time.perf_counter() - wall_start
-                ) * self.profile_of(host).cpu_scale
-            finally:
-                tracer.pop_span()
-            tracer.record_span(
-                step.name,
-                start=start_sim,
-                end=start_sim + elapsed,
-                device=host,
-                cat=CAT_SIM,
-                span_id=span_id,
-                parent_id=parent_id,
-                attrs={"core": core_index, "cost_seconds": elapsed},
-            )
+        wall_start = _time.perf_counter()
+        outgoing = step()
+        elapsed = (_time.perf_counter() - wall_start) * self.profile_of(
+            host
+        ).cpu_scale
+        step.timed(start_sim, elapsed)
         completion = start_sim + elapsed
         cores[core_index] = completion
         self.stats.record_processing(host, elapsed)
         for destination, message in outgoing:
-            self._transmit(
-                device, destination, message, completion, parent_id=span_id
-            )
+            self._transmit(device, destination, message, completion)
 
     def _transmit(
         self,
@@ -311,7 +277,6 @@ class SimulatedNetwork(AgentBackend):
         destination: str,
         message: Message,
         when: float,
-        parent_id: Optional[int] = None,
     ) -> None:
         link_key = (source, destination)
         proxied = source in self.verifier_hosts or destination in self.verifier_hosts
@@ -349,7 +314,6 @@ class SimulatedNetwork(AgentBackend):
             lambda: self._execute(
                 destination,
                 self.agents[destination].frame(source, message, clock),
-                parent_id,
             ),
         )
 
@@ -359,7 +323,6 @@ class SimulatedNetwork(AgentBackend):
 
     def _inject(
         self,
-        window: OpWindow,
         devices: Iterable[str],
         event: str,
         *args: object,
@@ -371,23 +334,18 @@ class SimulatedNetwork(AgentBackend):
             step = self.agents[device].event(event, *args)
             self.queue.schedule(
                 self.queue.now + delay,
-                lambda d=device, s=step: self._execute(d, s, window.span),
+                lambda d=device, s=step: self._execute(d, s),
             )
 
     def _settle(self, window: OpWindow) -> float:
         """Run to quiescence and close the operation window."""
-        elapsed = self.run_to_quiescence() - window.start
-        if window.span is not None:
-            self.tracer.event(
-                "quiescence", cat=CAT_SIM, parent_id=window.span
-            )
-        return self.close_op(window, elapsed)
+        return self.close_op(window, self.run_to_quiescence() - window.start)
 
     def _operate(
         self, label: str, devices: Iterable[str], event: str, *args: object
     ) -> float:
-        window = self.open_op(label, self.queue.now)
-        self._inject(window, devices, event, *args)
+        window = OpWindow(label, self.queue.now)
+        self._inject(devices, event, *args)
         return self._settle(window)
 
     def install_plan(self, plan_id: str, plan: Plan) -> float:
@@ -399,10 +357,10 @@ class SimulatedNetwork(AgentBackend):
         return self._install(plans, f"install_plans:{len(plans)}")
 
     def _install(self, plans: Dict[str, Plan], label: str) -> float:
-        window = self.open_op(label, self.queue.now)
+        window = OpWindow(label, self.queue.now)
         for plan_id, plan in plans.items():
             self._plans[plan_id] = plan
-            self._inject(window, plan.devices(), "install", plan_id, plan)
+            self._inject(plan.devices(), "install", plan_id, plan)
         return self._settle(window)
 
     def burst_fib_event(self, devices: Optional[Sequence[str]] = None) -> float:
@@ -418,10 +376,9 @@ class SimulatedNetwork(AgentBackend):
         For proxied devices the update must first travel from the device
         to its verifier's host over the management network.
         """
-        window = self.open_op(f"fib_update:{device}", self.queue.now)
+        window = OpWindow(f"fib_update:{device}", self.queue.now)
         mutate()
         self._inject(
-            window,
             (device,),
             "fib_update",
             delay=self._host_latency(device, self.host_of(device)),
@@ -438,9 +395,9 @@ class SimulatedNetwork(AgentBackend):
         links = list(scene)
         self._failed_links.update(tuple(sorted(link)) for link in links)
         label = "link_fail:" + ",".join(f"{a}-{b}" for a, b in links)
-        window = self.open_op(label, self.queue.now)
+        window = OpWindow(label, self.queue.now)
         for link in links:
-            self._inject(window, link, "link", link, False)
+            self._inject(link, "link", link, False)
         return self._settle(window)
 
     def recover_link(self, a: str, b: str) -> float:

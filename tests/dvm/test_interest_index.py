@@ -58,14 +58,14 @@ def recording(verifier_class, log):
     """``verifier_class`` logging every recount of a non-empty region."""
 
     class Recording(verifier_class):
-        def _recompute_region(self, context, state, region):
+        def _recompute(self, context, state, region):
             effective = region & state.interest
             if not effective.is_empty:
                 log.append(
                     (self.device, context.plan_id, state.task.node_id,
                      effective.to_bytes())
                 )
-            return super()._recompute_region(context, state, region)
+            return super()._recompute(context, state, region)
 
     return Recording
 

@@ -69,9 +69,9 @@ class Absorbing(Dispatched):
 
     recounted = 0
 
-    def _recompute_region(self, context, state, region):
+    def _recompute(self, context, state, region):
         self.recounted += 1
-        return super()._recompute_region(context, state, region)
+        return super()._recompute(context, state, region)
 
     def _on_update(self, context, message):
         state = context.nodes.get(message.up_node)

@@ -1,104 +1,13 @@
-"""Tracer semantics, and span causality across a simulated network."""
+"""Span causality across a simulated network, read from the trace the
+flight dumps derive (``records_from_flight``)."""
 
 from repro.core import Tulkun
 from repro.dataplane.routes import RouteConfig, install_routes
 from repro.obs.export import validate_records
-from repro.obs.trace import (
-    CAT_OP,
-    CAT_SIM,
-    KIND_EVENT,
-    KIND_SPAN,
-    NULL_TRACER,
-    Tracer,
-)
+from repro.obs.flight import records_from_flight
+from repro.obs.trace import CAT_OP, CAT_SIM, KIND_SPAN
 from repro.packetspace.fields import DSTIP_ONLY_LAYOUT
 from repro.topology.generators import paper_example
-
-
-def make_tracer():
-    """A tracer on a deterministic clock (one tick per reading)."""
-    ticks = iter(range(10_000))
-    return Tracer(clock=lambda: float(next(ticks)))
-
-
-class TestTracerUnits:
-    def test_nested_spans_parent_to_the_enclosing_span(self):
-        tracer = make_tracer()
-        with tracer.span("outer", device="A") as outer:
-            with tracer.span("inner", device="A") as inner:
-                pass
-        by_name = {record.name: record for record in tracer.records()}
-        assert by_name["inner"].parent_id == outer.span_id
-        assert by_name["outer"].parent_id is None
-        assert by_name["inner"].span_id == inner.span_id
-        assert by_name["outer"].kind == KIND_SPAN
-
-    def test_event_parents_to_the_innermost_open_span(self):
-        tracer = make_tracer()
-        with tracer.span("outer") as outer:
-            event_id = tracer.event("ping", device="A", note="hi")
-        records = {record.span_id: record for record in tracer.records()}
-        event = records[event_id]
-        assert event.kind == KIND_EVENT
-        assert event.parent_id == outer.span_id
-        assert event.duration == 0.0
-        assert event.attrs == {"note": "hi"}
-        tracer.event("orphan")
-        assert tracer.records()[-1].parent_id is None
-
-    def test_fast_path_matches_span_context_manager(self):
-        """begin_span/pop_span/record_span is the inlined equivalent the
-        hot paths use; nesting must behave exactly like span()."""
-        tracer = make_tracer()
-        span_id = tracer.begin_span()
-        try:
-            with tracer.span("child") as child:
-                pass
-        finally:
-            tracer.pop_span()
-        tracer.record_span("parent", start=0.0, end=1.0, span_id=span_id)
-        by_name = {record.name: record for record in tracer.records()}
-        assert by_name["child"].parent_id == span_id
-        assert by_name["parent"].span_id == span_id
-        assert child.span_id != span_id
-
-    def test_handle_overrides_attrs_and_times(self):
-        tracer = make_tracer()
-        with tracer.span("op", device="A") as handle:
-            handle.set(plan="p1", updates=3)
-            handle.set_times(10.0, 12.5)
-        (record,) = tracer.records()
-        assert record.attrs == {"plan": "p1", "updates": 3}
-        assert record.start == 10.0
-        assert record.end == 12.5
-        assert record.duration == 2.5
-
-    def test_operations_stamp_trace_ids(self):
-        tracer = make_tracer()
-        assert tracer.begin_operation("install") == "op1:install"
-        tracer.event("first")
-        assert tracer.begin_operation("update") == "op2:update"
-        tracer.event("second")
-        traces = [record.trace_id for record in tracer.records()]
-        assert traces == ["op1:install", "op2:update"]
-
-    def test_disabled_tracer_records_nothing(self):
-        assert not NULL_TRACER.enabled
-        with NULL_TRACER.span("x") as handle:
-            handle.set(ignored=True)
-        assert NULL_TRACER.event("x") == 0
-        assert NULL_TRACER.record_span("x", start=0.0, end=1.0) == 0
-        assert len(NULL_TRACER) == 0
-
-    def test_records_snapshot_and_clear(self):
-        tracer = make_tracer()
-        tracer.event("one")
-        snapshot = tracer.records()
-        tracer.event("two")
-        assert len(snapshot) == 1
-        assert len(tracer) == 2
-        tracer.clear()
-        assert len(tracer) == 0
 
 
 class TestSimulatorCausality:
@@ -106,29 +15,26 @@ class TestSimulatorCausality:
     trace as a causally-linked propagation wave."""
 
     def trace_install(self):
-        tracer = Tracer()
         tulkun = Tulkun(paper_example(), layout=DSTIP_ONLY_LAYOUT)
         fibs = install_routes(
             tulkun.topology, tulkun.factory, RouteConfig(ecmp="any")
         )
-        deployment = tulkun.deploy(fibs, tracer=tracer)
+        deployment = tulkun.deploy(fibs, flight=True)
         invariant = tulkun.parse(
             "(dstIP = 10.0.0.0/23, [S], (exist >= 1, S.*D and loop_free, "
             "(<= shortest+2)))",
             name="reach",
         )
         report = deployment.verify(invariant)
-        return tracer, report
+        return records_from_flight(deployment.flight_dump()), report
 
     def test_trace_is_schema_valid(self):
-        tracer, _ = self.trace_install()
-        records = tracer.records()
-        assert records, "tracing a verification produced no records"
+        records, _ = self.trace_install()
+        assert records, "a verification derived no trace records"
         assert validate_records(records) == []
 
     def test_operation_span_brackets_the_wave(self):
-        tracer, report = self.trace_install()
-        records = tracer.records()
+        records, report = self.trace_install()
         ops = [record for record in records if record.cat == CAT_OP]
         assert len(ops) == 1
         op = ops[0]
@@ -140,6 +46,10 @@ class TestSimulatorCausality:
         quiescence = [r for r in records if r.name == "quiescence"]
         assert len(quiescence) == 1
         assert quiescence[0].parent_id == op.span_id
+        # The injected steps are the operation's children.
+        installs = [r for r in records if r.name == "install_plan"]
+        assert installs
+        assert {r.parent_id for r in installs} == {op.span_id}
         # Timestamps are simulation seconds: the wave sits inside the op.
         for record in records:
             if record.kind == KIND_SPAN and record.cat == CAT_SIM:
@@ -147,8 +57,7 @@ class TestSimulatorCausality:
                 assert record.end <= op.end + 1e-9
 
     def test_recv_spans_link_across_devices(self):
-        tracer, _ = self.trace_install()
-        records = tracer.records()
+        records, _ = self.trace_install()
         by_id = {record.span_id: record for record in records}
         recv_updates = [
             record for record in records if record.name == "recv UPDATE"
@@ -161,7 +70,7 @@ class TestSimulatorCausality:
             and by_id[record.parent_id].device
             and by_id[record.parent_id].device != record.device
         ]
-        assert cross_device, "no recv span links to an emitting span elsewhere"
+        assert cross_device == recv_updates
 
         def wave_devices(record):
             devices = []
