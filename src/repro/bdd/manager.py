@@ -13,7 +13,7 @@ smallest indices, which keeps prefix predicates linear in prefix length.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 FALSE = 0
 TRUE = 1
@@ -110,9 +110,6 @@ class BDDManager:
 
     def high_of(self, node: int) -> int:
         return self._high[node]
-
-    def is_terminal(self, node: int) -> bool:
-        return node <= TRUE
 
     @property
     def num_nodes(self) -> int:
@@ -361,42 +358,6 @@ class BDDManager:
             else:
                 break
         return tuple(cube)
-
-    def iter_cubes(self, node: int) -> Iterator[Dict[int, bool]]:
-        """Yield disjoint cubes (partial assignments) covering ``node``."""
-        if node == FALSE:
-            return
-        stack: List[Tuple[int, Dict[int, bool]]] = [(node, {})]
-        while stack:
-            current, cube = stack.pop()
-            if current == TRUE:
-                yield cube
-                continue
-            var = self._var[current]
-            low, high = self._low[current], self._high[current]
-            if high != FALSE:
-                branch = dict(cube)
-                branch[var] = True
-                stack.append((high, branch))
-            if low != FALSE:
-                branch = dict(cube)
-                branch[var] = False
-                stack.append((low, branch))
-
-    def support(self, node: int) -> Tuple[int, ...]:
-        """Sorted tuple of variables the function actually depends on."""
-        seen = set()
-        variables = set()
-        stack = [node]
-        while stack:
-            current = stack.pop()
-            if current <= TRUE or current in seen:
-                continue
-            seen.add(current)
-            variables.add(self._var[current])
-            stack.append(self._low[current])
-            stack.append(self._high[current])
-        return tuple(sorted(variables))
 
     # ------------------------------------------------------------------
     # maintenance

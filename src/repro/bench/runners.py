@@ -16,7 +16,6 @@ from repro.baselines.base import CentralizedVerifier
 from repro.baselines.collection import CollectionModel
 from repro.bench.workloads import RuleUpdate, Workload
 from repro.simulator.network import DeviceProfile, SimulatedNetwork
-from repro.topology.graph import FaultScene
 
 
 @dataclass
@@ -199,33 +198,19 @@ def run_baseline_incremental(
     return timing
 
 
-def run_tulkun_fault_scenes(
-    workload: Workload,
-    scenes: Sequence[FaultScene],
-    profile: DeviceProfile = DeviceProfile(),
-) -> List[float]:
-    """§9.3.4: per scene, fail the links and measure recounting time.
-
-    Each scene starts from a freshly converged intact network (scenes are
-    independent in the paper's methodology).
-    """
-    times: List[float] = []
-    for scene in scenes:
-        network = SimulatedNetwork(
-            workload.topology, workload.fibs, workload.factory, profile=profile
-        )
-        network.install_plans(dict(workload.plans))
-        times.append(network.fail_links(scene))
-    return times
-
-
 def quantile(values: Sequence[float], q: float) -> float:
-    """The ``q`` quantile (0..1) of ``values`` (nearest-rank)."""
+    """The ``q`` quantile (0..1) of ``values``: the value of nearest rank
+    ``ceil(q * n)``, the first rank at least ``q`` of the values reach.
+
+    ``q`` is taken in parts per million so the product is an exact
+    integer: in floats, ``0.07 * 100`` is ``7.000000000000001`` and its
+    ceiling would skip a rank.
+    """
     if not values:
         raise ValueError("quantile of empty sequence")
     ordered = sorted(values)
-    index = min(len(ordered) - 1, max(0, int(q * len(ordered))))
-    return ordered[index]
+    rank = -(-round(q * 1_000_000) * len(ordered) // 1_000_000)
+    return ordered[min(len(ordered), max(1, rank)) - 1]
 
 
 def fraction_below(values: Sequence[float], threshold: float) -> float:

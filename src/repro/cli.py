@@ -23,9 +23,6 @@ Commands:
   run the fleet workload to convergence, optionally diff the verdicts
   against the simulator backend, and scrape the whole fleet's
   telemetry; see ``docs/RUNTIME.md`` ("Fleet mode").
-* ``bench``     -- run the burst + incremental benchmark over datasets
-  and write ``BENCH_summary.json`` (timings, traffic, scrape overhead,
-  and the fattree scale sweep: devices vs. diameter vs. convergence).
 * ``explain``   -- verdict forensics over flight-recorder dumps: merge
   per-device rings into one causally-ordered log and reconstruct the
   causal chain from the triggering update to a device's verdict flip
@@ -38,8 +35,7 @@ Commands:
   ``docs/STATIC_ANALYSIS.md``.
 * ``verify-static`` -- tier-2 semantic verification: model-check the
   session FSM (two-peer product space, deadlock/reachability) and run
-  flow-sensitive cross-``await`` race detection; see
-  ``docs/STATIC_ANALYSIS.md``.
+  the call-graph rules; see ``docs/STATIC_ANALYSIS.md``.
 
 Examples::
 
@@ -56,7 +52,6 @@ Examples::
     python -m repro fleet --topology ft4 --workers 2 --check-simulator
     python -m repro fleet --topology ft16h8 --workers 16 --json
     python -m repro top 127.0.0.1:9600 127.0.0.1:9601 --once --json
-    python -m repro bench --json
     python -m repro trace --dataset inet2 --backend simulator --out trace-out
     python -m repro explain --dataset INet2 --backend simulator
     python -m repro explain flight.json --device INet2-r1 --timeline
@@ -238,7 +233,7 @@ def _cmd_testbed(args: argparse.Namespace) -> int:
                     [d for d in topology.devices if d != destination],
                 )
                 report = deployment.verify(invariant)
-                plan_ids.append(max(deployment.plans))
+                plan_ids.append(list(deployment.plans)[-1])
                 say(f"  {report}  [{report.message_bytes} wire bytes]")
                 document["invariants"].append(
                     {
@@ -631,285 +626,6 @@ def _cmd_top(args: argparse.Namespace) -> int:
     except KeyboardInterrupt:
         print()
         return 0
-
-
-def _cmd_bench(args: argparse.Namespace) -> int:
-    """Burst + incremental benchmark summary -> ``BENCH_summary.json``.
-
-    Per dataset: simulator burst convergence, the incremental-update
-    distribution (p50/p80/max), message/byte totals, and the live-scrape
-    overhead numbers (one :class:`~repro.obs.serve.TelemetryServer` over
-    the run's registry, timed ``GET /metrics`` round-trips).  The
-    ``flight_overhead`` section times the same burst with the flight
-    recorder off and on.
-
-    The ``fleet_sweep`` section sweeps fattree fabrics (``--sweep``)
-    at a fixed workload shape and records devices vs. diameter vs.
-    burst convergence -- the paper's claim that latency tracks network
-    *diameter*, not *size* (the k=16 run with rack hosts is the
-    1,344-device flagship).
-    """
-    from repro.bench.reporting import print_table, render_json
-    from repro.bench.runners import (
-        quantile,
-        run_tulkun_burst,
-        run_tulkun_incremental,
-    )
-    from repro.bench.workloads import build_workload, random_rule_updates
-
-    try:
-        datasets = [_resolve_dataset(name) for name in args.datasets]
-    except KeyError as exc:
-        print(exc.args[0], file=sys.stderr)
-        return 2
-    document: dict = {
-        "command": "bench",
-        "scale": args.scale,
-        "destinations": args.destinations,
-        "updates": args.updates,
-        "datasets": {},
-    }
-    rows = []
-    for name in datasets:
-        if not args.json:
-            print(f"benchmarking {name} (scale={args.scale}) ...")
-        workload = build_workload(
-            name, scale=args.scale, max_destinations=args.destinations
-        )
-        burst = run_tulkun_burst(workload)
-        updates = random_rule_updates(workload, args.updates)
-        incremental = run_tulkun_incremental(
-            workload, updates, network=burst.network
-        )
-        times = incremental.incremental_seconds
-        scrape = _scrape_overhead(burst.network.stats.registry)
-        document["datasets"][name] = {
-            "devices": workload.topology.num_devices,
-            "plans": len(workload.plans),
-            "rules": workload.total_rules,
-            "burst_seconds": burst.burst_seconds,
-            "incremental_count": len(times),
-            "incremental_p50_seconds": quantile(times, 0.5),
-            "incremental_p80_seconds": quantile(times, 0.8),
-            "incremental_max_seconds": max(times),
-            "messages_total": incremental.messages,
-            "bytes_total": incremental.bytes,
-            "scrape_overhead": scrape,
-        }
-        rows.append(
-            {
-                "dataset": name,
-                "devices": workload.topology.num_devices,
-                "burst ms": f"{burst.burst_seconds * 1e3:.2f}",
-                "inc p80 ms": f"{quantile(times, 0.8) * 1e3:.3f}",
-                "msgs": incremental.messages,
-                "bytes": incremental.bytes,
-                "scrape ms": f"{scrape['latency_p50_seconds'] * 1e3:.2f}",
-                "scrape bytes": scrape["metrics_bytes"],
-            }
-        )
-    if args.sweep:
-        sweep_rows = []
-        document["fleet_sweep"] = sweep = {}
-        for name in args.sweep:
-            if not args.json:
-                print(f"sweeping {name} ...")
-            entry = _sweep_entry(name)
-            sweep[name] = entry
-            sweep_rows.append(
-                {
-                    "fabric": name,
-                    "devices": entry["devices"],
-                    "diameter": entry["diameter"],
-                    "burst ms": f"{entry['burst_seconds'] * 1e3:.2f}",
-                    "msgs": entry["messages"],
-                    "bytes": entry["bytes"],
-                }
-            )
-    if not args.json:
-        print("measuring flight-recorder overhead ...")
-    document["flight_overhead"] = flight = _flight_overhead(
-        datasets[0], args.scale, args.destinations
-    )
-    document["analyzer"] = analyzer = _analyzer_stats()
-    text = render_json(document, args.out)
-    if args.json:
-        print(text, end="")
-    else:
-        print_table("bench summary", rows)
-        print(
-            f"flight recorder: x{flight['overhead_ratio']:.3f} wall "
-            f"overhead on {flight['dataset']} "
-            f"({flight['events_recorded']} events recorded; traffic "
-            f"identical: {flight['traffic_identical']})"
-        )
-        if args.sweep:
-            print_table(
-                "fleet scale sweep (latency tracks diameter, not size)",
-                sweep_rows,
-            )
-        if analyzer:
-            lint_stats = analyzer["lint"]
-            verify_stats = analyzer["verify_static"]
-            print(
-                "analyzer: lint "
-                f"{lint_stats['elapsed_seconds'] * 1e3:.1f} ms over "
-                f"{lint_stats['files_scanned']} file(s) "
-                f"({lint_stats['suppressed']} suppressed); verify-static "
-                f"{verify_stats['elapsed_seconds'] * 1e3:.1f} ms, "
-                f"{verify_stats['states_explored']} session product "
-                "states"
-            )
-        if args.out:
-            print(f"wrote {args.out}")
-    return 0
-
-
-def _flight_overhead(
-    name: str, scale: str, destinations: int, rounds: int = 3
-) -> dict:
-    """Flight-recorder cost: the same burst with recording off vs. on.
-
-    Traffic must be byte-identical either way (the Lamport clock is
-    stamped unconditionally, at fixed width); wall times are interleaved
-    best-of-``rounds`` to damp scheduler noise.  The standing benchmark
-    (``benchmarks/perf``) tracks the cost as ``obs.flight_record_self_s``.
-    """
-    from repro.bench.runners import run_tulkun_burst
-    from repro.bench.workloads import build_workload
-
-    def burst(flight: bool) -> tuple:
-        workload = build_workload(
-            name, scale=scale, max_destinations=destinations
-        )
-        start = time.perf_counter()
-        timing = run_tulkun_burst(workload, flight=flight)
-        return time.perf_counter() - start, timing
-
-    plain_wall = flight_wall = float("inf")
-    plain = flight = None
-    for _ in range(rounds):
-        wall, timing = burst(False)
-        if wall < plain_wall:
-            plain_wall, plain = wall, timing
-        wall, timing = burst(True)
-        if wall < flight_wall:
-            flight_wall, flight = wall, timing
-    events = sum(
-        dump["next_seq"] for dump in flight.network.flight_dump().values()
-    )
-    return {
-        "dataset": name,
-        "rounds": rounds,
-        "plain_wall_seconds": plain_wall,
-        "flight_wall_seconds": flight_wall,
-        "overhead_ratio": (
-            flight_wall / plain_wall if plain_wall > 0 else 1.0
-        ),
-        "traffic_identical": (
-            plain.messages == flight.messages
-            and plain.bytes == flight.bytes
-        ),
-        "events_recorded": events,
-    }
-
-
-def _sweep_entry(name: str) -> dict:
-    """One scale-sweep point: fixed workload shape, simulator burst.
-
-    Destinations and ingress sampling are pinned (4 destinations, 8
-    sampled ingresses) so the only thing varying across the sweep is
-    the fabric -- device count and diameter.
-    """
-    from repro.bench.runners import run_tulkun_burst
-    from repro.fleet.spec import FleetSpec, build_fleet_workload
-
-    workload = build_fleet_workload(
-        FleetSpec(topology=name, destinations=4, ingresses=8)
-    )
-    burst = run_tulkun_burst(workload)
-    return {
-        "devices": workload.topology.num_devices,
-        "links": workload.topology.num_links,
-        "diameter": workload.topology.diameter_hops(),
-        "plans": len(workload.plans),
-        "rules": workload.total_rules,
-        "burst_seconds": burst.burst_seconds,
-        "messages": burst.messages,
-        "bytes": burst.bytes,
-    }
-
-
-def _analyzer_stats() -> dict:
-    """Static-analyzer cost + suppression budget for BENCH_summary.json.
-
-    Tracked across PRs like any benchmark number: per-rule finding and
-    suppression counts (creep detection) and wall time, plus the model
-    checker's explored state space for tier 2.  Empty when not run from
-    the repo root.
-    """
-    from pathlib import Path
-
-    from repro.checkers.engine import run_lint
-    from repro.checkers.verifystatic import run_verify_static
-
-    target = Path("src")
-    if not target.is_dir():
-        return {}
-    lint = run_lint([target])
-    verify = run_verify_static([target])
-    return {
-        "lint": {
-            "files_scanned": lint.files_scanned,
-            "elapsed_seconds": lint.elapsed_seconds,
-            "findings": len(lint.findings),
-            "suppressed": len(lint.suppressed),
-            "rules": lint.stats_rows(),
-        },
-        "verify_static": {
-            "files_scanned": verify.files_scanned,
-            "elapsed_seconds": verify.elapsed_seconds,
-            "findings": len(verify.findings),
-            "suppressed": len(verify.suppressed),
-            "states_explored": verify.states_explored,
-            "transitions_explored": verify.transitions_explored,
-            "established_reachable": verify.established_reachable,
-            "functions_indexed": verify.functions_indexed,
-            "call_edges": verify.call_edges,
-            "rules": verify.stats_rows(),
-        },
-    }
-
-
-def _scrape_overhead(registry, samples: int = 5) -> dict:
-    """Timed ``GET /metrics`` round-trips against a one-shot server."""
-    import asyncio
-    import statistics
-
-    from repro.obs.serve import TelemetryServer, http_get
-
-    async def measure() -> dict:
-        server = TelemetryServer(lambda: registry)
-        await server.start()
-        try:
-            latencies = []
-            body = b""
-            for _ in range(samples):
-                start = time.perf_counter()
-                _, body = await http_get(
-                    server.host, server.port, "/metrics"
-                )
-                latencies.append(time.perf_counter() - start)
-            return {
-                "samples": samples,
-                "metrics_bytes": len(body),
-                "latency_p50_seconds": statistics.median(latencies),
-                "latency_max_seconds": max(latencies),
-            }
-        finally:
-            await server.stop()
-
-    return asyncio.run(measure())
 
 
 #: Ring capacity `repro trace` runs its own scenario with: per device,
@@ -1523,55 +1239,6 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
 
-    bench = commands.add_parser(
-        "bench",
-        help="benchmark datasets and write BENCH_summary.json",
-    )
-    bench.add_argument(
-        "--datasets",
-        nargs="+",
-        default=["INet2", "B4-13"],
-        help="datasets to benchmark (default: INet2 B4-13)",
-    )
-    bench.add_argument(
-        "--scale",
-        default="bench",
-        choices=("paper", "bench", "tiny"),
-        help="dataset scale (default: bench)",
-    )
-    bench.add_argument(
-        "--destinations",
-        type=int,
-        default=4,
-        help="invariant destinations per dataset (default: 4)",
-    )
-    bench.add_argument(
-        "--updates",
-        type=int,
-        default=20,
-        help="incremental rule updates per dataset (default: 20)",
-    )
-    bench.add_argument(
-        "--out",
-        default="BENCH_summary.json",
-        help="summary JSON path (default: BENCH_summary.json)",
-    )
-    bench.add_argument(
-        "--json",
-        action="store_true",
-        help="also print the summary document to stdout",
-    )
-    bench.add_argument(
-        "--sweep",
-        nargs="*",
-        default=["ft4", "ft8", "ft12", "ft16h8"],
-        metavar="FABRIC",
-        help=(
-            "fattree fabrics for the scale-sweep section (pass with no "
-            "values to skip; default: ft4 ft8 ft12 ft16h8)"
-        ),
-    )
-
     trace = commands.add_parser(
         "trace",
         help="export the span trace derived from flight-recorder dumps",
@@ -1729,7 +1396,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         "fleet": _cmd_fleet,
         "trace": _cmd_trace,
         "top": _cmd_top,
-        "bench": _cmd_bench,
         "explain": _cmd_explain,
         "lint": _cmd_lint,
         "verify-static": _cmd_verify_static,

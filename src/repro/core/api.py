@@ -8,7 +8,6 @@ injection.  Verification results come back as :class:`Report` objects.
 
 from __future__ import annotations
 
-import ipaddress
 import itertools
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
@@ -113,9 +112,9 @@ class Tulkun:
 
     # -- planning -----------------------------------------------------------
 
-    def plan(self, invariant: Invariant, max_paths: int = 200_000) -> Plan:
+    def plan(self, invariant: Invariant) -> Plan:
         """Build the DPVNet and decompose into on-device tasks (§4)."""
-        return plan_invariant(invariant, self.topology, max_paths)
+        return plan_invariant(invariant, self.topology)
 
     # -- deployment -----------------------------------------------------------
 
@@ -195,9 +194,9 @@ class Deployment:
 
     # -- verification ----------------------------------------------------------
 
-    def verify(self, invariant: Invariant, max_paths: int = 200_000) -> Report:
+    def verify(self, invariant: Invariant) -> Report:
         """Plan, distribute and verify one invariant to convergence."""
-        plan = self.tulkun.plan(invariant, max_paths)
+        plan = self.tulkun.plan(invariant)
         return self.verify_plan(plan)
 
     def verify_plan(self, plan: Plan) -> Report:

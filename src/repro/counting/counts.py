@@ -117,15 +117,6 @@ class CountSet:
             keep = values[:2]
         return CountSet(1, ((value,) for value in keep))
 
-    # -- verdicts -----------------------------------------------------------------
-
-    def all_satisfy(self, count_expr: CountExpr, component: int = 0) -> bool:
-        """True when every universe's ``component`` satisfies ``count_expr``."""
-        return all(
-            count_expr.satisfied_by(element[component])
-            for element in self.tuples
-        )
-
     # -- dunder -------------------------------------------------------------------
 
     def __eq__(self, other: object) -> bool:

@@ -18,7 +18,7 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.dataplane.actions import ALL, ANY, Deliver, Forward
 from repro.dataplane.fib import Fib
-from repro.packetspace.predicate import Predicate, PredicateFactory
+from repro.packetspace.predicate import PredicateFactory
 from repro.topology.graph import Topology
 
 #: Priority bands: aggregates sit below sub-prefixes, injected errors above.
@@ -130,14 +130,3 @@ def install_routes(
                     )
                 fib.insert(PRIORITY_AGGREGATE, aggregate, action, label=cidr)
     return fibs
-
-
-def all_prefix_predicate(
-    topology: Topology, factory: PredicateFactory
-) -> Predicate:
-    """Union of every external prefix in the network."""
-    return factory.union(
-        factory.dst_prefix(cidr)
-        for device in topology.devices_with_prefixes()
-        for cidr in topology.external_prefixes(device)
-    )

@@ -70,13 +70,6 @@ class ShardPlan:
             raise IndexError(f"worker {worker} out of range")
         return self.base_port + worker
 
-    def worker_endpoints(self, worker: int) -> Dict[str, Tuple[str, int]]:
-        """Device -> telemetry (host, port) for one worker's shard."""
-        return {
-            device: ("127.0.0.1", self.http_ports[device])
-            for device in self.shards[worker]
-        }
-
     def colocated_link_fraction(self, topology: Topology) -> float:
         """Fraction of links whose endpoints share a worker (fast path)."""
         links = topology.links

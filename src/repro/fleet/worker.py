@@ -145,9 +145,11 @@ class FleetWorker:
                     host.device, session.peer
                 ):
                     peers_down += 1
-        peer_down_events = sum(
-            host.metrics.peer_down_events
-            for host in self.cluster.hosts.values()
+        peer_down_events = int(
+            sum(
+                host.metrics.peer_down_events.value
+                for host in self.cluster.hosts.values()
+            )
         )
         return {
             "worker": self.worker_index,

@@ -101,11 +101,6 @@ def load_topology(path: str) -> Topology:
         return topology_from_dict(json.load(handle))
 
 
-def save_topology(topology: Topology, path: str) -> None:
-    with open(path, "w") as handle:
-        json.dump(topology_to_dict(topology), handle, indent=2)
-
-
 # ---------------------------------------------------------------------------
 # data plane
 

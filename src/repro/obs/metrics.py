@@ -4,8 +4,7 @@ One :class:`MetricsRegistry` holds every instrument a backend emits.
 Instruments are created through the registry (``registry.counter(...)``)
 so both execution backends -- the discrete-event simulator and the
 asyncio/TCP runtime -- share one metric *schema*: the same names, the
-same label sets, the same exposition formats.  The runtime-parity
-benchmark asserts exactly that.
+same label sets, the same exposition formats.
 
 Design notes:
 
@@ -20,9 +19,8 @@ Design notes:
 * **Exposition.**  ``render_text()`` emits the Prometheus text format
   (close enough for scraping and for humans); ``as_dict()`` emits a
   JSON-able snapshot the CLI dumps with ``--json`` / ``repro trace``.
-* **Histograms** use fixed upper bounds (``le``), record count + sum,
-  and support :meth:`Histogram.merge` so per-device series can be
-  aggregated into cluster-wide distributions.
+* **Histograms** use fixed upper bounds (``le``) and record count + sum;
+  :meth:`Histogram.merge` folds two series with the same bounds.
 
 Updates are plain attribute arithmetic (atomic enough under the GIL for
 the single-writer patterns both backends use); only registry mutation
@@ -295,19 +293,6 @@ class MetricFamily:
                 else:
                     total += child.value  # type: ignore[union-attr]
         return total
-
-    def merged_histogram(self, **match: str) -> Histogram:
-        """All matching children folded into one histogram."""
-        if self.kind != "histogram":
-            raise MetricError(f"{self.name} is a {self.kind}, not a histogram")
-        merged = Histogram({}, self.buckets)
-        for child in self.children():
-            assert isinstance(child, Histogram)
-            if all(
-                child.labels_map.get(k) == str(v) for k, v in match.items()
-            ):
-                merged.merge(child)
-        return merged
 
     def as_dict(self) -> Dict[str, object]:
         return {

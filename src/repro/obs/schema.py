@@ -1,9 +1,9 @@
 """The shared DVM metric schema: one name/label vocabulary, two backends.
 
 Every backend installs the same instrument set through
-:func:`install_dvm_schema`, so the runtime-parity benchmark can assert
-metric-for-metric equality of the *schema* (names, kinds, label sets)
-and compare values family by family.
+:func:`install_dvm_schema`, so the two registries agree metric for
+metric on the *schema* (names, kinds, label sets) and their values
+compare family by family.
 
 Frame-kind vocabulary (mirrors the wire protocol):
 

@@ -215,10 +215,6 @@ class PredicateFactory:
         network = ipaddress.ip_network(cidr, strict=False)
         return self.field_prefix("dst_ip", int(network.network_address), network.prefixlen)
 
-    def src_prefix(self, cidr: str) -> Predicate:
-        network = ipaddress.ip_network(cidr, strict=False)
-        return self.field_prefix("src_ip", int(network.network_address), network.prefixlen)
-
     def dst_port(self, port: int) -> Predicate:
         return self.field_eq("dst_port", port)
 

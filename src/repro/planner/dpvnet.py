@@ -200,10 +200,6 @@ class DpvNode:
             flow |= edge.labels
         self.flow: FrozenSet[Label] = frozenset(flow)
 
-    @property
-    def is_destination(self) -> bool:
-        return bool(self.accept)
-
     def downstream_devices(self, label: Optional[Label] = None) -> Tuple[str, ...]:
         """Devices of downstream neighbors (optionally label-filtered)."""
         if label is None:
@@ -253,11 +249,6 @@ class DpvNet:
     @property
     def num_edges(self) -> int:
         return sum(len(node.children) for node in self.nodes.values())
-
-    def nodes_of_device(self, dev: str) -> Tuple[DpvNode, ...]:
-        return tuple(
-            node for node in self.topo_order if node.dev == dev
-        )
 
     def devices(self) -> Tuple[str, ...]:
         return tuple(sorted({node.dev for node in self.nodes.values()}))

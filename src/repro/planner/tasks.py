@@ -27,7 +27,6 @@ from typing import (
     Tuple,
 )
 
-from repro.packetspace.predicate import Predicate
 from repro.planner.dpvnet import DpvNet, Label, PlannerError, build_dpvnet
 from repro.spec.ast import (
     And,
@@ -152,7 +151,6 @@ def _compile_evaluator(
 def plan_invariant(
     invariant: Invariant,
     topology: Topology,
-    max_paths: int = 200_000,
 ) -> Plan:
     """Plan one invariant: build its DPVNet and decompose into tasks."""
     atoms = invariant.atoms()
@@ -184,7 +182,6 @@ def plan_invariant(
         [atom.path for atom in planned_atoms],
         invariant.ingress_set,
         scenes,
-        max_paths,
     )
 
     index_of = {id(atom): index for index, atom in enumerate(planned_atoms)}

@@ -190,7 +190,7 @@ class DeviceHost:
             if last_rx_age is not None:
                 entry["last_rx_age_seconds"] = round(last_rx_age, 6)
             sessions[peer] = entry
-        decode_errors = self.metrics.decode_errors
+        decode_errors = int(self.metrics.decode_errors.value)
         decode_errors_rising = decode_errors > self._health_decode_errors
         self._health_decode_errors = decode_errors
         status = (
@@ -234,7 +234,7 @@ class DeviceHost:
             # garbage before its OPEN: refuse the connection, but leave
             # a record -- silent handshake failures made reconnect storms
             # undiagnosable.
-            self.metrics.handshake_failures += 1
+            self.metrics.handshake_failures.inc()
             self.agent.flight.record("handshake_failed", error=repr(exc))
             logger.debug(
                 "inbound handshake failed before OPEN",
@@ -527,10 +527,6 @@ class RuntimeCluster(AgentBackend):
             else:
                 ports[device] = self.http_base_port + index
         return ports
-
-    def is_local(self, device: str) -> bool:
-        """True when this process hosts ``device``'s agent."""
-        return device in self.hosts
 
     async def start(self) -> None:
         """Boot the local hosts, dial every link, wait for all sessions.

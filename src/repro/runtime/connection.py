@@ -411,9 +411,9 @@ class PeerSession:
         self._fire("peer_open")
         reconnect = self._ever_established
         if reconnect:
-            self.metrics.reconnects += 1
+            self.metrics.reconnects.inc()
         self._ever_established = True
-        self.metrics.sessions_established += 1
+        self.metrics.sessions_established.inc()
         logger.debug(
             "session established",
             extra=kv(device=self.device, peer=self.peer, reconnect=reconnect),
@@ -454,7 +454,7 @@ class PeerSession:
                     self._fire("hold_expired")
                 else:
                     self._fire("conn_lost")
-                self.metrics.peer_down_events += 1
+                self.metrics.peer_down_events.inc()
                 logger.debug(
                     "session lost",
                     extra=kv(device=self.device, peer=self.peer),

@@ -119,11 +119,9 @@ class RuntimeDeployment:
 
     # -- verification ------------------------------------------------------
 
-    def verify(
-        self, invariant: Invariant, max_paths: int = 200_000
-    ) -> "Report":
+    def verify(self, invariant: Invariant) -> "Report":
         """Plan, distribute and verify one invariant to convergence."""
-        plan = self.tulkun.plan(invariant, max_paths)
+        plan = self.tulkun.plan(invariant)
         return self.verify_plan(plan)
 
     def verify_plan(self, plan: Plan) -> "Report":

@@ -1,13 +1,11 @@
 """Per-device runtime metrics (testbed counterpart of the simulator's
 :class:`~repro.simulator.network.MessageStats`).
 
-Both backends now record into the shared observability registry
+Both backends record into the shared observability registry
 (:mod:`repro.obs.metrics`) through the one DVM metric schema
-(:mod:`repro.obs.schema`), so the runtime-parity benchmark can compare
-them family by family.  The int-valued attributes of the original
-dataclass survive as descriptor-backed views onto registry counters --
-existing ``metrics.decode_errors += 1`` call sites keep working while
-every update lands in the registry.
+(:mod:`repro.obs.schema`).  A :class:`DeviceMetrics` attribute *is* the
+device's registry counter: call sites ``inc()`` it, readers take its
+``value``.
 
 Counting traffic (plan-scoped DVM frames: OPEN/UPDATE/SUBSCRIBE/
 LINKSTATE) is tracked separately from session control traffic (the
@@ -20,13 +18,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, cast
 
-from repro.obs.metrics import (
-    Counter,
-    Histogram,
-    MetricError,
-    MetricFamily,
-    MetricsRegistry,
-)
+from repro.obs.metrics import Counter, Histogram, MetricFamily, MetricsRegistry
 from repro.obs.schema import (
     DIRECTION_IN,
     DIRECTION_OUT,
@@ -38,47 +30,8 @@ from repro.obs.schema import (
 __all__ = ["ClusterMetrics", "DeviceMetrics"]
 
 
-class _CounterField:
-    """Int view of one registry counter (supports ``metrics.x += 1``)."""
-
-    __slots__ = ("key",)
-
-    def __init__(self, key: str) -> None:
-        self.key = key
-
-    def __get__(
-        self, instance: "DeviceMetrics", owner: Optional[type] = None
-    ) -> int:
-        return int(instance.counters[self.key].value)
-
-    def __set__(self, instance: "DeviceMetrics", value: int) -> None:
-        counter = instance.counters[self.key]
-        delta = value - int(counter.value)
-        if delta < 0:
-            raise MetricError(
-                f"{self.key} is a counter; it cannot decrease "
-                f"({int(counter.value)} -> {value})"
-            )
-        if delta:
-            counter.inc(delta)
-
-
 class DeviceMetrics:
     """Traffic and liveness counters for one device's runtime agent."""
-
-    messages_in = _CounterField("messages_in")
-    messages_out = _CounterField("messages_out")
-    bytes_in = _CounterField("bytes_in")
-    bytes_out = _CounterField("bytes_out")
-    control_in = _CounterField("control_in")
-    control_out = _CounterField("control_out")
-    control_bytes_in = _CounterField("control_bytes_in")
-    control_bytes_out = _CounterField("control_bytes_out")
-    decode_errors = _CounterField("decode_errors")
-    handshake_failures = _CounterField("handshake_failures")
-    reconnects = _CounterField("reconnects")
-    sessions_established = _CounterField("sessions_established")
-    peer_down_events = _CounterField("peer_down_events")
 
     def __init__(
         self, device: str, registry: Optional[MetricsRegistry] = None
@@ -88,39 +41,33 @@ class DeviceMetrics:
         families = install_dvm_schema(self.registry)
         messages = families["dvm_messages_total"]
         wire_bytes = families["dvm_bytes_total"]
-        self.counters: Dict[str, Counter] = {
-            "messages_in": self._traffic(messages, DIRECTION_IN, KIND_COUNTING),
-            "messages_out": self._traffic(
-                messages, DIRECTION_OUT, KIND_COUNTING
-            ),
-            "bytes_in": self._traffic(wire_bytes, DIRECTION_IN, KIND_COUNTING),
-            "bytes_out": self._traffic(
-                wire_bytes, DIRECTION_OUT, KIND_COUNTING
-            ),
-            "control_in": self._traffic(messages, DIRECTION_IN, KIND_CONTROL),
-            "control_out": self._traffic(messages, DIRECTION_OUT, KIND_CONTROL),
-            "control_bytes_in": self._traffic(
-                wire_bytes, DIRECTION_IN, KIND_CONTROL
-            ),
-            "control_bytes_out": self._traffic(
-                wire_bytes, DIRECTION_OUT, KIND_CONTROL
-            ),
-            "decode_errors": self._device_counter(
-                families, "dvm_decode_errors_total"
-            ),
-            "handshake_failures": self._device_counter(
-                families, "dvm_handshake_failures_total"
-            ),
-            "reconnects": self._device_counter(
-                families, "dvm_session_reconnects_total"
-            ),
-            "sessions_established": self._device_counter(
-                families, "dvm_sessions_established_total"
-            ),
-            "peer_down_events": self._device_counter(
-                families, "dvm_peer_down_total"
-            ),
-        }
+        self.messages_in = self._traffic(messages, DIRECTION_IN, KIND_COUNTING)
+        self.messages_out = self._traffic(messages, DIRECTION_OUT, KIND_COUNTING)
+        self.bytes_in = self._traffic(wire_bytes, DIRECTION_IN, KIND_COUNTING)
+        self.bytes_out = self._traffic(wire_bytes, DIRECTION_OUT, KIND_COUNTING)
+        self.control_in = self._traffic(messages, DIRECTION_IN, KIND_CONTROL)
+        self.control_out = self._traffic(messages, DIRECTION_OUT, KIND_CONTROL)
+        self.control_bytes_in = self._traffic(
+            wire_bytes, DIRECTION_IN, KIND_CONTROL
+        )
+        self.control_bytes_out = self._traffic(
+            wire_bytes, DIRECTION_OUT, KIND_CONTROL
+        )
+        self.decode_errors = self._device_counter(
+            families, "dvm_decode_errors_total"
+        )
+        self.handshake_failures = self._device_counter(
+            families, "dvm_handshake_failures_total"
+        )
+        self.reconnects = self._device_counter(
+            families, "dvm_session_reconnects_total"
+        )
+        self.sessions_established = self._device_counter(
+            families, "dvm_sessions_established_total"
+        )
+        self.peer_down_events = self._device_counter(
+            families, "dvm_peer_down_total"
+        )
         self.processing = cast(
             Histogram,
             families["verifier_processing_seconds"].labels(device=device),
@@ -147,18 +94,22 @@ class DeviceMetrics:
         """One reporting-table row (see :mod:`repro.bench.reporting`)."""
         return {
             "device": self.device,
-            "msgs in/out": f"{self.messages_in}/{self.messages_out}",
-            "bytes in/out": f"{self.bytes_in}/{self.bytes_out}",
-            "ctrl frames": self.control_in + self.control_out,
-            "reconnects": self.reconnects,
-            "decode errs": self.decode_errors,
-            "hs fails": self.handshake_failures,
-            "peer downs": self.peer_down_events,
+            "msgs in/out": (
+                f"{self.messages_in.value:.0f}/{self.messages_out.value:.0f}"
+            ),
+            "bytes in/out": (
+                f"{self.bytes_in.value:.0f}/{self.bytes_out.value:.0f}"
+            ),
+            "ctrl frames": int(self.control_in.value + self.control_out.value),
+            "reconnects": int(self.reconnects.value),
+            "decode errs": int(self.decode_errors.value),
+            "hs fails": int(self.handshake_failures.value),
+            "peer downs": int(self.peer_down_events.value),
         }
 
 
 class ClusterMetrics:
-    """Cluster-wide aggregates plus per-operation convergence times.
+    """Cluster-wide aggregates over the devices' counters.
 
     Owns the one :class:`MetricsRegistry` all the cluster's devices
     record into; :meth:`device` hands each :class:`DeviceMetrics` the
@@ -169,7 +120,6 @@ class ClusterMetrics:
         self.registry = registry if registry is not None else MetricsRegistry()
         self.families = install_dvm_schema(self.registry)
         self.devices: Dict[str, DeviceMetrics] = {}
-        self.convergence_seconds: List[float] = []
 
     def device(self, name: str) -> DeviceMetrics:
         if name not in self.devices:
@@ -178,24 +128,23 @@ class ClusterMetrics:
 
     def record_convergence(self, seconds: float) -> None:
         """One operation's injection-to-quiescence time."""
-        self.convergence_seconds.append(seconds)
         self.families["convergence_seconds"].observe(seconds)
 
     @property
     def total_messages(self) -> int:
-        return sum(m.messages_out for m in self.devices.values())
+        return int(sum(m.messages_out.value for m in self.devices.values()))
 
     @property
     def total_bytes(self) -> int:
-        return sum(m.bytes_out for m in self.devices.values())
+        return int(sum(m.bytes_out.value for m in self.devices.values()))
 
     @property
     def total_reconnects(self) -> int:
-        return sum(m.reconnects for m in self.devices.values())
+        return int(sum(m.reconnects.value for m in self.devices.values()))
 
     @property
     def total_decode_errors(self) -> int:
-        return sum(m.decode_errors for m in self.devices.values())
+        return int(sum(m.decode_errors.value for m in self.devices.values()))
 
     def rows(self) -> List[Dict[str, object]]:
         return [

@@ -138,11 +138,11 @@ class FramedChannel:
                 await self._writer.drain()
                 for payload, control in batch:
                     if control:
-                        self._metrics.control_out += 1
-                        self._metrics.control_bytes_out += len(payload)
+                        self._metrics.control_out.inc()
+                        self._metrics.control_bytes_out.inc(len(payload))
                     else:
-                        self._metrics.messages_out += 1
-                        self._metrics.bytes_out += len(payload)
+                        self._metrics.messages_out.inc()
+                        self._metrics.bytes_out.inc(len(payload))
         except (
             asyncio.CancelledError,
             ConnectionError,
@@ -170,7 +170,7 @@ class FramedChannel:
             try:
                 messages = self._assembler.feed(data)
             except MessageDecodeError:
-                self._metrics.decode_errors += 1
+                self._metrics.decode_errors.inc()
                 raise
             self._received.extend(messages)
             consumed = before + len(data) - self._assembler.pending_bytes
@@ -178,12 +178,12 @@ class FramedChannel:
             # Byte attribution is per batch: control frames are tiny and
             # sparse, so a mixed batch counts as counting traffic.
             if counting:
-                self._metrics.messages_in += counting
-                self._metrics.control_in += len(messages) - counting
-                self._metrics.bytes_in += consumed
+                self._metrics.messages_in.inc(counting)
+                self._metrics.control_in.inc(len(messages) - counting)
+                self._metrics.bytes_in.inc(consumed)
             else:
-                self._metrics.control_in += len(messages)
-                self._metrics.control_bytes_in += consumed
+                self._metrics.control_in.inc(len(messages))
+                self._metrics.control_bytes_in.inc(consumed)
         return self._received.popleft()
 
     # -- teardown ----------------------------------------------------------

@@ -27,9 +27,6 @@ class EventQueue:
             )
         heapq.heappush(self._heap, (time, next(self._counter), callback))
 
-    def schedule_after(self, delay: float, callback: Callable[[], None]) -> None:
-        self.schedule(self.now + delay, callback)
-
     @property
     def pending(self) -> int:
         return len(self._heap)

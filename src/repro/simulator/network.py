@@ -91,9 +91,6 @@ class MessageStats:
     def __init__(self, registry: Optional[MetricsRegistry] = None) -> None:
         self.registry = registry if registry is not None else MetricsRegistry()
         self.families = install_dvm_schema(self.registry)
-        self.per_message_seconds: List[float] = []
-        self.per_device_seconds: Dict[str, float] = {}
-        self.convergence_seconds: List[float] = []
         #: Registry children bound on first use: a frame costs increments,
         #: not label lookups.
         self._counters: Dict[Tuple[str, str, str, str], Tuple[Counter, Counter]] = {}
@@ -145,10 +142,6 @@ class MessageStats:
         return pair
 
     def record_processing(self, device: str, seconds: float) -> None:
-        self.per_message_seconds.append(seconds)
-        self.per_device_seconds[device] = (
-            self.per_device_seconds.get(device, 0.0) + seconds
-        )
         histogram = self._processing.get(device)
         if histogram is None:
             histogram = self._processing[device] = cast(
@@ -159,7 +152,6 @@ class MessageStats:
 
     def record_convergence(self, seconds: float) -> None:
         """One workload operation's injection-to-quiescence time."""
-        self.convergence_seconds.append(seconds)
         self.families["convergence_seconds"].observe(seconds)
 
 

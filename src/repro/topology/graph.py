@@ -21,8 +21,6 @@ from typing import (
     Iterator,
     List,
     Optional,
-    Sequence,
-    Set,
     Tuple,
 )
 
@@ -214,12 +212,6 @@ class Topology:
             if device in keep
         }
 
-    def prefix_owner(self, cidr: str) -> Optional[str]:
-        for device, prefixes in self._external_prefixes.items():
-            if cidr in prefixes:
-                return device
-        return None
-
     # -- shortest paths -------------------------------------------------------
 
     def hop_distances(
@@ -241,47 +233,6 @@ class Topology:
     ) -> Optional[int]:
         """Hop count of the shortest path, or None if disconnected."""
         return self.hop_distances(source, scene).get(destination)
-
-    def shortest_paths(
-        self,
-        source: str,
-        destination: str,
-        scene: FaultScene = NO_FAULTS,
-        max_extra_hops: int = 0,
-    ) -> List[Tuple[str, ...]]:
-        """All simple paths within ``shortest + max_extra_hops`` hops.
-
-        Returns an empty list when the destination is unreachable.
-        """
-        shortest = self.shortest_hop_count(source, destination, scene)
-        if shortest is None:
-            return []
-        bound = shortest + max_extra_hops
-        # Prune with reverse hop distances: a prefix of length d at device v
-        # can only finish within the bound if d + dist(v, dst) <= bound.
-        reverse = self.hop_distances(destination, scene)
-        paths: List[Tuple[str, ...]] = []
-        path: List[str] = [source]
-        on_path: Set[str] = {source}
-
-        def extend(device: str) -> None:
-            if device == destination:
-                paths.append(tuple(path))
-                return
-            for peer in self.neighbors(device, scene):
-                if peer in on_path:
-                    continue
-                remaining = reverse.get(peer)
-                if remaining is None or len(path) + remaining > bound:
-                    continue
-                path.append(peer)
-                on_path.add(peer)
-                extend(peer)
-                path.pop()
-                on_path.remove(peer)
-
-        extend(source)
-        return paths
 
     def latency_distances(self, source: str) -> Dict[str, float]:
         """Dijkstra latencies from ``source`` (for the management network)."""

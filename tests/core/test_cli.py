@@ -162,51 +162,35 @@ class TestTopCommand:
         thread.join(10.0)
 
 
-class TestBenchCommand:
+class TestTestbedCommand:
     def test_unknown_dataset_rejected(self, capsys):
-        assert main(["bench", "--datasets", "nope"]) == 2
+        assert main(["testbed", "--dataset", "nope"]) == 2
         assert "unknown dataset" in capsys.readouterr().err
 
-    def test_writes_summary_json(self, tmp_path, capsys):
-        out = tmp_path / "BENCH_summary.json"
+    def test_records_the_plan_each_invariant_installed(self, capsys):
+        # Ten invariants: string-max of "plan-N" ids would name plan-9
+        # twice and never count plan-10.
         code = main(
             [
-                "bench",
-                "--datasets",
-                "INet2",
+                "testbed",
+                "--dataset",
+                "B4-13",
                 "--scale",
                 "tiny",
                 "--destinations",
-                "2",
-                "--updates",
-                "3",
-                "--out",
-                str(out),
+                "10",
+                "--keepalive",
+                "0.05",
+                "--hold-down",
+                "0.05",
+                "--no-http",
                 "--json",
             ]
         )
         assert code == 0
-        document = json.loads(out.read_text())
-        entry = document["datasets"]["INet2"]
-        assert entry["burst_seconds"] > 0
-        assert entry["incremental_count"] == 3
-        assert entry["messages_total"] > 0
-        assert entry["scrape_overhead"]["metrics_bytes"] > 0
-        # Analyzer cost + suppression creep ride along in the summary.
-        analyzer = document["analyzer"]
-        assert analyzer["lint"]["files_scanned"] > 50
-        assert analyzer["lint"]["findings"] == 0
-        assert analyzer["lint"]["suppressed"] == 0
-        assert analyzer["lint"]["elapsed_seconds"] > 0
-        assert "cache_hits" not in analyzer["lint"]
-        assert {row["rule"] for row in analyzer["lint"]["rules"]} >= {
-            "ASYNC001",
-            "EXC001",
-        }
-        verify = analyzer["verify_static"]
-        assert verify["states_explored"] > 0
-        assert verify["established_reachable"] is True
-        assert verify["findings"] == 0
-        assert not [key for key in verify if key.startswith("fleet_")]
-        # --json mirrors the document to stdout.
-        assert json.loads(capsys.readouterr().out) == document
+        document = json.loads(capsys.readouterr().out)
+        plans = [entry["plan"] for entry in document["invariants"]]
+        assert plans == [f"plan-{index}" for index in range(1, 11)]
+        recovered = document["events"][1]
+        assert recovered["event"] == "recover_link"
+        assert recovered["invariants_holding"] == len(plans)

@@ -10,7 +10,6 @@ from repro.io import (
     fibs_from_list,
     load_fibs,
     load_topology,
-    save_topology,
     topology_from_dict,
     topology_to_dict,
 )
@@ -45,7 +44,7 @@ class TestTopologyDocuments:
 
     def test_file_round_trip(self, tmp_path):
         path = tmp_path / "topo.json"
-        save_topology(paper_example(), str(path))
+        path.write_text(json.dumps(topology_to_dict(paper_example())))
         restored = load_topology(str(path))
         assert restored.num_links == 6
 

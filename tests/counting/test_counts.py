@@ -106,15 +106,3 @@ class TestMinimalInfo:
     def test_multidim_passthrough(self):
         counts = CountSet(2, [(1, 0), (0, 1)])
         assert counts.minimal_info(CountExpr(">=", 1)) == counts
-
-
-class TestVerdicts:
-    def test_all_satisfy(self):
-        counts = CountSet.scalar(1, 2)
-        assert counts.all_satisfy(CountExpr(">=", 1))
-        assert not counts.all_satisfy(CountExpr("==", 1))
-
-    def test_component_selection(self):
-        counts = CountSet(2, [(1, 0)])
-        assert counts.all_satisfy(CountExpr(">=", 1), component=0)
-        assert not counts.all_satisfy(CountExpr(">=", 1), component=1)

@@ -5,7 +5,6 @@ import pytest
 from repro.dataplane.actions import ANY, Deliver, Forward
 from repro.dataplane.routes import (
     RouteConfig,
-    all_prefix_predicate,
     install_routes,
     split_prefix,
 )
@@ -105,10 +104,3 @@ class TestInstallRoutes:
         action = fibs["edge_0_0"].lookup(dst_factory.dst_prefix(prefix))
         # edge uplinks to both aggregation switches
         assert len(action.next_hops) == 2
-
-    def test_all_prefix_predicate(self, dst_factory):
-        topology = paper_example()
-        union = all_prefix_predicate(topology, dst_factory)
-        assert dst_factory.dst_prefix("10.0.0.0/24").is_subset_of(union)
-        assert dst_factory.dst_prefix("10.0.2.0/24").is_subset_of(union)
-        assert not dst_factory.dst_prefix("99.0.0.0/24").overlaps(union)

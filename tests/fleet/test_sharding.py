@@ -65,15 +65,6 @@ class TestPortPlan:
         for index, device in enumerate(sorted(topology.devices)):
             assert plan.http_ports[device] == plan.http_base_port + index
 
-    def test_worker_endpoints_cover_the_shard(self):
-        topology = line(6)
-        plan = make_shard_plan(topology, 2, base_port=30000)
-        endpoints = plan.worker_endpoints(1)
-        assert set(endpoints) == set(plan.shards[1])
-        for device, (host, port) in endpoints.items():
-            assert host == "127.0.0.1"
-            assert port == plan.http_ports[device]
-
     def test_control_port_bounds(self):
         plan = make_shard_plan(line(4), 2, base_port=30000)
         assert plan.control_port(0) == 30000

@@ -195,8 +195,8 @@ class TestLiveFleet:
                 # fleet registry, and matches the cluster's own truth.
                 for device, host in cluster.hosts.items():
                     sample = by_device[device]
-                    assert sample.messages_out == host.metrics.messages_out
-                    assert sample.bytes_out == host.metrics.bytes_out
+                    assert sample.messages_out == host.metrics.messages_out.value
+                    assert sample.bytes_out == host.metrics.bytes_out.value
                 fleet = collector.registry.as_dict()
                 assert fleet["fleet_degraded"]["samples"][0]["value"] == 0.0
 

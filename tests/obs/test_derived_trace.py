@@ -220,7 +220,7 @@ def test_observability_md_event_catalog_matches_what_is_recorded():
         writer.write(b"\xff" * 64)
         await writer.drain()
         for _ in range(500):
-            if host.metrics.handshake_failures:
+            if host.metrics.handshake_failures.value:
                 break
             await asyncio.sleep(0.01)
         writer.close()

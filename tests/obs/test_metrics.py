@@ -132,20 +132,6 @@ class TestFamiliesAndRegistry:
         with pytest.raises(MetricError):
             MetricsRegistry().get("ghost")
 
-    def test_merged_histogram_aggregates_matching_children(self):
-        registry = MetricsRegistry()
-        family = registry.histogram(
-            "latency", labelnames=("device",), buckets=(1.0, 2.0)
-        )
-        family.labels(device="A").observe(0.5)
-        family.labels(device="B").observe(1.5)
-        merged = family.merged_histogram()
-        assert merged.count == 2
-        only_a = family.merged_histogram(device="A")
-        assert only_a.count == 1
-        with pytest.raises(MetricError):
-            registry.counter("c").merged_histogram()
-
 
 class TestExposition:
     def build(self):

@@ -219,7 +219,9 @@ def test_convergence_times_are_recorded(run, fast_options):
         try:
             elapsed = await cluster.install_plans(dict(workload.plans))
             assert elapsed >= 0.0
-            assert cluster.metrics.convergence_seconds == [elapsed]
+            convergence = cluster.metrics.families["convergence_seconds"]
+            assert convergence.labels().count == 1
+            assert convergence.labels().sum == elapsed
         finally:
             await cluster.stop()
 

@@ -138,7 +138,7 @@ class TestHandshake:
             session.start()
             await asyncio.wait_for(session.established.wait(), 5.0)
             assert recorder.established == 1
-            assert session.metrics.sessions_established == 1
+            assert session.metrics.sessions_established.value == 1
             await session.stop()
             await remote.stop()
 
@@ -208,7 +208,7 @@ class TestDeadPeerDetection:
             while recorder.peer_down == 0:
                 assert asyncio.get_running_loop().time() < deadline
                 await asyncio.sleep(0.01)
-            assert session.metrics.peer_down_events >= 1
+            assert session.metrics.peer_down_events.value >= 1
             await session.stop()
             await remote.stop()
 
@@ -252,7 +252,7 @@ class TestDeadPeerDetection:
             await asyncio.wait_for(session.established.wait(), 5.0)
             assert recorder.peer_down == 1
             assert recorder.established == 2
-            assert session.metrics.reconnects == 1
+            assert session.metrics.reconnects.value == 1
             await session.stop()
             await remote.stop()
 

@@ -123,12 +123,12 @@ class TestRuntimeBackend:
                 assert cluster.holds("p")
 
                 peer_downs_before = sum(
-                    m.peer_down_events
+                    m.peer_down_events.value
                     for m in cluster.metrics.devices.values()
                 )
                 await cluster.drop_connection("A", "W", hold_down=0.1)
                 peer_downs_after = sum(
-                    m.peer_down_events
+                    m.peer_down_events.value
                     for m in cluster.metrics.devices.values()
                 )
                 # Both endpoints detected the loss ...

@@ -147,7 +147,7 @@ class TestFramedChannel:
                 await raw_writer.drain()
                 with pytest.raises(MessageDecodeError):
                     await channel.receive()
-                assert metrics.decode_errors == 1
+                assert metrics.decode_errors.value == 1
             finally:
                 await channel.close()
                 raw_writer.close()
@@ -167,11 +167,11 @@ class TestFramedChannel:
                     client.send(message)
                 for _ in counting:
                     await peer.receive()
-                assert peer._metrics.control_in == 1
-                assert peer._metrics.messages_in == 3
-                assert client._metrics.control_out == 1
-                assert client._metrics.messages_out == 3
-                assert client._metrics.bytes_out > 0
+                assert peer._metrics.control_in.value == 1
+                assert peer._metrics.messages_in.value == 3
+                assert client._metrics.control_out.value == 1
+                assert client._metrics.messages_out.value == 3
+                assert client._metrics.bytes_out.value > 0
             finally:
                 await client.close()
                 await peer.close()

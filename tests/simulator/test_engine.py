@@ -31,11 +31,6 @@ class TestEventQueue:
         assert seen == [5.0]
         assert queue.now == 5.0
 
-    def test_schedule_after(self):
-        queue = EventQueue()
-        queue.schedule(1.0, lambda: queue.schedule_after(2.0, lambda: None))
-        assert queue.run() == 3.0
-
     def test_past_scheduling_rejected(self):
         queue = EventQueue()
         queue.schedule(5.0, lambda: None)
@@ -59,7 +54,7 @@ class TestEventQueue:
         def chain(depth):
             fired.append(depth)
             if depth < 3:
-                queue.schedule_after(1.0, lambda: chain(depth + 1))
+                queue.schedule(queue.now + 1.0, lambda: chain(depth + 1))
 
         queue.schedule(0.0, lambda: chain(0))
         assert queue.run() == 3.0
