@@ -5,23 +5,14 @@ arrivals are processed as one batch, and identical predicates across
 devices are deduplicated before refinement ("MR2 merging"), which makes
 burst verification far cheaper than AP's per-rule refinement.  Single
 rule updates gain nothing (a batch of one), matching the paper's
-observation that Flash is slow in incremental verification.
-
-Flash's *early detection* mode verifies with incomplete information when
-some devices have not reported; §1's experiment shows that when the
-verifier misses the updated rules of just three devices, it detects zero
-errors in most cases.  ``freeze_devices`` reproduces it: the listed
-devices' *current* data planes are frozen, so later updates (including
-injected errors) at those devices never reach the verifier -- it keeps
-verifying against stale state and reports no violation."""
+observation that Flash is slow in incremental verification."""
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Set
+from typing import Iterable, List
 
 from repro.baselines.ap import refine_partition
 from repro.baselines.base import CentralizedVerifier
-from repro.dataplane.actions import Action
 from repro.packetspace.predicate import Predicate
 
 
@@ -33,26 +24,8 @@ class FlashVerifier(CentralizedVerifier):
     def __init__(self, factory) -> None:
         super().__init__(factory)
         self._classes: List[Predicate] = []
-        self._frozen: Dict[str, object] = {}
-
-    def freeze_devices(self, devices: Iterable[str]) -> None:
-        """Early-detection mode: miss all future updates of these devices.
-
-        Their current LEC tables (must be loaded already) are pinned; any
-        later snapshot or update keeps the stale view.
-        """
-        for device in devices:
-            table = self.lec_tables.get(device)
-            if table is None:
-                raise ValueError(
-                    f"cannot freeze {device!r}: no snapshot loaded yet"
-                )
-            self._frozen[device] = table
 
     def _build_classes(self) -> None:
-        # Stale views first: frozen devices' updates never arrived.
-        for device, table in self._frozen.items():
-            self.lec_tables[device] = table
         # Deduplicate predicates across all devices before refining: the
         # batch-processing advantage (identical prefixes appear on every
         # device, so this collapses |devices| x |prefixes| refinements
@@ -78,17 +51,6 @@ class FlashVerifier(CentralizedVerifier):
     def _update_classes(self, device: str, region: Predicate) -> None:
         # A batch of one: same machinery, no amortization.
         self._build_classes()
-
-    def apply_update(self, device, plans):
-        if device in self._frozen:
-            # The update never reaches the verifier: its view is
-            # unchanged, so no (re-)verification fires and any injected
-            # error at this device goes undetected.
-            from repro.baselines.base import BaselineResult
-
-            self.lec_tables[device] = self._frozen[device]
-            return BaselineResult(compute_seconds=0.0, holds=True)
-        return super().apply_update(device, plans)
 
     def _recheck_region(self, region: Predicate):
         return region

@@ -36,7 +36,7 @@ class BDDManager:
     nodes after 1,800 updates at 576 plans), which is why callers find
     overlap candidates with :meth:`root_cube` (``repro.packetspace.index``)
     and apply only to those.  What is left grows with the predicates an
-    update really touches; :meth:`clear_caches` drops it.
+    update really touches.
     """
 
     def __init__(self, num_vars: int) -> None:
@@ -361,18 +361,6 @@ class BDDManager:
 
     # ------------------------------------------------------------------
     # maintenance
-
-    def clear_caches(self) -> None:
-        """Drop operation caches and wire-form memos (the unique table is
-        kept for canonicity)."""
-        self._and_cache.clear()
-        self._or_cache.clear()
-        self._xor_cache.clear()
-        self._not_cache.clear()
-        self._exists_cache.clear()
-        self._restrict_cache.clear()
-        self._satcount_cache.clear()
-        self.drop_wire_memos()
 
     def drop_wire_memos(self) -> None:
         self.wire_of_node.clear()

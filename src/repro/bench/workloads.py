@@ -52,10 +52,6 @@ class Workload:
     plans: List[Tuple[str, Plan]]
     kind: str  # WAN | LAN | DC
 
-    @property
-    def total_rules(self) -> int:
-        return sum(len(fib) for fib in self.fibs.values())
-
 
 def reachability_invariant(
     factory: PredicateFactory,

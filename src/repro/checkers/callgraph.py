@@ -1,43 +1,35 @@
-"""Tier-3 whole-program call-graph analysis (ASYNC009-ASYNC011).
+"""Whole-program async-safety analysis (ASYNC002, ASYNC003, ASYNC009).
 
-The tier-1 async rules are deliberately intraprocedural: they flag a
-blocking call *inside* an ``async def``, never one hidden behind a sync
-helper.  This module closes that gap with a module-resolving call graph
-over the scanned tree:
-
-* every function gets a :class:`FunctionSummary` (blocking call sites,
-  event-loop re-entry sites, unshielded ``raise`` sites, spawned tasks,
-  resolved call sites with their lock context), built per file;
-* call references are resolved against a global index -- module-level
-  functions, imported names (absolute and relative imports),
-  ``self.method()`` with base-class lookup, and ``self.attr.method()``
-  through constructor-assignment attribute typing
-  (``self.x = SomeClass(...)``);
-* reachability facts are propagated to a fixpoint with breadth-first
-  search over the reverse graph, so every finding carries a *shortest*
-  call path as evidence.
+Each scanned file is summarized once into a :class:`ModuleSummary`:
+every function and method with its blocking call sites, its call
+sites (resolved or not) and its spawned tasks.  Call references are
+resolved against a global index -- module-level functions, imported
+names (absolute and relative imports), ``self.method()`` with base-class
+lookup, and ``self.attr.method()`` through constructor-assignment
+attribute typing (``self.x = SomeClass(...)``).  An unresolvable callee
+contributes no edge, so every reported chain is a real chain of
+definitions in the scanned tree; the analysis trades recall for a zero
+false-positive contract.
 
 Rules:
 
-* **ASYNC009** -- a blocking call (tier 1's ``BLOCKING_CALLS`` /
-  ``BLOCKING_MODULES`` vocabulary) is reachable from a coroutine
-  through a chain of one or more synchronous helpers.  The finding
-  anchors at the coroutine's call site and renders the full chain.
-* **ASYNC010** -- a synchronous lock is held around a call whose callee
-  transitively re-enters the event loop (``run_until_complete``,
-  ``asyncio.run``, or ``run_coroutine_threadsafe(...).result()``):
-  awaiting by proxy while holding a lock is the transitive version of
-  ASYNC004.
-* **ASYNC011** -- a task is spawned on a coroutine that can raise
-  (an unshielded ``raise`` reachable through awaited calls) while the
-  task handle has no exception sink: it is dropped outright, or bound
-  to a name/attribute that is never read again, so the exception is
-  lost with the handle.
+* **ASYNC009** -- a blocking call (:data:`BLOCKING_CALLS`, any call into
+  :data:`BLOCKING_MODULES`, ``open``) runs on the event loop: directly in
+  an ``async def``, or in a sync helper reachable from one through sync
+  calls only (an ``async`` hop hands control back to the loop).  The
+  finding anchors at the coroutine's call site and spells out the chain
+  hop by hop, found by breadth-first search over the reverse graph, so
+  it is a shortest one.
+* **ASYNC002** -- a call that resolves to an ``async def`` is a bare
+  statement: the coroutine object is built and dropped, and its body
+  never runs.
+* **ASYNC003** -- a ``create_task`` / ``ensure_future`` handle has no
+  sink: dropped as a bare statement, or bound to a local name never
+  read again in the function or to an attribute never read in the
+  module.  The task can be garbage-collected mid-flight, nothing can
+  cancel it, and its exception dies with it.
 
-Like every checker in this package the analysis is pure ``ast`` -- the
-scanned code is never imported -- and resolution is deliberately
-conservative: an unresolvable callee contributes no edge, so every
-reported path is a real chain of definitions in the scanned tree.
+The scanned code is never imported.
 """
 
 from __future__ import annotations
@@ -48,91 +40,76 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
-from repro.checkers.asyncsafety import (
-    BLOCKING_CALLS,
-    BLOCKING_MODULES,
-    SYNC_LOCK_TYPES,
-    _dotted_name,
-    _terminal_name,
-)
 from repro.checkers.findings import Finding
 
-__all__ = [
-    "CallGraph",
-    "CallGraphReport",
-    "FunctionSummary",
-    "ModuleSummary",
-    "analyze_callgraph",
-    "module_name_for",
-    "package_root",
-    "summarize_module",
-]
+#: Fully-qualified callables that block the calling thread.
+BLOCKING_CALLS = {
+    "time.sleep",
+    "os.system",
+    "os.popen",
+    "os.waitpid",
+    "select.select",
+    "shutil.copyfile",
+    "shutil.copytree",
+    "open",
+    "io.open",
+}
 
-#: Synchronous calls that re-enter the event loop ("await by proxy").
-PROXY_AWAIT_TERMINALS = {"run_until_complete"}
-PROXY_AWAIT_RESOLVED = {"asyncio.run"}
+#: Any call into these modules does synchronous I/O.
+BLOCKING_MODULES = ("socket", "subprocess", "requests", "urllib.request", "http.client")
 
-#: Task-spawning entry points (same vocabulary as tier 1's ASYNC003).
+#: Task-spawning entry points.
 SPAWN_TERMINALS = {"create_task", "ensure_future"}
-
-#: Longest rendered evidence chain (cycles are cut by BFS already;
-#: this only bounds pathological hand-written graphs).
-_MAX_CHAIN = 64
 
 #: A resolution reference recorded by the per-file summarizer and
 #: resolved by the global graph: ("local", name), ("abs", dotted),
 #: ("method", class, name) or ("attrmethod", class, attr, name).
 Ref = Tuple[str, ...]
 
-#: A reachability witness: ("direct", text, line) at the fact itself,
-#: or ("via", call line, callee qualname) one hop up the chain.
-Witness = Tuple[object, ...]
+
+def dotted_name(node: ast.AST) -> Optional[str]:
+    """``a.b.c`` for a Name/Attribute chain, else None."""
+    parts: List[str] = []
+    while isinstance(node, ast.Attribute):
+        parts.append(node.attr)
+        node = node.value
+    if isinstance(node, ast.Name):
+        parts.append(node.id)
+        return ".".join(reversed(parts))
+    return None
+
+
+def terminal_name(node: ast.AST) -> Optional[str]:
+    if isinstance(node, ast.Attribute):
+        return node.attr
+    if isinstance(node, ast.Name):
+        return node.id
+    return None
 
 
 @dataclass
 class CallSite:
-    """One resolved-or-not call expression inside a function body."""
+    """One call expression inside a function body."""
 
-    ref: Optional[Ref]
-    raw: str
+    ref: Ref
     line: int
     col: int
-    awaited: bool
-    shielded: bool
-    lock: Optional[Tuple[str, int]]
+    #: The call is a bare expression statement (its value is dropped).
+    discarded: bool
     #: Global qualname, filled in by :class:`CallGraph`.
     resolved: Optional[str] = None
 
 
 @dataclass
-class SpawnSite:
-    """One ``create_task`` / ``ensure_future`` call with its handle."""
-
-    coro_ref: Optional[Ref]
-    raw: str
-    line: int
-    col: int
-    #: ("bare", "") | ("local", name) | ("attr", name)
-    handle: Tuple[str, str] = ("bare", "")
-
-
-@dataclass
 class FunctionSummary:
-    """Everything tier 3 needs to know about one function."""
+    """Everything the rules need to know about one function."""
 
     module: str
     display: str
     path: str
-    line: int
     is_async: bool
     blocking: List[Tuple[str, int, int]] = field(default_factory=list)
-    proxies: List[Tuple[str, int, int, Optional[Tuple[str, int]]]] = field(
-        default_factory=list
-    )
-    raises: List[int] = field(default_factory=list)
     calls: List[CallSite] = field(default_factory=list)
-    spawns: List[SpawnSite] = field(default_factory=list)
-    loads: Set[str] = field(default_factory=set)
 
 
 @dataclass
@@ -140,7 +117,6 @@ class ClassSummary:
     """One class: methods, base refs, constructor-typed attributes."""
 
     name: str
-    line: int
     methods: Set[str] = field(default_factory=set)
     bases: List[Ref] = field(default_factory=list)
     attr_types: Dict[str, Ref] = field(default_factory=dict)
@@ -148,13 +124,12 @@ class ClassSummary:
 
 @dataclass
 class ModuleSummary:
-    """The per-file extraction result."""
+    """The per-file extraction result, with the file's ASYNC003 findings."""
 
     module: str
-    display: str
     functions: Dict[str, FunctionSummary] = field(default_factory=dict)
     classes: Dict[str, ClassSummary] = field(default_factory=dict)
-    attr_loads: Set[str] = field(default_factory=set)
+    findings: List[Finding] = field(default_factory=list)
 
 
 # -- module naming ----------------------------------------------------------
@@ -228,41 +203,38 @@ class _Imports:
                     )
 
     def resolve(self, node: ast.AST) -> Optional[str]:
-        dotted = _dotted_name(node)
+        dotted = dotted_name(node)
         if dotted is None:
             return None
         head, _, rest = dotted.partition(".")
         resolved = self.aliases.get(head, head)
         return f"{resolved}.{rest}" if rest else resolved
 
+    def ref(self, node: ast.AST, local_defs: Set[str]) -> Optional[Ref]:
+        """A module-scope reference (``local`` or ``abs``) to ``node``."""
+        if isinstance(node, ast.Name) and node.id in local_defs:
+            return ("local", node.id)
+        dotted = dotted_name(node)
+        if dotted is None or dotted.split(".")[0] not in self.aliases:
+            return None
+        return ("abs", str(self.resolve(node)))
 
-def _lockish_name(expr: ast.AST) -> Optional[str]:
-    """The lock's display name when the with-item looks like a sync lock."""
-    if isinstance(expr, ast.Call):
-        name = _terminal_name(expr.func)
-        return name if name in SYNC_LOCK_TYPES else None
-    name = _terminal_name(expr)
-    if name is None:
+
+def _blocking_name(resolved: Optional[str]) -> Optional[str]:
+    if resolved is None:
         return None
-    lowered = name.lower()
-    if "lock" in lowered or "mutex" in lowered:
-        return _dotted_name(expr) or name
+    if resolved in BLOCKING_CALLS:
+        return "open" if resolved == "io.open" else resolved
+    if any(
+        resolved == mod or resolved.startswith(mod + ".")
+        for mod in BLOCKING_MODULES
+    ):
+        return resolved
     return None
 
 
-def _is_broad_handler(handler: ast.ExceptHandler) -> bool:
-    if handler.type is None:
-        return True
-    names = (
-        [_terminal_name(elt) for elt in handler.type.elts]
-        if isinstance(handler.type, ast.Tuple)
-        else [_terminal_name(handler.type)]
-    )
-    return any(name in ("Exception", "BaseException") for name in names)
-
-
 class _FunctionWalker:
-    """Collects one function's summary facts with lock/try context."""
+    """Collects one function's blocking sites, call sites and spawns."""
 
     def __init__(
         self,
@@ -275,23 +247,17 @@ class _FunctionWalker:
         self.imports = imports
         self.local_defs = local_defs
         self.class_name = class_name
-        self._awaited: Set[int] = set()
+        #: ``(call, handle)`` per spawn statement: handle is ``None``
+        #: for a bare statement, else the Name/Attribute it is bound to.
+        self.spawns: List[Tuple[ast.Call, Optional[ast.AST]]] = []
 
     def run(self, function: ast.AST) -> None:
         for child in ast.iter_child_nodes(function):
-            if isinstance(child, ast.arguments):
-                continue
-            self._visit(child, None, False)
-
-    # -- reference building -------------------------------------------------
+            if not isinstance(child, ast.arguments):
+                self._visit(child, discarded=False)
 
     def _call_ref(self, func: ast.AST) -> Optional[Ref]:
-        if isinstance(func, ast.Name):
-            if func.id in self.local_defs:
-                return ("local", func.id)
-            target = self.imports.aliases.get(func.id)
-            return ("abs", target) if target else None
-        dotted = _dotted_name(func)
+        dotted = dotted_name(func)
         if dotted is None:
             return None
         parts = dotted.split(".")
@@ -301,173 +267,73 @@ class _FunctionWalker:
             if len(parts) == 3:
                 return ("attrmethod", self.class_name, parts[1], parts[2])
             return None
-        target = self.imports.aliases.get(parts[0])
-        if target is not None:
-            return ("abs", ".".join([target] + parts[1:]))
-        return None
+        return self.imports.ref(func, self.local_defs)
 
-    # -- traversal ----------------------------------------------------------
-
-    def _visit(
-        self,
-        node: ast.AST,
-        lock: Optional[Tuple[str, int]],
-        shielded: bool,
-    ) -> None:
+    def _visit(self, node: ast.AST, discarded: bool) -> None:
         if isinstance(
-            node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)
+            node,
+            (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda, ast.ClassDef),
         ):
             return
-        if isinstance(node, ast.With):
-            acquired = lock
-            for item in node.items:
-                name = _lockish_name(item.context_expr)
-                if name is not None and acquired is lock:
-                    acquired = (name, node.lineno)
-                self._visit(item.context_expr, lock, shielded)
-            for stmt in node.body:
-                self._visit(stmt, acquired, shielded)
-            return
-        if isinstance(node, ast.Try):
-            broad = any(_is_broad_handler(h) for h in node.handlers)
-            inner = shielded or broad
-            for stmt in node.body:
-                self._visit(stmt, lock, inner)
-            for stmt in node.orelse:
-                self._visit(stmt, lock, inner)
-            for handler in node.handlers:
-                for stmt in handler.body:
-                    self._visit(stmt, lock, shielded)
-            for stmt in node.finalbody:
-                self._visit(stmt, lock, shielded)
-            return
-        if isinstance(node, ast.Raise) and not shielded:
-            self.summary.raises.append(node.lineno)
-        if isinstance(node, ast.Await) and isinstance(
-            node.value, ast.Call
-        ):
-            self._awaited.add(id(node.value))
-        if isinstance(node, (ast.Assign, ast.AnnAssign)):
+        if isinstance(node, (ast.Expr, ast.Assign, ast.AnnAssign)):
             value = node.value
-            if isinstance(value, ast.Call) and self._is_spawn(value):
-                target = (
-                    node.targets[0]
-                    if isinstance(node, ast.Assign) and node.targets
-                    else getattr(node, "target", None)
-                )
-                self._record_spawn(value, target)
-        if isinstance(node, ast.Expr) and isinstance(
-            node.value, ast.Call
-        ):
-            if self._is_spawn(node.value):
-                self._record_spawn(node.value, None)
+            if isinstance(value, ast.Call):
+                if terminal_name(value.func) in SPAWN_TERMINALS:
+                    target = (
+                        node.targets[0]
+                        if isinstance(node, ast.Assign)
+                        else getattr(node, "target", None)
+                    )
+                    self.spawns.append((value, target))
+                if isinstance(node, ast.Expr):
+                    self._visit(value, discarded=True)
+                    return
         if isinstance(node, ast.Call):
-            self._handle_call(node, lock, shielded)
+            self._record_call(node, discarded)
         for child in ast.iter_child_nodes(node):
-            self._visit(child, lock, shielded)
+            self._visit(child, discarded=False)
 
-    # -- fact recording -----------------------------------------------------
-
-    def _is_spawn(self, call: ast.Call) -> bool:
-        return _terminal_name(call.func) in SPAWN_TERMINALS
-
-    def _record_spawn(
-        self, call: ast.Call, target: Optional[ast.AST]
-    ) -> None:
-        coro_ref: Optional[Ref] = None
-        if call.args and isinstance(call.args[0], ast.Call):
-            coro_ref = self._call_ref(call.args[0].func)
-        handle: Optional[Tuple[str, str]] = ("bare", "")
-        if isinstance(target, ast.Name):
-            handle = ("local", target.id)
-        elif isinstance(target, ast.Attribute) and isinstance(
-            target.value, ast.Name
-        ):
-            handle = ("attr", target.attr)
-        elif target is not None:
-            handle = None  # tuple target etc.: assume consumed
-        if handle is None:
+    def _record_call(self, call: ast.Call, discarded: bool) -> None:
+        if terminal_name(call.func) in SPAWN_TERMINALS:
             return
-        self.summary.spawns.append(
-            SpawnSite(
-                coro_ref=coro_ref,
-                raw=_dotted_name(call.func) or "create_task",
-                line=call.lineno,
-                col=call.col_offset + 1,
-                handle=handle,
-            )
-        )
-
-    def _handle_call(
-        self,
-        call: ast.Call,
-        lock: Optional[Tuple[str, int]],
-        shielded: bool,
-    ) -> None:
-        func = call.func
-        terminal = _terminal_name(func)
-        if terminal in SPAWN_TERMINALS:
-            return
-        resolved = self.imports.resolve(func)
-        blocked: Optional[str] = None
-        if resolved in BLOCKING_CALLS:
-            blocked = resolved
-        elif resolved is not None and any(
-            resolved == mod or resolved.startswith(mod + ".")
-            for mod in BLOCKING_MODULES
-        ):
-            blocked = resolved
-        elif resolved in ("open", "io.open"):
-            blocked = "open"
+        site = (call.lineno, call.col_offset + 1)
+        blocked = _blocking_name(self.imports.resolve(call.func))
         if blocked is not None:
-            self.summary.blocking.append(
-                (blocked, call.lineno, call.col_offset + 1)
-            )
+            self.summary.blocking.append((blocked, *site))
             return
-        proxy: Optional[str] = None
-        if resolved in PROXY_AWAIT_RESOLVED:
-            proxy = resolved
-        elif terminal in PROXY_AWAIT_TERMINALS:
-            proxy = _dotted_name(func) or terminal
+        ref = self._call_ref(call.func)
+        if ref is not None:
+            self.summary.calls.append(CallSite(ref, *site, discarded))
+
+
+def _unsunk_spawns(
+    walker: _FunctionWalker, loads: Set[str], attr_loads: Set[str]
+) -> List[Tuple[ast.Call, str]]:
+    """ASYNC003: spawns whose handle nothing reads, with the reason."""
+    unsunk = []
+    for call, target in walker.spawns:
+        if target is None:
+            unsunk.append((call, "the handle is dropped outright"))
+        elif isinstance(target, ast.Name) and target.id not in loads:
+            unsunk.append((call, f"handle '{target.id}' is never read"))
         elif (
-            isinstance(func, ast.Attribute)
-            and func.attr == "result"
-            and isinstance(func.value, ast.Call)
-            and _terminal_name(func.value.func)
-            == "run_coroutine_threadsafe"
+            isinstance(target, ast.Attribute)
+            and isinstance(target.value, ast.Name)
+            and target.attr not in attr_loads
         ):
-            proxy = "run_coroutine_threadsafe(...).result"
-        if proxy is not None:
-            self.summary.proxies.append(
-                (proxy, call.lineno, call.col_offset + 1, lock)
-            )
-            return
-        ref = self._call_ref(func)
-        if ref is None:
-            return
-        self.summary.calls.append(
-            CallSite(
-                ref=ref,
-                raw=_dotted_name(func) or terminal or "<call>",
-                line=call.lineno,
-                col=call.col_offset + 1,
-                awaited=id(call) in self._awaited,
-                shielded=shielded,
-                lock=lock,
-            )
-        )
+            unsunk.append((call, f"handle '{target.attr}' is never read"))
+    return unsunk
 
 
 def summarize_module(
-    source: str,
+    tree: ast.Module,
     display: str,
     module_name: str,
     is_package: bool = False,
 ) -> ModuleSummary:
-    """Parse one file into its :class:`ModuleSummary` (raises on bad syntax)."""
-    tree = ast.parse(source, filename=display)
+    """One parsed file as a :class:`ModuleSummary`."""
     imports = _Imports(tree, module_name, is_package)
-    summary = ModuleSummary(module=module_name, display=display)
+    summary = ModuleSummary(module=module_name)
     local_defs = {
         node.name
         for node in tree.body
@@ -475,81 +341,64 @@ def summarize_module(
             node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
         )
     }
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Attribute) and isinstance(
-            node.ctx, ast.Load
-        ):
-            summary.attr_loads.add(node.attr)
+    attr_loads = {
+        node.attr
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+    }
 
-    def _summarize_function(
-        fn: ast.AST, display_name: str, class_name: Optional[str]
-    ) -> FunctionSummary:
+    def summarize(fn: ast.AST, key: str, class_name: Optional[str]) -> None:
         function = FunctionSummary(
             module=module_name,
-            display=display_name,
+            display=key,
             path=display,
-            line=fn.lineno,  # type: ignore[attr-defined]
             is_async=isinstance(fn, ast.AsyncFunctionDef),
         )
         walker = _FunctionWalker(function, imports, local_defs, class_name)
         walker.run(fn)
-        function.loads = {
+        summary.functions[key] = function
+        loads = {
             child.id
             for child in ast.walk(fn)
-            if isinstance(child, ast.Name)
-            and isinstance(child.ctx, ast.Load)
+            if isinstance(child, ast.Name) and isinstance(child.ctx, ast.Load)
         }
-        return function
+        for call, reason in _unsunk_spawns(walker, loads, attr_loads):
+            summary.findings.append(
+                Finding(
+                    display, call.lineno, call.col_offset + 1, "ASYNC003",
+                    f"task spawned in '{key}' has no sink: {reason}, so "
+                    "nothing can cancel it and its exception is lost with it",
+                    "keep the handle and cancel or await it on teardown "
+                    "(or add a done callback)",
+                )
+            )
 
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            summary.functions[node.name] = _summarize_function(
-                node, node.name, None
-            )
+            summarize(node, node.name, None)
         elif isinstance(node, ast.ClassDef):
-            klass = ClassSummary(name=node.name, line=node.lineno)
-            for base in node.bases:
-                if isinstance(base, ast.Name):
-                    if base.id in local_defs:
-                        klass.bases.append(("local", base.id))
-                    elif base.id in imports.aliases:
-                        klass.bases.append(
-                            ("abs", imports.aliases[base.id])
-                        )
-                else:
-                    dotted = imports.resolve(base)
-                    if dotted is not None:
-                        klass.bases.append(("abs", dotted))
+            klass = ClassSummary(name=node.name)
+            klass.bases = [
+                ref
+                for ref in (imports.ref(base, local_defs) for base in node.bases)
+                if ref is not None
+            ]
             for child in node.body:
                 if not isinstance(
                     child, (ast.FunctionDef, ast.AsyncFunctionDef)
                 ):
                     continue
                 klass.methods.add(child.name)
-                key = f"{node.name}.{child.name}"
-                summary.functions[key] = _summarize_function(
-                    child, key, node.name
-                )
+                summarize(child, f"{node.name}.{child.name}", node.name)
                 for stmt in ast.walk(child):
                     if (
                         isinstance(stmt, ast.Assign)
                         and len(stmt.targets) == 1
                         and isinstance(stmt.targets[0], ast.Attribute)
-                        and isinstance(stmt.targets[0].value, ast.Name)
-                        and stmt.targets[0].value.id == "self"
+                        and dotted_name(stmt.targets[0].value) == "self"
                         and isinstance(stmt.value, ast.Call)
                     ):
-                        ctor = stmt.value.func
-                        ref: Optional[Ref] = None
-                        if isinstance(ctor, ast.Name):
-                            if ctor.id in local_defs:
-                                ref = ("local", ctor.id)
-                            elif ctor.id in imports.aliases:
-                                ref = ("abs", imports.aliases[ctor.id])
-                        else:
-                            dotted = imports.resolve(ctor)
-                            if dotted is not None:
-                                ref = ("abs", dotted)
+                        ref = imports.ref(stmt.value.func, local_defs)
                         if ref is not None:
                             klass.attr_types.setdefault(
                                 stmt.targets[0].attr, ref
@@ -561,76 +410,47 @@ def summarize_module(
 # -- the global graph -------------------------------------------------------
 
 
-@dataclass
-class CallGraphReport:
-    """Interprocedural findings plus graph-size evidence for --stats."""
-
-    findings: Dict[str, List[Finding]] = field(default_factory=dict)
-    functions_indexed: int = 0
-    call_edges: int = 0
-
-
 class CallGraph:
-    """Global function index + fixpoint reachability over the summaries."""
+    """Global function index, resolved call edges and the graph rules."""
 
     def __init__(self, modules: Sequence[ModuleSummary]) -> None:
-        self.modules: Dict[str, ModuleSummary] = {}
-        for module in modules:
-            self.modules[module.module] = module
+        self.modules = {module.module: module for module in modules}
         self.functions: Dict[str, FunctionSummary] = {}
         self.classes: Dict[str, Tuple[str, ClassSummary]] = {}
         for module in self.modules.values():
             for local, function in module.functions.items():
                 self.functions[f"{module.module}.{local}"] = function
             for local, klass in module.classes.items():
-                self.classes[f"{module.module}.{local}"] = (
-                    module.module,
-                    klass,
-                )
+                self.classes[f"{module.module}.{local}"] = (module.module, klass)
         self.call_edges = 0
-        for qual in sorted(self.functions):
-            function = self.functions[qual]
+        for function in self.functions.values():
             module = self.modules[function.module]
             for site in function.calls:
                 site.resolved = self._resolve_ref(module, site.ref)
-                if site.resolved is not None:
-                    self.call_edges += 1
+                self.call_edges += site.resolved is not None
 
     # -- reference resolution -----------------------------------------------
 
-    def _resolve_ref(
-        self, module: ModuleSummary, ref: Optional[Ref]
-    ) -> Optional[str]:
-        if ref is None:
-            return None
+    def _resolve_ref(self, module: ModuleSummary, ref: Ref) -> Optional[str]:
         kind = ref[0]
         if kind == "local":
-            name = str(ref[1])
-            if name in module.functions:
-                return f"{module.module}.{name}"
-            if name in module.classes:
-                return self._method(f"{module.module}.{name}", "__init__")
-            return None
+            qual = f"{module.module}.{ref[1]}"
+            if qual in self.functions:
+                return qual
+            return self._method(qual, "__init__")
         if kind == "abs":
-            dotted = str(ref[1])
+            dotted = ref[1]
             if dotted in self.functions:
                 return dotted
             if dotted in self.classes:
                 return self._method(dotted, "__init__")
             head, _, last = dotted.rpartition(".")
-            if head in self.classes:
-                return self._method(head, last)
-            return None
+            return self._method(head, last)
+        qual = f"{module.module}.{ref[1]}"
         if kind == "method":
-            qual = f"{module.module}.{ref[1]}"
-            return self._method(qual, str(ref[2]))
-        if kind == "attrmethod":
-            qual = f"{module.module}.{ref[1]}"
-            target = self._attr_type(qual, str(ref[2]))
-            if target is None:
-                return None
-            return self._method(target, str(ref[3]))
-        return None
+            return self._method(qual, ref[2])
+        target = self._attr_type(qual, ref[2])
+        return None if target is None else self._method(target, ref[3])
 
     def _mro(self, class_qual: str) -> List[Tuple[str, ClassSummary]]:
         """The class and its statically-resolvable bases, BFS order."""
@@ -644,11 +464,8 @@ class CallGraph:
             seen.add(current)
             module_name, klass = self.classes[current]
             order.append((module_name, klass))
-            for base in klass.bases:
-                if base[0] == "local":
-                    queue.append(f"{module_name}.{base[1]}")
-                elif base[0] == "abs":
-                    queue.append(str(base[1]))
+            for kind, name in klass.bases:
+                queue.append(f"{module_name}.{name}" if kind == "local" else name)
         return order
 
     def _method(self, class_qual: str, name: str) -> Optional[str]:
@@ -662,50 +479,32 @@ class CallGraph:
             ref = klass.attr_types.get(attr)
             if ref is None:
                 continue
-            if ref[0] == "local":
-                qual = f"{module_name}.{ref[1]}"
-            else:
-                qual = str(ref[1])
+            qual = f"{module_name}.{ref[1]}" if ref[0] == "local" else ref[1]
             if qual in self.classes:
                 return qual
         return None
 
-    # -- fixpoint propagation -----------------------------------------------
+    # -- blocking reachability ----------------------------------------------
 
-    def _propagate(
-        self,
-        seeds: Dict[str, Witness],
-        sync_chain_only: bool,
-    ) -> Dict[str, Witness]:
-        """BFS reachability up the reverse call graph, shortest first.
-
-        ``sync_chain_only`` restricts both endpoints of each hop to
-        synchronous functions: the fact must execute inline in the
-        caller's frame (blocking / proxy-await propagation).  Otherwise
-        a hop also executes through an *awaited* async callee
-        (exception propagation), and shielded sites never propagate.
-        """
+    def _blocking_reach(self) -> Dict[str, Tuple[object, ...]]:
+        """``sync function -> witness`` for every sync function from
+        which a blocking call runs through sync calls only: ``("direct",
+        text, line)`` at the call itself, ``("via", line, callee)`` one
+        hop up the chain.  Breadth-first, so each chain is a shortest."""
         callers: Dict[str, List[Tuple[str, int]]] = {}
+        reach: Dict[str, Tuple[object, ...]] = {}
         for qual in sorted(self.functions):
             function = self.functions[qual]
-            if sync_chain_only and function.is_async:
+            if function.is_async:
                 continue
+            if function.blocking:
+                text, line, _col = function.blocking[0]
+                reach[qual] = ("direct", text, line)
             for site in function.calls:
                 callee = site.resolved
-                if callee is None:
-                    continue
-                target = self.functions[callee]
-                if sync_chain_only:
-                    if target.is_async:
-                        continue
-                else:
-                    if site.shielded:
-                        continue
-                    if target.is_async and not site.awaited:
-                        continue
-                callers.setdefault(callee, []).append((qual, site.line))
-        reach = dict(seeds)
-        queue = deque(sorted(seeds))
+                if callee is not None and not self.functions[callee].is_async:
+                    callers.setdefault(callee, []).append((qual, site.line))
+        queue = deque(sorted(reach))
         while queue:
             callee = queue.popleft()
             for caller, line in callers.get(callee, []):
@@ -715,207 +514,65 @@ class CallGraph:
         return reach
 
     def _chain(
-        self, reach: Dict[str, Witness], start: str
-    ) -> Tuple[List[str], str]:
-        """Rendered hop list and the terminal fact text for ``start``."""
+        self, reach: Dict[str, Tuple[object, ...]], start: str
+    ) -> Tuple[str, str]:
+        """The rendered hop list from ``start`` and the blocking call."""
         parts: List[str] = []
         current = start
-        terminal = ""
-        for _ in range(_MAX_CHAIN):
+        while True:
             witness = reach[current]
-            function = self.functions[current]
+            path = self.functions[current].path
             if witness[0] == "direct":
-                terminal = str(witness[1])
-                parts.append(
-                    f"{terminal} ({function.path}:{witness[2]})"
-                )
-                break
-            callee = str(witness[2])
-            target = self.functions[callee]
-            parts.append(
-                f"{target.display} ({function.path}:{witness[1]})"
-            )
-            current = callee
-        return parts, terminal
+                parts.append(f"{witness[1]} ({path}:{witness[2]})")
+                return " -> ".join(parts), str(witness[1])
+            current = str(witness[2])
+            parts.append(f"{self.functions[current].display} ({path}:{witness[1]})")
 
     # -- rules --------------------------------------------------------------
 
-    def check(self) -> CallGraphReport:
-        report = CallGraphReport(
-            functions_indexed=len(self.functions),
-            call_edges=self.call_edges,
-        )
-
-        blocking_seeds: Dict[str, Witness] = {}
-        proxy_seeds: Dict[str, Witness] = {}
-        raise_seeds: Dict[str, Witness] = {}
+    def check(self) -> List[Finding]:
+        findings = [f for module in self.modules.values() for f in module.findings]
+        reach = self._blocking_reach()
+        hint = "make the chain async, or move the blocking step into run_in_executor"
         for qual in sorted(self.functions):
             function = self.functions[qual]
-            if function.blocking and not function.is_async:
-                text, line, _col = function.blocking[0]
-                blocking_seeds[qual] = ("direct", text, line)
-            if function.proxies and not function.is_async:
-                text, line, _col, _lock = function.proxies[0]
-                proxy_seeds[qual] = ("direct", text, line)
-            if function.raises:
-                raise_seeds[qual] = (
-                    "direct",
-                    "raise",
-                    min(function.raises),
-                )
-        blocking_reach = self._propagate(
-            blocking_seeds, sync_chain_only=True
-        )
-        proxy_reach = self._propagate(proxy_seeds, sync_chain_only=True)
-        raise_reach = self._propagate(raise_seeds, sync_chain_only=False)
-
-        def _emit(path: str, finding: Finding) -> None:
-            report.findings.setdefault(path, []).append(finding)
-
-        for qual in sorted(self.functions):
-            function = self.functions[qual]
-
-            # ASYNC009: coroutine -> sync helper chain -> blocking call.
+            name = function.display
             if function.is_async:
+                for text, line, col in function.blocking:
+                    findings.append(
+                        Finding(
+                            function.path, line, col, "ASYNC009",
+                            f"blocking call '{text}' inside 'async def "
+                            f"{name}' stalls the event loop",
+                            hint,
+                        )
+                    )
                 flagged: Set[str] = set()
                 for site in function.calls:
                     callee = site.resolved
-                    if (
-                        callee is None
-                        or callee in flagged
-                        or callee not in blocking_reach
-                        or self.functions[callee].is_async
-                    ):
-                        continue
-                    flagged.add(callee)
-                    parts, terminal = self._chain(blocking_reach, callee)
-                    chain = " -> ".join(parts)
-                    _emit(
-                        function.path,
-                        Finding(
-                            path=function.path,
-                            line=site.line,
-                            col=site.col,
-                            rule="ASYNC009",
-                            message=(
-                                f"blocking call '{terminal}' is reachable "
-                                f"from 'async def {function.display}' "
-                                f"through sync helpers: {chain}"
-                            ),
-                            hint=(
-                                "make the helper chain async, or move the "
-                                "blocking step into run_in_executor"
-                            ),
-                        ),
-                    )
-
-            # ASYNC010: lock held across a transitive event-loop wait.
+                    if callee in reach and callee not in flagged:
+                        flagged.add(callee)
+                        chain, text = self._chain(reach, callee)
+                        findings.append(
+                            Finding(
+                                function.path, site.line, site.col, "ASYNC009",
+                                f"blocking call '{text}' is reachable from "
+                                f"'async def {name}' through sync helpers: "
+                                f"{chain}",
+                                hint,
+                            )
+                        )
             for site in function.calls:
                 callee = site.resolved
-                if (
-                    site.lock is None
-                    or callee is None
-                    or callee not in proxy_reach
-                    or self.functions[callee].is_async
-                ):
-                    continue
-                parts, terminal = self._chain(proxy_reach, callee)
-                chain = " -> ".join(parts)
-                lock_name, lock_line = site.lock
-                _emit(
-                    function.path,
-                    Finding(
-                        path=function.path,
-                        line=site.line,
-                        col=site.col,
-                        rule="ASYNC010",
-                        message=(
-                            f"lock '{lock_name}' (held since line "
-                            f"{lock_line}) is held across an event-loop "
-                            f"wait in {function.display}: {chain}"
-                        ),
-                        hint=(
-                            "release the lock before re-entering the "
-                            "event loop, or restructure the callee so "
-                            "the wait happens outside the critical "
-                            "section"
-                        ),
-                    ),
-                )
-            for text, line, col, lock in function.proxies:
-                if lock is None:
-                    continue
-                lock_name, lock_line = lock
-                _emit(
-                    function.path,
-                    Finding(
-                        path=function.path,
-                        line=line,
-                        col=col,
-                        rule="ASYNC010",
-                        message=(
-                            f"lock '{lock_name}' (held since line "
-                            f"{lock_line}) is held across the event-loop "
-                            f"wait '{text}' in {function.display}"
-                        ),
-                        hint=(
-                            "release the lock before re-entering the "
-                            "event loop"
-                        ),
-                    ),
-                )
-
-            # ASYNC011: spawned coroutine can raise; handle has no sink.
-            for spawn in function.spawns:
-                module = self.modules[function.module]
-                coro = self._resolve_ref(module, spawn.coro_ref)
-                if (
-                    coro is None
-                    or not self.functions[coro].is_async
-                    or coro not in raise_reach
-                ):
-                    continue
-                kind, name = spawn.handle
-                if kind == "local" and name in function.loads:
-                    continue
-                if kind == "attr" and name in module.attr_loads:
-                    continue
-                parts, _terminal = self._chain(raise_reach, coro)
-                chain = " -> ".join(
-                    [self.functions[coro].display] + parts
-                )
-                if kind == "bare":
-                    sink = "the handle is dropped outright"
-                else:
-                    sink = f"handle '{name}' is never read again"
-                _emit(
-                    function.path,
-                    Finding(
-                        path=function.path,
-                        line=spawn.line,
-                        col=spawn.col,
-                        rule="ASYNC011",
-                        message=(
-                            f"task spawned on "
-                            f"'{self.functions[coro].display}' can raise "
-                            f"({chain}) but {sink}: the exception is "
-                            "lost with the task"
-                        ),
-                        hint=(
-                            "await or gather the handle on teardown, "
-                            "add add_done_callback, or shield the "
-                            "coroutine body with its own handler"
-                        ),
-                    ),
-                )
-
-        for path in report.findings:
-            report.findings[path].sort()
-        return report
-
-
-def analyze_callgraph(
-    modules: Sequence[ModuleSummary],
-) -> CallGraphReport:
-    """Resolve, propagate to fixpoint, and run ASYNC009-ASYNC011."""
-    return CallGraph(modules).check()
+                if site.discarded and callee and self.functions[callee].is_async:
+                    findings.append(
+                        Finding(
+                            function.path, site.line, site.col, "ASYNC002",
+                            f"coroutine '{self.functions[callee].display}"
+                            "(...)' is never awaited: the call builds a "
+                            "coroutine object and drops it",
+                            "await it, or spawn it with asyncio.create_task "
+                            "and keep the handle",
+                        )
+                    )
+        return sorted(findings)

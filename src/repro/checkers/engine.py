@@ -1,13 +1,11 @@
-"""The repro-lint engine: file discovery, rule execution, reporting.
+"""The ``repro lint`` engine: one pass, one report.
 
-The rules (:mod:`repro.checkers.asyncsafety`,
-:mod:`repro.checkers.hygiene`) visit each Python file's AST.
-
-Suppressions (``# repro-lint: disable=RULE``) are honored per line but
-never silent: every suppressed finding is carried in the report's
-budget section, and ``python -m repro lint --stats`` prints per-rule
-counts plus wall time so analyzer cost and suppression creep are both
-trackable across PRs.
+Each Python file under the given paths is parsed once; the tree feeds
+the per-file rules (:mod:`repro.checkers.hygiene`) and the file's
+:class:`~repro.checkers.callgraph.ModuleSummary`, and the summaries of
+the whole scan feed the call-graph rules (:mod:`repro.checkers.callgraph`).
+Every file is analyzed on every run: the run takes about a second on
+``src/``, so there is no cache.
 """
 
 from __future__ import annotations
@@ -18,30 +16,27 @@ import time
 from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence
 
-from repro.checkers.asyncsafety import check_async_safety
-from repro.checkers.findings import (
-    DirectiveError,
-    Finding,
-    parse_suppressions,
-    split_suppressed,
+from repro.checkers.callgraph import (
+    CallGraph,
+    module_name_for,
+    package_root,
+    summarize_module,
 )
+from repro.checkers.findings import Finding
 from repro.checkers.hygiene import check_hygiene
 
 #: The file whose presence marks the root of this repository.
 _ROOT_MARKER = Path("src/repro/dvm/messages.py")
 
-#: Rule id -> one-line description (the catalog; see docs/STATIC_ANALYSIS.md).
+#: Rule id -> one-line description (see docs/STATIC_ANALYSIS.md, which
+#: records the defect each rule caught).
 RULES: Dict[str, str] = {
-    "ASYNC001": "blocking call inside 'async def'",
     "ASYNC002": "coroutine constructed but never awaited",
-    "ASYNC003": "asyncio task handle dropped (fire-and-forget leak)",
-    "ASYNC004": "synchronous lock held across 'await'",
-    "ASYNC005": "cross-thread event-loop call bypassing *_threadsafe",
+    "ASYNC003": "asyncio task handle with no sink (dropped or never read)",
+    "ASYNC009": "blocking call on the event loop, directly or via sync helpers",
     "EXC001": "broad except that swallows the exception",
-    "HYG001": "mutable default argument",
-    "HYG002": "parameter shadows a builtin",
     "OBS001": "bare print() in library code (use repro.obs.log)",
 }
 
@@ -56,7 +51,6 @@ _SKIP_DIRS = {
     ".venv",
     ".tox",
     "node_modules",
-    ".repro-lint-cache",  # left behind by older versions of this analyzer
 }
 
 
@@ -65,36 +59,27 @@ class LintReport:
     """Everything one ``run_lint`` invocation produced."""
 
     findings: List[Finding] = field(default_factory=list)
-    suppressed: List[Finding] = field(default_factory=list)
     errors: List[str] = field(default_factory=list)  # unparsable files
     files_scanned: int = 0
+    functions_indexed: int = 0
+    call_edges: int = 0
     elapsed_seconds: float = 0.0
 
     @property
     def clean(self) -> bool:
         return not self.findings and not self.errors
 
-    def counts(self) -> "Counter[str]":
-        return Counter(finding.rule for finding in self.findings)
-
-    def suppressed_counts(self) -> "Counter[str]":
-        return Counter(finding.rule for finding in self.suppressed)
-
     def stats_rows(self) -> List[Dict[str, object]]:
-        """Per-rule rows for the --stats table and BENCH files."""
-        active = self.counts()
-        budget = self.suppressed_counts()
-        rows = []
-        for rule in sorted(RULES):
-            rows.append(
-                {
-                    "rule": rule,
-                    "description": RULES[rule],
-                    "findings": active.get(rule, 0),
-                    "suppressed": budget.get(rule, 0),
-                }
-            )
-        return rows
+        """Per-rule rows for the --stats table."""
+        counts = Counter(finding.rule for finding in self.findings)
+        return [
+            {
+                "rule": rule,
+                "description": description,
+                "findings": counts.get(rule, 0),
+            }
+            for rule, description in sorted(RULES.items())
+        ]
 
 
 def iter_python_files(paths: Sequence[Path]) -> List[Path]:
@@ -110,103 +95,82 @@ def iter_python_files(paths: Sequence[Path]) -> List[Path]:
         if path.is_file() and path.suffix == ".py":
             collected.add(path)
         elif path.is_dir():
-            visited = set()
-            try:
-                visited.add(path.resolve())
-            except OSError:
-                continue
+            visited = {path.resolve()}
             for dirpath, dirnames, filenames in os.walk(
                 path, followlinks=True
             ):
                 kept = []
                 for name in sorted(dirnames):
-                    if name in _SKIP_DIRS:
-                        continue
-                    try:
-                        identity = (Path(dirpath) / name).resolve()
-                    except OSError:
-                        continue
-                    if identity in visited:
-                        continue  # symlink cycle / already-walked target
+                    identity = (Path(dirpath) / name).resolve()
+                    if name in _SKIP_DIRS or identity in visited:
+                        continue  # skip-list, or a cycle / walked target
                     visited.add(identity)
                     kept.append(name)
                 dirnames[:] = kept
-                for name in filenames:
-                    if name.endswith(".py"):
-                        collected.add(Path(dirpath) / name)
+                collected.update(
+                    Path(dirpath) / name
+                    for name in filenames
+                    if name.endswith(".py")
+                )
     return sorted(collected)
-
-
-def _display_path(path: Path, root: Optional[Path]) -> str:
-    if root is not None:
-        try:
-            return path.resolve().relative_to(root.resolve()).as_posix()
-        except ValueError:
-            pass
-    return path.as_posix()
 
 
 def find_project_root(paths: Sequence[Path]) -> Optional[Path]:
     """The repo root owning the DVM protocol, if the scan touches it.
 
     Walks up from each scanned path looking for the directory that
-    contains ``src/repro/dvm/messages.py``; paths are reported relative
-    to it, and ``verify-static`` runs its project-scope prongs only when
-    one is found.
+    contains ``src/repro/dvm/messages.py``; findings are reported
+    relative to it.
     """
     for path in paths:
-        candidate: Optional[Path] = path.resolve()
-        while candidate is not None:
+        for candidate in (path.resolve(), *path.resolve().parents):
             if (candidate / _ROOT_MARKER).is_file():
                 return candidate
-            candidate = candidate.parent if candidate.parent != candidate else None
     return None
 
 
-def lint_file(
-    path: Path, display: Optional[str] = None
-) -> Tuple[List[Finding], List[Finding], Optional[str]]:
-    """Lint one file: ``(findings, suppressed, directive_or_parse_error)``.
-
-    Suppressions are parsed *before* the AST rules run; a malformed
-    directive is reported alongside the file's findings, never instead
-    of them (remaining valid directives on other lines still can't be
-    honored -- all-or-nothing keeps a typo from silently disabling a
-    different rule than intended).
-    """
-    name = display or path.as_posix()
-    try:
-        source = path.read_text(encoding="utf-8")
-        module = ast.parse(source, filename=name)
-    except (OSError, SyntaxError, ValueError) as exc:
-        return [], [], f"{name}: cannot analyze: {exc}"
-    directive_error: Optional[str] = None
-    try:
-        suppressions = parse_suppressions(source, name)
-    except DirectiveError as exc:
-        suppressions = {}
-        directive_error = str(exc)
-    findings = check_async_safety(name, module) + check_hygiene(name, module)
-    active, suppressed = split_suppressed(sorted(findings), suppressions)
-    return active, suppressed, directive_error
+def _display_path(path: Path, root: Optional[Path]) -> str:
+    if root is not None:
+        try:
+            return path.resolve().relative_to(root).as_posix()
+        except ValueError:
+            pass
+    return path.as_posix()
 
 
-def run_lint(
-    paths: Iterable[Path], *, project_root: Optional[Path] = None
-) -> LintReport:
-    """Run every analyzer over ``paths`` and return the full report."""
+def run_lint(paths: Iterable[Path]) -> LintReport:
+    """Run every rule over ``paths`` and return the full report."""
     started = time.perf_counter()
     report = LintReport()
     targets = [Path(p) for p in paths]
-    root = project_root or find_project_root(targets)
+    root = find_project_root(targets)
+    naming_roots = []
+    for target in targets:
+        base = package_root(target if target.is_dir() else target.parent)
+        if base.resolve() not in naming_roots:
+            naming_roots.append(base.resolve())
+    summaries = []
     for path in iter_python_files(targets):
-        active, suppressed, error = lint_file(path, _display_path(path, root))
+        display = _display_path(path, root)
         report.files_scanned += 1
-        report.findings.extend(active)
-        report.suppressed.extend(suppressed)
-        if error is not None:
-            report.errors.append(error)
+        try:
+            tree = ast.parse(path.read_text(encoding="utf-8"), display)
+        except (OSError, SyntaxError, ValueError) as exc:
+            report.errors.append(f"{display}: cannot analyze: {exc}")
+            continue
+        report.findings.extend(check_hygiene(display, tree))
+        summaries.append(
+            summarize_module(
+                tree,
+                display,
+                module_name_for(path, naming_roots),
+                path.name == "__init__.py",
+            )
+        )
+    graph = CallGraph(summaries)
+    report.findings.extend(graph.check())
     report.findings.sort()
-    report.suppressed.sort()
+    report.functions_indexed = len(graph.functions)
+    report.call_edges = graph.call_edges
     report.elapsed_seconds = time.perf_counter() - started
     return report

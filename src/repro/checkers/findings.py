@@ -1,28 +1,13 @@
-"""Finding and suppression primitives of the repro-lint analyzers.
+"""The one diagnostic type every rule of ``repro lint`` emits.
 
-A :class:`Finding` is one diagnostic: a rule id, a location, a
-one-line message, and a fix hint.  Findings are ordered by location so
-reports are stable across runs.
-
-Suppressions are inline comments of the form::
-
-    something_flagged()  # repro-lint: disable=ASYNC001
-    another_thing()      # repro-lint: disable=EXC001,HYG002
-
-scoped to their physical line.  Suppressed findings are not dropped --
-the engine reports them separately (the "suppression budget"), so a
-suppression sneaked into a PR is as visible as the finding it hides.
+A :class:`Finding` is a rule id, a location, a one-line message and a
+fix hint.  Findings are ordered by location so reports are stable
+across runs.
 """
 
 from __future__ import annotations
 
-import io
-import tokenize
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, List
-
-#: Directive prefix recognized inside comments.
-DIRECTIVE = "repro-lint:"
 
 
 @dataclass(frozen=True, order=True)
@@ -45,67 +30,3 @@ class Finding:
             f"::error file={self.path},line={self.line},"
             f"col={self.col},title={self.rule}::{self.message}"
         )
-
-
-class DirectiveError(ValueError):
-    """A malformed ``repro-lint:`` comment (typo'd directives must not
-    silently disable nothing)."""
-
-
-def parse_suppressions(source: str, path: str) -> Dict[int, FrozenSet[str]]:
-    """Map line number -> rule ids disabled on that line.
-
-    The special rule name ``all`` disables every rule on the line.
-    Raises :class:`DirectiveError` for a recognized ``repro-lint:``
-    comment whose directive cannot be parsed.
-    """
-    suppressions: Dict[int, FrozenSet[str]] = {}
-    try:
-        tokens = list(tokenize.generate_tokens(io.StringIO(source).readline))
-    except (tokenize.TokenError, SyntaxError, IndentationError):
-        return suppressions
-    for token in tokens:
-        if token.type != tokenize.COMMENT:
-            continue
-        text = token.string.lstrip("#").strip()
-        if not text.startswith(DIRECTIVE):
-            continue
-        directive = text[len(DIRECTIVE) :].strip()
-        if not directive.startswith("disable="):
-            raise DirectiveError(
-                f"{path}:{token.start[0]}: unknown repro-lint directive "
-                f"{directive!r} (expected 'disable=RULE[,RULE...]')"
-            )
-        rules = frozenset(
-            rule.strip() for rule in directive[len("disable=") :].split(",")
-        )
-        if not rules or "" in rules:
-            raise DirectiveError(
-                f"{path}:{token.start[0]}: empty rule list in "
-                "repro-lint disable directive"
-            )
-        line = token.start[0]
-        suppressions[line] = suppressions.get(line, frozenset()) | rules
-    return suppressions
-
-
-def is_suppressed(
-    finding: Finding, suppressions: Dict[int, FrozenSet[str]]
-) -> bool:
-    rules = suppressions.get(finding.line)
-    if rules is None:
-        return False
-    return finding.rule in rules or "all" in rules
-
-
-def split_suppressed(
-    findings: List[Finding], suppressions: Dict[int, FrozenSet[str]]
-) -> "tuple[List[Finding], List[Finding]]":
-    """Partition ``findings`` into (active, suppressed)."""
-    active: List[Finding] = []
-    suppressed: List[Finding] = []
-    for finding in findings:
-        (suppressed if is_suppressed(finding, suppressions) else active).append(
-            finding
-        )
-    return active, suppressed

@@ -1,4 +1,4 @@
-"""Hygiene analyzers (rules EXC001, HYG001, HYG002, OBS001).
+"""Per-file hygiene rules (EXC001, OBS001).
 
 * **EXC001** -- a broad handler (``except:``, ``except Exception``,
   ``except BaseException``) whose body neither re-raises, logs, records
@@ -6,44 +6,26 @@
   real faults (a decode bug, a cancelled task, a typo'd attribute) into
   silent state divergence -- the exact failure mode a distributed
   verifier exists to prevent.
-* **HYG001** -- mutable default argument values, shared across calls.
-* **HYG002** -- parameters shadowing builtins, which silently break the
-  builtin inside the function body and confuse readers.
 * **OBS001** -- a bare ``print(`` in library code.  Library output must
-  go through :mod:`repro.obs.log` (structured, filterable, JSON-capable)
-  so telemetry consumers are not fighting stray stdout; only the CLI
-  front-ends (any ``cli.py``) and the table renderer
-  (``bench/reporting.py``) own stdout.
+  go through :mod:`repro.obs.log` (structured, filterable, JSON-capable);
+  only the CLI front-ends (any ``cli.py``) and the table renderer
+  (``bench/reporting.py``) own stdout, where a stray line corrupts the
+  ``--json`` documents they print.
 """
 
 from __future__ import annotations
 
 import ast
-import builtins
-from typing import List, Optional, Set
+from typing import List
 
+from repro.checkers.callgraph import terminal_name
 from repro.checkers.findings import Finding
 
 #: Call-name fragments that indicate the handler surfaces the error.
 _HANDLING_TOKENS = ("log", "warn", "print", "record", "metric", "report", "emit", "trace")
 _HANDLING_EXACT = {"exception", "error", "debug", "info", "critical", "fail", "abort"}
 
-#: Builtin names whose shadowing as a parameter is flagged.  Dunders,
-#: exception types and module-ish names are excluded; ``self``/``cls``
-#: and trailing-underscore spellings (``type_``) are conventional and
-#: never flagged.
-SHADOWABLE_BUILTINS: Set[str] = {
-    name
-    for name in dir(builtins)
-    if name.islower()
-    and not name.startswith("_")
-    and not (
-        isinstance(getattr(builtins, name), type)
-        and issubclass(getattr(builtins, name), BaseException)
-    )
-}
-
-#: Files that legitimately own stdout (OBS001 does not apply).
+#: Files that own stdout (OBS001 does not apply).
 _PRINT_EXEMPT_BASENAMES = {"cli.py"}
 _PRINT_EXEMPT_SUFFIXES = ("bench/reporting.py",)
 
@@ -55,189 +37,81 @@ def _print_exempt(path: str) -> bool:
     return posix.endswith(_PRINT_EXEMPT_SUFFIXES)
 
 
-_MUTABLE_CONSTRUCTORS = {
-    "list",
-    "dict",
-    "set",
-    "bytearray",
-    "collections.defaultdict",
-    "collections.deque",
-    "collections.OrderedDict",
-    "collections.Counter",
-}
+def _is_broad(handler: ast.ExceptHandler) -> bool:
+    if handler.type is None:
+        return True
+    candidates = (
+        handler.type.elts
+        if isinstance(handler.type, ast.Tuple)
+        else [handler.type]
+    )
+    return any(
+        terminal_name(candidate) in ("Exception", "BaseException")
+        for candidate in candidates
+    )
 
 
-def _terminal_name(node: ast.AST) -> Optional[str]:
-    if isinstance(node, ast.Attribute):
-        return node.attr
-    if isinstance(node, ast.Name):
-        return node.id
-    return None
+def _swallows(handler: ast.ExceptHandler) -> bool:
+    for child in ast.walk(handler):
+        if isinstance(child, ast.Raise):
+            return False
+        if isinstance(child, ast.AugAssign) and isinstance(
+            child.target, ast.Attribute
+        ):
+            return False  # a counter increment records the event
+        if (
+            handler.name is not None
+            and isinstance(child, ast.Name)
+            and child.id == handler.name
+            and isinstance(child.ctx, ast.Load)
+        ):
+            return False  # the exception object is used somewhere
+        if isinstance(child, ast.Call):
+            name = (terminal_name(child.func) or "").lower()
+            if name in _HANDLING_EXACT or any(
+                token in name for token in _HANDLING_TOKENS
+            ):
+                return False
+    return True
 
 
-def _dotted_name(node: ast.AST) -> Optional[str]:
-    parts: List[str] = []
-    while isinstance(node, ast.Attribute):
-        parts.append(node.attr)
-        node = node.value
-    if isinstance(node, ast.Name):
-        parts.append(node.id)
-        return ".".join(reversed(parts))
-    return None
-
-
-class HygieneVisitor(ast.NodeVisitor):
-    """Emits EXC001 / HYG001 / HYG002 / OBS001 for one module."""
-
-    def __init__(self, path: str) -> None:
-        self.path = path
-        self.findings: List[Finding] = []
-        self._stdout_owner = _print_exempt(path)
-
-    def _emit(self, node: ast.AST, rule: str, message: str, hint: str) -> None:
-        self.findings.append(
-            Finding(
-                path=self.path,
-                line=getattr(node, "lineno", 1),
-                col=getattr(node, "col_offset", 0) + 1,
-                rule=rule,
-                message=message,
-                hint=hint,
-            )
-        )
-
-    # -- EXC001 ------------------------------------------------------------
-
-    def visit_ExceptHandler(self, node: ast.ExceptHandler) -> None:
-        if self._is_broad(node.type) and self._swallows(node):
+def check_hygiene(path: str, tree: ast.Module) -> List[Finding]:
+    """EXC001 and OBS001 over one parsed file."""
+    findings: List[Finding] = []
+    stdout_owner = _print_exempt(path)
+    for node in ast.walk(tree):
+        if (
+            isinstance(node, ast.ExceptHandler)
+            and _is_broad(node)
+            and _swallows(node)
+        ):
             caught = (
                 "bare 'except:'"
                 if node.type is None
                 else f"'except {ast.unparse(node.type)}'"
             )
-            self._emit(
-                node,
-                "EXC001",
-                f"{caught} swallows the exception: nothing is re-raised, "
-                "logged, or recorded",
-                "narrow the exception type and record it (log or metrics "
-                "counter), or re-raise",
+            findings.append(
+                Finding(
+                    path, node.lineno, node.col_offset + 1, "EXC001",
+                    f"{caught} swallows the exception: nothing is "
+                    "re-raised, logged, or recorded",
+                    "narrow the exception type and record it (log or "
+                    "metrics counter), or re-raise",
+                )
             )
-        self.generic_visit(node)
-
-    def _is_broad(self, type_node: Optional[ast.expr]) -> bool:
-        if type_node is None:
-            return True
-        candidates = (
-            list(type_node.elts)
-            if isinstance(type_node, ast.Tuple)
-            else [type_node]
-        )
-        return any(
-            _terminal_name(candidate) in ("Exception", "BaseException")
-            for candidate in candidates
-        )
-
-    def _swallows(self, node: ast.ExceptHandler) -> bool:
-        for child in ast.walk(node):
-            if isinstance(child, ast.Raise):
-                return False
-            if isinstance(child, ast.AugAssign) and isinstance(
-                child.target, ast.Attribute
-            ):
-                return False  # a counter increment records the event
-            if (
-                node.name is not None
-                and isinstance(child, ast.Name)
-                and child.id == node.name
-                and isinstance(child.ctx, ast.Load)
-            ):
-                return False  # the exception object is used somewhere
-            if isinstance(child, ast.Call):
-                name = (_terminal_name(child.func) or "").lower()
-                if name in _HANDLING_EXACT or any(
-                    token in name for token in _HANDLING_TOKENS
-                ):
-                    return False
-        return True
-
-    # -- OBS001 ------------------------------------------------------------
-
-    def visit_Call(self, node: ast.Call) -> None:
-        if (
-            not self._stdout_owner
+        elif (
+            not stdout_owner
+            and isinstance(node, ast.Call)
             and isinstance(node.func, ast.Name)
             and node.func.id == "print"
         ):
-            self._emit(
-                node,
-                "OBS001",
-                "bare print() in library code bypasses structured logging",
-                "use repro.obs.log.get_logger(...).info/debug with kv(...), "
-                "or move the output into a CLI front-end",
+            findings.append(
+                Finding(
+                    path, node.lineno, node.col_offset + 1, "OBS001",
+                    "bare print() in library code bypasses structured "
+                    "logging",
+                    "use repro.obs.log.get_logger(...).info/debug with "
+                    "kv(...), or move the output into a CLI front-end",
+                )
             )
-        self.generic_visit(node)
-
-    # -- HYG001 / HYG002 ---------------------------------------------------
-
-    def visit_FunctionDef(self, node: ast.FunctionDef) -> None:
-        self._check_defaults(node)
-        self._check_shadowing(node)
-        self.generic_visit(node)
-
-    def visit_AsyncFunctionDef(self, node: ast.AsyncFunctionDef) -> None:
-        self._check_defaults(node)
-        self._check_shadowing(node)
-        self.generic_visit(node)
-
-    def _check_defaults(self, node: ast.AST) -> None:
-        args = node.args  # type: ignore[attr-defined]
-        defaults = list(args.defaults) + [
-            default for default in args.kw_defaults if default is not None
-        ]
-        for default in defaults:
-            if self._is_mutable(default):
-                self._emit(
-                    default,
-                    "HYG001",
-                    f"mutable default argument "
-                    f"'{ast.unparse(default)}' is shared across calls",
-                    "default to None and create the container inside the "
-                    "function",
-                )
-
-    def _is_mutable(self, node: ast.expr) -> bool:
-        if isinstance(node, (ast.List, ast.Dict, ast.Set)):
-            return True
-        if isinstance(node, ast.Call):
-            dotted = _dotted_name(node.func)
-            return dotted in _MUTABLE_CONSTRUCTORS
-        return False
-
-    def _check_shadowing(self, node: ast.AST) -> None:
-        args = node.args  # type: ignore[attr-defined]
-        every = (
-            list(args.posonlyargs)
-            + list(args.args)
-            + list(args.kwonlyargs)
-            + ([args.vararg] if args.vararg else [])
-            + ([args.kwarg] if args.kwarg else [])
-        )
-        for arg in every:
-            if arg.arg in ("self", "cls") or arg.arg.endswith("_"):
-                continue
-            if arg.arg in SHADOWABLE_BUILTINS:
-                self._emit(
-                    arg,
-                    "HYG002",
-                    f"parameter '{arg.arg}' shadows the builtin of the "
-                    "same name",
-                    f"rename it (e.g. '{arg.arg}_' or a domain-specific "
-                    "name)",
-                )
-
-
-def check_hygiene(path: str, module: ast.Module) -> List[Finding]:
-    visitor = HygieneVisitor(path)
-    visitor.visit(module)
-    return visitor.findings
+    return findings

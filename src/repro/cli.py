@@ -30,12 +30,9 @@ Commands:
   (``/debug/flight``, ``dump_flight``, or ``fleet --flight-out``
   output) or generates a violation scenario on either backend; see
   ``docs/OBSERVABILITY.md``.
-* ``lint``      -- run the repro-lint static analyzers (async-safety,
-  hygiene) over the codebase; see :mod:`repro.checkers` and
-  ``docs/STATIC_ANALYSIS.md``.
-* ``verify-static`` -- tier-2 semantic verification: model-check the
-  session FSM (two-peer product space, deadlock/reachability) and run
-  the call-graph rules; see ``docs/STATIC_ANALYSIS.md``.
+* ``lint``      -- analyze the codebase in one pass: per-file hygiene
+  rules and the whole-program async-safety rules over its call graph;
+  see :mod:`repro.checkers` and ``docs/STATIC_ANALYSIS.md``.
 
 Examples::
 
@@ -966,12 +963,6 @@ def _cmd_lint(args: argparse.Namespace) -> int:
     return cmd_lint(args)
 
 
-def _cmd_verify_static(args: argparse.Namespace) -> int:
-    from repro.checkers.cli import cmd_verify_static
-
-    return cmd_verify_static(args)
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -1372,17 +1363,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     lint = commands.add_parser(
         "lint",
-        help="run the repro-lint static analyzers (exit 1 on findings)",
+        help="run the repro-lint static analyzer (exit 1 on findings)",
     )
-    from repro.checkers.cli import configure_parser as _configure_analyzer
+    from repro.checkers.cli import configure_parser
 
-    _configure_analyzer(lint)
-
-    verify_static = commands.add_parser(
-        "verify-static",
-        help="model-check the session FSM and run the call-graph rules",
-    )
-    _configure_analyzer(verify_static)
+    configure_parser(lint)
     return parser
 
 
@@ -1398,7 +1383,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         "top": _cmd_top,
         "explain": _cmd_explain,
         "lint": _cmd_lint,
-        "verify-static": _cmd_verify_static,
     }
     return handlers[args.command](args)
 

@@ -14,7 +14,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.errors import InconsistentInvariantError, TulkunError
 from repro.dataplane.fib import Fib
-from repro.dvm.agent import plan_holds
+from repro.dvm.agent import Unplanned, plan_holds
 from repro.dvm.verifier import RootVerdict, Violation
 from repro.packetspace.fields import DEFAULT_LAYOUT, HeaderLayout
 from repro.packetspace.predicate import Predicate, PredicateFactory
@@ -33,6 +33,10 @@ class Report:
     holds: bool
     verdicts: List[RootVerdict]
     violations: List[Violation]
+    #: ``device -> failed links`` of devices whose failures match no
+    #: planned fault scene; the verdicts are then stale and ``holds`` is
+    #: False.
+    unplanned: Unplanned
     verification_seconds: float
     message_count: int
     message_bytes: int
@@ -42,6 +46,14 @@ class Report:
 
     def __repr__(self) -> str:
         status = "HOLDS" if self.holds else "VIOLATED"
+        if self.unplanned:
+            links = sorted(
+                {f"{a}-{b}" for failed in self.unplanned.values() for a, b in failed}
+            )
+            status = (
+                f"UNKNOWN: unplanned scene {{{', '.join(links)}}} at "
+                f"{', '.join(sorted(self.unplanned))}"
+            )
         return (
             f"Report({self.invariant.name!r}: {status}, "
             f"{self.verification_seconds * 1e3:.3f} ms to converge, "
@@ -53,6 +65,7 @@ def make_report(
     plan: Plan,
     verdicts: List[RootVerdict],
     violations: List[Violation],
+    unplanned: Unplanned,
     elapsed: float,
     message_count: int,
     message_bytes: int,
@@ -60,9 +73,10 @@ def make_report(
     """A backend's read-out of one plan as a :class:`Report`."""
     return Report(
         invariant=plan.invariant,
-        holds=plan_holds(plan, verdicts, violations),
+        holds=plan_holds(plan, verdicts, violations, unplanned),
         verdicts=verdicts,
         violations=violations,
+        unplanned=unplanned,
         verification_seconds=elapsed,
         message_count=message_count,
         message_bytes=message_bytes,
@@ -245,11 +259,6 @@ class Deployment:
 
     def recover_link(self, a: str, b: str) -> float:
         return self.network.recover_link(a, b)
-
-    def device_counts(self, plan_id: str, device: str):
-        """A device's own counting results for one plan (§7: the
-        reachability information rerouting services consume)."""
-        return self.network.verifiers[device].local_counts(plan_id)
 
     def reports(self) -> List[Report]:
         return self.reverify()

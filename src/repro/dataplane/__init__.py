@@ -24,7 +24,6 @@ from repro.dataplane.lec import LecEntry, LecTable, build_lec_table, diff_lec_ta
 from repro.dataplane.routes import RouteConfig, install_routes
 from repro.dataplane.errors import (
     inject_blackhole,
-    inject_loop,
     inject_waypoint_bypass,
 )
 
@@ -44,6 +43,5 @@ __all__ = [
     "RouteConfig",
     "install_routes",
     "inject_blackhole",
-    "inject_loop",
     "inject_waypoint_bypass",
 ]

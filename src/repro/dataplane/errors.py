@@ -3,9 +3,8 @@
 The paper's evaluation injects data plane errors and confirms every tool
 finds them (§9.3.1 "Tulkun successfully finds all the errors we
 injected").  Each injector installs a high-priority rule that breaks a
-specific invariant class: blackholes (drop), forwarding loops (a pair of
-devices bouncing the packet), and waypoint bypasses (detour around the
-required middlebox).
+specific invariant class: blackholes (drop) and waypoint bypasses
+(detour around the required middlebox).
 """
 
 from __future__ import annotations
@@ -29,27 +28,6 @@ def inject_blackhole(
     return fibs[device].insert(
         PRIORITY_ERROR, packets, Drop(), label=label or "injected-blackhole"
     )
-
-
-def inject_loop(
-    fibs: Dict[str, Fib],
-    device_a: str,
-    device_b: str,
-    packets: Predicate,
-    label: str = "",
-) -> tuple:
-    """Make ``device_a`` and ``device_b`` bounce ``packets`` to each other.
-
-    The devices must be adjacent in the topology for the loop to be a real
-    forwarding loop; callers are responsible for picking neighbors.
-    """
-    rule_a = fibs[device_a].insert(
-        PRIORITY_ERROR, packets, Forward([device_b]), label=label or "injected-loop"
-    )
-    rule_b = fibs[device_b].insert(
-        PRIORITY_ERROR, packets, Forward([device_a]), label=label or "injected-loop"
-    )
-    return rule_a, rule_b
 
 
 def inject_waypoint_bypass(

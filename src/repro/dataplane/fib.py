@@ -131,17 +131,10 @@ class Fib:
     def get(self, rule_id: int) -> Optional[Rule]:
         return self._rules.get(rule_id)
 
-    def rules_matching(self, packets: Predicate) -> List[Rule]:
-        """All rules whose match overlaps ``packets``, highest priority first."""
-        return [
-            rule
-            for rule in self.candidates(packets)
-            if rule.match.overlaps(packets)
-        ]
-
     def candidates(self, packets: Predicate) -> List[Rule]:
-        """A superset of :meth:`rules_matching`, highest priority first,
-        read from the match index without a BDD operation."""
+        """A superset of the rules whose match overlaps ``packets``,
+        highest priority first, read from the match index without a BDD
+        operation."""
         return sorted(self._by_match.candidates(packets), key=_precedence)
 
     def lookup(self, packets: Predicate) -> Optional[Action]:

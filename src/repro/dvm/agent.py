@@ -35,6 +35,7 @@ from typing import (
     Callable,
     Deque,
     Dict,
+    FrozenSet,
     List,
     NamedTuple,
     Optional,
@@ -239,11 +240,22 @@ class DeviceAgent:
         return clock
 
 
+#: ``device -> failed links`` of the devices whose failure set matches
+#: none of a plan's fault scenes.
+Unplanned = Dict[str, FrozenSet[Tuple[str, str]]]
+
+
 def plan_holds(
-    plan: Plan, verdicts: Sequence[RootVerdict], violations: Sequence[Violation]
+    plan: Plan,
+    verdicts: Sequence[RootVerdict],
+    violations: Sequence[Violation],
+    unplanned: Unplanned,
 ) -> bool:
     """True when every root region of the plan verifies; for local-mode
-    (equal) plans, when no device reported a violation."""
+    (equal) plans, when no device reported a violation.  Never while a
+    device is on an unplanned scene: its counts are the last scene's."""
+    if unplanned:
+        return False
     if plan.mode == "local":
         return not violations
     return bool(verdicts) and all(verdict.holds for verdict in verdicts)
@@ -336,13 +348,25 @@ class AgentBackend:
             for violation in agent.verifier.violations
         ]
 
-    def read_out(self, plan_id: str) -> Tuple[List[RootVerdict], List[Violation]]:
-        """The plan's root verdicts and the violations reported for it."""
-        return self.verdicts(plan_id), [
-            violation
-            for violation in self.all_violations()
-            if violation.plan_id == plan_id
-        ]
+    def read_out(
+        self, plan_id: str
+    ) -> Tuple[List[RootVerdict], List[Violation], Unplanned]:
+        """The plan's root verdicts, the violations reported for it and
+        the devices on an unplanned scene."""
+        unplanned: Unplanned = {}
+        for device, agent in self.agents.items():
+            links = agent.verifier.unplanned_links(plan_id)
+            if links is not None:
+                unplanned[device] = links
+        return (
+            self.verdicts(plan_id),
+            [
+                violation
+                for violation in self.all_violations()
+                if violation.plan_id == plan_id
+            ],
+            unplanned,
+        )
 
     def holds(self, plan_id: str) -> bool:
         return plan_holds(self._plans[plan_id], *self.read_out(plan_id))

@@ -114,10 +114,6 @@ class UpdateMessage(Message):
     withdrawn: Tuple[Predicate, ...]
     results: Tuple[Tuple[Predicate, CountSet], ...]
 
-    def wire_size(self) -> int:
-        """Encoded size in bytes (message overhead metric, §9.3)."""
-        return len(encode_message(self))
-
 
 @dataclass(frozen=True)
 class SubscribeMessage(Message):

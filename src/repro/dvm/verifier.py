@@ -144,7 +144,8 @@ class _PlanContext:
         for position, state in enumerate(self.bottom_up):
             state.order = (sequence, position)
         self.scene_index: Optional[int] = 0
-        self.unplanned = False  # current failures match no planned scene
+        #: The failed links, while they match no planned scene.
+        self.unplanned: Optional[FrozenSet[Tuple[str, str]]] = None
 
 
 def _in_plan(
@@ -186,7 +187,6 @@ class OnDeviceVerifier:
         #: ``local``-mode contexts; every rule update re-runs their checks.
         self._local: Dict[str, _PlanContext] = {}
         self.violations: List[Violation] = []
-        self.unplanned_scene_reports: List[FrozenSet[Tuple[str, str]]] = []
         #: Frames handled, for the §9.4 microbenchmarks.
         self.messages_received = 0
         #: Flight-recorder hook: the owning device agent swaps in the
@@ -230,13 +230,6 @@ class OnDeviceVerifier:
             self._by_interest.add(state.interest, (context, state))
             outgoing.extend(self._recompute(context, state, state.interest))
         return outgoing
-
-    def uninstall_plan(self, plan_id: str) -> None:
-        context = self._contexts.pop(plan_id, None)
-        if context is not None:
-            self._forget(context)
-        for key in [k for k in self._verdict_holds if k[0] == plan_id]:
-            del self._verdict_holds[key]
 
     def _forget(self, context: _PlanContext) -> None:
         """Drop what is kept about ``context`` outside of it."""
@@ -345,26 +338,11 @@ class OnDeviceVerifier:
                     )
         return verdicts
 
-    def local_counts(
-        self, plan_id: str
-    ) -> List[Tuple[str, Predicate, CountSet]]:
-        """Per-node counting results on this device: [(node_id, predicate,
-        counts)].
-
-        This is the §7 rationale for backward propagation: every device
-        holds the number of copies deliverable from *itself* to the
-        destination, which rerouting services (convergence-free routing,
-        fast data plane switching) can read without any further
-        verification round.
-        """
+    def unplanned_links(self, plan_id: str) -> Optional[FrozenSet[Tuple[str, str]]]:
+        """The failed links this device sees, while they match none of the
+        plan's scenes (its counts then describe a topology that is gone)."""
         context = self._contexts.get(plan_id)
-        if context is None:
-            return []
-        results: List[Tuple[str, Predicate, CountSet]] = []
-        for state in context.bottom_up:
-            for predicate, counts in state.loc.lookup(state.interest):
-                results.append((state.task.node_id, predicate, counts))
-        return results
+        return None if context is None else context.unplanned
 
     # ------------------------------------------------------------------
     # message handlers
@@ -526,11 +504,17 @@ class OnDeviceVerifier:
                 # across failed links (Prop. 2, concrete case).
                 new_index = 0
             if new_index is None:
-                if not context.unplanned:
-                    context.unplanned = True
-                    self.unplanned_scene_reports.append(failed)
+                # Counts stay those of the last scene, which no longer
+                # exists: the plan reads not-holding until one does.
+                if context.unplanned != failed:
+                    context.unplanned = failed
+                    self.flight.record(
+                        "unplanned",
+                        plan=context.plan_id,
+                        links=sorted(f"{a}-{b}" for a, b in failed),
+                    )
                 continue
-            context.unplanned = False
+            context.unplanned = None
             context.scene_index = new_index
             if context.plan.mode == "local":
                 self._run_local_checks(context)

@@ -8,10 +8,9 @@ the federated settle wave, collect per-shard results.
 
 Supervision: worker processes are polled for liveness on every settle
 wave and every broadcast; an unexpected exit raises
-:class:`WorkerCrashed` naming the dead workers (crash propagation), and
-:meth:`FleetLauncher.restart` re-spawns one worker, which re-binds its
-planned ports and re-establishes its sessions.  Shutdown sends a
-``stop`` op (graceful drain), then SIGTERM, then SIGKILL.
+:class:`WorkerCrashed` naming the dead workers (crash propagation).
+Shutdown sends a ``stop`` op (graceful drain), then SIGTERM, then
+SIGKILL.
 
 Federated quiescence: each worker runs the exact detector of
 :class:`~repro.runtime.cluster.RuntimeCluster` over its shard and
@@ -165,13 +164,9 @@ class FleetLauncher:
             await loop.run_in_executor(None, self._spawn, index)
         await self.wait_ready(ready_timeout)
 
-    async def wait_ready(
-        self, timeout: float, indices: Optional[List[int]] = None
-    ) -> None:
-        """Poll ``ping`` until the given (default: all) workers are ready."""
-        pending = set(
-            indices if indices is not None else self.workers.keys()
-        )
+    async def wait_ready(self, timeout: float) -> None:
+        """Poll ``ping`` until every worker is ready."""
+        pending = set(self.workers)
         deadline = time.monotonic() + timeout
         delay = 0.01
         while pending:
@@ -191,17 +186,6 @@ class FleetLauncher:
             if pending:
                 await asyncio.sleep(delay)
                 delay = min(0.1, delay * 2)
-
-    async def restart(
-        self, index: int, ready_timeout: float = 120.0
-    ) -> None:
-        """Re-spawn one (dead) worker and wait for it to re-establish."""
-        handle = self.workers.get(index)
-        if handle is not None and handle.process.poll() is None:
-            raise FleetError(f"worker {index} is still running")
-        loop = asyncio.get_running_loop()
-        await loop.run_in_executor(None, self._spawn, index)
-        await self.wait_ready(ready_timeout, indices=[index])
 
     async def stop(self, grace: float = 10.0) -> None:
         """Drain the fleet: stop op, then SIGTERM, then SIGKILL."""
@@ -345,20 +329,15 @@ class FleetLauncher:
         self,
         label: str,
         inject: Dict[str, object],
-        only_worker: Optional[int] = None,
         timeout: Optional[float] = None,
     ) -> float:
         """begin everywhere -> inject -> federated settle -> max finish.
 
-        ``begin``/``finish`` always span *every* worker -- even when the
-        injection targets one shard -- so the per-worker convergence
-        clocks measure the same operation window.
+        ``begin``/``finish`` span every worker, so the per-worker
+        convergence clocks measure the same operation window.
         """
         await self.broadcast({"op": "begin", "label": label})
-        if only_worker is None:
-            await self.broadcast(dict(inject), timeout=timeout)
-        else:
-            await self.call_worker(only_worker, dict(inject), timeout=timeout)
+        await self.broadcast(dict(inject), timeout=timeout)
         await self.settle(timeout)
         finishes = await self.broadcast({"op": "finish"})
         return max(float(f["seconds"]) for f in finishes)  # type: ignore[arg-type]

@@ -82,20 +82,6 @@ def topology_from_dict(document: Dict) -> Topology:
     return topology
 
 
-def topology_to_dict(topology: Topology) -> Dict:
-    return {
-        "name": topology.name,
-        "devices": list(topology.devices),
-        "links": [
-            [link.a, link.b, link.latency] for link in topology.links
-        ],
-        "prefixes": {
-            device: list(topology.external_prefixes(device))
-            for device in topology.devices_with_prefixes()
-        },
-    }
-
-
 def load_topology(path: str) -> Topology:
     with open(path) as handle:
         return topology_from_dict(json.load(handle))

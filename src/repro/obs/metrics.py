@@ -19,8 +19,7 @@ Design notes:
 * **Exposition.**  ``render_text()`` emits the Prometheus text format
   (close enough for scraping and for humans); ``as_dict()`` emits a
   JSON-able snapshot the CLI dumps with ``--json`` / ``repro trace``.
-* **Histograms** use fixed upper bounds (``le``) and record count + sum;
-  :meth:`Histogram.merge` folds two series with the same bounds.
+* **Histograms** use fixed upper bounds (``le``) and record count + sum.
 
 Updates are plain attribute arithmetic (atomic enough under the GIL for
 the single-writer patterns both backends use); only registry mutation
@@ -103,9 +102,6 @@ class Gauge:
     def inc(self, amount: float = 1.0) -> None:
         self.value += amount
 
-    def dec(self, amount: float = 1.0) -> None:
-        self.value -= amount
-
     def sample(self) -> Dict[str, object]:
         return {"labels": self.labels_map, "value": self.value}
 
@@ -156,19 +152,6 @@ class Histogram:
             pairs.append((bound, running))
         pairs.append((float("inf"), running + self.overflow))
         return pairs
-
-    def merge(self, other: "Histogram") -> None:
-        """Fold ``other`` into this histogram (bounds must match)."""
-        if other.bounds != self.bounds:
-            raise MetricError(
-                "cannot merge histograms with different bounds: "
-                f"{self.bounds} vs {other.bounds}"
-            )
-        for index, bucket in enumerate(other.bucket_counts):
-            self.bucket_counts[index] += bucket
-        self.overflow += other.overflow
-        self.count += other.count
-        self.sum += other.sum
 
     def quantile(self, q: float) -> float:
         """Upper bound of the bucket containing the ``q`` quantile."""

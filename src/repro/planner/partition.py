@@ -87,17 +87,6 @@ class OneBigSwitchAbstraction:
                 abstract.attach_prefix(self.groups[device], cidr)
         return abstract
 
-    def border_devices(self, group: str) -> Tuple[str, ...]:
-        """Members with at least one link leaving the group."""
-        return tuple(
-            device
-            for device in self.members(group)
-            if any(
-                self.groups[peer] != group
-                for peer in self.topology.neighbors(device)
-            )
-        )
-
     def entry_devices(self, group: str, from_group: str) -> Tuple[str, ...]:
         """Members receiving links from ``from_group``."""
         return tuple(

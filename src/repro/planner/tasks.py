@@ -113,11 +113,6 @@ class Plan:
         return tuple(sorted(self.device_tasks))
 
 
-def _index_atoms(behavior: Behavior) -> Tuple[Tuple[Match, ...], Behavior]:
-    """Assign regex indices to atoms in tree order."""
-    return behavior.atoms(), behavior
-
-
 def _compile_evaluator(
     behavior: Behavior, index_of: Dict[int, int]
 ) -> Callable[[Tuple[int, ...]], bool]:

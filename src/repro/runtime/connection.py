@@ -57,10 +57,7 @@ Connector = Callable[
 # The table below *is* the PeerSession lifecycle: the only way the
 # session changes state is ``PeerSession._fire(event)``, which looks the
 # edge up here, so an edge the table does not declare is a ``KeyError``
-# in the first test that takes it.  ``repro.checkers.modelcheck``
-# imports the same table and exhaustively explores the product of two
-# peer sessions over it for deadlocks and unreachable states (FSM001,
-# FSM002) on every ``python -m repro verify-static`` run.
+# in the first test that takes it.
 
 #: Session lifecycle states.
 ST_CLOSED = "CLOSED"  # no connection; passive side idles here awaiting adoption
@@ -206,8 +203,8 @@ class PeerSession:
         """Take the declared edge ``(self.state, event)``.
 
         An edge missing from :data:`SESSION_TRANSITIONS` raises
-        ``KeyError``: declare it there (the model checker then explores
-        it) rather than special-casing it here.
+        ``KeyError``: declare it there rather than special-casing it
+        here.
         """
         self.state = SESSION_TRANSITIONS[(self.state, event)]
         if self.flight.enabled:

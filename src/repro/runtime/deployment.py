@@ -32,10 +32,9 @@ from typing import (
 )
 
 from repro.core.errors import TulkunError
-from repro.counting.counts import CountSet
 from repro.dataplane.fib import Fib
+from repro.dvm.agent import Unplanned
 from repro.dvm.verifier import RootVerdict, Violation
-from repro.packetspace.predicate import Predicate
 from repro.planner import Plan
 from repro.runtime.cluster import RuntimeCluster
 from repro.runtime.metrics import ClusterMetrics
@@ -170,7 +169,7 @@ class RuntimeDeployment:
 
     async def _read_out(
         self, plan_id: str
-    ) -> Tuple[List[RootVerdict], List[Violation]]:
+    ) -> Tuple[List[RootVerdict], List[Violation], Unplanned]:
         """Read verdicts on the loop thread (between handler runs)."""
         return self.cluster.read_out(plan_id)
 
@@ -191,17 +190,6 @@ class RuntimeDeployment:
     ) -> float:
         """Force a TCP drop on link (a, b), wait for backoff-reconnect."""
         return self._submit(self.cluster.drop_connection(a, b, hold_down))
-
-    def device_counts(
-        self, plan_id: str, device: str
-    ) -> List[Tuple[str, Predicate, CountSet]]:
-        """A device's own counting results for one plan (§7)."""
-        return self._submit(self._device_counts(plan_id, device))
-
-    async def _device_counts(
-        self, plan_id: str, device: str
-    ) -> List[Tuple[str, Predicate, CountSet]]:
-        return self.cluster.agents[device].verifier.local_counts(plan_id)
 
     def reports(self) -> List["Report"]:
         return self.reverify()

@@ -44,9 +44,6 @@ class _MemoryTransport:
         """Drop the pair immediately -- both ends see EOF, like a RST."""
         self._writer._abort()
 
-    def is_closing(self) -> bool:
-        return self._writer.closed
-
 
 class MemoryWriter:
     """Write end of one direction of an in-memory stream pair.

@@ -13,7 +13,6 @@ from repro.topology.generators import (
     fattree,
     line,
     paper_example,
-    ring,
     synthetic_wan,
 )
 from repro.topology.datasets import DATASETS, DatasetSpec, load_dataset
@@ -26,7 +25,6 @@ __all__ = [
     "clos",
     "synthetic_wan",
     "line",
-    "ring",
     "chained_diamond",
     "paper_example",
     "DATASETS",

@@ -49,16 +49,6 @@ def line(num_devices: int, latency: float = LAN_LATENCY) -> Topology:
     return topology
 
 
-def ring(num_devices: int, latency: float = LAN_LATENCY) -> Topology:
-    """A cycle of ``num_devices`` devices."""
-    if num_devices < 3:
-        raise ValueError("ring needs at least three devices")
-    topology = line(num_devices, latency)
-    topology.name = f"ring-{num_devices}"
-    topology.add_link(f"d{num_devices - 1}", "d0", latency)
-    return topology
-
-
 def chained_diamond(num_diamonds: int, latency: float = LAN_LATENCY) -> Topology:
     """A chain of diamonds: the paper's worst case for count-set growth.
 

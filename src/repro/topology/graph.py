@@ -228,12 +228,6 @@ class Topology:
                     queue.append(peer)
         return distances
 
-    def shortest_hop_count(
-        self, source: str, destination: str, scene: FaultScene = NO_FAULTS
-    ) -> Optional[int]:
-        """Hop count of the shortest path, or None if disconnected."""
-        return self.hop_distances(source, scene).get(destination)
-
     def latency_distances(self, source: str) -> Dict[str, float]:
         """Dijkstra latencies from ``source`` (for the management network)."""
         import heapq

@@ -157,8 +157,3 @@ class TestCounting:
         assert assignment[0] is True
         assert assignment[3] is False
 
-    def test_clear_caches_preserves_semantics(self, bdd):
-        x, y = bdd.var(0), bdd.var(1)
-        before = bdd.apply_and(x, y)
-        bdd.clear_caches()
-        assert bdd.apply_and(x, y) == before

@@ -1,4 +1,5 @@
-"""ASYNC003: ``create_task`` handle dropped -- the task can be GC'd mid-run."""
+"""ASYNC003: a task handle with no sink -- nothing can cancel the task,
+it can be GC'd mid-run, and its exception is lost with it."""
 
 import asyncio
 
@@ -9,6 +10,10 @@ async def worker() -> None:
 
 async def spawn_and_forget() -> None:
     asyncio.create_task(worker())  # expect: ASYNC003
+
+
+async def spawn_and_lose() -> None:
+    lost = asyncio.ensure_future(worker())  # expect: ASYNC003
 
 
 async def spawn_and_keep() -> "asyncio.Task[None]":

@@ -1,37 +1,37 @@
-"""Tier-3 call-graph rules (ASYNC009-011): blocking reachability
-through sync helpers, locks across transitive event-loop waits, and
-fire-and-forget tasks that can raise unobserved.
+"""Call-graph rules: blocking calls reachable from a coroutine through
+zero or more sync helpers (ASYNC009), coroutines never awaited across
+modules (ASYNC002), and task handles with no sink (ASYNC003).
 
 Every test builds its whole program inline: each source string becomes
 one :class:`ModuleSummary` via :func:`summarize_module` and the set is
-handed to :func:`analyze_callgraph` -- nothing is imported or executed.
+handed to :class:`CallGraph` -- nothing is imported or executed.
 """
 
+import ast
 import textwrap
 
-from repro.checkers import analyze_callgraph, summarize_module
+from repro.checkers import CallGraph, summarize_module
 
 
 def _analyze(sources):
-    """sources: {module_name: source} -> (flat findings, report)."""
+    """sources: {module_name: source} -> (findings, graph)."""
     summaries = [
-        summarize_module(textwrap.dedent(src), f"{name}.py", name)
+        summarize_module(ast.parse(textwrap.dedent(src)), f"{name}.py", name)
         for name, src in sources.items()
     ]
-    report = analyze_callgraph(summaries)
-    flat = [f for per_file in report.findings.values() for f in per_file]
-    return flat, report
+    graph = CallGraph(summaries)
+    return graph.check(), graph
 
 
 def _rules(findings):
     return sorted({f.rule for f in findings})
 
 
-# -- ASYNC009: blocking call reachable through sync helpers ------------------
+# -- ASYNC009: blocking call on the event loop -------------------------------
 
 
 def test_async009_blocking_reachable_through_sync_chain():
-    findings, report = _analyze(
+    findings, graph = _analyze(
         {
             "prog": """
             import time
@@ -53,12 +53,40 @@ def test_async009_blocking_reachable_through_sync_chain():
     assert "'async def top'" in finding.message
     # The full helper chain is spelled out, hop by hop.
     assert "low" in finding.message and "->" in finding.message
-    assert report.functions_indexed == 3
-    assert report.call_edges >= 2
+    assert len(graph.functions) == 3
+    assert graph.call_edges >= 2
+
+
+def test_async009_zero_hops_is_the_call_in_the_coroutine_itself():
+    findings, _graph = _analyze(
+        {
+            "prog": """
+            import subprocess
+            from time import sleep
+
+            async def heartbeat():
+                sleep(0.5)
+                subprocess.run(["true"])
+                with open("log") as handle:
+                    handle.write("x")
+
+            def sync_path():
+                sleep(0.0)
+            """
+        }
+    )
+    assert [(f.rule, f.line) for f in findings] == [
+        ("ASYNC009", 6),
+        ("ASYNC009", 7),
+        ("ASYNC009", 8),
+    ]
+    assert "blocking call 'time.sleep' inside 'async def heartbeat'" in (
+        findings[0].message
+    )
 
 
 def test_async009_crosses_module_boundaries():
-    findings, _report = _analyze(
+    findings, _graph = _analyze(
         {
             "app": """
             from helpers import helper
@@ -81,7 +109,7 @@ def test_async009_crosses_module_boundaries():
 
 
 def test_async009_negative_await_chain_and_executor():
-    findings, _report = _analyze(
+    findings, _graph = _analyze(
         {
             "prog": """
             import asyncio
@@ -103,70 +131,40 @@ def test_async009_negative_await_chain_and_executor():
     assert findings == []
 
 
-# -- ASYNC010: lock held across a transitive event-loop wait -----------------
+# -- ASYNC002: coroutine never awaited ---------------------------------------
 
 
-def test_async010_lock_across_transitive_loop_wait():
-    findings, _report = _analyze(
+def test_async002_resolves_the_coroutine_across_modules():
+    findings, _graph = _analyze(
         {
-            "prog": """
-            import asyncio
-            import threading
+            "app": """
+            from jobs import refresh
 
-            _lock = threading.Lock()
+            def kick():
+                refresh()
 
-            async def coro():
-                return 1
-
-            def waiter():
-                loop = asyncio.new_event_loop()
-                loop.run_until_complete(coro())
-
-            def critical():
-                with _lock:
-                    waiter()
-            """
+            async def fine():
+                await refresh()
+                task = refresh()
+                return task
+            """,
+            "jobs": """
+            async def refresh():
+                pass
+            """,
         }
     )
-    assert "ASYNC010" in _rules(findings)
-    finding = next(f for f in findings if f.rule == "ASYNC010")
-    assert "lock '_lock'" in finding.message
-    assert "held across an event-loop wait" in finding.message
-    assert "critical" in finding.message
+    assert [(f.rule, f.path, f.line) for f in findings] == [
+        ("ASYNC002", "app.py", 5)
+    ]
+    assert "coroutine 'refresh(...)' is never awaited" in findings[0].message
 
 
-def test_async010_negative_lock_released_before_wait():
-    findings, _report = _analyze(
-        {
-            "prog": """
-            import asyncio
-            import threading
-
-            _lock = threading.Lock()
-
-            async def coro():
-                return 1
-
-            def waiter():
-                loop = asyncio.new_event_loop()
-                loop.run_until_complete(coro())
-
-            def fine():
-                with _lock:
-                    value = 1
-                waiter()
-                return value
-            """
-        }
-    )
-    assert [f for f in findings if f.rule == "ASYNC010"] == []
+# -- ASYNC003: task handle with no sink --------------------------------------
 
 
-# -- ASYNC011: fire-and-forget task whose coroutine can raise ----------------
-
-
-def test_async011_dropped_handle_on_raising_coroutine():
-    findings, _report = _analyze(
+def test_async003_dropped_or_unread_handles():
+    findings, _graph = _analyze(
         {
             "prog": """
             import asyncio
@@ -174,35 +172,49 @@ def test_async011_dropped_handle_on_raising_coroutine():
             async def worker():
                 raise RuntimeError("boom")
 
-            async def main():
+            async def dropped():
                 asyncio.create_task(worker())
+
+            async def unread():
+                task = asyncio.ensure_future(worker())
+
+            class Owner:
+                def start(self):
+                    self._orphan = asyncio.get_running_loop().create_task(
+                        worker()
+                    )
             """
         }
     )
-    assert _rules(findings) == ["ASYNC011"]
-    (finding,) = findings
-    assert "task spawned on 'worker' can raise" in finding.message
-    assert "dropped outright" in finding.message
+    assert [(f.rule, f.line) for f in findings] == [
+        ("ASYNC003", 8),
+        ("ASYNC003", 11),
+        ("ASYNC003", 15),
+    ]
+    assert "the handle is dropped outright" in findings[0].message
+    assert "handle 'task' is never read" in findings[1].message
+    assert "handle '_orphan' is never read" in findings[2].message
 
 
-def test_async011_negative_awaited_handle_or_quiet_coroutine():
-    findings, _report = _analyze(
+def test_async003_negative_awaited_or_retained_handles():
+    findings, _graph = _analyze(
         {
             "prog": """
             import asyncio
 
             async def worker():
-                raise RuntimeError("boom")
-
-            async def quiet():
                 return 1
 
             async def awaited():
                 task = asyncio.create_task(worker())
                 await task
 
-            async def harmless():
-                asyncio.create_task(quiet())
+            class Owner:
+                def start(self):
+                    self._task = asyncio.ensure_future(worker())
+
+                def stop(self):
+                    self._task.cancel()
             """
         }
     )

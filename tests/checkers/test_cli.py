@@ -1,13 +1,13 @@
-"""``python -m repro lint`` front end: exit codes, --stats, --github,
---select/--rule filtering, and --sarif output."""
+"""``python -m repro lint`` front end: exit codes, --stats, --github, and
+the one-command surface (paths, --stats, --github; nothing else)."""
 
-import json
 import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 from repro.checkers import RULES
-from repro.checkers.cli import main as lint_main
 from repro.cli import main as repro_main
 
 ROOT = Path(__file__).resolve().parents[2]
@@ -32,6 +32,13 @@ def test_lint_findings_exit_one_with_location_and_hint(capsys):
     assert "hint:" in out
 
 
+def test_call_graph_findings_share_the_one_report(capsys):
+    fixture = FIXTURES / "async009_blocking.py"
+    assert repro_main(["lint", str(fixture)]) == 1
+    out = capsys.readouterr().out
+    assert "'time.sleep' is reachable from 'async def one_hop_away'" in out
+
+
 def test_missing_path_exits_two(capsys):
     assert repro_main(["lint", str(ROOT / "no_such_dir")]) == 2
     assert "no such path" in capsys.readouterr().err
@@ -52,58 +59,26 @@ def test_stats_prints_rule_table_and_wall_time(capsys):
     assert repro_main(["lint", "--stats", str(BAD_FILE)]) == 1
     out = capsys.readouterr().out
     assert "per-rule statistics" in out
-    assert "EXC001" in out
+    for rule in RULES:
+        assert rule in out
+    assert "call graph:" in out
     assert "analyzed 1 file(s)" in out
     assert "ms" in out
 
 
-def test_suppression_budget_is_reported(capsys):
-    fixture = FIXTURES / "suppressed_budget.py"
-    assert repro_main(["lint", str(fixture)]) == 0
-    out = capsys.readouterr().out
-    assert "suppression budget: 2 finding(s)" in out
-    assert "ASYNC001 x1" in out and "HYG001 x1" in out
-
-
-def test_select_filters_out_other_rules(capsys):
-    # BAD_FILE's only finding is EXC001; selecting a different rule
-    # leaves nothing to report, so the run is clean.
-    assert repro_main(["lint", str(BAD_FILE), "--select", "HYG001"]) == 0
-    out = capsys.readouterr().out
-    assert "EXC001" not in out
-
-
-def test_select_keeps_matching_rules(capsys):
-    assert repro_main(["lint", str(BAD_FILE), "--rule", "EXC001"]) == 1
-    assert "EXC001" in capsys.readouterr().out
-
-
-def test_select_unknown_rule_exits_two(capsys):
-    assert repro_main(["lint", str(BAD_FILE), "--select", "NOPE001"]) == 2
-    err = capsys.readouterr().err
-    assert "unknown rule id(s): NOPE001" in err
-    assert "EXC001" in err  # the known catalog is listed back
-
-
-def test_sarif_output_carries_catalog_and_locations(tmp_path, capsys):
-    out_file = tmp_path / "findings.sarif"
-    assert repro_main(["lint", str(BAD_FILE), "--sarif", str(out_file)]) == 1
-    capsys.readouterr()
-    doc = json.loads(out_file.read_text(encoding="utf-8"))
-    assert doc["version"] == "2.1.0"
-    run = doc["runs"][0]
-    assert run["tool"]["driver"]["name"] == "repro-lint"
-    assert {r["id"] for r in run["tool"]["driver"]["rules"]} == set(RULES)
-    result = next(r for r in run["results"] if r["ruleId"] == "EXC001")
-    location = result["locations"][0]["physicalLocation"]
-    assert location["artifactLocation"]["uri"].endswith("exc001_swallow.py")
-    assert location["region"]["startLine"] >= 1
-    assert "hint:" in result["message"]["text"]
-    assert run["invocations"][0]["executionSuccessful"] is True
-
-
-def test_standalone_entry_point(capsys):
-    assert lint_main([str(BAD_FILE)]) == 1
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify-static", "src"],
+        ["lint", "src", "--select", "EXC001"],
+        ["lint", "src", "--sarif", "out.sarif"],
+    ],
+    ids=["verify-static", "select", "sarif"],
+)
+def test_retired_command_and_options_are_usage_errors(argv, capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        repro_main(argv)
+    assert exit_info.value.code == 2
     capsys.readouterr()
 
 

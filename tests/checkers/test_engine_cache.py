@@ -1,13 +1,13 @@
 """Engine mechanics: file discovery (skip dirs, symlink cycles) and
-directive-error reporting."""
+unanalyzable files."""
 
 import pytest
 
-from repro.checkers import lint_file, run_lint
+from repro.checkers import run_lint
 from repro.checkers.engine import iter_python_files
 
-#: A body with one deterministic finding (HYG001 mutable default).
-FLAGGED = "def handler(items=[]):\n    return items\n"
+#: A body with one deterministic finding (EXC001).
+FLAGGED = "try:\n    pass\nexcept Exception:\n    pass\n"
 CLEAN = "VALUE = {}\n".format(1)
 
 
@@ -22,7 +22,6 @@ def test_skip_dirs_are_pruned(tmp_path):
         ".venv",
         ".tox",
         "node_modules",
-        ".repro-lint-cache",
         "build",
         "__pycache__",
     ):
@@ -63,25 +62,14 @@ def test_symlinked_external_dir_is_followed_once(tmp_path):
     assert names == ["ext.py"]
 
 
-# -- directive errors --------------------------------------------------------
+# -- unanalyzable files -------------------------------------------------------
 
 
-def test_bad_directive_reported_alongside_findings(tmp_path):
-    # A typo'd directive must not mask the file's real findings.
-    target = tmp_path / "mod.py"
-    target.write_text(
-        "# repro-lint: enable=HYG001\n" + FLAGGED
-    )
-    findings, suppressed, error = lint_file(target, "mod.py")
-    assert [f.rule for f in findings] == ["HYG001"]
-    assert suppressed == []
-    assert error is not None and "unknown repro-lint directive" in error
-
-
-def test_bad_directive_keeps_lint_failing_via_report(tmp_path):
-    target = tmp_path / "mod.py"
-    target.write_text("# repro-lint: disable=\n" + FLAGGED)
+def test_unparsable_file_is_an_error_next_to_the_findings(tmp_path):
+    (tmp_path / "broken.py").write_text("def (:\n")
+    (tmp_path / "flagged.py").write_text(FLAGGED)
     report = run_lint([tmp_path])
-    assert [f.rule for f in report.findings] == ["HYG001"]
-    assert len(report.errors) == 1
+    assert [f.rule for f in report.findings] == ["EXC001"]
+    assert len(report.errors) == 1 and "broken.py" in report.errors[0]
+    assert report.files_scanned == 2
     assert not report.clean

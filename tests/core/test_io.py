@@ -11,10 +11,22 @@ from repro.io import (
     load_fibs,
     load_topology,
     topology_from_dict,
-    topology_to_dict,
 )
 from repro.packetspace.transform import Rewrite
 from repro.topology.generators import paper_example
+
+
+def topology_to_dict(topology):
+    """The document :func:`topology_from_dict` reads back."""
+    return {
+        "name": topology.name,
+        "devices": list(topology.devices),
+        "links": [[link.a, link.b, link.latency] for link in topology.links],
+        "prefixes": {
+            device: list(topology.external_prefixes(device))
+            for device in topology.devices_with_prefixes()
+        },
+    }
 
 
 @pytest.fixture()

@@ -1,13 +1,21 @@
 """Unit tests for error injection."""
 
 from repro.dataplane.actions import Drop, Forward
-from repro.dataplane.errors import (
-    inject_blackhole,
-    inject_loop,
-    inject_waypoint_bypass,
-)
-from repro.dataplane.routes import install_routes
+from repro.dataplane.errors import inject_blackhole, inject_waypoint_bypass
+from repro.dataplane.routes import PRIORITY_ERROR, install_routes
 from repro.topology.generators import paper_example
+
+
+def inject_loop(fibs, device_a, device_b, packets, label=""):
+    """Make adjacent ``device_a`` and ``device_b`` bounce ``packets`` to
+    each other."""
+    return tuple(
+        fibs[here].insert(
+            PRIORITY_ERROR, packets, Forward([there]),
+            label=label or "injected-loop",
+        )
+        for here, there in ((device_a, device_b), (device_b, device_a))
+    )
 
 
 def test_blackhole_overrides_forwarding(dst_factory):

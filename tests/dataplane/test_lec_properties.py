@@ -185,5 +185,7 @@ def test_region_sweep_over_candidates_equals_whole_table_sweep(ops, region_indic
                 (entry.predicate, entry.action) for entry in table.entries
             ] == sweep_whole_table(fib, factory, region)
             matching = [r for r in fib if r.match.overlaps(region)]
-            assert fib.rules_matching(region) == matching
+            assert [
+                r for r in fib.candidates(region) if r.match.overlaps(region)
+            ] == matching
             assert set(matching) <= set(fib.candidates(region))

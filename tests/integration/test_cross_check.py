@@ -8,7 +8,7 @@ import random
 import pytest
 
 from repro.baselines import ALL_BASELINES
-from repro.dataplane.errors import inject_blackhole, inject_loop
+from repro.dataplane.errors import inject_blackhole
 from repro.dataplane.routes import RouteConfig, install_routes
 from repro.packetspace.fields import DSTIP_ONLY_LAYOUT
 from repro.packetspace.predicate import PredicateFactory
@@ -16,6 +16,7 @@ from repro.planner import plan_invariant
 from repro.simulator.network import SimulatedNetwork
 from repro.spec import library
 from repro.topology.generators import synthetic_wan
+from tests.dataplane.test_errors import inject_loop
 
 
 def build_setting(seed, inject=None):

@@ -2,7 +2,10 @@
 recounting without the planner."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.core import Tulkun
 from repro.dataplane.routes import RouteConfig, install_routes
 from repro.packetspace.fields import DSTIP_ONLY_LAYOUT
 from repro.packetspace.predicate import PredicateFactory
@@ -82,25 +85,27 @@ class TestPlannedScene:
             ),
         )
         assert network.holds("ft")
-        # no unplanned-scene reports reached the planner
-        assert not any(
-            verifier.unplanned_scene_reports
-            for verifier in network.verifiers.values()
-        )
+        # no device is on an unplanned scene
+        assert network.read_out("ft")[2] == {}
 
     def test_unplanned_failure_reports_to_planner(self, setting):
         factory, topology, fibs, packets = setting
         plan = make_plan(topology, packets, (FaultScene([("A", "B")]),))
-        network = SimulatedNetwork(topology, fibs, factory)
+        network = SimulatedNetwork(topology, fibs, factory, flight=True)
         network.install_plan("ft", plan)
         network.fail_link("B", "W")  # not a planned scene
-        reports = [
-            report
-            for verifier in network.verifiers.values()
-            for report in verifier.unplanned_scene_reports
+        unplanned = network.read_out("ft")[2]
+        assert unplanned
+        assert all(links == {("B", "W")} for links in unplanned.values())
+        assert not network.holds("ft")
+        # One flight event per device entering the unplanned scene.
+        events = [
+            (device, event["links"])
+            for device, dump in network.flight_dump().items()
+            for event in dump["events"]
+            if event["etype"] == "unplanned"
         ]
-        assert reports
-        assert all(("B", "W") in report for report in reports)
+        assert sorted(events) == [(device, ["B-W"]) for device in sorted(unplanned)]
 
     def test_scene_resolution_back_to_intact(self, setting):
         factory, topology, fibs, packets = setting
@@ -122,3 +127,63 @@ class TestPlannedScene:
         intact_paths = set(plan.dpvnet.paths(label=(0, 0)))
         scene_paths = set(plan.dpvnet.paths(label=(0, 1)))
         assert scene_paths != intact_paths
+
+
+class TestUnplannedScene:
+    """A failure set that matches no planned scene leaves every count
+    with the last scene's topology: until a planned scene returns, the
+    plan must never read ``holds``."""
+
+    CUT = [("B", "W"), ("W", "D"), ("B", "D")]  # D is cut off from S
+
+    @pytest.mark.parametrize("backend", ["sim", "runtime"])
+    def test_cut_off_destination_never_reads_holds(self, backend):
+        tulkun = Tulkun(paper_example(), layout=DSTIP_ONLY_LAYOUT)
+        fibs = install_routes(
+            tulkun.topology, tulkun.factory, RouteConfig(ecmp="any")
+        )
+        packets = tulkun.factory.dst_prefix("10.0.0.0/23")
+        plan = make_plan(tulkun.topology, packets, (FaultScene([("A", "B")]),))
+        options = (
+            dict(keepalive_interval=0.05, op_timeout=30.0)
+            if backend == "runtime"
+            else {}
+        )
+        with tulkun.deploy(fibs, backend=backend, **options) as deployment:
+            assert deployment.verify_plan(plan).holds
+            for a, b in self.CUT:
+                deployment.fail_link(a, b)
+            (plan_id,) = deployment.plans
+            assert not deployment.holds(plan_id)
+            (report,) = deployment.reports()
+        assert not report.holds
+        cut = {("B", "W"), ("D", "W"), ("B", "D")}
+        assert report.unplanned == {device: cut for device in "ABDSW"}
+        assert "UNKNOWN: unplanned scene {B-D, B-W, D-W} at A, B, D, S, W" in (
+            repr(report)
+        )
+
+
+LINKS = sorted(link.endpoints for link in paper_example().links)
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    st.sets(st.sampled_from(LINKS), min_size=1, max_size=3).filter(
+        lambda failed: failed != {("A", "B")}
+    )
+)
+def test_failure_sets_outside_the_plan_never_read_holds(failed):
+    factory = PredicateFactory(DSTIP_ONLY_LAYOUT)
+    topology = paper_example()
+    fibs = install_routes(topology, factory, RouteConfig(ecmp="any"))
+    packets = factory.dst_prefix("10.0.0.0/23")
+    plan = make_plan(topology, packets, (FaultScene([("A", "B")]),))
+    network = SimulatedNetwork(topology, fibs, factory)
+    network.install_plan("ft", plan)
+    down = set()
+    for a, b in sorted(failed):
+        network.fail_link(a, b)
+        down.add((a, b))
+        if down != {("A", "B")}:  # every prefix but the planned scene
+            assert not network.holds("ft")

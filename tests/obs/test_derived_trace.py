@@ -26,6 +26,8 @@ from repro.runtime.cluster import RuntimeCluster
 from repro.simulator.network import SimulatedNetwork
 from repro.spec import library
 from repro.topology.generators import paper_example
+from repro.topology.graph import FaultScene
+from tests.integration.test_fault_tolerance import make_plan
 
 from .conftest import FAST_CLUSTER, run_async
 
@@ -211,9 +213,14 @@ def test_observability_md_event_catalog_matches_what_is_recorded():
     plans["local"] = plan_invariant(
         library.all_shortest_path_availability(space, "S", "D"), topology
     )
+    # Tolerates only A-B failing: B-W failing is an unplanned scene.
+    plans["ft"] = make_plan(
+        topology, factory.dst_prefix("10.0.0.0/23"), (FaultScene([("A", "B")]),)
+    )
 
     async def scenario(cluster):
         await cluster.drop_connection("B", "D")
+        await cluster.fail_link("B", "W")
         # A peer that dials and sends garbage instead of its OPEN.
         host = cluster.hosts["A"]
         _, writer = await asyncio.open_connection("127.0.0.1", host.port)

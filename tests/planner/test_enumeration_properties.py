@@ -11,7 +11,7 @@ from repro.topology.generators import synthetic_wan
 def _reference_paths(topology, source, destination, extra):
     """Every simple source -> destination path within shortest + extra
     hops, by exhaustive search (no DFA, no pruning)."""
-    bound = topology.shortest_hop_count(source, destination) + extra
+    bound = topology.hop_distances(source)[destination] + extra
     found = set()
 
     def extend(path):
@@ -45,7 +45,7 @@ def test_enumerated_paths_are_valid(seed, extra, src_index, dst_index):
         loop_free=True,
     )
     dfa = path_exp.compile()
-    shortest = topology.shortest_hop_count(source, destination)
+    shortest = topology.hop_distances(source)[destination]
     paths = enumerate_valid_paths(topology, path_exp, [source])
     for path in paths:
         # simple

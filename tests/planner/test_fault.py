@@ -56,8 +56,8 @@ class TestProposition2:
         paths_larger = set(
             enumerate_valid_paths(topology, path_exp, [src], larger)
         )
-        shortest_small = topology.shortest_hop_count(src, dst, smaller)
-        shortest_large = topology.shortest_hop_count(src, dst, larger)
+        shortest_small = topology.hop_distances(src, smaller).get(dst)
+        shortest_large = topology.hop_distances(src, larger).get(dst)
         if shortest_small == shortest_large:
             paths_smaller = set(
                 enumerate_valid_paths(topology, path_exp, [src], smaller)

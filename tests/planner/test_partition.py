@@ -41,8 +41,9 @@ class TestAbstraction:
     def test_members_and_borders(self, example_setting):
         _, _, _, abstraction = example_setting
         assert abstraction.members("west") == ("A", "S")
-        assert abstraction.border_devices("west") == ("A",)
-        assert set(abstraction.border_devices("east")) == {"B", "W"}
+        # With two groups, a group's border is its entry from the other.
+        assert abstraction.entry_devices("west", "east") == ("A",)
+        assert set(abstraction.entry_devices("east", "west")) == {"B", "W"}
 
     def test_entry_devices(self, example_setting):
         _, _, _, abstraction = example_setting

@@ -7,7 +7,8 @@ from repro.dataplane.actions import Deliver, Forward
 from repro.planner.dpvnet import PlannerError, build_dpvnet
 from repro.planner.product import product_dpvnet
 from repro.spec.ast import LengthFilter, PathExp
-from repro.topology.generators import fattree, line, paper_example, ring
+from repro.topology.generators import fattree, line, paper_example
+from tests.topology.test_generators import ring
 
 
 class TestProductConstruction:

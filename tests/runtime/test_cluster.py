@@ -160,11 +160,12 @@ def test_link_scenes_after_injected_loops_agree_as_functions(
     run, fast_options
 ):
     """After ``error_rate=1.0`` updates the two backends' raw verdict
-    lists differ from the first link event on (ROADMAP item 5's lead):
-    the frames of one scene arrive in another order, so the same packets
-    are reported in differently fragmented regions.  Compared as the
-    function those regions describe, they agree at every step -- a
-    disagreement here is a wrong verdict, not a schedule."""
+    lists differ from the first link event on, and that is settled as
+    region fragmentation, not a wrong verdict: the frames of one scene
+    arrive in another order, so the same packets are reported in
+    differently fragmented regions.  Compared as the function those
+    regions describe, they agree at every step -- a disagreement here is
+    a wrong verdict, not a schedule."""
     sim = SimMirror()
     workload = make_workload()
     plan_ids = [plan_id for plan_id, _ in workload.plans]

@@ -306,3 +306,12 @@ class TestDeadPeerDetection:
             "stop/DRAINING",
             "drained/CLOSED",
         ]
+
+
+class TestSessionTable:
+    def test_fire_raises_on_an_undeclared_edge(self):
+        session = PeerSession.__new__(PeerSession)
+        session.state = "DRAINING"
+        with pytest.raises(KeyError, match="DRAINING.*redial"):
+            session._fire("redial")
+        assert session.state == "DRAINING"

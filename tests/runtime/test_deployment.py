@@ -126,18 +126,6 @@ class TestRuntimeFacade:
             assert deployment.metrics.total_messages > 0
             assert deployment.metrics.total_reconnects >= 1
 
-    def test_device_counts_exposed(self, tulkun_and_fibs):
-        tulkun, fibs = tulkun_and_fibs
-        with tulkun.deploy(fibs, backend="runtime", **FAST) as deployment:
-            invariant = tulkun.parse(
-                "(dstIP = 10.0.0.0/23, [S], (exist >= 1, S.*D))",
-                name="reach",
-            )
-            deployment.verify(invariant)
-            plan_id = next(iter(deployment.plans))
-            counts = deployment.device_counts(plan_id, "S")
-            assert counts
-
     def test_close_is_idempotent_and_rejects_further_use(
         self, tulkun_and_fibs
     ):

@@ -38,7 +38,7 @@ class TestMemoryPair:
             # Buffered bytes are still readable, then EOF -- both ends.
             assert await reader_b.read() == b"tail"
             assert await reader_a.read() == b""
-            assert writer_b.transport.is_closing()
+            assert writer_b.closed
 
         run(scenario())
 

@@ -5,15 +5,32 @@ import pytest
 from repro.planner.dpvnet import enumerate_valid_paths
 from repro.spec.ast import SHORTEST, LengthFilter, PathExp
 from repro.topology.generators import (
+    LAN_LATENCY,
     chained_diamond,
     clos,
     fattree,
     line,
     paper_example,
-    ring,
     synthetic_wan,
     three_tier_clos,
 )
+from repro.topology.graph import Topology
+
+
+def ring(num_devices):
+    """A cycle of ``num_devices`` devices."""
+    if num_devices < 3:
+        raise ValueError("ring needs at least three devices")
+    topology = Topology(f"ring-{num_devices}")
+    for index in range(num_devices):
+        topology.add_link(
+            f"d{index}", f"d{(index + 1) % num_devices}", LAN_LATENCY
+        )
+    return topology
+
+
+def hops(topology, source, destination):
+    return topology.hop_distances(source).get(destination)
 
 
 def shortest_paths(topology, source, destination):
@@ -41,7 +58,7 @@ class TestLineRing:
     def test_line(self):
         topology = line(5)
         assert topology.num_links == 4
-        assert topology.shortest_hop_count("d0", "d4") == 4
+        assert hops(topology, "d0", "d4") == 4
 
     def test_line_single(self):
         assert line(1).num_devices == 1
@@ -53,8 +70,8 @@ class TestLineRing:
     def test_ring(self):
         topology = ring(6)
         assert topology.num_links == 6
-        assert topology.shortest_hop_count("d0", "d3") == 3
-        assert topology.shortest_hop_count("d0", "d5") == 1
+        assert hops(topology, "d0", "d3") == 3
+        assert hops(topology, "d0", "d5") == 1
 
     def test_ring_too_small(self):
         with pytest.raises(ValueError):
@@ -92,11 +109,11 @@ class TestFattree:
 
     def test_same_pod_distance(self):
         topology = fattree(4)
-        assert topology.shortest_hop_count("edge_0_0", "edge_0_1") == 2
+        assert hops(topology, "edge_0_0", "edge_0_1") == 2
 
     def test_cross_pod_distance(self):
         topology = fattree(4)
-        assert topology.shortest_hop_count("edge_0_0", "edge_1_0") == 4
+        assert hops(topology, "edge_0_0", "edge_1_0") == 4
 
     def test_cross_pod_path_diversity(self):
         topology = fattree(4)
@@ -154,7 +171,7 @@ class TestClos:
         topology = clos(4, 8)
         assert topology.num_devices == 12
         assert topology.num_links == 32
-        assert topology.shortest_hop_count("leaf_0", "leaf_7") == 2
+        assert hops(topology, "leaf_0", "leaf_7") == 2
 
     def test_three_tier(self):
         topology = three_tier_clos(2, 3, 2, 4)

@@ -87,13 +87,13 @@ class TestPaths:
         assert distances == {"A": 0, "B": 1, "C": 1, "D": 1}
 
     def test_shortest_hop_count(self, square):
-        assert square.shortest_hop_count("B", "D") == 2
+        assert square.hop_distances("B").get("D") == 2
 
     def test_shortest_hop_count_disconnected(self):
         topology = Topology()
         topology.add_device("X")
         topology.add_device("Y")
-        assert topology.shortest_hop_count("X", "Y") is None
+        assert topology.hop_distances("X").get("Y") is None
 
     def test_latency_distances(self, square):
         distances = square.latency_distances("A")
