@@ -34,7 +34,7 @@ class BDDManager:
     changed region against every rule and every plan's interest made
     almost only such entries (5.4 M ``_and_cache`` entries against 146 k
     nodes after 1,800 updates at 576 plans), which is why callers find
-    overlap candidates with :meth:`root_cube` (``repro.packetspace.index``)
+    overlap candidates with :meth:`root_bits` (``repro.packetspace.index``)
     and apply only to those.  What is left grows with the predicates an
     update really touches.
     """
@@ -54,6 +54,7 @@ class BDDManager:
         self._exists_cache: Dict[Tuple[int, Tuple[int, ...]], int] = {}
         self._restrict_cache: Dict[Tuple[int, int, int], int] = {}
         self._satcount_cache: Dict[int, int] = {}
+        self._root_bits: Dict[int, Tuple[int, int]] = {}
         #: Wire forms of this manager's nodes, both directions, and the
         #: payload bytes they hold; filled and bounded by
         #: :mod:`repro.packetspace.predicate`.
@@ -203,6 +204,8 @@ class BDDManager:
 
     def apply_diff(self, a: int, b: int) -> int:
         """Set difference: ``a AND NOT b``."""
+        if a == b:
+            return FALSE
         return self.apply_and(a, self.negate(b))
 
     def implies(self, a: int, b: int) -> bool:
@@ -358,6 +361,24 @@ class BDDManager:
             else:
                 break
         return tuple(cube)
+
+    def root_bits(self, node: int) -> Optional[Tuple[int, int]]:
+        """:meth:`root_cube` packed as ``(variables, values)`` bit sets (bit
+        ``i`` for variable ``i``), or None if empty.  Memoized per node: an
+        index asks for the same node's cube on every add, discard and
+        query of it."""
+        bits = self._root_bits.get(node)
+        if bits is None:
+            cube = self.root_cube(node)
+            if cube is None:
+                return None
+            variables = values = 0
+            for var, value in cube:
+                variables |= 1 << var
+                if value:
+                    values |= 1 << var
+            bits = self._root_bits[node] = (variables, values)
+        return bits
 
     # ------------------------------------------------------------------
     # maintenance

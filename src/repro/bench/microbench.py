@@ -3,7 +3,8 @@
 Measures, per device and per switch model:
 
 * initialization overhead -- time and peak memory to compute the initial
-  LEC table and CIBs from a burst of rules (Fig. 14);
+  LEC table and CIBs from a burst of rules (Fig. 14), the plans installed
+  in the groups a backend would install them in;
 * DVM UPDATE processing overhead -- replaying each device's received
   UPDATE trace and measuring per-message time, total time and peak
   memory (Fig. 15).
@@ -21,6 +22,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Sequence, Tuple
 
 from repro.bench.workloads import Workload
+from repro.dvm.agent import group_plans
 from repro.dvm.messages import Message, UpdateMessage
 from repro.dvm.verifier import OnDeviceVerifier
 from repro.planner.tasks import Plan
@@ -66,8 +68,8 @@ def measure_initialization(
                 workload.fibs[device],
                 workload.topology.neighbors(device),
             )
-            for plan_id, plan in workload.plans:
-                verifier.install_plan(plan_id, plan)
+            for group in group_plans(dict(workload.plans)):
+                verifier.install_plan(group.plan_id, group.plan)
             elapsed = (_time.perf_counter() - start) * profile.cpu_scale
             _, peak = tracemalloc.get_traced_memory()
             tracemalloc.stop()
@@ -123,8 +125,8 @@ def measure_update_processing(
                 workload.fibs[device],
                 workload.topology.neighbors(device),
             )
-            for plan_id, plan in workload.plans:
-                verifier.install_plan(plan_id, plan)
+            for group in group_plans(dict(workload.plans)):
+                verifier.install_plan(group.plan_id, group.plan)
             tracemalloc.start()
             per_message: List[float] = []
             for message in traces[device]:

@@ -868,10 +868,12 @@ def _cmd_explain(args: argparse.Namespace) -> int:
     from repro.obs.flight import (
         causal_chain,
         chain_signature,
+        describe_unplanned,
         find_verdict,
         merge_dumps,
         render_chain,
         render_timeline,
+        unplanned_scene,
     )
 
     if args.dumps:
@@ -927,10 +929,14 @@ def _cmd_explain(args: argparse.Namespace) -> int:
             f"  truncated: {merged['dropped']} dropped, "
             f"{merged['missing']} missing -- the chain may stop early"
         )
-    print(
-        f"explaining: plan {target.get('plan')} on "
-        f"{target.get('device')} -> holds={target.get('holds')}"
-    )
+    plan = target.get("plan")
+    if args.plan and args.plan != plan:
+        plan = f"{args.plan} (installed in group {plan})"
+    if target.get("etype") == "unplanned":
+        outcome = describe_unplanned(unplanned_scene(merged, target["plan"]))
+    else:
+        outcome = f"holds={target.get('holds')}"
+    print(f"explaining: plan {plan} on {target.get('device')} -> {outcome}")
     print()
     print("causal chain (origin -> verdict):")
     print(render_chain(chain))

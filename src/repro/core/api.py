@@ -16,6 +16,7 @@ from repro.core.errors import InconsistentInvariantError, TulkunError
 from repro.dataplane.fib import Fib
 from repro.dvm.agent import Unplanned, plan_holds
 from repro.dvm.verifier import RootVerdict, Violation
+from repro.obs.flight import describe_unplanned
 from repro.packetspace.fields import DEFAULT_LAYOUT, HeaderLayout
 from repro.packetspace.predicate import Predicate, PredicateFactory
 from repro.planner import Plan, PlannerError, plan_invariant
@@ -47,12 +48,11 @@ class Report:
     def __repr__(self) -> str:
         status = "HOLDS" if self.holds else "VIOLATED"
         if self.unplanned:
-            links = sorted(
-                {f"{a}-{b}" for failed in self.unplanned.values() for a, b in failed}
-            )
-            status = (
-                f"UNKNOWN: unplanned scene {{{', '.join(links)}}} at "
-                f"{', '.join(sorted(self.unplanned))}"
+            status = describe_unplanned(
+                {
+                    device: [f"{a}-{b}" for a, b in failed]
+                    for device, failed in self.unplanned.items()
+                }
             )
         return (
             f"Report({self.invariant.name!r}: {status}, "

@@ -24,23 +24,28 @@ Clock stamping is unconditional, so the wire traffic is byte-identical
 whether or not the recorder is enabled.  The backends are drivers: the
 simulator decides *when* a step runs and what it costs, the TCP runtime
 and the fleet worker move the frames over sockets.  What they share
-beyond the agents -- the verdict read-out and the operation window --
-is :class:`AgentBackend`.
+beyond the agents -- the plan install, which installs plans that share
+a DPVNet as one group (:func:`group_plans`), the verdict read-out and
+the operation window -- is :class:`AgentBackend`.
 """
 
 from __future__ import annotations
 
 from collections import deque
+from dataclasses import replace
 from typing import (
     Callable,
     Deque,
     Dict,
     FrozenSet,
+    Hashable,
+    Iterable,
     List,
     NamedTuple,
     Optional,
     Sequence,
     Tuple,
+    TypeVar,
 )
 
 from repro.dataplane.fib import Fib
@@ -52,7 +57,7 @@ from repro.dvm.verifier import (
     Violation,
 )
 from repro.obs.flight import FlightRecorder
-from repro.packetspace.predicate import PredicateFactory
+from repro.packetspace.predicate import Predicate, PredicateFactory
 from repro.planner.tasks import Plan
 from repro.topology.graph import Topology
 
@@ -151,12 +156,13 @@ class DeviceAgent:
         self._arrivals: Deque[Optional[int]] = deque()
 
     def event(
-        self, name: str, *args: object, cause: Optional[int] = None
+        self, name: str, *args: object, cause: Optional[int] = None, **fields: object
     ) -> Step:
         """Record event ``name`` (a row of :data:`EVENTS`) now; the
         returned step runs its verifier method over ``args``.  ``cause``
         is the flight seq that led here (the session edge behind a peer
-        loss); injected events have none."""
+        loss); injected events have none.  ``fields`` go on the record
+        only (an install's group ``members``)."""
         row = EVENTS[name]
         flight = self.flight
         if not flight.enabled:
@@ -165,7 +171,7 @@ class DeviceAgent:
         flight.set_cause(cause)
         if row.kind:
             seq = flight.record(
-                "admin", kind=row.kind, detail=detail, step=row.span
+                "admin", kind=row.kind, detail=detail, step=row.span, **fields
             )
         else:
             seq = flight.record(name, peer=detail, step=row.span)
@@ -261,6 +267,64 @@ def plan_holds(
     return bool(verdicts) and all(verdict.holds for verdict in verdicts)
 
 
+_Regional = TypeVar("_Regional", RootVerdict, Violation)
+
+
+def _restricted(
+    items: Sequence[_Regional], plan_id: str, space: Predicate
+) -> List[_Regional]:
+    """A group's root verdicts or violations, as ``plan_id``'s: cut down
+    to its packet ``space``."""
+    kept: List[_Regional] = []
+    for item in items:
+        part = item.predicate & space
+        if not part.is_empty:
+            kept.append(replace(item, plan_id=plan_id, predicate=part))
+    return kept
+
+
+class PlanGroup(NamedTuple):
+    """Plans of one install batch that give every device the same tasks."""
+
+    #: The first member's id: the id the devices and their frames see.
+    plan_id: str
+    #: What the devices receive: the first member's plan over the union
+    #: of the members' packet spaces (the first member itself when alone).
+    plan: Plan
+    members: Tuple[str, ...]
+
+
+def group_plans(plans: Dict[str, Plan]) -> List[PlanGroup]:
+    """Group ``plans`` by what their devices receive -- behavior, mode,
+    count expressions, device tasks, roots and fault scenes -- in order of
+    each group's first member.  Counting is per packet over one DPVNet,
+    so a group's counts restricted to a member's packet space are that
+    member's own (the paper's compounding of invariants, §4.3)."""
+    by_shape: Dict[Hashable, List[str]] = {}
+    for plan_id, plan in plans.items():
+        shape = (
+            plan.invariant.behavior,
+            plan.mode,
+            plan.count_exprs,
+            tuple(sorted(plan.device_tasks.items())),
+            tuple(sorted(plan.root_nodes.items())),
+            plan.scenes,
+        )
+        by_shape.setdefault(shape, []).append(plan_id)
+    groups: List[PlanGroup] = []
+    for members in by_shape.values():
+        plan = plans[members[0]]
+        if len(members) > 1:
+            space = plan.invariant.packet_space.factory.union(
+                plans[member].invariant.packet_space for member in members
+            )
+            plan = replace(
+                plan, invariant=replace(plan.invariant, packet_space=space)
+            )
+        groups.append(PlanGroup(members[0], plan, tuple(members)))
+    return groups
+
+
 class OpWindow(NamedTuple):
     """One open workload operation (injection to quiescence)."""
 
@@ -301,6 +365,9 @@ class AgentBackend:
         #: The backend's own ring (no device name): operation windows.
         self.ops = self._recorder("")
         self._plans: Dict[str, Plan] = {}
+        #: ``plan id -> (group id, its own packet space)`` of the members
+        #: of groups of more than one.
+        self._member_of: Dict[str, Tuple[str, Predicate]] = {}
         self._record_convergence = record_convergence
 
     def _recorder(self, device: str) -> FlightRecorder:
@@ -329,6 +396,54 @@ class AgentBackend:
         self.ops.record("op", label=window.label, start=window.start, dur=elapsed)
         return elapsed
 
+    # -- installation ----------------------------------------------------------
+
+    def _inject(
+        self, devices: Iterable[str], event: str, *args: object, **fields: object
+    ) -> None:
+        """Record ``event`` on each (locally hosted) device and run its
+        step there; ``fields`` go on the flight record."""
+        raise NotImplementedError
+
+    def inject_plans(self, plans: Dict[str, Plan]) -> None:
+        """Install ``plans`` on their (locally hosted) devices: one
+        install per :func:`group_plans` group, under its first member's
+        id; the read-out answers for every member.
+
+        Installing under an id replaces the devices' context of that id,
+        so the members of an earlier group of that id that the batch does
+        not name are installed again with it, to stay covered."""
+        plans = dict(plans)
+        while True:
+            groups = group_plans(plans)
+            ids = {group.plan_id for group in groups}
+            left = [
+                member
+                for member, (group_id, _) in self._member_of.items()
+                if group_id in ids and member not in plans
+            ]
+            if not left:
+                break
+            for member in left:
+                plans[member] = self._plans[member]
+        for group in groups:
+            for member in group.members:
+                self._plans[member] = plans[member]
+                if len(group.members) > 1:
+                    self._member_of[member] = (
+                        group.plan_id,
+                        plans[member].invariant.packet_space,
+                    )
+                else:
+                    self._member_of.pop(member, None)
+            self._inject(
+                group.plan.devices(),
+                "install",
+                group.plan_id,
+                group.plan,
+                members=list(group.members),
+            )
+
     # -- results -------------------------------------------------------------
 
     @property
@@ -336,10 +451,11 @@ class AgentBackend:
         return {device: agent.verifier for device, agent in self.agents.items()}
 
     def verdicts(self, plan_id: str) -> List[RootVerdict]:
+        group, space = self._member_of.get(plan_id, (plan_id, None))
         results: List[RootVerdict] = []
         for agent in self.agents.values():
-            results.extend(agent.verifier.root_verdicts(plan_id))
-        return results
+            results.extend(agent.verifier.root_verdicts(group))
+        return results if space is None else _restricted(results, plan_id, space)
 
     def all_violations(self) -> List[Violation]:
         return [
@@ -352,21 +468,22 @@ class AgentBackend:
         self, plan_id: str
     ) -> Tuple[List[RootVerdict], List[Violation], Unplanned]:
         """The plan's root verdicts, the violations reported for it and
-        the devices on an unplanned scene."""
+        the devices on an unplanned scene -- for a member of a group, the
+        group's, restricted to the member's packet space."""
+        group, space = self._member_of.get(plan_id, (plan_id, None))
         unplanned: Unplanned = {}
         for device, agent in self.agents.items():
-            links = agent.verifier.unplanned_links(plan_id)
+            links = agent.verifier.unplanned_links(group)
             if links is not None:
                 unplanned[device] = links
-        return (
-            self.verdicts(plan_id),
-            [
-                violation
-                for violation in self.all_violations()
-                if violation.plan_id == plan_id
-            ],
-            unplanned,
-        )
+        violations = [
+            violation
+            for violation in self.all_violations()
+            if violation.plan_id == group
+        ]
+        if space is not None:
+            violations = _restricted(violations, plan_id, space)
+        return self.verdicts(plan_id), violations, unplanned
 
     def holds(self, plan_id: str) -> bool:
         return plan_holds(self._plans[plan_id], *self.read_out(plan_id))

@@ -382,19 +382,24 @@ class OnDeviceVerifier:
         inverse of the entry's rewrite, which is how it reads the child).
         Everything else would recount to what it holds and emit nothing.
         """
-        region: Optional[Predicate] = None
-        for entry in state.loc.entries:
-            action = entry.action
-            if child_id not in entry.causality or not isinstance(action, Forward):
-                continue
-            part = entry.predicate & (
-                changed
-                if action.rewrite is None
-                else action.rewrite.inverse(changed)
-            )
-            if not part.is_empty:
-                region = part if region is None else region | part
-        return region
+        parts: List[Predicate] = []
+        if child_id not in state.rewrite_children:
+            for _, entry, part in state.loc.entries.cut(changed):
+                if child_id in entry.causality and isinstance(entry.action, Forward):
+                    parts.append(part)
+        else:
+            # An entry reading the child through a rewrite meets
+            # ``changed`` through its inverse, which can be anywhere.
+            def image(entry: LocEntry) -> Optional[Predicate]:
+                action = entry.action
+                if child_id not in entry.causality or not isinstance(action, Forward):
+                    return None
+                if action.rewrite is None:
+                    return changed
+                return action.rewrite.inverse(changed)
+
+            parts = state.loc.entries.meet(image)
+        return self.factory.union(parts) if parts else None
 
     def _on_subscribe(
         self, context: _PlanContext, message: SubscribeMessage

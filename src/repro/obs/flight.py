@@ -46,7 +46,18 @@ from __future__ import annotations
 import itertools
 import time
 from bisect import bisect_right
-from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import (
+    Any,
+    Callable,
+    Dict,
+    Iterable,
+    Iterator,
+    List,
+    Mapping,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
 from repro.obs.trace import (
     CAT_OP,
@@ -65,11 +76,14 @@ __all__ = [
     "NULL_RECORDER",
     "causal_chain",
     "chain_signature",
+    "describe_unplanned",
     "find_verdict",
+    "install_group",
     "merge_dumps",
     "records_from_flight",
     "render_chain",
     "render_timeline",
+    "unplanned_scene",
 ]
 
 Event = Dict[str, Any]
@@ -352,30 +366,66 @@ def _tx_index(events: Sequence[Event]) -> Dict[Tuple[Any, Any, Any], Event]:
     }
 
 
+def install_group(merged: Any, plan: str) -> str:
+    """The id ``plan`` was last installed under: plans that give the
+    devices the same tasks install as one group, named by its first
+    member, and its ``install`` records list the ``members``."""
+    group = plan
+    for event in _events_of(merged):
+        if event.get("etype") == "admin" and plan in (event.get("members") or ()):
+            group = str(event.get("detail", plan))
+    return group
+
+
 def find_verdict(
     merged: Any,
     device: Optional[str] = None,
     plan: Optional[str] = None,
 ) -> Optional[Event]:
-    """The chain target: the last matching verdict transition.
+    """The chain target: the last event that made a plan not hold.
 
-    Prefers the last verdict that flipped to *violated* (that is the
-    event an operator is explaining); falls back to the last verdict
-    transition of any polarity.
+    That is a verdict that flipped to *violated* or an ``unplanned``
+    scene (that is the event an operator is explaining); failing both,
+    the last verdict transition of any polarity.  ``plan`` may name any
+    member of an install group (:func:`install_group`).
     """
+    if plan is not None:
+        plan = install_group(merged, plan)
     last_any: Optional[Event] = None
-    last_violated: Optional[Event] = None
+    last_bad: Optional[Event] = None
     for event in _events_of(merged):
-        if event.get("etype") != "verdict":
+        etype = event.get("etype")
+        if etype not in ("verdict", "unplanned"):
             continue
         if device is not None and event.get("device") != device:
             continue
         if plan is not None and event.get("plan") != plan:
             continue
-        last_any = event
-        if event.get("holds") is False:
-            last_violated = event
-    return last_violated if last_violated is not None else last_any
+        if etype == "verdict":
+            last_any = event
+        if etype == "unplanned" or event.get("holds") is False:
+            last_bad = event
+    return last_bad if last_bad is not None else last_any
+
+
+def unplanned_scene(merged: Any, plan: str) -> Dict[str, List[str]]:
+    """``device -> failed links`` of the last ``unplanned`` event each
+    device recorded for ``plan`` (an install group's id)."""
+    scene: Dict[str, List[str]] = {}
+    for event in _events_of(merged):
+        if event.get("etype") == "unplanned" and event.get("plan") == plan:
+            scene[str(event.get("device", ""))] = list(event.get("links") or ())
+    return scene
+
+
+def describe_unplanned(scene: Mapping[str, Iterable[str]]) -> str:
+    """How a plan on an unplanned scene reads, from ``device -> failed
+    links`` (each ``"a-b"``)."""
+    links = sorted({link for failed in scene.values() for link in failed})
+    return (
+        f"UNKNOWN: unplanned scene {{{', '.join(links)}}} at "
+        f"{', '.join(sorted(scene))}"
+    )
 
 
 def causal_chain(
@@ -611,6 +661,11 @@ def _summarize(event: Event) -> str:
         return f"{event.get('kind', '?')}" + (f" {detail}" if detail else "")
     if etype == "op":
         return f"{event.get('label', '?')} converged in {event.get('dur', '?')} s"
+    if etype == "unplanned":
+        return (
+            f"plan {event.get('plan', '?')}: failed links "
+            f"{{{', '.join(event.get('links') or ())}}} match no planned scene"
+        )
     extra = {
         key: value
         for key, value in event.items()

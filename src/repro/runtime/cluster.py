@@ -686,7 +686,9 @@ class RuntimeCluster(AgentBackend):
         await self.wait_quiescence()
         return self.finish_operation(window)
 
-    def _inject(self, devices: Iterable[str], event: str, *args: object) -> None:
+    def _inject(
+        self, devices: Iterable[str], event: str, *args: object, **fields: object
+    ) -> None:
         """Record ``event`` on each *locally hosted* device and run its
         step there (no settle).
 
@@ -697,13 +699,7 @@ class RuntimeCluster(AgentBackend):
         for device in devices:
             host = self.hosts.get(device)
             if host is not None:
-                host.call(host.agent.event(event, *args))
-
-    def inject_plans(self, plans: Dict[str, Plan]) -> None:
-        """Install plans on their locally hosted devices."""
-        for plan_id, plan in plans.items():
-            self._plans[plan_id] = plan
-            self._inject(plan.devices(), "install", plan_id, plan)
+                host.call(host.agent.event(event, *args, **fields))
 
     def inject_fib_update(
         self, device: str, mutate: Callable[[], None]

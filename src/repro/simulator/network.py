@@ -319,11 +319,12 @@ class SimulatedNetwork(AgentBackend):
         event: str,
         *args: object,
         delay: float = 0.0,
+        **fields: object,
     ) -> None:
         """Record ``event`` on each device now and schedule its step
         there ``delay`` seconds on."""
         for device in devices:
-            step = self.agents[device].event(event, *args)
+            step = self.agents[device].event(event, *args, **fields)
             self.queue.schedule(
                 self.queue.now + delay,
                 lambda d=device, s=step: self._execute(d, s),
@@ -350,9 +351,7 @@ class SimulatedNetwork(AgentBackend):
 
     def _install(self, plans: Dict[str, Plan], label: str) -> float:
         window = OpWindow(label, self.queue.now)
-        for plan_id, plan in plans.items():
-            self._plans[plan_id] = plan
-            self._inject(plan.devices(), "install", plan_id, plan)
+        self.inject_plans(plans)
         return self._settle(window)
 
     def burst_fib_event(self, devices: Optional[Sequence[str]] = None) -> float:

@@ -68,3 +68,28 @@ def test_changed_region_is_where_lookup_answers_differently(sequence):
             for packet in packets_of(factory, build(factory, term)) - claimed:
                 assert after[packet] == counts
                 claimed.add(packet)
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.lists(frames, min_size=1, max_size=5), st.lists(terms(), min_size=3, max_size=3))
+def test_meet_reads_the_floor_whole_and_agrees_with_the_entries(sequence, probes):
+    """``Entries.meet`` gives every entry its own image; a floor met whole
+    and cut down still lends its image to none of the entries in it."""
+    factory = PredicateFactory(LAYOUT)
+    images = dict(zip(COUNTS[1:], (build(factory, term) for term in probes)))
+    cib = CibIn()
+    for withdrawn, results in sequence:
+        cib.apply(
+            [build(factory, term) for term in withdrawn],
+            [(build(factory, term), counts) for term, counts in results],
+            ZERO,
+        )
+        met = set()
+        for part in cib.entries.meet(lambda entry: images.get(entry.counts)):
+            met |= packets_of(factory, part)
+        expected = set()
+        for entry in cib.entries:
+            image = images.get(entry.counts)
+            if image is not None:
+                expected |= packets_of(factory, entry.predicate & image)
+        assert met == expected

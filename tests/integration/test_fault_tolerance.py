@@ -1,10 +1,13 @@
 """§6 end to end: fault-tolerant DPVNet + link-state flooding + online
 recounting without the planner."""
 
+import json
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.cli import main
 from repro.core import Tulkun
 from repro.dataplane.routes import RouteConfig, install_routes
 from repro.packetspace.fields import DSTIP_ONLY_LAYOUT
@@ -162,6 +165,30 @@ class TestUnplannedScene:
         assert "UNKNOWN: unplanned scene {B-D, B-W, D-W} at A, B, D, S, W" in (
             repr(report)
         )
+
+    def test_explain_names_the_scene_the_chain_ends_at(self, tmp_path, capsys):
+        factory = PredicateFactory(DSTIP_ONLY_LAYOUT)
+        topology = paper_example()
+        fibs = install_routes(topology, factory, RouteConfig(ecmp="any"))
+        packets = factory.dst_prefix("10.0.0.0/23")
+        plan = make_plan(topology, packets, (FaultScene([("A", "B")]),))
+        network = SimulatedNetwork(
+            topology, fibs, factory, flight=True, flight_capacity=1 << 14
+        )
+        network.install_plan("ft", plan)
+        for a, b in self.CUT:
+            network.fail_link(a, b)
+        path = tmp_path / "flight.json"
+        path.write_text(json.dumps(network.flight_dump(), default=str))
+
+        assert main(["explain", str(path), "--plan", "ft"]) == 0
+        out = capsys.readouterr().out
+        assert (
+            "-> UNKNOWN: unplanned scene {B-D, B-W, D-W} at A, B, D, S, W" in out
+        )
+        chain = out.split("causal chain (origin -> verdict):\n", 1)[1]
+        assert "admin      link" in chain.splitlines()[0]
+        assert "unplanned  plan ft: failed links {" in chain.splitlines()[-1]
 
 
 LINKS = sorted(link.endpoints for link in paper_example().links)

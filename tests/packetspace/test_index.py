@@ -1,9 +1,9 @@
-"""The root-cube trie: a sound superset, found without BDD operations.
+"""The root-cube buckets: a sound superset, found without BDD operations.
 
 ``candidates(q)`` may return predicates that do not overlap ``q`` (the
 caller's exact ``&`` decides) but must never miss one that does, under
-any interleaving of ``add`` and ``discard``; and a trie that holds
-nothing has no nodes left.
+any interleaving of ``add`` and ``discard``; and an index that holds
+nothing has no buckets left.
 """
 
 from hypothesis import given, settings
@@ -55,14 +55,9 @@ def build(factory, term):
     return factory.union(parts)
 
 
-def trie_nodes(index):
-    """Trie nodes below the root (structural check of pruning)."""
-    count, stack = 0, [index._root]
-    while stack:
-        node = stack.pop()
-        count += len(node.children)
-        stack.extend(node.children.values())
-    return count
+def buckets(index):
+    """Non-empty (variables, values) buckets (structural check of pruning)."""
+    return sum(len(by_values) for by_values in index._buckets.values())
 
 
 steps = st.lists(
@@ -95,11 +90,11 @@ def test_candidates_cover_every_overlap(script, queries):
                 item for item, other in stored.items() if other.overlaps(predicate)
             }
             assert overlapping <= set(found)
-    # Discarding everything that is left prunes every path.
+    # Discarding everything that is left prunes every bucket.
     for item, predicate in stored.items():
         index.discard(predicate, item)
     assert not index
-    assert trie_nodes(index) == 0
+    assert buckets(index) == 0
 
 
 def test_discard_of_the_last_item_prunes_its_path_only():
@@ -110,16 +105,16 @@ def test_discard_of_the_last_item_prunes_its_path_only():
     index.add(wide, "wide")
     index.add(narrow, "narrow")
     index.add(narrow, "narrow-too")
-    assert trie_nodes(index) == 24 + 16
+    assert buckets(index) == 2
 
     index.discard(narrow, "narrow")
-    assert trie_nodes(index) == 24 + 16  # "narrow-too" still lives there
+    assert buckets(index) == 2  # "narrow-too" still lives there
     index.discard(narrow, "narrow-too")
-    assert trie_nodes(index) == 8  # the /8's path survives
+    assert buckets(index) == 1  # the /8's bucket survives
     assert index.candidates(narrow) == ["wide"]
     index.discard(narrow, "never stored")  # absent: a no-op
     index.discard(wide, "wide")
-    assert not index and trie_nodes(index) == 0
+    assert not index and buckets(index) == 0
 
 
 def test_prunes_candidates_by_the_leading_cube_not_by_field():
@@ -157,3 +152,7 @@ def test_root_cube_reads_forced_literals_only():
     # A union of two prefixes forces only what they share.
     union = factory.field_prefix("dst", 0b1000, 4) | factory.field_prefix("dst", 0b1011, 4)
     assert bdd.root_cube(union.node) == ((0, True), (1, False))
+    # Packed, bit i for variable i: what the index keys its buckets by.
+    assert bdd.root_bits(union.node) == (0b11, 0b01)
+    assert bdd.root_bits(both.node) == (0b110000111, 0b010000101)
+    assert bdd.root_bits(factory.empty().node) is None
