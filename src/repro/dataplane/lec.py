@@ -14,11 +14,13 @@ recounting after a rule update.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Dict, Iterator, List, Optional, Tuple
 
-from repro.dataplane.actions import Action, Drop
+from repro.dataplane.actions import Action, Drop, Forward
 from repro.dataplane.fib import Fib
 from repro.packetspace.predicate import Predicate, PredicateFactory
+from repro.packetspace.transform import Rewrite
 
 
 @dataclass(frozen=True)
@@ -35,6 +37,17 @@ class LecTable:
     def __init__(self, device: str, entries: Tuple[LecEntry, ...]) -> None:
         self.device = device
         self.entries = entries
+
+    @cached_property
+    def rewrites(self) -> Tuple[Tuple[Predicate, Rewrite], ...]:
+        """(predicate, rewrite) of the classes whose action rewrites
+        headers, in table order.  Found on first use: most tables are
+        replaced by the next rule update before anything asks."""
+        return tuple(
+            (entry.predicate, entry.action.rewrite)
+            for entry in self.entries
+            if isinstance(entry.action, Forward) and entry.action.rewrite is not None
+        )
 
     def __iter__(self) -> Iterator[LecEntry]:
         return iter(self.entries)

@@ -154,6 +154,14 @@ class Entries(Generic[E]):
     def __len__(self) -> int:
         return len(self._slots) + (self._floor is not None)
 
+    def held(self) -> Iterator[E]:
+        """Every entry as stored, the floor's with its whole predicate
+        (holes included): what the entries say, not exactly where, at no
+        BDD operation."""
+        yield from self._slots.values()
+        if self._floor is not None:
+            yield self._floor.entry
+
     def meet(self, image: Callable[[E], Optional[Predicate]]) -> List[Predicate]:
         """Where each entry meets its ``image(entry)`` (None: nowhere).
 

@@ -56,6 +56,9 @@ class LinkStateDatabase:
     def failed_links(self) -> FrozenSet[Tuple[str, str]]:
         return frozenset(self._failed)
 
+    def is_failed(self, link: Tuple[str, str]) -> bool:
+        return self._normalize(link) in self._failed
+
     def _normalize(self, link: Tuple[str, str]) -> Tuple[str, str]:
         a, b = link
         return (a, b) if a <= b else (b, a)

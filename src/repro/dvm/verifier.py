@@ -54,6 +54,7 @@ from repro.obs.flight import NULL_RECORDER, FlightRecorder
 from repro.packetspace.index import PredicateIndex
 from repro.packetspace.predicate import Predicate, PredicateFactory
 from repro.packetspace.transform import Rewrite
+from repro.planner.dpvnet import Label
 from repro.planner.tasks import DeviceTask, NodeTask, Plan
 
 Outgoing = List[Tuple[str, Message]]
@@ -85,11 +86,17 @@ class _NodeState:
     """Per-DPVNet-node verifier state."""
 
     __slots__ = (
-        "task", "cib_in", "loc", "out", "interest", "rewrite_children", "order",
+        "task", "hops", "cib_in", "loc", "out", "interest", "rewrite_children",
+        "order",
     )
 
     def __init__(self, task: NodeTask, interest: Predicate) -> None:
         self.task = task
+        #: next-hop device -> (child node id, its edge's labels)
+        self.hops: Dict[str, Tuple[str, FrozenSet[Label]]] = {
+            child_dev: (child_id, labels)
+            for (child_id, child_dev, labels) in task.children
+        }
         self.cib_in: Dict[str, CibIn] = {
             child_id: CibIn() for (child_id, _, _) in task.children
         }
@@ -112,7 +119,9 @@ class _PlanContext:
         "nodes",
         "bottom_up",
         "sequence",
+        "by_peer",
         "scene_index",
+        "failed",
         "unplanned",
     )
 
@@ -141,9 +150,17 @@ class _PlanContext:
             )
         )
         self.sequence = sequence
+        #: peer device -> the node states with a child on it, bottom-up:
+        #: the ones whose counts a failure of the link to it can change.
+        self.by_peer: Dict[str, List[_NodeState]] = {}
         for position, state in enumerate(self.bottom_up):
             state.order = (sequence, position)
+            for child_dev in state.hops:
+                self.by_peer.setdefault(child_dev, []).append(state)
         self.scene_index: Optional[int] = 0
+        #: The failure set the scene and counts were derived for; None
+        #: until the first derivation (install counts in scene 0).
+        self.failed: Optional[FrozenSet[Tuple[str, str]]] = None
         #: The failed links, while they match no planned scene.
         self.unplanned: Optional[FrozenSet[Tuple[str, str]]] = None
 
@@ -212,6 +229,9 @@ class OnDeviceVerifier:
             sequence = previous.sequence
             self._forget(previous)
         context = _PlanContext(plan_id, plan, task, sequence)
+        failed = self.linkstate.failed_links
+        if not failed:  # no link is down: scene 0, which install counts in
+            context.failed = failed
         self._contexts[plan_id] = context
         # One OPEN per peer device: the peer's refresh already covers
         # every node of it that has a parent here (_on_open).
@@ -275,34 +295,24 @@ class OnDeviceVerifier:
             self._run_local_checks(context)  # emits no frames
         # Exactly the node states whose affected region can be non-empty
         # (see _affected_region), in plan install order, bottom-up.
+        images = self._rewrite_images(changed_region)
         touched = set(self._by_interest.candidates(changed_region))
-        for entry in self.lec.entries:
-            action = entry.action
-            if isinstance(action, Forward) and action.rewrite is not None:
-                touched.update(
-                    self._by_interest.candidates(
-                        entry.predicate & action.rewrite.inverse(changed_region)
-                    )
-                )
+        for image in images:
+            touched.update(self._by_interest.candidates(image))
         outgoing: Outgoing = []
         for context, state in sorted(touched, key=lambda hit: hit[1].order):
-            region = self._affected_region(state, changed_region)
+            region = self._affected_region(state, changed_region, images)
             outgoing.extend(self._recompute(context, state, region))
         return outgoing
 
     def on_link_event(self, link: Tuple[str, str], up: bool) -> Outgoing:
         """A locally attached link failed or recovered; flood and recount."""
-        outgoing: Outgoing = []
-        advertisement = None
-        for plan_id in self._contexts:
-            advertisement = self.linkstate.local_event(
-                plan_id, self.device, link, up
-            )
-            break
-        if advertisement is None:
-            advertisement = self.linkstate.local_event("", self.device, link, up)
-        for neighbor in self.neighbors:
-            outgoing.append((neighbor, advertisement))
+        advertisement = self.linkstate.local_event(
+            next(iter(self._contexts), ""), self.device, link, up
+        )
+        outgoing: Outgoing = [
+            (neighbor, advertisement) for neighbor in self.neighbors
+        ]
         outgoing.extend(self._apply_failures())
         return outgoing
 
@@ -492,10 +502,15 @@ class OnDeviceVerifier:
         return outgoing
 
     def _apply_failures(self) -> Outgoing:
-        """Re-derive the active scene from the failure set and recount."""
+        """Re-derive each plan's scene from the failure set and recount
+        what the change reaches (``docs/PROTOCOL.md``, LINKSTATE): a
+        failure set a plan was already derived for recounts nothing."""
         failed = self.linkstate.failed_links
         outgoing: Outgoing = []
         for context in self._contexts.values():
+            if context.failed == failed:
+                continue
+            previous, context.failed = context.failed, failed
             new_index: Optional[int] = None
             for index, scene in enumerate(context.plan.scenes):
                 if scene.failed == failed:
@@ -519,16 +534,57 @@ class OnDeviceVerifier:
                         links=sorted(f"{a}-{b}" for a, b in failed),
                     )
                 continue
+            old_index = context.scene_index or 0
+            if previous is None or context.unplanned is not None:
+                # The counts are of no scene the failure set names (the
+                # last planned one, or scene 0 from install): recount all.
+                touched: Sequence[_NodeState] = context.bottom_up
+            else:
+                touched = self._touched(
+                    context, previous ^ failed, old_index, new_index
+                )
             context.unplanned = None
             context.scene_index = new_index
             if context.plan.mode == "local":
-                self._run_local_checks(context)
+                if touched:
+                    self._run_local_checks(context)
                 continue
-            # Recount: even with an unchanged scene index the edge
-            # aliveness may have changed (concrete-filter mode).
-            for state in context.bottom_up:
+            for state in touched:
                 outgoing.extend(self._recompute(context, state, state.interest))
         return outgoing
+
+    def _touched(
+        self,
+        context: _PlanContext,
+        changed: FrozenSet[Tuple[str, str]],
+        old_index: int,
+        new_index: int,
+    ) -> List[_NodeState]:
+        """The node states whose counts the ``changed`` links and a move
+        from scene ``old_index`` to ``new_index`` can alter, bottom-up:
+        those with an edge over a changed link of this device that they
+        read (a count reads it where LocCIB forwards over it, a local
+        check always), and those whose scene labels differ between the
+        two scenes."""
+        touched: Set[_NodeState] = set()
+        local = context.plan.mode == "local"
+        for a, b in changed:
+            if self.device not in (a, b):
+                continue  # this device only floods it
+            peer = b if a == self.device else a
+            touched.update(
+                state
+                for state in context.by_peer.get(peer, ())
+                if local or _forwards_to(state, peer)
+            )
+        if new_index != old_index:
+            touched.update(
+                state
+                for state in context.bottom_up
+                if _scene_view(state.task, old_index)
+                != _scene_view(state.task, new_index)
+            )
+        return sorted(touched, key=lambda state: state.order)
 
     #: The handler of each frame kind of the wire schema
     #: (``repro.dvm.messages.ROWS``).  Link state floods whatever plans
@@ -544,37 +600,37 @@ class OnDeviceVerifier:
     # ------------------------------------------------------------------
     # counting core
 
-    def _affected_region(self, state: _NodeState, affected: Predicate) -> Predicate:
+    def _rewrite_images(self, affected: Predicate) -> List[Predicate]:
+        """Per LEC class that rewrites headers, in table order: its
+        packets that the rewrite maps into ``affected`` (possibly none)."""
+        return [
+            predicate & rewrite.inverse(affected)
+            for predicate, rewrite in self.lec.rewrites
+        ]
+
+    def _affected_region(
+        self, state: _NodeState, affected: Predicate, images: List[Predicate]
+    ) -> Predicate:
         """Map a downstream-affected region into this node's packet space.
 
         Identity except for LEC classes that rewrite headers: packets in
-        the pre-image of the affected transformed region are affected too.
+        the pre-image of the affected transformed region (``images``, from
+        :meth:`_rewrite_images`) are affected too.
         """
         region = state.interest & affected
-        for entry in self.lec.entries:
-            action = entry.action
-            if isinstance(action, Forward) and action.rewrite is not None:
-                pre = entry.predicate & state.interest
-                if pre.is_empty:
-                    continue
-                back = pre & action.rewrite.inverse(affected)
-                if not back.is_empty:
-                    region = region | back
+        for image in images:
+            back = image & state.interest
+            if not back.is_empty:
+                region = region | back
         return region
 
     def _edge_usable(
-        self, context: _PlanContext, state: _NodeState, child_id: str
+        self, scene_index: int, child_dev: str, labels: FrozenSet[Label]
     ) -> bool:
         """Edge active in the current scene and physically alive."""
-        scene_index = context.scene_index or 0
-        for (node_id, child_dev, labels) in state.task.children:
-            if node_id != child_id:
-                continue
-            if not any(scene == scene_index for (_, scene) in labels):
-                return False
-            link = tuple(sorted((self.device, child_dev)))
-            return link not in self.linkstate.failed_links
-        return False
+        if not any(scene == scene_index for (_, scene) in labels):
+            return False
+        return not self.linkstate.is_failed((self.device, child_dev))
 
     def _recompute(
         self, context: _PlanContext, state: _NodeState, region: Predicate
@@ -586,9 +642,6 @@ class OnDeviceVerifier:
         plan = context.plan
         dim = plan.dim
         scene_index = context.scene_index or 0
-        children_by_dev = {
-            child_dev: child_id for (child_id, child_dev, _) in state.task.children
-        }
 
         state.loc.remove_overlapping(region)
         outgoing: Outgoing = []
@@ -612,11 +665,11 @@ class OnDeviceVerifier:
             usable: List[str] = []
             missing = False
             for hop in action.next_hops:
-                child_id = children_by_dev.get(hop)
-                if child_id is not None and self._edge_usable(
-                    context, state, child_id
+                child = state.hops.get(hop)
+                if child is not None and self._edge_usable(
+                    scene_index, hop, child[1]
                 ):
-                    usable.append(child_id)
+                    usable.append(child[0])
                 else:
                     missing = True
 
@@ -785,8 +838,7 @@ class OnDeviceVerifier:
             expected = {
                 dev
                 for dev in state.task.downstream_devices(scene_index)
-                if tuple(sorted((self.device, dev)))
-                not in self.linkstate.failed_links
+                if not self.linkstate.is_failed((self.device, dev))
             }
             accepts = state.task.accepts_in_scene(scene_index)
             for predicate, action in self.lec.classes_overlapping(packet_space):
@@ -845,6 +897,29 @@ class OnDeviceVerifier:
                 prev=None,
                 reason=reason,
             )
+
+
+def _forwards_to(state: _NodeState, peer: str) -> bool:
+    """Whether a LocCIB entry of ``state`` forwards to ``peer``: the
+    entries a recount computes from the aliveness of the link to it
+    (``_edge_usable``), as the causality of an entry names the children
+    an UPDATE recounts it for."""
+    return any(
+        isinstance(entry.action, Forward) and peer in entry.action.next_hops
+        for entry in state.loc.entries.held()
+    )
+
+
+def _scene_view(task: NodeTask, scene_index: int) -> Tuple[Any, ...]:
+    """What a recount of ``task`` reads of a scene: the regexes it
+    accepts, and which of its child edges are active."""
+    return (
+        task.accepts_in_scene(scene_index),
+        tuple(
+            any(scene == scene_index for (_, scene) in labels)
+            for (_, _, labels) in task.children
+        ),
+    )
 
 
 def _combine(

@@ -44,13 +44,14 @@ class ScanVerifier(OnDeviceVerifier):
         if not changes:
             return []
         changed_region = self.factory.union(p for (p, _, _) in changes)
+        images = self._rewrite_images(changed_region)
         outgoing = []
         for context in self._contexts.values():
             if context.plan.mode == "local":
                 self._run_local_checks(context)
                 continue
             for state in context.bottom_up:
-                region = self._affected_region(state, changed_region)
+                region = self._affected_region(state, changed_region, images)
                 outgoing.extend(self._recompute(context, state, region))
         return outgoing
 

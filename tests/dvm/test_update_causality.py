@@ -58,7 +58,9 @@ class RecountAll(Dispatched):
             affected = predicate if affected is None else affected | predicate
         if affected is None:
             return []
-        region = self._affected_region(state, affected)
+        region = self._affected_region(
+            state, affected, self._rewrite_images(affected)
+        )
         return self._recompute(context, state, region)
 
 
