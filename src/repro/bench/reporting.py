@@ -22,6 +22,10 @@ def format_seconds(seconds: float) -> str:
     return f"{seconds * 1e6:.1f}us"
 
 
+class Ratio(float):
+    """A dimensionless ratio: a number, printed as ``0.69×``."""
+
+
 def acceleration_row(
     dataset: str,
     tulkun_seconds: float,
@@ -33,7 +37,7 @@ def acceleration_row(
         "tulkun": tulkun_seconds,
     }
     for name, seconds in baseline_seconds.items():
-        row[f"{name}/Tulkun"] = (
+        row[f"{name}/Tulkun"] = Ratio(
             seconds / tulkun_seconds if tulkun_seconds > 0 else float("inf")
         )
     return row
@@ -132,6 +136,8 @@ def render_json(document: Mapping[str, object], path: Optional[str] = None) -> s
 
 
 def _format_cell(value: object) -> str:
+    if isinstance(value, Ratio):
+        return f"{value:.2f}×"
     if isinstance(value, float):
         if value >= 100:
             return f"{value:.0f}"

@@ -27,7 +27,7 @@ from repro.dataplane.routes import (
 )
 from repro.packetspace.fields import DSTIP_ONLY_LAYOUT
 from repro.packetspace.predicate import PredicateFactory
-from repro.planner import Plan, plan_invariant
+from repro.planner import Plan, plan_invariants
 from repro.spec.ast import (
     CountExpr,
     Exist,
@@ -119,26 +119,28 @@ def build_workload(
         shortest_only = False
 
     destinations = owners[:max_destinations] if max_destinations else owners
-    plans: List[Tuple[str, Plan]] = []
-    for destination in destinations:
-        for cidr in topology.external_prefixes(destination):
-            ingresses = [d for d in ingress_pool if d != destination]
-            invariant = reachability_invariant(
-                factory,
-                topology,
-                destination,
-                cidr,
-                ingresses,
-                max_extra_hops=max_extra_hops,
-                shortest_only=shortest_only,
-            )
-            plans.append((invariant.name, plan_invariant(invariant, topology)))
+    invariants = [
+        reachability_invariant(
+            factory,
+            topology,
+            destination,
+            cidr,
+            [d for d in ingress_pool if d != destination],
+            max_extra_hops=max_extra_hops,
+            shortest_only=shortest_only,
+        )
+        for destination in destinations
+        for cidr in topology.external_prefixes(destination)
+    ]
+    plans = plan_invariants(invariants, topology)
     return Workload(
         name=dataset,
         topology=topology,
         factory=factory,
         fibs=fibs,
-        plans=plans,
+        plans=[
+            (invariant.name, plan) for invariant, plan in zip(invariants, plans)
+        ],
         kind=spec.kind,
     )
 

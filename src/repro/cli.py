@@ -160,6 +160,7 @@ def _cmd_testbed(args: argparse.Namespace) -> int:
     """Boot a dataset on the runtime backend and exercise its dynamics."""
     from repro.bench.reporting import print_table, render_json
     from repro.bench.workloads import reachability_invariant
+    from repro.planner import plan_invariants
     from repro.topology.datasets import load_dataset
 
     try:
@@ -185,6 +186,21 @@ def _cmd_testbed(args: argparse.Namespace) -> int:
     if not owners:
         print(f"dataset {name} has no destination prefixes", file=sys.stderr)
         return 2
+    targets = [
+        (destination, cidr)
+        for destination in owners
+        for cidr in topology.external_prefixes(destination)
+    ]
+    invariants = [
+        reachability_invariant(
+            tulkun.factory,
+            topology,
+            destination,
+            cidr,
+            [d for d in topology.devices if d != destination],
+        )
+        for destination, cidr in targets
+    ]
 
     say(
         f"booting {name}: {topology.num_devices} verifier agents over "
@@ -220,30 +236,24 @@ def _cmd_testbed(args: argparse.Namespace) -> int:
             for device, (host, port) in endpoints.items()
         }
         plan_ids = []
-        for destination in owners:
-            for cidr in topology.external_prefixes(destination):
-                invariant = reachability_invariant(
-                    tulkun.factory,
-                    topology,
-                    destination,
-                    cidr,
-                    [d for d in topology.devices if d != destination],
-                )
-                report = deployment.verify(invariant)
-                plan_ids.append(list(deployment.plans)[-1])
-                say(f"  {report}  [{report.message_bytes} wire bytes]")
-                document["invariants"].append(
-                    {
-                        "plan": plan_ids[-1],
-                        "invariant": invariant.name,
-                        "destination": destination,
-                        "prefix": cidr,
-                        "holds": report.holds,
-                        "verification_seconds": report.verification_seconds,
-                        "message_count": report.message_count,
-                        "message_bytes": report.message_bytes,
-                    }
-                )
+        for (destination, cidr), plan in zip(
+            targets, plan_invariants(invariants, topology)
+        ):
+            report = deployment.verify_plan(plan)
+            plan_ids.append(list(deployment.plans)[-1])
+            say(f"  {report}  [{report.message_bytes} wire bytes]")
+            document["invariants"].append(
+                {
+                    "plan": plan_ids[-1],
+                    "invariant": plan.invariant.name,
+                    "destination": destination,
+                    "prefix": cidr,
+                    "holds": report.holds,
+                    "verification_seconds": report.verification_seconds,
+                    "message_count": report.message_count,
+                    "message_bytes": report.message_bytes,
+                }
+            )
 
         link = next(iter(topology.links))
         a, b = link.a, link.b

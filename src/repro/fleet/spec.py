@@ -18,7 +18,7 @@ import json
 import random
 import re
 from dataclasses import asdict, dataclass
-from typing import List, Tuple
+from typing import List
 
 from repro.bench.workloads import (
     RuleUpdate,
@@ -29,7 +29,7 @@ from repro.bench.workloads import (
 from repro.dataplane.routes import RouteConfig, install_routes
 from repro.packetspace.fields import DSTIP_ONLY_LAYOUT
 from repro.packetspace.predicate import PredicateFactory
-from repro.planner import Plan, plan_invariant
+from repro.planner import plan_invariants
 from repro.topology.graph import Topology
 
 __all__ = [
@@ -130,7 +130,7 @@ def build_fleet_workload(spec: FleetSpec) -> Workload:
         factory,
         RouteConfig(ecmp=spec.ecmp, seed=spec.seed),
     )
-    plans: List[Tuple[str, Plan]] = []
+    invariants = []
     for destination in destinations:
         pool = [owner for owner in owner_pool if owner != destination]
         if spec.ingresses and len(pool) > spec.ingresses:
@@ -139,23 +139,25 @@ def build_fleet_workload(spec: FleetSpec) -> Workload:
         else:
             ingresses = pool
         for cidr in topology.external_prefixes(destination):
-            invariant = reachability_invariant(
-                factory,
-                topology,
-                destination,
-                cidr,
-                ingresses,
-                shortest_only=True,
+            invariants.append(
+                reachability_invariant(
+                    factory,
+                    topology,
+                    destination,
+                    cidr,
+                    ingresses,
+                    shortest_only=True,
+                )
             )
-            plans.append(
-                (invariant.name, plan_invariant(invariant, topology))
-            )
+    plans = plan_invariants(invariants, topology)
     return Workload(
         name=topology.name,
         topology=topology,
         factory=factory,
         fibs=fibs,
-        plans=plans,
+        plans=[
+            (invariant.name, plan) for invariant, plan in zip(invariants, plans)
+        ],
         kind="DC",
     )
 

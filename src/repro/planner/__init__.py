@@ -19,6 +19,7 @@ from repro.planner.tasks import (
     NodeTask,
     Plan,
     plan_invariant,
+    plan_invariants,
 )
 
 __all__ = [
@@ -31,6 +32,7 @@ __all__ = [
     "DeviceTask",
     "NodeTask",
     "plan_invariant",
+    "plan_invariants",
     "product_dpvnet",
     "OneBigSwitchAbstraction",
     "PartitionReport",

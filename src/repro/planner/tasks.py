@@ -1,6 +1,7 @@
 """Verification decomposition: DPVNet -> per-device counting tasks (§4.2).
 
-``plan_invariant`` turns an invariant into a :class:`Plan`:
+``plan_invariant`` turns an invariant into a :class:`Plan`;
+``plan_invariants`` plans a batch, building each distinct DPVNet once:
 
 * ``mode="minimal"`` -- a single ``exist`` match: devices propagate the
   minimal counting information of Prop. 1 (min / max / two smallest).
@@ -20,6 +21,7 @@ from typing import (
     Callable,
     Dict,
     FrozenSet,
+    Hashable,
     Iterable,
     List,
     Optional,
@@ -143,11 +145,24 @@ def _compile_evaluator(
     raise PlannerError(f"unknown behavior node {behavior!r}")
 
 
+#: A DPVNet with its decomposition: (dpvnet, device tasks, root nodes).
+Decomposed = Tuple[DpvNet, Dict[str, DeviceTask], Dict[str, str]]
+
+
 def plan_invariant(
     invariant: Invariant,
     topology: Topology,
+    *,
+    shapes: Optional[Dict[Hashable, Decomposed]] = None,
 ) -> Plan:
-    """Plan one invariant: build its DPVNet and decompose into tasks."""
+    """Plan one invariant: build its DPVNet and decompose into tasks.
+
+    ``shapes`` is :func:`plan_invariants`' memo for one batch: a DPVNet
+    is keyed by exactly what :func:`build_dpvnet` reads of the invariant
+    (the planned path expressions, the ingresses in order and the
+    expanded fault scenes), and a plan whose key is there reuses its
+    DPVNet, device tasks and roots instead of building them.
+    """
     atoms = invariant.atoms()
     if not atoms:
         raise PlannerError("invariant has no matches")
@@ -171,13 +186,19 @@ def plan_invariant(
         mode = "minimal" if isinstance(invariant.behavior, Match) else "full"
         planned_atoms = exist_atoms
 
+    path_exps = tuple(atom.path for atom in planned_atoms)
+    ingresses = tuple(invariant.ingress_set)
+    # AnyK placeholders compare equal to the empty scene, so the key holds
+    # the scenes they expand to.
     scenes = expand_fault_scenes(invariant.fault_scenes, topology)
-    dpvnet = build_dpvnet(
-        topology,
-        [atom.path for atom in planned_atoms],
-        invariant.ingress_set,
-        scenes,
-    )
+    key = (path_exps, ingresses, scenes)
+    if shapes is None:
+        shapes = {}
+    if key not in shapes:
+        shapes[key] = _decompose(
+            build_dpvnet(topology, path_exps, ingresses, scenes)
+        )
+    dpvnet, device_tasks, root_nodes = shapes[key]
 
     index_of = {id(atom): index for index, atom in enumerate(planned_atoms)}
     if mode == "local":
@@ -187,6 +208,36 @@ def plan_invariant(
         evaluator = _compile_evaluator(invariant.behavior, index_of)
         count_exprs = tuple(atom.op.count for atom in planned_atoms)
 
+    return Plan(
+        invariant=invariant,
+        dpvnet=dpvnet,
+        mode=mode,
+        count_exprs=count_exprs,
+        device_tasks=device_tasks,
+        root_nodes=root_nodes,
+        _evaluator=evaluator,
+    )
+
+
+def plan_invariants(
+    invariants: Iterable[Invariant], topology: Topology
+) -> List[Plan]:
+    """Plan a batch: one :class:`Plan` per invariant, in order.
+
+    Invariants that differ only in packet space, behavior or counts share
+    one DPVNet, device-task and root object; each plan keeps its own
+    invariant, mode, count expressions and evaluator.  Nothing is kept
+    after the call (a :class:`Topology` can change between calls).
+    """
+    shapes: Dict[Hashable, Decomposed] = {}
+    return [
+        plan_invariant(invariant, topology, shapes=shapes)
+        for invariant in invariants
+    ]
+
+
+def _decompose(dpvnet: DpvNet) -> Decomposed:
+    """Split a DPVNet into per-device counting tasks (§4.2)."""
     root_nodes = {
         ingress: node.node_id for ingress, node in dpvnet.roots.items()
     }
@@ -216,12 +267,4 @@ def plan_invariant(
         device: DeviceTask(device, tuple(tasks))
         for device, tasks in tasks_by_device.items()
     }
-    return Plan(
-        invariant=invariant,
-        dpvnet=dpvnet,
-        mode=mode,
-        count_exprs=count_exprs,
-        device_tasks=device_tasks,
-        root_nodes=root_nodes,
-        _evaluator=evaluator,
-    )
+    return dpvnet, device_tasks, root_nodes

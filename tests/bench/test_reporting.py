@@ -24,6 +24,11 @@ class TestFormatting:
         assert row["AP/Tulkun"] == pytest.approx(5.0)
         assert row["Flash/Tulkun"] == pytest.approx(2.0)
 
+    def test_ratio_cells_print_as_ratios(self):
+        row = acceleration_row("INet2", 0.1, {"APKeep": 0.0686, "AP": 25.0})
+        cells = print_table("fig11a", [row]).splitlines()[-1].split()
+        assert cells == ["INet2", "100.00ms", "0.69×", "250.00×"]
+
     def test_acceleration_row_zero_tulkun(self):
         row = acceleration_row("x", 0.0, {"AP": 1.0})
         assert row["AP/Tulkun"] == float("inf")
