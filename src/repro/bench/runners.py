@@ -15,7 +15,7 @@ from typing import Dict, List, Optional, Sequence, Tuple, Type
 from repro.baselines.base import CentralizedVerifier
 from repro.baselines.collection import CollectionModel
 from repro.bench.workloads import RuleUpdate, Workload
-from repro.simulator.network import DeviceProfile, SimulatedNetwork
+from repro.simulator.network import SimulatedNetwork
 
 
 @dataclass
@@ -40,20 +40,10 @@ class BaselineTiming:
     collection: Optional[CollectionModel] = None
 
 
-def run_tulkun_burst(
-    workload: Workload,
-    profile: DeviceProfile = DeviceProfile(),
-    strict_wire: bool = False,
-    flight: bool = False,
-) -> TulkunTiming:
+def run_tulkun_burst(workload: Workload, flight: bool = False) -> TulkunTiming:
     """Burst update: plans distributed, then all devices count at once."""
     network = SimulatedNetwork(
-        workload.topology,
-        workload.fibs,
-        workload.factory,
-        profile=profile,
-        strict_wire=strict_wire,
-        flight=flight,
+        workload.topology, workload.fibs, workload.factory, flight=flight
     )
     elapsed = network.install_plans(dict(workload.plans))
     return TulkunTiming(
@@ -68,12 +58,11 @@ def run_tulkun_incremental(
     workload: Workload,
     updates: Sequence[RuleUpdate],
     network: Optional[SimulatedNetwork] = None,
-    profile: DeviceProfile = DeviceProfile(),
 ) -> TulkunTiming:
     """Apply updates one by one; records per-update convergence times."""
     timing = TulkunTiming()
     if network is None:
-        burst = run_tulkun_burst(workload, profile)
+        burst = run_tulkun_burst(workload)
         network = burst.network
         timing.burst_seconds = burst.burst_seconds
     for update in updates:

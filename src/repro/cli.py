@@ -160,7 +160,6 @@ def _cmd_testbed(args: argparse.Namespace) -> int:
     """Boot a dataset on the runtime backend and exercise its dynamics."""
     from repro.bench.reporting import print_table, render_json
     from repro.bench.workloads import reachability_invariant
-    from repro.planner import plan_invariants
     from repro.topology.datasets import load_dataset
 
     try:
@@ -235,23 +234,30 @@ def _cmd_testbed(args: argparse.Namespace) -> int:
             device: f"{host}:{port}"
             for device, (host, port) in endpoints.items()
         }
-        plan_ids = []
-        for (destination, cidr), plan in zip(
-            targets, plan_invariants(invariants, topology)
-        ):
-            report = deployment.verify_plan(plan)
-            plan_ids.append(list(deployment.plans)[-1])
-            say(f"  {report}  [{report.message_bytes} wire bytes]")
+        reports = deployment.verify_all(invariants)
+        plan_ids = [report.plan_id for report in reports]
+        install = reports[0]
+        say(
+            f"installed {len(reports)} invariants as one burst: converged "
+            f"in {install.verification_seconds * 1e3:.1f} ms, "
+            f"{install.message_count} frames, "
+            f"{install.message_bytes} wire bytes"
+        )
+        document["install"] = {
+            "seconds": install.verification_seconds,
+            "message_count": install.message_count,
+            "message_bytes": install.message_bytes,
+        }
+        for (destination, cidr), report in zip(targets, reports):
+            status = "HOLDS" if report.holds else "VIOLATED"
+            say(f"  {report.plan_id} {report.invariant.name}: {status}")
             document["invariants"].append(
                 {
-                    "plan": plan_ids[-1],
-                    "invariant": plan.invariant.name,
+                    "plan": report.plan_id,
+                    "invariant": report.invariant.name,
                     "destination": destination,
                     "prefix": cidr,
                     "holds": report.holds,
-                    "verification_seconds": report.verification_seconds,
-                    "message_count": report.message_count,
-                    "message_bytes": report.message_bytes,
                 }
             )
 

@@ -1,26 +1,27 @@
 """The Tulkun facade: specify -> plan -> deploy -> verify.
 
 :class:`Tulkun` owns the predicate factory and topology and performs the
-planner role; :class:`Deployment` wraps a simulated network of on-device
-verifiers and exposes verification, incremental updates and fault
-injection.  Verification results come back as :class:`Report` objects.
+planner role; :class:`Deployment` wraps a network of on-device verifiers
+on either backend and exposes verification, incremental updates and
+fault injection.  Verification results come back as :class:`Report`
+objects.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence
 
 from repro.core.errors import InconsistentInvariantError, TulkunError
 from repro.dataplane.fib import Fib
-from repro.dvm.agent import Unplanned, plan_holds
+from repro.dvm.agent import AgentBackend, Unplanned, plan_holds
 from repro.dvm.verifier import RootVerdict, Violation
 from repro.obs.flight import describe_unplanned
 from repro.packetspace.fields import DEFAULT_LAYOUT, HeaderLayout
 from repro.packetspace.predicate import Predicate, PredicateFactory
-from repro.planner import Plan, PlannerError, plan_invariant
-from repro.simulator.network import DeviceProfile, SimulatedNetwork
+from repro.planner import Plan, plan_invariant, plan_invariants
+from repro.simulator.network import SimulatedNetwork
 from repro.spec.ast import Invariant
 from repro.spec.parser import parse_invariant
 from repro.topology.graph import Topology
@@ -28,8 +29,16 @@ from repro.topology.graph import Topology
 
 @dataclass
 class Report:
-    """The outcome of verifying one invariant."""
+    """The outcome of verifying one invariant.
 
+    Every report of one install (``verify_all``; ``verify`` and
+    ``verify_plan`` are installs of one) carries that install's
+    ``verification_seconds``, ``message_count`` and ``message_bytes``:
+    the convergence time and the counting frames and wire bytes sent
+    for the whole batch.  A read-back (``reports``) carries zeros.
+    """
+
+    plan_id: str
     invariant: Invariant
     holds: bool
     verdicts: List[RootVerdict]
@@ -59,28 +68,6 @@ class Report:
             f"{self.verification_seconds * 1e3:.3f} ms to converge, "
             f"{self.message_count} msgs)"
         )
-
-
-def make_report(
-    plan: Plan,
-    verdicts: List[RootVerdict],
-    violations: List[Violation],
-    unplanned: Unplanned,
-    elapsed: float,
-    message_count: int,
-    message_bytes: int,
-) -> Report:
-    """A backend's read-out of one plan as a :class:`Report`."""
-    return Report(
-        invariant=plan.invariant,
-        holds=plan_holds(plan, verdicts, violations, unplanned),
-        verdicts=verdicts,
-        violations=violations,
-        unplanned=unplanned,
-        verification_seconds=elapsed,
-        message_count=message_count,
-        message_bytes=message_bytes,
-    )
 
 
 class Tulkun:
@@ -135,9 +122,6 @@ class Tulkun:
     def deploy(
         self,
         fibs: Dict[str, Fib],
-        profile: DeviceProfile = DeviceProfile(),
-        profiles: Optional[Dict[str, DeviceProfile]] = None,
-        strict_wire: bool = False,
         backend: str = "sim",
         flight: Optional[bool] = None,
         **runtime_options,
@@ -177,95 +161,108 @@ class Tulkun:
                 f"{sorted(runtime_options)} require backend='runtime'"
             )
         network = SimulatedNetwork(
-            self.topology,
-            fibs,
-            self.factory,
-            profile=profile,
-            profiles=profiles,
-            strict_wire=strict_wire,
-            flight=bool(flight),
+            self.topology, fibs, self.factory, flight=bool(flight)
         )
         return Deployment(self, network)
 
 
 class Deployment:
-    """A running (simulated) network of on-device verifiers."""
+    """A running network of on-device verifiers over one backend.
 
-    def __init__(self, tulkun: Tulkun, network: SimulatedNetwork) -> None:
+    Every backend call goes through :meth:`_call`: here it runs the
+    operation directly (the simulator);
+    :class:`~repro.runtime.deployment.RuntimeDeployment` runs it on the
+    runtime's event-loop thread.
+    """
+
+    def __init__(self, tulkun: Tulkun, backend: AgentBackend) -> None:
         self.tulkun = tulkun
-        self.network = network
+        self.backend = backend
         self.plans: Dict[str, Plan] = {}
 
+    def _call(self, operation: Callable[..., Any], *args: Any) -> Any:
+        """Run one backend operation (in the caller's thread)."""
+        return operation(*args)
+
     def close(self) -> None:
-        """No-op; API parity with the runtime backend (which holds
-        sockets and a loop thread that must be released)."""
+        """No-op; the runtime backend releases its sockets and thread."""
 
     def __enter__(self) -> "Deployment":
         return self
 
-    def __exit__(self, *exc_info) -> None:
+    def __exit__(self, *exc_info: object) -> None:
         self.close()
 
     # -- verification ----------------------------------------------------------
 
     def verify(self, invariant: Invariant) -> Report:
         """Plan, distribute and verify one invariant to convergence."""
-        plan = self.tulkun.plan(invariant)
-        return self.verify_plan(plan)
+        return self.verify_all([invariant])[0]
+
+    def verify_all(self, invariants: Sequence[Invariant]) -> List[Report]:
+        """Plan ``invariants`` as one set and verify them as one install:
+        plans that share a DPVNet install as one group (§4.3).  Reports
+        come in input order, under consecutive plan ids."""
+        return self._install(plan_invariants(invariants, self.tulkun.topology))
 
     def verify_plan(self, plan: Plan) -> Report:
-        plan_id = f"plan-{next(self.tulkun._plan_ids)}"
-        self.plans[plan_id] = plan
-        messages_before = self.network.stats.messages
-        bytes_before = self.network.stats.bytes
-        elapsed = self.network.install_plan(plan_id, plan)
-        return self._report(plan_id, plan, elapsed, messages_before, bytes_before)
+        return self._install([plan])[0]
 
-    def reverify(self, plan_id: Optional[str] = None) -> List[Report]:
-        """Current verdicts of installed plans (no new computation)."""
-        selected = (
-            {plan_id: self.plans[plan_id]} if plan_id else dict(self.plans)
-        )
+    def _install(self, plans: Sequence[Plan]) -> List[Report]:
+        batch = {f"plan-{next(self.tulkun._plan_ids)}": plan for plan in plans}
+        self.plans.update(batch)
+        frames, nbytes = self._call(self.backend.frames_sent)
+        elapsed = self._call(self.backend.install_plans, batch)
+        frames_now, bytes_now = self._call(self.backend.frames_sent)
         return [
-            self._report(identifier, plan, 0.0,
-                         self.network.stats.messages, self.network.stats.bytes)
-            for identifier, plan in selected.items()
+            self._report(
+                plan_id, elapsed, frames_now - frames, bytes_now - nbytes
+            )
+            for plan_id in batch
+        ]
+
+    def reports(self, plan_id: Optional[str] = None) -> List[Report]:
+        """Current verdicts of ``plan_id``, or of every installed plan
+        (no new computation)."""
+        return [
+            self._report(identifier, 0.0, 0, 0)
+            for identifier in ([plan_id] if plan_id else self.plans)
         ]
 
     def _report(
-        self,
-        plan_id: str,
-        plan: Plan,
-        elapsed: float,
-        messages_before: int,
-        bytes_before: int,
+        self, plan_id: str, elapsed: float, frames: int, nbytes: int
     ) -> Report:
-        return make_report(
-            plan,
-            *self.network.read_out(plan_id),
-            elapsed,
-            self.network.stats.messages - messages_before,
-            self.network.stats.bytes - bytes_before,
+        plan = self.plans[plan_id]
+        verdicts, violations, unplanned = self._call(
+            self.backend.read_out, plan_id
         )
+        return Report(
+            plan_id=plan_id,
+            invariant=plan.invariant,
+            holds=plan_holds(plan, verdicts, violations, unplanned),
+            verdicts=verdicts,
+            violations=violations,
+            unplanned=unplanned,
+            verification_seconds=elapsed,
+            message_count=frames,
+            message_bytes=nbytes,
+        )
+
+    def holds(self, plan_id: str) -> bool:
+        return self._call(self.backend.holds, plan_id)
 
     # -- dynamics -----------------------------------------------------------------
 
     def update_rule(self, device: str, mutate: Callable[[], None]) -> float:
         """Apply a rule update and return the incremental verification time."""
-        return self.network.fib_update(device, mutate)
+        return self._call(self.backend.fib_update, device, mutate)
 
     def fail_link(self, a: str, b: str) -> float:
-        return self.network.fail_link(a, b)
+        return self._call(self.backend.fail_link, a, b)
 
     def recover_link(self, a: str, b: str) -> float:
-        return self.network.recover_link(a, b)
-
-    def reports(self) -> List[Report]:
-        return self.reverify()
-
-    def holds(self, plan_id: str) -> bool:
-        return self.network.holds(plan_id)
+        return self._call(self.backend.recover_link, a, b)
 
     def flight_dump(self) -> Dict[str, Dict[str, object]]:
         """Per-device flight-recorder dumps (see ``repro.obs.flight``)."""
-        return self.network.flight_dump()
+        return self._call(self.backend.flight_dump)

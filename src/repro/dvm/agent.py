@@ -57,6 +57,8 @@ from repro.dvm.verifier import (
     Violation,
 )
 from repro.obs.flight import FlightRecorder
+from repro.obs.metrics import MetricFamily
+from repro.obs.schema import DIRECTION_OUT, KIND_COUNTING
 from repro.packetspace.predicate import Predicate, PredicateFactory
 from repro.planner.tasks import Plan
 from repro.topology.graph import Topology
@@ -335,7 +337,9 @@ class OpWindow(NamedTuple):
 class AgentBackend:
     """What every backend is under its transport: a device agent per
     hosted device, the plans installed on them, the verdict read-out
-    and the operation window."""
+    and the operation window.  Operation times go into, and frames sent
+    are read from, the backend's metric families
+    (:func:`repro.obs.schema.install_dvm_schema`)."""
 
     #: Flight-dump label of the backend.
     backend = ""
@@ -345,7 +349,7 @@ class AgentBackend:
         topology: Topology,
         fibs: Dict[str, Fib],
         factory: PredicateFactory,
-        record_convergence: Callable[[float], None],
+        families: Dict[str, MetricFamily],
         flight: bool,
         flight_capacity: int,
         monotonic: Optional[Callable[[], float]] = None,
@@ -368,7 +372,7 @@ class AgentBackend:
         #: ``plan id -> (group id, its own packet space)`` of the members
         #: of groups of more than one.
         self._member_of: Dict[str, Tuple[str, Predicate]] = {}
-        self._record_convergence = record_convergence
+        self._families = families
 
     def _recorder(self, device: str) -> FlightRecorder:
         return FlightRecorder(
@@ -392,9 +396,22 @@ class AgentBackend:
 
     def close_op(self, window: OpWindow, elapsed: float) -> float:
         """Record the operation's injection-to-quiescence time."""
-        self._record_convergence(elapsed)
+        self._families["convergence_seconds"].observe(elapsed)
         self.ops.record("op", label=window.label, start=window.start, dur=elapsed)
         return elapsed
+
+    def frames_sent(self) -> Tuple[int, int]:
+        """Counting frames and their wire bytes sent so far, all
+        devices."""
+        frames, nbytes = (
+            int(
+                self._families[name].total(
+                    direction=DIRECTION_OUT, kind=KIND_COUNTING
+                )
+            )
+            for name in ("dvm_messages_total", "dvm_bytes_total")
+        )
+        return frames, nbytes
 
     # -- installation ----------------------------------------------------------
 

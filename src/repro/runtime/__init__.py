@@ -12,9 +12,9 @@ counterpart of the paper's hardware testbed.
   keepalive heartbeats, dead-peer detection, backoff-reconnect.
 * :mod:`repro.runtime.cluster` -- boots one agent per device, injects
   workloads and faults, detects convergence by counting silence.
-* :mod:`repro.runtime.deployment` -- the synchronous facade mirroring
-  :class:`repro.core.api.Deployment` (``Tulkun.deploy(...,
-  backend="runtime")``).
+* :mod:`repro.runtime.deployment` -- the event-loop thread under the
+  one :class:`repro.core.api.Deployment` facade (``Tulkun.deploy(...,
+  backend="runtime")``): every facade call runs on it.
 * :mod:`repro.runtime.metrics` -- per-device traffic/liveness counters.
 """
 

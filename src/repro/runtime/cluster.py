@@ -343,7 +343,7 @@ class RuntimeCluster(AgentBackend):
             topology,
             fibs,
             factory,
-            self.metrics.record_convergence,
+            self.metrics.families,
             flight,
             flight_capacity,
         )

@@ -126,10 +126,6 @@ class ClusterMetrics:
             self.devices[name] = DeviceMetrics(name, registry=self.registry)
         return self.devices[name]
 
-    def record_convergence(self, seconds: float) -> None:
-        """One operation's injection-to-quiescence time."""
-        self.families["convergence_seconds"].observe(seconds)
-
     @property
     def total_messages(self) -> int:
         return int(sum(m.messages_out.value for m in self.devices.values()))

@@ -39,7 +39,6 @@ from repro.obs.metrics import Counter, Histogram, MetricsRegistry
 from repro.obs.schema import (
     DIRECTION_IN,
     DIRECTION_OUT,
-    KIND_CONTROL,
     KIND_COUNTING,
     install_dvm_schema,
 )
@@ -111,15 +110,11 @@ class MessageStats:
         )
 
     def record_transmit(
-        self,
-        source: str,
-        destination: str,
-        nbytes: int,
-        control: bool = False,
+        self, source: str, destination: str, nbytes: int
     ) -> None:
-        """Count one frame leaving ``source`` and arriving at
+        """Count one counting frame leaving ``source`` and arriving at
         ``destination``."""
-        kind = KIND_CONTROL if control else KIND_COUNTING
+        kind = KIND_COUNTING
         sent, received = self._bound("dvm_messages_total", source, destination, kind)
         sent.inc()
         received.inc()
@@ -149,10 +144,6 @@ class MessageStats:
                 self.families["verifier_processing_seconds"].labels(device=device),
             )
         histogram.observe(seconds)
-
-    def record_convergence(self, seconds: float) -> None:
-        """One workload operation's injection-to-quiescence time."""
-        self.families["convergence_seconds"].observe(seconds)
 
 
 class SimulatedNetwork(AgentBackend):
@@ -186,7 +177,7 @@ class SimulatedNetwork(AgentBackend):
             topology,
             fibs,
             factory,
-            self.stats.record_convergence,
+            self.stats.families,
             flight,
             flight_capacity,
             # Flight timestamps are simulation seconds.
@@ -342,15 +333,12 @@ class SimulatedNetwork(AgentBackend):
         return self._settle(window)
 
     def install_plan(self, plan_id: str, plan: Plan) -> float:
-        """Distribute tasks (planner-side, untimed) and run to quiescence."""
-        return self._install({plan_id: plan}, f"install_plan:{plan_id}")
+        return self.install_plans({plan_id: plan})
 
     def install_plans(self, plans: Dict[str, Plan]) -> float:
-        """Install many plans as one burst; returns total convergence time."""
-        return self._install(plans, f"install_plans:{len(plans)}")
-
-    def _install(self, plans: Dict[str, Plan], label: str) -> float:
-        window = OpWindow(label, self.queue.now)
+        """Distribute the plans' tasks (planner-side, untimed) as one
+        burst and run to quiescence; returns the convergence time."""
+        window = OpWindow(f"install_plans:{len(plans)}", self.queue.now)
         self.inject_plans(plans)
         return self._settle(window)
 

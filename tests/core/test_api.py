@@ -8,6 +8,7 @@ from repro.dataplane.actions import Drop, Forward
 from repro.dataplane.routes import PRIORITY_ERROR, RouteConfig, install_routes
 from repro.packetspace.fields import DSTIP_ONLY_LAYOUT
 from repro.topology.generators import paper_example
+from tests.runtime.test_deployment import FAST
 
 
 @pytest.fixture()
@@ -15,10 +16,28 @@ def tulkun():
     return Tulkun(paper_example(), layout=DSTIP_ONLY_LAYOUT)
 
 
-@pytest.fixture()
-def deployment(tulkun):
+def deploy(tulkun, **options):
     fibs = install_routes(tulkun.topology, tulkun.factory, RouteConfig(ecmp="any"))
-    return tulkun.deploy(fibs)
+    return tulkun.deploy(fibs, **options)
+
+
+def verdict_function(report):
+    """``{(ingress, holds, counts): wire form of where}``."""
+    merged = {}
+    for verdict in report.verdicts:
+        key = (verdict.ingress, verdict.holds, verdict.counts)
+        held = merged.get(key)
+        merged[key] = (
+            verdict.predicate if held is None else held | verdict.predicate
+        )
+    return {key: predicate.to_bytes() for key, predicate in merged.items()}
+
+
+def violations(report):
+    return sorted(
+        (v.device, v.node_id, v.reason, v.predicate.to_bytes())
+        for v in report.violations
+    )
 
 
 class TestSpecification:
@@ -40,6 +59,17 @@ class TestSpecification:
 
 
 class TestDeployment:
+    """The facade on the simulator; the subclass below runs every case
+    again on the asyncio/TCP runtime."""
+
+    #: ``Tulkun.deploy`` options of the backend under test.
+    options = {}
+
+    @pytest.fixture()
+    def deployment(self, tulkun):
+        with deploy(tulkun, **self.options) as deployment:
+            yield deployment
+
     def test_missing_fibs_rejected(self, tulkun):
         with pytest.raises(TulkunError):
             tulkun.deploy({})
@@ -72,7 +102,7 @@ class TestDeployment:
             name="waypoint",
         )
         assert not deployment.verify(invariant).holds
-        fibs = deployment.network.fibs
+        fibs = deployment.backend.fibs
         packets = tulkun.factory.dst_prefix("10.0.0.0/23")
         elapsed = deployment.update_rule(
             "A",
@@ -115,3 +145,48 @@ class TestDeployment:
         report = deployment.verify(invariant)
         assert report.holds
         assert report.verdicts == []  # local contracts produce no counts
+
+    def test_verify_all_equals_one_at_a_time(self, tulkun, deployment):
+        """Invariants that differ only in packet space share a DPVNet and
+        install as one group: a counting pair (read through verdicts)
+        and a local pair (read through violations); the last has its own
+        shape."""
+        sources = [
+            "(dstIP = 10.0.0.0/24, [S], (exist >= 1, S.*W.*D and loop_free))",
+            "(dstIP = 10.0.1.0/24, [S], (exist >= 1, S.*W.*D and loop_free))",
+            "(dstIP = 10.0.0.0/24, [S], (equal, (S.*D, (== shortest+1))))",
+            "(dstIP = 10.0.1.0/24, [S], (equal, (S.*D, (== shortest+1))))",
+            "(dstIP = 10.0.0.0/23, [S], (exist >= 1, S.*D, (<= 4)))",
+        ]
+        invariants = [
+            tulkun.parse(source, name=f"inv{index}")
+            for index, source in enumerate(sources)
+        ]
+        batch = deployment.verify_all(invariants)
+        first = int(batch[0].plan_id.split("-")[1])
+        assert [report.plan_id for report in batch] == [
+            f"plan-{first + index}" for index in range(len(invariants))
+        ]
+        assert [report.invariant for report in batch] == invariants
+        assert list(deployment.plans) == [report.plan_id for report in batch]
+        with deploy(tulkun, **self.options) as fresh:
+            alone = [fresh.verify(invariant) for invariant in invariants]
+        assert [report.holds for report in batch] == [False] * 4 + [True]
+        assert all(report.violations for report in batch[2:4])
+        for grouped, single in zip(batch, alone):
+            assert grouped.holds == single.holds
+            assert verdict_function(grouped) == verdict_function(single)
+            assert violations(grouped) == violations(single)
+        # Every report of the batch carries the one install's counters.
+        counters = {
+            (r.verification_seconds, r.message_count, r.message_bytes)
+            for r in batch
+        }
+        assert len(counters) == 1
+        assert batch[0].message_count < sum(r.message_count for r in alone)
+        assert batch[0].message_bytes < sum(r.message_bytes for r in alone)
+        assert deployment.reports(batch[1].plan_id)[0].holds is False
+
+
+class TestDeploymentOnTheRuntime(TestDeployment):
+    options = dict(backend="runtime", **FAST)

@@ -41,7 +41,7 @@ def test_every_participating_device_knows_its_count(deployment_and_plan):
     tulkun, deployment, plan_id = deployment_and_plan
     plan = deployment.plans[plan_id]
     for device in plan.devices():
-        counts = local_counts(deployment.network.verifiers[device], plan_id)
+        counts = local_counts(deployment.backend.verifiers[device], plan_id)
         assert counts, device
         for node_id, predicate, count_set in counts:
             assert not predicate.is_empty
@@ -52,7 +52,7 @@ def test_intermediate_device_count_reflects_reachability(deployment_and_plan):
     """A (the hop before the ECMP split) can read that at least one copy
     reaches D from itself -- the input a rerouting service needs."""
     tulkun, deployment, plan_id = deployment_and_plan
-    counts = local_counts(deployment.network.verifiers["A"], plan_id)
+    counts = local_counts(deployment.backend.verifiers["A"], plan_id)
     packets = tulkun.factory.dst_prefix("10.0.0.0/23")
     covered = tulkun.factory.empty()
     for _, predicate, count_set in counts:
@@ -63,4 +63,4 @@ def test_intermediate_device_count_reflects_reachability(deployment_and_plan):
 
 def test_unknown_plan_returns_empty(deployment_and_plan):
     _, deployment, _ = deployment_and_plan
-    assert local_counts(deployment.network.verifiers["A"], "ghost") == []
+    assert local_counts(deployment.backend.verifiers["A"], "ghost") == []

@@ -35,6 +35,8 @@ from repro.dvm import cib
 from repro.dvm.agent import AgentBackend, group_plans
 from repro.dvm.messages import encode_message
 from repro.obs.flight import find_verdict, install_group, merge_dumps
+from repro.obs.metrics import MetricsRegistry
+from repro.obs.schema import install_dvm_schema
 from repro.packetspace.index import PredicateIndex
 from repro.packetspace.predicate import Predicate
 from repro.planner import plan_invariant
@@ -67,7 +69,7 @@ class SyncNetwork(AgentBackend):
             workload.topology,
             workload.fibs,
             workload.factory,
-            lambda seconds: None,
+            install_dvm_schema(MetricsRegistry()),
             flight,
             1 << 16,
         )

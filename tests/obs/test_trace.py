@@ -38,7 +38,7 @@ class TestSimulatorCausality:
         ops = [record for record in records if record.cat == CAT_OP]
         assert len(ops) == 1
         op = ops[0]
-        assert op.name.startswith("install_plan:")
+        assert op.name.startswith("install_plans:")
         assert op.attrs["convergence_seconds"] == report.verification_seconds
         # Every record belongs to this verification session.
         assert {record.trace_id for record in records} == {op.trace_id}
