@@ -3,8 +3,9 @@
 The launcher is the only process that sees the whole fleet, but it
 holds none of the verification state: workers rebuild everything from
 the shared :class:`~repro.fleet.spec.FleetSpec`, and the launcher just
-orchestrates over the control channel -- broadcast an injection, run
-the federated settle wave, collect per-shard results.
+orchestrates over one persistent control connection per worker --
+broadcast an injection, run the federated settle waves, collect
+per-shard results.
 
 Supervision: worker processes are polled for liveness on every settle
 wave and every broadcast; an unexpected exit raises
@@ -16,9 +17,10 @@ Federated quiescence: each worker runs the exact detector of
 :class:`~repro.runtime.cluster.RuntimeCluster` over its shard and
 reports the ``out``/``done`` counters of its cross-shard session ends;
 one wave of reports with every shard settled and every cross-shard link
-matching is convergence (:meth:`FleetLauncher.settle`).  Convergence
-time is the *max* of the per-worker ``finish`` results (last counting
-activity in any shard).
+matching is convergence (:meth:`FleetLauncher.settle`).  The answers to
+the injection are the first wave, so a matched one ends the operation
+in one round trip.  Convergence time is the *max* of the per-worker
+``seconds`` of the final wave (last counting activity in any shard).
 """
 
 from __future__ import annotations
@@ -65,11 +67,11 @@ class WorkerCrashed(FleetError):
 
 @dataclass
 class WorkerHandle:
-    """One spawned worker process and its control address."""
+    """One spawned worker process and its control connection."""
 
     index: int
     process: "subprocess.Popen[bytes]"
-    control_port: int
+    channel: control.ControlChannel
     log_path: str
 
 
@@ -119,7 +121,9 @@ class FleetLauncher:
         handle = WorkerHandle(
             index=index,
             process=process,
-            control_port=self.plan.control_port(index),
+            channel=control.ControlChannel(
+                "127.0.0.1", self.plan.control_port(index)
+            ),
             log_path=log_path,
         )
         self.workers[index] = handle
@@ -129,20 +133,15 @@ class FleetLauncher:
         )
         return handle
 
-    def crashed_workers(self) -> List[WorkerHandle]:
-        """Workers that exited while the fleet was supposed to be up."""
-        if self._stopping:
-            return []
-        return [
+    def check_alive(self) -> None:
+        """Raise :class:`WorkerCrashed` if any worker exited while the
+        fleet was supposed to be up."""
+        dead = [
             handle
             for handle in self.workers.values()
             if handle.process.poll() is not None
         ]
-
-    def check_alive(self) -> None:
-        """Raise :class:`WorkerCrashed` if any worker died unexpectedly."""
-        dead = self.crashed_workers()
-        if dead:
+        if dead and not self._stopping:
             raise WorkerCrashed(
                 [handle.index for handle in dead],
                 [handle.process.poll() for handle in dead],
@@ -215,6 +214,8 @@ class FleetLauncher:
                 )
                 handle.process.kill()
                 handle.process.wait()
+        for handle in self.workers.values():
+            handle.channel.close()
 
     async def _wait_exit(self, grace: float) -> None:
         """Wait until every worker exited, at most ``grace`` seconds."""
@@ -236,11 +237,8 @@ class FleetLauncher:
         """One round-trip: the ``OPS`` row refuses an op or key it does
         not hold before anything is sent, and supplies the deadline."""
         row = control.row_of(request)
-        return await control.call(
-            "127.0.0.1",
-            self.workers[index].control_port,
-            request,
-            timeout=row.timeout if timeout is None else timeout,
+        return await self.workers[index].channel.call(
+            request, row.timeout if timeout is None else timeout
         )
 
     async def call_worker(
@@ -278,14 +276,22 @@ class FleetLauncher:
             self.check_alive()
             raise
 
-    async def settle(self, timeout: Optional[float] = None) -> None:
-        """Federated quiescence: one exact wave of ``status`` reports.
+    async def settle(
+        self,
+        timeout: Optional[float] = None,
+        inject: Optional[Dict[str, object]] = None,
+    ) -> float:
+        """Federated quiescence: waves of reports until one matches;
+        returns the max ``seconds`` of that wave.
 
-        Each ``status`` long-polls until its shard is locally settled,
-        then samples in one event-loop tick the ``(out, done)`` counters
-        of its live cross-shard session ends.  Converged: every shard
-        settled and, per cross-shard link, both ends absent or both
-        present with each ``out`` equal to the other end's ``done``.
+        The first wave is ``inject`` when given (an injection op, which
+        each worker applies before it takes its own sample), then
+        ``status``.  Each report long-polls until its shard is locally
+        settled, then samples in one event-loop tick the ``(out,
+        done)`` counters of its live cross-shard session ends.
+        Converged: every shard settled and, per cross-shard link, both
+        ends absent or both present with each ``out`` equal to the
+        other end's ``done``.
 
         One matched wave suffices although shards are sampled at
         different instants.  A settled shard sends nothing until a
@@ -298,11 +304,11 @@ class FleetLauncher:
         An unmatched wave is retried; the long-poll paces the retries.
         """
         deadline = time.monotonic() + (timeout or self.spec.op_timeout)
-        poll: Dict[str, object] = {"op": "status"}
-        longest = control.row_of(poll).timeout * _LONG_POLL_SHARE
+        wave: Dict[str, object] = dict(inject or {"op": "status"})
         while True:
-            poll["wait"] = max(0.0, min(deadline - time.monotonic(), longest))
-            statuses = await self.broadcast(poll)
+            longest = control.row_of(wave).timeout * _LONG_POLL_SHARE
+            wave["wait"] = max(0.0, min(deadline - time.monotonic(), longest))
+            statuses = await self.broadcast(wave)
             unsettled = [
                 s["worker"] for s in statuses if not s["settled_local"]
             ]
@@ -317,58 +323,40 @@ class FleetLauncher:
                 if ends.get((end[1], end[0])) != (done, out)
             )
             if not unsettled and not unmatched:
-                return
+                return max(float(s["seconds"]) for s in statuses)  # type: ignore[arg-type]
             if time.monotonic() >= deadline:
                 raise FleetError(
                     "fleet did not reach quiescence within deadline "
                     f"(unsettled workers: {unsettled}, "
                     f"unmatched cross-shard ends: {unmatched})"
                 )
-
-    async def run_operation(
-        self,
-        label: str,
-        inject: Dict[str, object],
-        timeout: Optional[float] = None,
-    ) -> float:
-        """begin everywhere -> inject -> federated settle -> max finish.
-
-        ``begin``/``finish`` span every worker, so the per-worker
-        convergence clocks measure the same operation window.
-        """
-        await self.broadcast({"op": "begin", "label": label})
-        await self.broadcast(dict(inject), timeout=timeout)
-        await self.settle(timeout)
-        finishes = await self.broadcast({"op": "finish"})
-        return max(float(f["seconds"]) for f in finishes)  # type: ignore[arg-type]
+            wave = {"op": "status"}
 
     async def install_plans(
         self, timeout: Optional[float] = None
     ) -> float:
         """Fleet-wide plan installation burst; returns convergence s."""
-        return await self.run_operation(
-            "fleet_install", {"op": "install"}, timeout=timeout
+        return await self.settle(
+            timeout, {"op": "install", "label": "fleet_install"}
         )
 
     async def apply_update(
         self, index: int, count: int, timeout: Optional[float] = None
     ) -> float:
         """One incremental update of the shared deterministic stream."""
-        return await self.run_operation(
-            f"fleet_update:{index}",
-            {"op": "update", "index": index, "count": count},
-            timeout=timeout,
+        label = f"fleet_update:{index}"
+        return await self.settle(
+            timeout,
+            {"op": "update", "label": label, "index": index, "count": count},
         )
 
     async def link_event(
         self, a: str, b: str, up: bool, timeout: Optional[float] = None
     ) -> float:
         """Fail or recover link (a, b) fleet-wide."""
-        label = "link_recover" if up else "link_fail"
-        return await self.run_operation(
-            f"{label}:{a}-{b}",
-            {"op": "link", "a": a, "b": b, "up": up},
-            timeout=timeout,
+        label = f"{'link_recover' if up else 'link_fail'}:{a}-{b}"
+        return await self.settle(
+            timeout, {"op": "link", "label": label, "a": a, "b": b, "up": up}
         )
 
     async def verdicts(self) -> Dict[str, List[List[object]]]:
@@ -417,21 +405,6 @@ class FleetLauncher:
         return merged
 
     # -- observability federation ------------------------------------------
-
-    async def endpoints(self) -> Dict[str, Tuple[str, int]]:
-        """Live ``device -> (host, port)`` telemetry map, fleet-wide.
-
-        Unlike :meth:`telemetry_targets` (the *planned* addresses) this
-        asks every worker what it actually bound.
-        """
-        merged: Dict[str, Tuple[str, int]] = {}
-        for response in await self.broadcast({"op": "endpoints"}):
-            http = response.get("http")
-            if not isinstance(http, dict):
-                continue
-            for device, address in sorted(http.items()):
-                merged[device] = (str(address[0]), int(address[1]))
-        return merged
 
     def telemetry_targets(self) -> List[Tuple[str, int]]:
         """Every agent's planned (host, port) telemetry address."""

@@ -10,7 +10,10 @@ telemetry servers shut down, exit code 0.
 
 Control ops are the rows of :data:`repro.fleet.control.OPS`; each is
 served by the ``_op_<name>`` method below (``docs/RUNTIME.md`` has the
-table with payloads).
+table with payloads).  An injection (``install``, ``update``, ``link``)
+opens the operation window, injects, and answers as ``status`` does:
+its answer is the first settle wave of the operation.  The window
+closes at the first answer that finds the shard settled.
 """
 
 from __future__ import annotations
@@ -19,6 +22,7 @@ import argparse
 import asyncio
 import signal
 import sys
+import time
 from typing import Dict, List, Optional
 
 from repro.bench.workloads import RuleUpdate
@@ -66,14 +70,16 @@ class FleetWorker:
             self, port=self.plan.control_port(worker_index)
         )
         self.ready = False
-        self._op_window: Optional[OpWindow] = None
+        #: The latest operation's window, kept after it closes.
+        self._window: Optional[OpWindow] = None
         self._updates: List[RuleUpdate] = []
-        self._stop_event = asyncio.Event()
 
     # -- lifecycle ---------------------------------------------------------
 
     async def run(self) -> int:
         """Serve until a ``stop`` op or a termination signal."""
+        # Python 3.9 binds an Event to the loop current at construction.
+        self._stop_event = asyncio.Event()
         loop = asyncio.get_running_loop()
         for signum in (signal.SIGTERM, signal.SIGINT):
             loop.add_signal_handler(signum, self._stop_event.set)
@@ -126,15 +132,25 @@ class FleetWorker:
         }
 
     async def _op_status(self, wait: float = 0.0) -> Dict[str, object]:
-        """Readiness, session health and the launcher's convergence wave:
-        ``settled_local`` plus ``[device, peer, out, done]`` per live
-        cross-shard session end; ``wait`` long-polls that many seconds
-        for the shard to settle first."""
+        """Readiness, session health and a settle wave: ``settled_local``
+        plus ``[device, peer, out, done]`` per live cross-shard session
+        end and the operation's ``seconds``; ``wait`` long-polls that
+        many seconds for the shard to settle first.  The first answer
+        that finds the shard settled closes the operation window."""
         if wait > 0:
             try:
                 await self.cluster.wait_quiescence(wait)
             except ClusterTimeoutError:
                 pass  # answer unsettled; the launcher asks again
+        settled = not self.cluster.unsettled()
+        seconds = 0.0
+        if self._window is not None:
+            if settled and self.cluster.phase == "converging":
+                self.cluster.finish_operation(self._window)
+            # Last counting activity minus the window's start.
+            seconds = max(
+                0.0, self.cluster._last_activity_wall - self._window.start
+            )
         peers_down = 0
         established = 0
         for host in self.cluster.hosts.values():
@@ -155,40 +171,34 @@ class FleetWorker:
             "worker": self.worker_index,
             "ready": self.ready,
             "devices": len(self.shard),
-            "settled_local": not self.cluster.unsettled(),
+            "settled_local": settled,
             "links": self.cluster.cross_shard_counters(),
             "phase": self.cluster.phase,
             "sessions_established": established,
             "peers_down": peers_down,
             "peer_down_events": peer_down_events,
+            "seconds": seconds,
         }
 
-    async def _op_endpoints(self) -> Dict[str, object]:
-        """device -> ``[host, port]`` of this worker's telemetry servers."""
-        return {
-            "http": {
-                device: [host, port]
-                for device, (host, port) in sorted(
-                    self.cluster.http_endpoints.items()
-                )
-            }
-        }
-
-    async def _op_begin(self, label: str = "fleet_op") -> Dict[str, object]:
-        """Open an operation window."""
-        self._op_window = self.cluster.begin_operation(label)
-        return {}
-
-    async def _op_install(self) -> Dict[str, object]:
+    async def _op_install(
+        self, label: str = "fleet_install", wait: float = 0.0
+    ) -> Dict[str, object]:
         """Inject every plan into the locally hosted devices."""
+        deadline = time.monotonic() + wait
+        self._window = self.cluster.begin_operation(label)
         self.cluster.inject_plans(dict(self.workload.plans))
-        return {"plans": len(self.workload.plans)}
+        return await self._op_status(deadline - time.monotonic())
 
     async def _op_update(
-        self, index: int = 0, count: int = 0
+        self,
+        label: str = "fleet_update",
+        wait: float = 0.0,
+        index: int = 0,
+        count: int = 0,
     ) -> Dict[str, object]:
         """Apply update ``index`` of the shared deterministic stream of
         length ``count`` if its device is local."""
+        deadline = time.monotonic() + wait
         if count < 1 or index >= count:
             raise ValueError(f"bad update index {index} of {count}")
         if len(self._updates) != count:
@@ -196,35 +206,26 @@ class FleetWorker:
                 self.spec, self.workload, count
             )
         update = self._updates[index]
-        applied = self.cluster.inject_fib_update(
-            update.device, update.apply
-        )
-        return {
-            "applied": applied,
-            "device": update.device,
-            "description": update.description,
-        }
+        self._window = self.cluster.begin_operation(label)
+        self.cluster.inject_fib_update(update.device, update.apply)
+        return await self._op_status(deadline - time.monotonic())
 
     async def _op_link(
-        self, a: str, b: str, up: bool = True
+        self,
+        a: str,
+        b: str,
+        up: bool = True,
+        label: str = "fleet_link",
+        wait: float = 0.0,
     ) -> Dict[str, object]:
-        """Administrative link event (a recovery answers once the local
-        ends re-established)."""
+        """Administrative link event (a recovery waits for the local ends
+        to re-establish before the settle wave)."""
+        deadline = time.monotonic() + wait
+        self._window = self.cluster.begin_operation(label)
         self.cluster.apply_link_event(a, b, up=up)
         if up:
             await self.cluster.wait_session(a, b)
-        return {}
-
-    async def _op_finish(self) -> Dict[str, object]:
-        """Close the operation window; answers convergence seconds."""
-        if self._op_window is None:
-            raise RuntimeError("finish without begin")
-        seconds = self.cluster.finish_operation(self._op_window)
-        self._op_window = None
-        return {"seconds": seconds}
-
-    async def _op_verdicts(self) -> Dict[str, object]:
-        return {"verdicts": self._verdicts()}
+        return await self._op_status(deadline - time.monotonic())
 
     async def _op_metrics(self) -> Dict[str, object]:
         """Shard traffic totals."""
@@ -244,7 +245,7 @@ class FleetWorker:
         self._stop_event.set()
         return {}
 
-    def _verdicts(self) -> Dict[str, List[List[object]]]:
+    async def _op_verdicts(self) -> Dict[str, object]:
         """Per-plan root verdicts of the locally hosted devices.
 
         Entries are ``[ingress, holds, sorted count tuples]`` -- the
@@ -263,7 +264,7 @@ class FleetWorker:
             ]
             if rows:
                 document[plan_id] = rows
-        return document
+        return {"verdicts": document}
 
 
 def main(argv: Optional[List[str]] = None) -> int:

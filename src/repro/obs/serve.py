@@ -152,10 +152,6 @@ class TelemetryServer:
             await self._server.wait_closed()
             self._server = None
 
-    @property
-    def address(self) -> Tuple[str, int]:
-        return (self.host, self.port)
-
     # -- request handling --------------------------------------------------
 
     async def _handle(

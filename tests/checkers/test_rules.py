@@ -61,8 +61,8 @@ EVIDENCE = {
     # A line ahead of the document `repro fleet --json` prints.
     "OBS001": (
         "src/repro/fleet/launcher.py",
-        r"(\n        await self\.settle\(timeout\)\n)",
-        r'\1        print(f"operation {label} settled")\n',
+        r"(\n        label = f\"fleet_update:\{index\}\"\n)",
+        r'\1        print(f"operation {label}")\n',
     ),
 }
 
