@@ -14,10 +14,9 @@ Commands:
   files given, or one burst run here on either backend) and export it
   (JSONL + Chrome-trace spans; the run's metrics in JSON and Prometheus
   text form); see ``docs/OBSERVABILITY.md``.
-* ``top``       -- scrape the live ``/metrics`` + ``/healthz`` endpoints
-  of a running fleet (testbed agents or a ``serve_registry`` export)
-  and render a refreshing per-device table (``--once --json`` for
-  scripting).
+* ``top``       -- read every agent's ``/healthz`` status record in a
+  running fleet (testbed or fleet agents) and render a refreshing
+  per-device table (``--once --json`` for scripting).
 * ``fleet``     -- launch a sharded multi-process fleet (one worker
   process per shard of device agents, wired over real localhost TCP),
   run the fleet workload to convergence, optionally diff the verdicts
@@ -314,15 +313,19 @@ def _cmd_testbed(args: argparse.Namespace) -> int:
                 "invariants_holding": healthy,
             }
         )
+        records = deployment.statuses()
         if not args.json:
             print_table(
-                f"{name}: per-device runtime metrics",
-                deployment.metrics_rows(),
+                f"{name}: per-device status",
+                [
+                    _status_row(record.device, record.status.upper(), record)
+                    for record in records
+                ],
             )
         reconnects = deployment.metrics.total_reconnects
         say(f"total reconnects: {reconnects}")
         document["metrics"] = {
-            "rows": deployment.metrics_rows(),
+            "rows": [record.to_dict() for record in records],
             "total_messages": deployment.metrics.total_messages,
             "total_bytes": deployment.metrics.total_bytes,
             "total_reconnects": reconnects,
@@ -486,7 +489,7 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
     # Exit status: with --check-simulator, parity is the contract (an
     # injected erroneous update legitimately breaks an invariant on
     # both backends); otherwise every invariant must hold.
-    ok = document["fleet_state"] in ("ok", "converging")
+    ok = document["fleet_state"] == "ok"
     if args.check_simulator:
         ok = ok and document["verdicts_match"]
     else:
@@ -536,22 +539,56 @@ def _parse_endpoint(spec: str) -> Optional[tuple]:
     return (host, int(port))
 
 
+#: The columns of a per-device table row drawn from a status record
+#: (``repro top``, ``repro testbed``).
+_STATUS_COLUMNS = (
+    "phase", "msgs in/out", "bytes in/out", "inbox", "pending",
+    "reconnects", "peer downs", "decode errs", "hs fails",
+)
+
+
+def _status_row(device: str, health: str, record) -> dict:
+    """One per-device table row from a ``DeviceStatus`` record (``None``
+    for an agent that did not answer: its cells read ``-``)."""
+    row = {"device": device, "health": health}
+    row.update(dict.fromkeys(_STATUS_COLUMNS, "-"))
+    if record is not None:
+        row.update(
+            zip(
+                _STATUS_COLUMNS,
+                (
+                    record.phase,
+                    f"{record.messages_in}/{record.messages_out}",
+                    f"{record.bytes_in}/{record.bytes_out}",
+                    record.inbox_depth,
+                    record.pending_out,
+                    record.reconnects,
+                    record.peer_down_events,
+                    record.decode_errors,
+                    record.handshake_failures,
+                ),
+            )
+        )
+    return row
+
+
 def _sample_row(sample) -> dict:
     """One ``repro top`` table row from a collector DeviceSample."""
     status = sample.status.upper()
     if sample.stalled:
         status += " STALLED"
-    return {
-        "device": sample.device,
-        "health": status,
-        "phase": (sample.health or {}).get("phase", "-"),
-        "msgs in/out": f"{sample.messages_in}/{sample.messages_out}",
-        "bytes in/out": f"{sample.bytes_in}/{sample.bytes_out}",
-        "inbox": sample.inbox_depth,
-        "pending": sample.pending_out,
-        "scrape ms": f"{sample.latency_seconds * 1e3:.1f}",
-        "stale s": f"{sample.staleness_seconds:.1f}",
-    }
+    row = _status_row(sample.device, status, sample.record)
+    row["scrape ms"] = f"{sample.latency_seconds * 1e3:.1f}"
+    row["stale s"] = f"{sample.staleness_seconds:.1f}"
+    return row
+
+
+#: What ``repro top --json`` copies per device from its status record
+#: (zero for an agent that did not answer).
+_TOP_RECORD_KEYS = (
+    "messages_in", "messages_out", "bytes_in", "bytes_out",
+    "inbox_depth", "pending_out",
+)
 
 
 def _snapshot_document(snapshot) -> dict:
@@ -567,13 +604,11 @@ def _snapshot_document(snapshot) -> dict:
                 "http_status": sample.http_status,
                 "latency_seconds": sample.latency_seconds,
                 "staleness_seconds": sample.staleness_seconds,
-                "messages_in": sample.messages_in,
-                "messages_out": sample.messages_out,
-                "bytes_in": sample.bytes_in,
-                "bytes_out": sample.bytes_out,
-                "inbox_depth": sample.inbox_depth,
-                "pending_out": sample.pending_out,
                 "error": sample.error,
+                **{
+                    key: getattr(sample.record, key) if sample.record else 0
+                    for key in _TOP_RECORD_KEYS
+                },
             }
             for sample in snapshot.samples
         ],
@@ -778,18 +813,6 @@ def _cmd_trace(args: argparse.Namespace) -> int:
             print(f"  ... and {len(errors) - 20} more", file=sys.stderr)
         return 1
     print("  trace schema validation OK")
-    if args.serve > 0 and registry is not None:
-        from repro.obs.serve import serve_registry
-
-        serve_registry(
-            registry,
-            port=args.serve_port,
-            duration=args.serve,
-            on_ready=lambda port: print(
-                f"  serving /metrics /healthz /vars on "
-                f"http://127.0.0.1:{port} for {args.serve:g}s ..."
-            ),
-        )
     return status
 
 
@@ -1206,7 +1229,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     top = commands.add_parser(
         "top",
-        help="live per-device table scraped from /metrics + /healthz",
+        help="live per-device table of the agents' /healthz status records",
     )
     top.add_argument(
         "endpoints",
@@ -1292,21 +1315,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--out",
         default="trace-out",
         help="output directory for the artifacts (default: trace-out)",
-    )
-    trace.add_argument(
-        "--serve",
-        type=float,
-        default=0.0,
-        help=(
-            "after exporting, serve the run's registry over HTTP for "
-            "this many seconds (default: 0 = don't serve)"
-        ),
-    )
-    trace.add_argument(
-        "--serve-port",
-        type=int,
-        default=0,
-        help="port for --serve (default: 0 = ephemeral, printed)",
     )
 
     explain = commands.add_parser(

@@ -53,10 +53,7 @@ class Op:
 
 #: What a settle wave answers: ``status``, and each injection, whose
 #: answer is the first wave of its operation.
-_WAVE = (
-    "worker", "ready", "devices", "settled_local", "links", "phase",
-    "sessions_established", "peers_down", "peer_down_events", "seconds",
-)
+_WAVE = ("worker", "settled_local", "links", "seconds")
 #: What every injection takes besides its own keys.
 _INJECT = {"label": str, "wait": float}
 

@@ -132,11 +132,12 @@ class FleetWorker:
         }
 
     async def _op_status(self, wait: float = 0.0) -> Dict[str, object]:
-        """Readiness, session health and a settle wave: ``settled_local``
-        plus ``[device, peer, out, done]`` per live cross-shard session
-        end and the operation's ``seconds``; ``wait`` long-polls that
-        many seconds for the shard to settle first.  The first answer
-        that finds the shard settled closes the operation window."""
+        """A settle wave: ``settled_local`` plus ``[device, peer, out,
+        done]`` per live cross-shard session end and the operation's
+        ``seconds``; ``wait`` long-polls that many seconds for the shard
+        to settle first.  The first answer that finds the shard settled
+        closes the operation window.  Session health is in each agent's
+        ``/healthz`` record, not here."""
         if wait > 0:
             try:
                 await self.cluster.wait_quiescence(wait)
@@ -151,32 +152,10 @@ class FleetWorker:
             seconds = max(
                 0.0, self.cluster._last_activity_wall - self._window.start
             )
-        peers_down = 0
-        established = 0
-        for host in self.cluster.hosts.values():
-            for session in host.sessions.values():
-                if session.is_established:
-                    established += 1
-                elif self.cluster.link_admin_up(
-                    host.device, session.peer
-                ):
-                    peers_down += 1
-        peer_down_events = int(
-            sum(
-                host.metrics.peer_down_events.value
-                for host in self.cluster.hosts.values()
-            )
-        )
         return {
             "worker": self.worker_index,
-            "ready": self.ready,
-            "devices": len(self.shard),
             "settled_local": settled,
             "links": self.cluster.cross_shard_counters(),
-            "phase": self.cluster.phase,
-            "sessions_established": established,
-            "peers_down": peers_down,
-            "peer_down_events": peer_down_events,
             "seconds": seconds,
         }
 

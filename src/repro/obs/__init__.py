@@ -11,8 +11,9 @@ and the asyncio/TCP runtime (see ``docs/OBSERVABILITY.md``):
 * :mod:`repro.obs.log` -- structured (key=value / JSON) logging;
 * :mod:`repro.obs.serve` + :mod:`repro.obs.collector` -- the live
   telemetry plane: per-agent ``/metrics`` + ``/healthz`` + ``/vars``
-  HTTP endpoints and the fleet-scraping collector behind
-  ``python -m repro top``;
+  HTTP endpoints, the one per-device status record
+  (:class:`DeviceStatus`, what ``/healthz`` serves), and the collector
+  behind ``python -m repro top`` that reads it;
 * :mod:`repro.obs.flight` -- the per-device flight recorder (bounded
   ring of typed events with Lamport clocks), the one causal record,
   plus the merge / causal chain / trace derivation behind ``python -m
@@ -55,13 +56,8 @@ from repro.obs.metrics import (
     MetricFamily,
     MetricsRegistry,
 )
-from repro.obs.schema import (
-    DVM_METRIC_NAMES,
-    FLEET_METRIC_NAMES,
-    install_dvm_schema,
-    install_fleet_schema,
-)
-from repro.obs.serve import TelemetryServer, http_get, serve_registry
+from repro.obs.schema import DVM_METRIC_NAMES, install_dvm_schema
+from repro.obs.serve import DeviceStatus, TelemetryServer, http_get
 from repro.obs.trace import TraceRecord
 
 __all__ = [
@@ -69,7 +65,7 @@ __all__ = [
     "Counter",
     "DVM_METRIC_NAMES",
     "DeviceSample",
-    "FLEET_METRIC_NAMES",
+    "DeviceStatus",
     "FleetSnapshot",
     "FlightRecorder",
     "Gauge",
@@ -88,7 +84,6 @@ __all__ = [
     "get_logger",
     "http_get",
     "install_dvm_schema",
-    "install_fleet_schema",
     "kv",
     "merge_dumps",
     "parse_prometheus_text",
@@ -96,7 +91,6 @@ __all__ = [
     "records_from_flight",
     "render_chain",
     "render_timeline",
-    "serve_registry",
     "to_chrome",
     "validate_jsonl",
     "validate_records",

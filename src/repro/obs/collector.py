@@ -1,29 +1,25 @@
-"""Fleet collector: scrape every agent, merge, alert on stalls.
+"""Fleet collector: read every agent's status record, alert on trouble.
 
 The runtime backend turns verification into a long-lived distributed
 protocol; the :class:`Collector` is the operator-side half of its
 telemetry plane.  Given the agents' telemetry endpoints (see
 :mod:`repro.obs.serve`), each scrape cycle
 
-* fetches ``/healthz`` and ``/vars`` from every agent concurrently,
-* merges the samples into one fleet-level registry (the ``fleet_*``
-  vocabulary of :mod:`repro.obs.schema`: scrape outcome/latency/
-  staleness per device, liveness and health flags, gauge mirrors of the
-  traffic counters),
-* derives a fleet state -- ``"ok"`` only when every agent answered and
-  reported healthy -- and
-* detects **stalled convergence**: a device whose counting counters
-  stop advancing across consecutive scrapes while its convergence phase
-  is still open fires a structured-log alert, as do transitions to
-  unreachable or degraded.  A stall alert additionally pulls the
-  device's ``/debug/flight`` dump (see :mod:`repro.obs.flight`) into
-  :attr:`Collector.flight_snapshots`, so the forensic ring is captured
-  while the evidence is still in it.
+* fetches every agent's ``/healthz`` concurrently -- one request per
+  agent, whose body is the device's
+  :class:`~repro.obs.serve.DeviceStatus` record, traffic counters
+  included;
+* derives a fleet state -- ``"ok"`` only when every agent answered,
+  reported healthy and is not stalled -- and
+* raises structured-log alerts on transitions to unreachable or
+  degraded.  A device also reads degraded on the scrape where its
+  ``decode_errors`` rose since this collector's previous scrape of it,
+  and **stalled** when its counting counters stop advancing across
+  consecutive scrapes while its convergence phase is still open.  Phase
+  and counters come from the same record, sampled in one tick.
 
-The collector is backend-agnostic: it speaks only HTTP, so it scrapes
-a live testbed, a :func:`~repro.obs.serve.serve_registry` export of a
-finished simulator run, or any mix.  ``python -m repro top`` renders
-its snapshots as a live refreshing table.
+``python -m repro top`` renders its snapshots as a live refreshing
+table.
 
 :func:`parse_prometheus_text` is the inverse of
 ``MetricsRegistry.render_text`` for plain samples -- used by the
@@ -37,12 +33,10 @@ import asyncio
 import json
 import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple, cast
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.obs.log import get_logger, kv
-from repro.obs.metrics import Counter, Gauge, Histogram, MetricsRegistry
-from repro.obs.schema import KIND_COUNTING, install_fleet_schema
-from repro.obs.serve import http_get
+from repro.obs.serve import DeviceStatus, http_get
 
 __all__ = [
     "Collector",
@@ -56,214 +50,97 @@ logger = get_logger("obs.collector")
 Target = Tuple[str, int]
 LabelSet = Tuple[Tuple[str, str], ...]
 
-#: Metric families the collector mirrors into ``fleet_*`` gauges.
-_MIRRORED = {
-    "dvm_messages_total": "fleet_messages_total",
-    "dvm_bytes_total": "fleet_bytes_total",
-}
-
 
 @dataclass
 class DeviceSample:
-    """One agent's view from one scrape cycle."""
+    """One agent in one scrape cycle: the scrape's facts plus the
+    device's status record (``None`` when the scrape failed)."""
 
     target: Target
     device: str
-    ok: bool
-    status: str  # "ok" | "degraded" | "unreachable" | "starting"
+    status: str  # "ok" | "degraded" | "unreachable"
     http_status: int = 0
     latency_seconds: float = 0.0
-    health: Optional[Dict[str, object]] = None
-    variables: Optional[Dict[str, object]] = None
-    error: str = ""
-    #: Sum of counting-frame counters (in+out); the stall signal.
-    counting_activity: float = 0.0
-    messages_in: int = 0
-    messages_out: int = 0
-    bytes_in: int = 0
-    bytes_out: int = 0
-    inbox_depth: int = 0
-    pending_out: int = 0
-    stalled: bool = False
     staleness_seconds: float = 0.0
+    error: str = ""
+    stalled: bool = False
+    record: Optional[DeviceStatus] = None
 
 
 @dataclass
 class FleetSnapshot:
     """One scrape cycle over the whole fleet."""
 
-    state: str  # "ok" | "degraded" | "starting" | "empty"
+    state: str  # "ok" | "degraded" | "empty"
     samples: List[DeviceSample] = field(default_factory=list)
     #: Alerts fired by *this* cycle (the collector also accumulates
     #: every alert ever fired in ``Collector.alerts``).
     alerts: List[Dict[str, object]] = field(default_factory=list)
 
-    def by_device(self) -> Dict[str, DeviceSample]:
-        return {sample.device: sample for sample in self.samples}
-
 
 class Collector:
-    """Periodically scrape a fleet of telemetry endpoints.
+    """Scrape a fleet of telemetry endpoints, one cycle per call.
 
-    Use :meth:`scrape_once` for one synchronous-ish cycle (e.g. from
-    ``repro top``), or :meth:`start`/:meth:`stop` for a background
-    scrape loop on the current event loop.  State that spans cycles
-    (previous activity, alert transitions, staleness) lives on the
-    collector, so one instance should observe one fleet over time.
+    :meth:`scrape_once` runs one cycle (``repro top`` loops over it).
+    State that spans cycles (previous counters, alert transitions,
+    staleness) lives on the collector, so one instance should observe
+    one fleet over time.
     """
 
     def __init__(
         self,
         targets: Sequence[Target],
         *,
-        registry: Optional[MetricsRegistry] = None,
         timeout: float = 2.0,
         stall_scrapes: int = 2,
-        launch_grace_seconds: float = 0.0,
     ) -> None:
-        self.registry = registry if registry is not None else MetricsRegistry()
-        self.fleet = install_fleet_schema(self.registry)
+        self.targets: List[Target] = [
+            (str(host), int(port)) for host, port in targets
+        ]
         self.timeout = timeout
         #: Consecutive frozen-while-converging scrapes before a stall
         #: alert fires (1 = alert on the first frozen interval).
         self.stall_scrapes = max(1, stall_scrapes)
-        #: A target that has never answered reports ``"starting"`` (not
-        #: ``"unreachable"``) for this long after registration, and does
-        #: not degrade the fleet -- slow-booting workers are launch
-        #: noise, not incidents.
-        self.launch_grace_seconds = max(0.0, launch_grace_seconds)
-        self.state = "unknown"
         self.alerts: List[Dict[str, object]] = []
-        #: Flight-recorder dumps captured on stall alerts, by device.
-        self.flight_snapshots: Dict[str, Dict[str, object]] = {}
         self.cycles = 0
-        self.targets: List[Target] = []
-        self._registered_at: Dict[Target, float] = {}
         self._device_names: Dict[Target, str] = {}
-        self._activity: Dict[str, float] = {}
+        self._activity: Dict[str, int] = {}
         self._frozen: Dict[str, int] = {}
+        self._decode_errors: Dict[str, int] = {}
         self._status: Dict[str, str] = {}
         self._last_success: Dict[Target, float] = {}
         self._started_at = time.monotonic()
-        self._scrape_task: Optional["asyncio.Task[None]"] = None
-        self.add_targets(targets)
-
-    def add_targets(self, targets: Sequence[Target]) -> None:
-        """Register endpoints (idempotent); fine after construction.
-
-        Fleet workers appear one by one as the launcher boots them, so
-        the collector accepts late registrations; each new target's
-        launch grace window starts at its registration time.
-        """
-        now = time.monotonic()
-        for host, port in targets:
-            target = (str(host), int(port))
-            if target in self._registered_at:
-                continue
-            self.targets.append(target)
-            self._registered_at[target] = now
 
     # -- scraping ----------------------------------------------------------
 
     async def _scrape_target(self, target: Target) -> DeviceSample:
         host, port = target
-        fallback_name = self._device_names.get(target, f"{host}:{port}")
         start = time.monotonic()
         try:
-            health_status, health_body = await http_get(
+            http_status, body = await http_get(
                 host, port, "/healthz", timeout=self.timeout
             )
-            _, vars_body = await http_get(
-                host, port, "/vars", timeout=self.timeout
-            )
-            health = json.loads(health_body.decode("utf-8"))
-            variables = json.loads(vars_body.decode("utf-8"))
+            record = DeviceStatus.from_dict(json.loads(body.decode("utf-8")))
         except (asyncio.TimeoutError, ConnectionError, OSError, ValueError) as exc:
-            status = "unreachable"
-            if target not in self._last_success:
-                registered = self._registered_at.get(
-                    target, self._started_at
-                )
-                if time.monotonic() - registered < self.launch_grace_seconds:
-                    status = "starting"
             return DeviceSample(
                 target=target,
-                device=fallback_name,
-                ok=False,
-                status=status,
+                device=self._device_names.get(target, f"{host}:{port}"),
+                status="unreachable",
                 latency_seconds=time.monotonic() - start,
                 error=repr(exc),
             )
-        latency = time.monotonic() - start
-        device = str(health.get("device") or "") or fallback_name
-        self._device_names[target] = device
-        status = str(health.get("status", "degraded"))
-        sample = DeviceSample(
+        self._device_names[target] = record.device
+        return DeviceSample(
             target=target,
-            device=device,
-            ok=(health_status == 200 and status == "ok"),
-            status=status,
-            http_status=health_status,
-            latency_seconds=latency,
-            health=health,
-            variables=variables,
+            device=record.device,
+            status=record.status,
+            http_status=http_status,
+            latency_seconds=time.monotonic() - start,
+            record=record,
         )
-        sample.inbox_depth = int(cast(float, health.get("inbox_depth", 0)))
-        sessions = health.get("sessions")
-        if isinstance(sessions, dict):
-            sample.pending_out = sum(
-                int(entry.get("pending_out", 0))
-                for entry in sessions.values()
-                if isinstance(entry, dict)
-            )
-        self._extract_traffic(sample)
-        return sample
-
-    def _extract_traffic(self, sample: DeviceSample) -> None:
-        """Pull per-device traffic totals out of a scraped ``/vars`` doc.
-
-        An agent with a non-empty device name exports the *cluster's*
-        shared registry; only the series labeled with its own name are
-        its traffic.  An aggregate export (empty device in ``/healthz``,
-        e.g. ``serve_registry`` over a simulator run) owns every series.
-        """
-        variables = sample.variables or {}
-        own = sample.device if (sample.health or {}).get("device") else None
-        totals: Dict[Tuple[str, str], float] = {}
-        family = variables.get("dvm_messages_total")
-        if not isinstance(family, dict):
-            return
-        for entry in family.get("samples", ()):  # type: ignore[union-attr]
-            labels = entry.get("labels", {})
-            if own is not None and labels.get("device") != own:
-                continue
-            key = (labels.get("direction", ""), labels.get("kind", ""))
-            totals[key] = totals.get(key, 0.0) + float(entry.get("value", 0))
-        sample.messages_in = int(totals.get(("in", KIND_COUNTING), 0))
-        sample.messages_out = int(totals.get(("out", KIND_COUNTING), 0))
-        sample.counting_activity = sum(
-            value
-            for (direction, kind), value in totals.items()
-            if kind == KIND_COUNTING
-        )
-        byte_family = variables.get("dvm_bytes_total")
-        if isinstance(byte_family, dict):
-            byte_totals: Dict[str, float] = {}
-            for entry in byte_family.get("samples", ()):
-                labels = entry.get("labels", {})
-                if own is not None and labels.get("device") != own:
-                    continue
-                if labels.get("kind") != KIND_COUNTING:
-                    continue
-                direction = labels.get("direction", "")
-                byte_totals[direction] = byte_totals.get(
-                    direction, 0.0
-                ) + float(entry.get("value", 0))
-            sample.bytes_in = int(byte_totals.get("in", 0))
-            sample.bytes_out = int(byte_totals.get("out", 0))
 
     async def scrape_once(self) -> FleetSnapshot:
-        """One full cycle: scrape all targets, merge, update alerts."""
+        """One full cycle: scrape all targets, judge, update alerts."""
         samples = list(
             await asyncio.gather(
                 *(self._scrape_target(target) for target in self.targets)
@@ -273,168 +150,87 @@ class Collector:
         snapshot = FleetSnapshot(state="empty", samples=samples)
         now = time.monotonic()
         for sample in samples:
-            self._merge(sample, now, snapshot)
-        settled = [s for s in samples if s.status != "starting"]
-        if settled:
+            if sample.record is not None:
+                self._last_success[sample.target] = now
+            sample.staleness_seconds = now - self._last_success.get(
+                sample.target, self._started_at
+            )
+            self._detect_decode_errors(sample)
+            self._detect_stall(sample, snapshot)
+            self._note_transition(sample, snapshot)
+        if samples:
             snapshot.state = (
                 "ok"
-                if all(s.ok and not s.stalled for s in settled)
+                if all(s.status == "ok" and not s.stalled for s in samples)
                 else "degraded"
             )
-        elif samples:
-            snapshot.state = "starting"  # whole fleet within launch grace
-        self.state = snapshot.state
-        self.fleet["fleet_degraded"].set(
-            1.0 if snapshot.state == "degraded" else 0.0
-        )
-        await self._capture_flight(snapshot)
         self.cycles += 1
         return snapshot
 
-    async def _capture_flight(self, snapshot: FleetSnapshot) -> None:
-        """Pull ``/debug/flight`` from devices that stalled this cycle."""
-        by_device = snapshot.by_device()
-        for alert in snapshot.alerts:
-            if alert.get("kind") != "stalled":
-                continue
-            sample = by_device.get(str(alert.get("device", "")))
-            if sample is None:
-                continue
-            host, port = sample.target
-            try:
-                status, body = await http_get(
-                    host, port, "/debug/flight", timeout=self.timeout
-                )
-                if status == 200:
-                    self.flight_snapshots[sample.device] = json.loads(
-                        body.decode("utf-8")
-                    )
-            except (
-                asyncio.TimeoutError,
-                ConnectionError,
-                OSError,
-                ValueError,
-            ):
-                pass  # best-effort: the stall alert itself already fired
+    # -- judging and alerting ----------------------------------------------
 
-    def _merge(
-        self, sample: DeviceSample, now: float, snapshot: FleetSnapshot
-    ) -> None:
-        device = sample.device
-        fleet = self.fleet
-        if sample.status == "unreachable":
-            outcome = "error"
-        elif sample.status == "starting":
-            outcome = "starting"
-        else:
-            outcome = "ok"
-        cast(
-            Counter,
-            fleet["fleet_scrapes_total"].labels(device=device, outcome=outcome),
-        ).inc()
-        cast(
-            Histogram,
-            fleet["fleet_scrape_latency_seconds"].labels(device=device),
-        ).observe(sample.latency_seconds)
-        up = sample.status not in ("unreachable", "starting")
-        self._gauge("fleet_device_up", device).set(1.0 if up else 0.0)
-        self._gauge("fleet_device_healthy", device).set(
-            1.0 if sample.ok else 0.0
-        )
-        if up:
-            self._last_success[sample.target] = now
-        sample.staleness_seconds = now - self._last_success.get(
-            sample.target,
-            self._registered_at.get(sample.target, self._started_at),
-        )
-        self._gauge("fleet_scrape_staleness_seconds", device).set(
-            sample.staleness_seconds
-        )
-        if sample.variables is not None:
-            self._mirror_traffic(sample)
-        self._detect_stall(sample, snapshot)
-        self._note_transition(sample, snapshot)
-
-    def _gauge(self, family: str, device: str) -> Gauge:
-        return cast(Gauge, self.fleet[family].labels(device=device))
-
-    def _mirror_traffic(self, sample: DeviceSample) -> None:
-        """Copy the device's traffic counters into fleet gauges."""
-        variables = sample.variables or {}
-        own = sample.device if (sample.health or {}).get("device") else None
-        for source, destination in _MIRRORED.items():
-            family = variables.get(source)
-            if not isinstance(family, dict):
-                continue
-            for entry in family.get("samples", ()):
-                labels = dict(entry.get("labels", {}))
-                if own is not None and labels.get("device") != own:
-                    continue
-                labels.setdefault("device", sample.device)
-                cast(
-                    Gauge, self.fleet[destination].labels(**labels)
-                ).set(float(entry.get("value", 0)))
-
-    # -- stall detection and alerting --------------------------------------
+    def _detect_decode_errors(self, sample: DeviceSample) -> None:
+        """Degraded on the scrape where ``decode_errors`` rose since this
+        collector's previous scrape of the device."""
+        record = sample.record
+        if record is None:
+            return
+        previous = self._decode_errors.get(sample.device, 0)
+        self._decode_errors[sample.device] = record.decode_errors
+        if record.decode_errors > previous:
+            sample.status = "degraded"
 
     def _detect_stall(
         self, sample: DeviceSample, snapshot: FleetSnapshot
     ) -> None:
         device = sample.device
-        converging = (
-            sample.health is not None
-            and sample.health.get("phase") == "converging"
-        )
+        record = sample.record
+        if record is None:
+            self._frozen[device] = 0  # no data: not a stall candidate
+            return
+        activity = record.messages_in + record.messages_out
         previous = self._activity.get(device)
-        if sample.status in ("unreachable", "starting") or not converging:
-            # No open operation (or no data): not a stall candidate.
+        self._activity[device] = activity
+        if (
+            record.phase != "converging"
+            or previous is None
+            or activity > previous
+        ):
             self._frozen[device] = 0
-        elif previous is not None and sample.counting_activity <= previous:
-            frozen = self._frozen.get(device, 0) + 1
-            self._frozen[device] = frozen
-            if frozen >= self.stall_scrapes:
-                sample.stalled = True
-                if frozen == self.stall_scrapes:  # fire once per episode
-                    self._alert(
-                        snapshot,
-                        kind="stalled",
-                        device=device,
-                        detail=(
-                            "counting counters frozen at "
-                            f"{sample.counting_activity:.0f} for {frozen} "
-                            "scrapes while converging"
-                        ),
-                    )
-        else:
-            self._frozen[device] = 0
-        if sample.status not in ("unreachable", "starting"):
-            self._activity[device] = sample.counting_activity
-        self._gauge("fleet_device_stalled", device).set(
-            1.0 if sample.stalled else 0.0
-        )
+            return
+        frozen = self._frozen.get(device, 0) + 1
+        self._frozen[device] = frozen
+        if frozen >= self.stall_scrapes:
+            sample.stalled = True
+            if frozen == self.stall_scrapes:  # fire once per episode
+                self._alert(
+                    snapshot,
+                    kind="stalled",
+                    device=device,
+                    detail=(
+                        f"counting counters frozen at {activity} for "
+                        f"{frozen} scrapes while converging"
+                    ),
+                )
 
     def _note_transition(
         self, sample: DeviceSample, snapshot: FleetSnapshot
     ) -> None:
         previous = self._status.get(sample.device)
         self._status[sample.device] = sample.status
-        if sample.status == previous or sample.status in ("ok", "starting"):
+        if sample.status in (previous, "ok"):
             return
-        self._alert(
-            snapshot,
-            kind=sample.status,  # "unreachable" | "degraded"
-            device=sample.device,
-            detail=sample.error
-            or json.dumps(
+        record = sample.record
+        detail = sample.error  # unreachable: why the scrape failed
+        if record is not None:
+            detail = json.dumps(
                 {
-                    "peers_down": (sample.health or {}).get("peers_down"),
-                    "decode_errors_rising": (sample.health or {}).get(
-                        "decode_errors_rising"
-                    ),
-                },
-                default=str,
-            ),
-        )
+                    "peers_down": record.peers_down,
+                    "decode_errors": record.decode_errors,
+                }
+            )
+        # kind: "unreachable" | "degraded"
+        self._alert(snapshot, sample.status, sample.device, detail)
 
     def _alert(
         self, snapshot: FleetSnapshot, kind: str, device: str, detail: str
@@ -450,34 +246,6 @@ class Collector:
         logger.warning(
             "fleet alert", extra=kv(kind=kind, device=device, detail=detail)
         )
-
-    # -- background loop ---------------------------------------------------
-
-    def start(self, interval: float = 1.0) -> None:
-        """Begin a background scrape loop on the running event loop."""
-        if self._scrape_task is not None:
-            return
-        self._scrape_task = asyncio.get_running_loop().create_task(
-            self._scrape_loop(interval)
-        )
-
-    async def stop(self) -> None:
-        if self._scrape_task is None:
-            return
-        self._scrape_task.cancel()
-        try:
-            await self._scrape_task
-        except asyncio.CancelledError:
-            pass
-        self._scrape_task = None
-
-    async def _scrape_loop(self, interval: float) -> None:
-        try:
-            while True:
-                await self.scrape_once()
-                await asyncio.sleep(interval)
-        except asyncio.CancelledError:
-            raise
 
 
 # ---------------------------------------------------------------------------

@@ -30,8 +30,8 @@ the happens-before partial order because every receive observes the
 sender's clock first.
 
 The recorder also keeps bounded anomaly snapshots: on a verdict flip to
-violation, a peer loss, or a collector stall alert, the tail of the
-ring is copied aside so the evidence survives further wrapping.
+violation or a peer loss, the tail of the ring is copied aside so the
+evidence survives further wrapping.
 
 The same merged log is the trace: the driver that times a step writes
 ``start`` / ``dur`` onto the step's own event (:meth:`FlightRecorder

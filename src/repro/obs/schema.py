@@ -13,18 +13,11 @@ Frame-kind vocabulary (mirrors the wire protocol):
   heartbeats scoped to the empty session plan id).  The simulator has no
   session layer, so its ``control`` series exist but stay at zero --
   which is itself a parity-checkable fact.
-
-A second, fleet-level vocabulary (``fleet_*``) belongs to the scraping
-:class:`~repro.obs.collector.Collector`: per-device scrape outcomes,
-latency and staleness, liveness/health flags, stall detection, and
-gauge mirrors of the scraped traffic counters.  It installs through
-:func:`install_fleet_schema` into the collector's own registry, so a
-fleet export is distinguishable from a device export by name alone.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Mapping
+from typing import Dict
 
 from repro.obs.metrics import MetricFamily, MetricsRegistry
 
@@ -34,9 +27,7 @@ __all__ = [
     "KIND_CONTROL",
     "KIND_COUNTING",
     "DVM_METRIC_NAMES",
-    "FLEET_METRIC_NAMES",
     "install_dvm_schema",
-    "install_fleet_schema",
 ]
 
 DIRECTION_IN = "in"
@@ -98,80 +89,13 @@ _SCHEMA: Dict[str, object] = {
 
 DVM_METRIC_NAMES = tuple(sorted(_SCHEMA))
 
-#: The fleet-collector vocabulary (see :mod:`repro.obs.collector`).
-#: Traffic mirrors are gauges, not counters: they are *set* from the
-#: latest scrape, and a restarting agent may legitimately reset them.
-_FLEET_SCHEMA: Dict[str, object] = {
-    "fleet_scrapes_total": (
-        "counter",
-        ("device", "outcome"),
-        "collector scrapes by device and outcome (ok/error)",
-    ),
-    "fleet_scrape_latency_seconds": (
-        "histogram",
-        ("device",),
-        "round-trip latency of one full scrape (/healthz + /vars)",
-    ),
-    "fleet_scrape_staleness_seconds": (
-        "gauge",
-        ("device",),
-        "seconds since the device's last successful scrape",
-    ),
-    "fleet_device_up": (
-        "gauge",
-        ("device",),
-        "1 when the device's telemetry endpoint answered the last scrape",
-    ),
-    "fleet_device_healthy": (
-        "gauge",
-        ("device",),
-        "1 when the device's /healthz reported ok on the last scrape",
-    ),
-    "fleet_device_stalled": (
-        "gauge",
-        ("device",),
-        "1 while the device's counting counters are frozen mid-convergence",
-    ),
-    "fleet_degraded": (
-        "gauge",
-        (),
-        "1 when any device is unreachable, unhealthy, or stalled",
-    ),
-    "fleet_messages_total": (
-        "gauge",
-        ("device", "direction", "kind"),
-        "last scraped dvm_messages_total per device",
-    ),
-    "fleet_bytes_total": (
-        "gauge",
-        ("device", "direction", "kind"),
-        "last scraped dvm_bytes_total per device",
-    ),
-}
-
-FLEET_METRIC_NAMES = tuple(sorted(_FLEET_SCHEMA))
-
-
-def _install(
-    registry: MetricsRegistry, schema: Mapping[str, object]
-) -> Dict[str, MetricFamily]:
+def install_dvm_schema(registry: MetricsRegistry) -> Dict[str, MetricFamily]:
+    """Declare the shared device instrument set; returns name -> family."""
     families: Dict[str, MetricFamily] = {}
-    for name in sorted(schema):
-        kind, labelnames, help_text = schema[name]  # type: ignore[misc]
+    for name in sorted(_SCHEMA):
+        kind, labelnames, help_text = _SCHEMA[name]  # type: ignore[misc]
         if kind == "histogram":
             families[name] = registry.histogram(name, help_text, labelnames)
-        elif kind == "gauge":
-            families[name] = registry.gauge(name, help_text, labelnames)
         else:
             families[name] = registry.counter(name, help_text, labelnames)
     return families
-
-
-def install_dvm_schema(registry: MetricsRegistry) -> Dict[str, MetricFamily]:
-    """Declare the shared device instrument set; returns name -> family."""
-    return _install(registry, _SCHEMA)
-
-
-def install_fleet_schema(registry: MetricsRegistry) -> Dict[str, MetricFamily]:
-    """Declare the collector's fleet instrument set; returns name -> family."""
-    return _install(registry, _FLEET_SCHEMA)

@@ -7,28 +7,25 @@ agent embeds a :class:`TelemetryServer` (wired into the
 ``DeviceHost`` lifecycle in :mod:`repro.runtime.cluster`) exposing:
 
 * ``GET /metrics`` -- the shared metrics registry in Prometheus text
-  exposition (scrape it with Prometheus, ``curl``, or the fleet
-  :class:`~repro.obs.collector.Collector`);
-* ``GET /healthz`` -- a JSON liveness document (session states from the
-  OPEN handshake, peer liveness, queue depths, convergence phase,
-  uptime); answers ``503`` when the health provider reports anything
-  but ``"ok"``;
-* ``GET /vars``   -- the full registry as one JSON document (what the
-  collector scrapes to merge fleet state);
+  exposition (scrape it with Prometheus or ``curl``);
+* ``GET /healthz`` -- the device's :class:`DeviceStatus` record as JSON
+  (session states from the OPEN handshake, peer liveness, queue depths,
+  convergence phase, uptime, the device's own traffic and session
+  counters); answers ``503`` when its ``"status"`` is anything but
+  ``"ok"``.  This is the one document the fleet
+  :class:`~repro.obs.collector.Collector` reads;
+* ``GET /vars``   -- the full registry as one JSON document (for
+  operators);
 * ``GET /debug/flight`` -- the device's flight-recorder dump (ring of
   typed events with Lamport clocks, see :mod:`repro.obs.flight`); 404
   when the owning backend records no flights.
 
 The server is deliberately tiny: HTTP/1.1, ``Connection: close``, GET
-only -- enough for ``curl``, Prometheus, and the in-repo collector, with
-no dependency beyond asyncio.  Handlers run on the owning backend's
-event loop and the render path never awaits, so every response is a
-*consistent* snapshot of the registry (no torn reads: writers are
+and HEAD only -- enough for ``curl``, Prometheus, and the in-repo
+collector, with no dependency beyond asyncio.  Handlers run on the
+owning backend's event loop and the render path never awaits, so every
+response is a *consistent* snapshot (no torn reads: writers are
 callbacks on the same loop).
-
-:func:`serve_registry` is the simulator-side counterpart: a one-shot
-blocking server over a finished registry, so ``python -m repro top``
-works against either backend.
 """
 
 from __future__ import annotations
@@ -36,8 +33,8 @@ from __future__ import annotations
 import asyncio
 import errno
 import json
-import time
-from typing import Callable, Dict, Optional, Tuple
+from dataclasses import asdict, dataclass, fields
+from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.obs.log import get_logger, kv
 from repro.obs.metrics import MetricsRegistry
@@ -45,9 +42,9 @@ from repro.obs.metrics import MetricsRegistry
 __all__ = [
     "CONTENT_TYPE_JSON",
     "CONTENT_TYPE_TEXT",
+    "DeviceStatus",
     "TelemetryServer",
     "http_get",
-    "serve_registry",
 ]
 
 logger = get_logger("obs.serve")
@@ -69,12 +66,73 @@ HealthProvider = Callable[[], Dict[str, object]]
 FlightProvider = Callable[[], Dict[str, object]]
 
 
+@dataclass
+class DeviceStatus:
+    """One device's status record: the ``/healthz`` document.
+
+    ``DeviceHost.status`` builds it in one event-loop tick, so phase,
+    queues and counters are one consistent sample; building it changes
+    nothing.  Every reader -- the collector, ``repro top``, ``repro
+    testbed`` -- reads this record.  ``status`` is ``"degraded"`` while
+    any administratively-up session is not established (``peers_down``).
+    The traffic counts are the device's own counting frames and bytes;
+    the session counters are totals since boot.
+    """
+
+    status: str  # "ok" | "degraded"
+    device: str
+    phase: str  # "idle" | "converging"
+    uptime_seconds: float
+    dvm_port: int
+    http_port: int
+    inbox_depth: int
+    #: peer -> ``established``, ``admin_up``, ``pending_out`` and, once
+    #: the peer was heard from, ``last_rx_age_seconds``.
+    sessions: Dict[str, Dict[str, object]]
+    peers_down: List[str]
+    decode_errors: int
+    messages_in: int
+    messages_out: int
+    bytes_in: int
+    bytes_out: int
+    reconnects: int
+    peer_down_events: int
+    handshake_failures: int
+
+    @property
+    def pending_out(self) -> int:
+        """Frames queued toward every peer."""
+        return sum(
+            int(entry["pending_out"])  # type: ignore[call-overload]
+            for entry in self.sessions.values()
+        )
+
+    def to_dict(self) -> Dict[str, object]:
+        return asdict(self)
+
+    @classmethod
+    def from_dict(cls, document: object) -> "DeviceStatus":
+        """The record a ``/healthz`` body carries; ``ValueError`` when
+        the body is not one (e.g. a provider that raised)."""
+        if not isinstance(document, dict):
+            raise ValueError("status document is not a JSON object")
+        names = [field.name for field in fields(cls)]
+        missing = [name for name in names if name not in document]
+        if missing:
+            raise ValueError(
+                f"status document lacks {missing[0]!r} "
+                f"(error: {document.get('error', '-')})"
+            )
+        return cls(**{name: document[name] for name in names})
+
+
 class TelemetryServer:
-    """One agent's (or one registry's) ``/metrics`` + ``/healthz`` server.
+    """One agent's ``/metrics`` + ``/healthz`` server.
 
     ``registry_provider`` is called per request so the served registry
     can be swapped or lazily built; ``health_provider`` returns the
-    ``/healthz`` JSON document -- its ``"status"`` key decides the HTTP
+    ``/healthz`` JSON document (a runtime agent's is its
+    :class:`DeviceStatus`) -- its ``"status"`` key decides the HTTP
     status (``"ok"`` -> 200, anything else -> 503).
 
     ``port_retry_window`` bounds EADDRINUSE fallback for planned (fixed)
@@ -88,7 +146,7 @@ class TelemetryServer:
     def __init__(
         self,
         registry_provider: RegistryProvider,
-        health_provider: Optional[HealthProvider] = None,
+        health_provider: HealthProvider,
         *,
         host: str = "127.0.0.1",
         port: int = 0,
@@ -97,7 +155,7 @@ class TelemetryServer:
         flight_provider: Optional[FlightProvider] = None,
     ) -> None:
         self._registry_provider = registry_provider
-        self._health_provider = health_provider or self._default_health
+        self._health_provider = health_provider
         self._flight_provider = flight_provider
         self.host = host
         self.port = port  # the bound port after start() (0 = ephemeral)
@@ -105,21 +163,11 @@ class TelemetryServer:
         self.port_retry_window = port_retry_window
         self.request_timeout = request_timeout
         self.requests_served = 0
-        self._started_at = 0.0
         self._server: Optional["asyncio.Server"] = None
-
-    def _default_health(self) -> Dict[str, object]:
-        return {
-            "status": "ok",
-            "device": "",
-            "phase": "idle",
-            "uptime_seconds": max(0.0, time.monotonic() - self._started_at),
-        }
 
     # -- lifecycle ---------------------------------------------------------
 
     async def start(self) -> None:
-        self._started_at = time.monotonic()
         requested = self._requested_port
         window = self.port_retry_window if requested else 0
         server: Optional["asyncio.Server"] = None
@@ -180,6 +228,9 @@ class TelemetryServer:
                 "Connection: close\r\n"
                 "\r\n"
             )
+            # HEAD: the same headers (Content-Length included), no body.
+            if method == "HEAD":
+                body = b""
             writer.write(head.encode("latin-1") + body)
             await writer.drain()
             self.requests_served += 1
@@ -196,7 +247,7 @@ class TelemetryServer:
         """(status, content type, body) for one request.  Never awaits."""
         path = path.split("?", 1)[0]
         if method not in ("GET", "HEAD"):
-            return 405, CONTENT_TYPE_TEXT, b"GET only\n"
+            return 405, CONTENT_TYPE_TEXT, b"GET and HEAD only\n"
         if path == "/metrics":
             registry = self._registry_provider()
             return 200, CONTENT_TYPE_TEXT, registry.render_text().encode("utf-8")
@@ -298,60 +349,3 @@ async def http_get(
         raise asyncio.TimeoutError(f"GET {host}:{port}{path} timed out")
     return fetch.result()
 
-
-# ---------------------------------------------------------------------------
-# one-shot registry server (simulator backend / finished runs)
-
-
-def serve_registry(
-    registry: MetricsRegistry,
-    *,
-    host: str = "127.0.0.1",
-    port: int = 0,
-    device: str = "",
-    duration: Optional[float] = None,
-    health_provider: Optional[HealthProvider] = None,
-    on_ready: Optional[Callable[[int], None]] = None,
-) -> None:
-    """Serve one finished registry over HTTP (blocking).
-
-    The simulator backend has no long-lived agents, so this is its whole
-    live-telemetry surface: run a workload, then
-    ``serve_registry(network.stats.registry, port=9200, duration=600)``
-    and point ``python -m repro top`` (or Prometheus) at it.  ``device``
-    names the exporter in ``/healthz``; an empty string marks the export
-    as a fleet-wide aggregate (the collector then merges every
-    device-labeled series it finds).  ``on_ready`` receives the bound
-    port once listening -- with ``port=0`` that is the only way to learn
-    it.  Returns after ``duration`` seconds (forever when ``None``).
-    """
-    started = time.monotonic()
-
-    def _default_health() -> Dict[str, object]:
-        return {
-            "status": "ok",
-            "device": device,
-            "backend": "registry",
-            "phase": "idle",
-            "uptime_seconds": time.monotonic() - started,
-        }
-
-    async def _run() -> None:
-        server = TelemetryServer(
-            lambda: registry,
-            health_provider or _default_health,
-            host=host,
-            port=port,
-        )
-        await server.start()
-        if on_ready is not None:
-            on_ready(server.port)
-        try:
-            if duration is None:
-                await asyncio.Event().wait()
-            else:
-                await asyncio.sleep(duration)
-        finally:
-            await server.stop()
-
-    asyncio.run(_run())

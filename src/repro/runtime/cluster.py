@@ -51,7 +51,7 @@ from repro.dvm.agent import AgentBackend, DeviceAgent, OpWindow, Step
 from repro.dvm.messages import Message, MessageDecodeError, OpenMessage
 from repro.dvm.verifier import Outgoing
 from repro.obs.log import get_logger, kv
-from repro.obs.serve import TelemetryServer
+from repro.obs.serve import DeviceStatus, TelemetryServer
 from repro.packetspace.predicate import PredicateFactory
 from repro.planner.tasks import Plan
 from repro.runtime.connection import (
@@ -105,13 +105,12 @@ class DeviceHost:
         self.dvm_port = dvm_port
         self.port: int = 0
         self._pump_task: Optional["asyncio.Task[None]"] = None
-        # Live telemetry (None = disabled on this cluster).  The server
-        # serves the cluster's *shared* registry; /healthz names this
-        # device, which is how a scraper tells the agents apart.
+        # Live telemetry (None = disabled on this cluster).  /metrics
+        # serves the cluster's *shared* registry; /healthz serves this
+        # device's own status record.
         self.telemetry: Optional[TelemetryServer] = None
         self._requested_http_port = http_port
         self._started_at = 0.0
-        self._health_decode_errors = 0
 
     # -- lifecycle ---------------------------------------------------------
 
@@ -132,7 +131,7 @@ class DeviceHost:
         if self._requested_http_port is not None:
             self.telemetry = TelemetryServer(
                 lambda: self.cluster.metrics.registry,
-                self.health,
+                lambda: self.status().to_dict(),
                 host=self.cluster.http_host,
                 port=self._requested_http_port,
                 port_retry_window=self.cluster.http_retry_window,
@@ -163,15 +162,15 @@ class DeviceHost:
         """The bound telemetry port (0 when telemetry is disabled)."""
         return self.telemetry.port if self.telemetry is not None else 0
 
-    # -- health ------------------------------------------------------------
+    # -- status ------------------------------------------------------------
 
-    def health(self) -> Dict[str, object]:
-        """The /healthz document: sessions, queues, phase, liveness.
+    def status(self) -> DeviceStatus:
+        """This device's status record (what ``/healthz`` serves).
 
         Runs on the cluster's event loop (telemetry handlers share it),
-        so every field is a consistent same-tick snapshot.  ``status``
-        degrades when any administratively-up session is not
-        established or decode errors rose since the previous probe.
+        so every field is a consistent same-tick snapshot, and reading
+        it changes nothing.  ``status`` degrades while any
+        administratively-up session is not established.
         """
         peers_down: List[str] = []
         sessions: Dict[str, Dict[str, object]] = {}
@@ -190,27 +189,28 @@ class DeviceHost:
             if last_rx_age is not None:
                 entry["last_rx_age_seconds"] = round(last_rx_age, 6)
             sessions[peer] = entry
-        decode_errors = int(self.metrics.decode_errors.value)
-        decode_errors_rising = decode_errors > self._health_decode_errors
-        self._health_decode_errors = decode_errors
-        status = (
-            "degraded" if peers_down or decode_errors_rising else "ok"
-        )
-        return {
-            "status": status,
-            "device": self.device,
-            "phase": self.cluster.phase,
-            "uptime_seconds": round(
+        metrics = self.metrics
+        return DeviceStatus(
+            status="degraded" if peers_down else "ok",
+            device=self.device,
+            phase=self.cluster.phase,
+            uptime_seconds=round(
                 max(0.0, time.monotonic() - self._started_at), 6
             ),
-            "dvm_port": self.port,
-            "http_port": self.http_port,
-            "inbox_depth": self.inbox.qsize(),
-            "sessions": sessions,
-            "peers_down": peers_down,
-            "decode_errors": decode_errors,
-            "decode_errors_rising": decode_errors_rising,
-        }
+            dvm_port=self.port,
+            http_port=self.http_port,
+            inbox_depth=self.inbox.qsize(),
+            sessions=sessions,
+            peers_down=peers_down,
+            decode_errors=int(metrics.decode_errors.value),
+            messages_in=int(metrics.messages_in.value),
+            messages_out=int(metrics.messages_out.value),
+            bytes_in=int(metrics.bytes_in.value),
+            bytes_out=int(metrics.bytes_out.value),
+            reconnects=int(metrics.reconnects.value),
+            peer_down_events=int(metrics.peer_down_events.value),
+            handshake_failures=int(metrics.handshake_failures.value),
+        )
 
     # -- inbound connections -----------------------------------------------
 

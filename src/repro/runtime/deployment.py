@@ -23,6 +23,7 @@ from typing import Any, Callable, Dict, List, Tuple
 from repro.core.api import Deployment, Tulkun
 from repro.core.errors import TulkunError
 from repro.dataplane.fib import Fib
+from repro.obs.serve import DeviceStatus
 from repro.runtime.cluster import RuntimeCluster
 from repro.runtime.metrics import ClusterMetrics
 
@@ -117,6 +118,11 @@ class RuntimeDeployment(Deployment):
         """
         return self.cluster.http_endpoints
 
-    def metrics_rows(self) -> List[Dict[str, object]]:
-        """Per-device metric rows for :mod:`repro.bench.reporting`."""
-        return self.cluster.metrics.rows()
+    def statuses(self) -> List[DeviceStatus]:
+        """Every device's status record (what its ``/healthz`` serves),
+        read on the loop thread, in device order."""
+        hosts = self.cluster.hosts
+        records: List[DeviceStatus] = self._call(
+            lambda: [hosts[device].status() for device in sorted(hosts)]
+        )
+        return records

@@ -16,7 +16,7 @@ message statistics.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, cast
+from typing import Dict, Optional, cast
 
 from repro.obs.metrics import Counter, Histogram, MetricFamily, MetricsRegistry
 from repro.obs.schema import (
@@ -90,23 +90,6 @@ class DeviceMetrics:
         """Record one verifier handler's wall time for this device."""
         self.processing.observe(seconds)
 
-    def as_row(self) -> Dict[str, object]:
-        """One reporting-table row (see :mod:`repro.bench.reporting`)."""
-        return {
-            "device": self.device,
-            "msgs in/out": (
-                f"{self.messages_in.value:.0f}/{self.messages_out.value:.0f}"
-            ),
-            "bytes in/out": (
-                f"{self.bytes_in.value:.0f}/{self.bytes_out.value:.0f}"
-            ),
-            "ctrl frames": int(self.control_in.value + self.control_out.value),
-            "reconnects": int(self.reconnects.value),
-            "decode errs": int(self.decode_errors.value),
-            "hs fails": int(self.handshake_failures.value),
-            "peer downs": int(self.peer_down_events.value),
-        }
-
 
 class ClusterMetrics:
     """Cluster-wide aggregates over the devices' counters.
@@ -141,8 +124,3 @@ class ClusterMetrics:
     @property
     def total_decode_errors(self) -> int:
         return int(sum(m.decode_errors.value for m in self.devices.values()))
-
-    def rows(self) -> List[Dict[str, object]]:
-        return [
-            self.devices[name].as_row() for name in sorted(self.devices)
-        ]

@@ -52,10 +52,10 @@ EVIDENCE = {
         r'await (self\._call\(handle\.index, \{"op": "stop"\}\))',
         r"\1",
     ),
-    # Collector.stop() can no longer cancel the scrape loop.
+    # PeerSession.stop() can no longer cancel the dial loop.
     "ASYNC003": (
-        "src/repro/obs/collector.py",
-        r"self\._scrape_task = (asyncio\.get_running_loop\(\)\.create_task\()",
+        "src/repro/runtime/connection.py",
+        r"self\._dial_task = (asyncio\.get_running_loop\(\)\.create_task\()",
         r"\1",
     ),
     # A line ahead of the document `repro fleet --json` prints.

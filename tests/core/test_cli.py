@@ -126,40 +126,52 @@ class TestTopCommand:
         assert document["state"] == "degraded"
         assert document["devices"][0]["status"] == "unreachable"
 
-    def test_live_registry_export_scrapes_ok(self, capsys):
-        import threading
+    def test_live_agents_scrape_ok_with_their_traffic(self, capsys):
+        from repro.core import Tulkun
+        from repro.dataplane.routes import RouteConfig, install_routes
+        from repro.packetspace.fields import DSTIP_ONLY_LAYOUT
+        from repro.topology.generators import paper_example
 
-        from repro.obs.metrics import MetricsRegistry
-        from repro.obs.serve import serve_registry
-
-        registry = MetricsRegistry()
-        registry.counter(
-            "dvm_messages_total",
-            labelnames=("device", "direction", "kind"),
-        ).labels(device="s0", direction="out", kind="counting").inc(7)
-        ready = threading.Event()
-        bound = {}
-
-        def on_ready(port):
-            bound["port"] = port
-            ready.set()
-
-        thread = threading.Thread(
-            target=serve_registry,
-            args=(registry,),
-            kwargs=dict(duration=2.0, on_ready=on_ready),
-            daemon=True,
+        tulkun = Tulkun(paper_example(), layout=DSTIP_ONLY_LAYOUT)
+        fibs = install_routes(
+            tulkun.topology, tulkun.factory, RouteConfig(ecmp="any")
         )
-        thread.start()
-        assert ready.wait(10.0)
-        code = main(
-            ["top", f"127.0.0.1:{bound['port']}", "--once", "--json"]
-        )
+        with tulkun.deploy(
+            fibs, backend="runtime", keepalive_interval=0.05, op_timeout=30.0
+        ) as deployment:
+            deployment.verify(
+                tulkun.parse("(dstIP = 10.0.0.0/23, [S], (exist >= 1, S.*D))")
+            )
+            endpoints = deployment.http_endpoints
+            code = main(
+                [
+                    "top",
+                    *(f"{host}:{port}" for host, port in endpoints.values()),
+                    "--once",
+                    "--json",
+                ]
+            )
+            sent = {
+                device: metrics.messages_out.value
+                for device, metrics in deployment.metrics.devices.items()
+            }
         assert code == 0
         document = json.loads(capsys.readouterr().out)
         assert document["state"] == "ok"
-        assert document["devices"][0]["messages_out"] == 7
-        thread.join(10.0)
+        assert {
+            entry["device"]: entry["messages_out"]
+            for entry in document["devices"]
+        } == sent
+        assert sum(sent.values()) > 0
+        for entry in document["devices"]:
+            assert sorted(entry) == sorted(
+                [
+                    "device", "target", "status", "stalled", "http_status",
+                    "latency_seconds", "staleness_seconds", "messages_in",
+                    "messages_out", "bytes_in", "bytes_out", "inbox_depth",
+                    "pending_out", "error",
+                ]
+            )
 
 
 class TestTestbedCommand:

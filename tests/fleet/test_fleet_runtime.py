@@ -150,10 +150,31 @@ class TestWorkerCrash:
                     if status["settled_local"] and not status["links"]:
                         break
                     assert time.monotonic() < started + 30.0
-                results["survivor"] = status
                 results["survivor_settle_seconds"] = (
                     time.monotonic() - started
                 )
+                # Session health is each surviving agent's status record.
+                snapshot = await Collector(
+                    launcher.telemetry_targets()
+                ).scrape_once()
+                records = [
+                    sample.record
+                    for sample in snapshot.samples
+                    if sample.record is not None
+                ]
+                results["survivor"] = {
+                    "peer_down_events": sum(
+                        record.peer_down_events for record in records
+                    ),
+                    "peers_down": sum(
+                        len(record.peers_down) for record in records
+                    ),
+                    "sessions_established": sum(
+                        bool(entry["established"])
+                        for record in records
+                        for entry in record.sessions.values()
+                    ),
+                }
 
                 # The surviving shard's flight recorders captured the
                 # loss: grab their dumps before the fleet recovers.

@@ -1,14 +1,14 @@
 """The fleet collector: parsing, merging, stall detection, live fleets."""
 
 import asyncio
+import json
 
 import pytest
 
 from repro.bench.workloads import build_workload
 from repro.obs.collector import Collector, parse_prometheus_text
 from repro.obs.metrics import MetricsRegistry
-from repro.obs.schema import install_dvm_schema
-from repro.obs.serve import TelemetryServer
+from repro.obs.serve import DeviceStatus, TelemetryServer, http_get
 from repro.runtime.cluster import RuntimeCluster
 
 
@@ -42,41 +42,39 @@ class TestParsePrometheusText:
             parse_prometheus_text('frames{device="r0"}\n')
 
 
-def _device_registry(device="d0", messages=0):
-    """A one-device DVM registry with ``messages`` counting frames."""
-    registry = MetricsRegistry()
-    families = install_dvm_schema(registry)
-    counter = families["dvm_messages_total"].labels(
-        device=device, direction="out", kind="counting"
-    )
-    if messages:
-        counter.inc(messages)
-    return registry, families
+def _by_device(snapshot):
+    return {sample.device: sample for sample in snapshot.samples}
 
 
 class _FakeAgent:
-    """A TelemetryServer with scriptable health + advanceable counters."""
+    """A TelemetryServer serving a scriptable status record."""
 
     def __init__(self, device="d0"):
-        self.device = device
-        self.registry, self.families = _device_registry(device)
-        self.phase = "idle"
-        self.status = "ok"
-        self.server = TelemetryServer(lambda: self.registry, self.health)
-
-    def health(self):
-        return {
-            "status": self.status,
-            "device": self.device,
-            "phase": self.phase,
-            "uptime_seconds": 1.0,
-            "inbox_depth": 0,
-        }
+        self.record = DeviceStatus(
+            status="ok",
+            device=device,
+            phase="idle",
+            uptime_seconds=1.0,
+            dvm_port=0,
+            http_port=0,
+            inbox_depth=0,
+            sessions={},
+            peers_down=[],
+            decode_errors=0,
+            messages_in=0,
+            messages_out=0,
+            bytes_in=0,
+            bytes_out=0,
+            reconnects=0,
+            peer_down_events=0,
+            handshake_failures=0,
+        )
+        self.server = TelemetryServer(
+            MetricsRegistry, lambda: self.record.to_dict()
+        )
 
     def advance(self, frames=1):
-        self.families["dvm_messages_total"].labels(
-            device=self.device, direction="out", kind="counting"
-        ).inc(frames)
+        self.record.messages_out += frames
 
     @property
     def target(self):
@@ -90,7 +88,7 @@ class TestStallDetection:
             await agent.server.start()
             try:
                 collector = Collector([agent.target], stall_scrapes=2)
-                agent.phase = "converging"
+                agent.record.phase = "converging"
                 agent.advance(5)
                 first = await collector.scrape_once()
                 assert first.state == "ok" and not first.alerts
@@ -136,7 +134,7 @@ class TestStallDetection:
             try:
                 collector = Collector([agent.target])
                 assert (await collector.scrape_once()).state == "ok"
-                agent.status = "degraded"
+                agent.record.status = "degraded"
                 snapshot = await collector.scrape_once()
                 assert snapshot.state == "degraded"
                 assert snapshot.samples[0].http_status == 503
@@ -146,22 +144,23 @@ class TestStallDetection:
 
         run(scenario())
 
-    def test_background_loop_accumulates_cycles(self, run):
+    def test_a_scrape_asks_each_agent_once(self, run):
         async def scenario():
-            agent = _FakeAgent()
-            await agent.server.start()
+            agents = [_FakeAgent(f"d{index}") for index in range(3)]
+            for agent in agents:
+                await agent.server.start()
             try:
-                collector = Collector([agent.target])
-                collector.start(interval=0.02)
-                for _ in range(100):
-                    if collector.cycles >= 3:
-                        break
-                    await asyncio.sleep(0.02)
-                await collector.stop()
-                assert collector.cycles >= 3
-                assert collector.state == "ok"
+                collector = Collector([agent.target for agent in agents])
+                for _ in range(2):
+                    before = [agent.server.requests_served for agent in agents]
+                    snapshot = await collector.scrape_once()
+                    after = [agent.server.requests_served for agent in agents]
+                    assert [b - a for a, b in zip(before, after)] == [1, 1, 1]
+                    assert snapshot.state == "ok"
+                assert (await Collector([]).scrape_once()).state == "empty"
             finally:
-                await agent.server.stop()
+                for agent in agents:
+                    await agent.server.stop()
 
         run(scenario())
 
@@ -189,16 +188,14 @@ class TestLiveFleet:
                 collector = Collector(list(endpoints.values()))
                 snapshot = await collector.scrape_once()
                 assert snapshot.state == "ok"
-                by_device = snapshot.by_device()
+                by_device = _by_device(snapshot)
                 assert set(by_device) == set(workload.topology.devices)
-                # Every device's counting traffic made it into the
-                # fleet registry, and matches the cluster's own truth.
+                # Every device's counting traffic, read from its
+                # /healthz record alone, matches the cluster's own truth.
                 for device, host in cluster.hosts.items():
-                    sample = by_device[device]
-                    assert sample.messages_out == host.metrics.messages_out.value
-                    assert sample.bytes_out == host.metrics.bytes_out.value
-                fleet = collector.registry.as_dict()
-                assert fleet["fleet_degraded"]["samples"][0]["value"] == 0.0
+                    record = by_device[device].record
+                    assert record.messages_out == host.metrics.messages_out.value
+                    assert record.bytes_out == host.metrics.bytes_out.value
 
                 # Kill one agent: the very next scrape must flip the
                 # fleet to degraded and fire an alert.
@@ -211,15 +208,9 @@ class TestLiveFleet:
                 assert ("unreachable", victim) in [
                     (a["kind"], a["device"]) for a in snapshot.alerts
                 ]
-                down = snapshot.by_device()[victim]
-                assert down.status == "unreachable" and not down.ok
-                fleet = collector.registry.as_dict()
-                assert fleet["fleet_degraded"]["samples"][0]["value"] == 1.0
-                up_samples = {
-                    tuple(s["labels"].items()): s["value"]
-                    for s in fleet["fleet_device_up"]["samples"]
-                }
-                assert up_samples[(("device", victim),)] == 0.0
+                down = _by_device(snapshot)[victim]
+                assert down.status == "unreachable" and down.record is None
+                assert down.error and down.http_status == 0
             finally:
                 await cluster.stop()
 
@@ -293,42 +284,81 @@ class TestLiveFleet:
         run(scenario())
 
 
-class TestLateEndpoints:
-    def test_targets_registered_after_construction_are_scraped(self, run):
-        async def scenario():
-            agent = _FakeAgent()
-            await agent.server.start()
-            try:
-                collector = Collector([], launch_grace_seconds=30.0)
-                assert (await collector.scrape_once()).state == "empty"
-                collector.add_targets([agent.target])
-                collector.add_targets([agent.target])  # idempotent
-                snapshot = await collector.scrape_once()
-            finally:
-                await agent.server.stop()
-            return snapshot, collector
+def _without_clock_readings(document):
+    """A /healthz document minus the fields that are clock readings."""
+    document.pop("uptime_seconds")
+    for entry in document["sessions"].values():
+        entry.pop("last_rx_age_seconds", None)
+    return document
 
-        snapshot, collector = run(scenario())
-        assert len(collector.targets) == 1
-        assert snapshot.state == "ok"
-        assert snapshot.samples[0].device == "d0"
 
-    def test_unanswered_target_is_starting_within_launch_grace(self, run):
+class TestDecodeErrors:
+    def test_healthz_is_a_pure_read_and_one_scrape_flags_the_rise(
+        self, run, fast_options
+    ):
+        """A probe must not consume the signal: two GETs after one
+        decode error read the same document, and the collector flags the
+        rise on exactly one of its own scrapes."""
+        workload = build_workload("INet2", max_destinations=1)
+        # Keepalives slower than the test: no frame is queued mid-read.
+        options = dict(fast_options, keepalive_interval=10.0)
+
         async def scenario():
-            agent = _FakeAgent()
-            await agent.server.start()
-            target = agent.target
-            await agent.server.stop()  # nothing listens there yet
-            collector = Collector(
-                [target], timeout=0.2, launch_grace_seconds=60.0
+            cluster = RuntimeCluster(
+                workload.topology,
+                workload.fibs,
+                workload.factory,
+                **options,
             )
-            return await collector.scrape_once()
+            await cluster.start()
+            try:
+                collector = Collector(list(cluster.http_endpoints.values()))
+                before = await collector.scrape_once()
+                victim = sorted(cluster.hosts)[0]
+                host = cluster.hosts[victim]
+                # Garbage where a peer's OPEN belongs: one decode error.
+                _, writer = await asyncio.open_connection(
+                    "127.0.0.1", host.port
+                )
+                writer.write(b"\xde\xad\xbe\xef" * 4)
+                await writer.drain()
+                for _ in range(500):
+                    if host.metrics.decode_errors.value:
+                        break
+                    await asyncio.sleep(0.01)
+                writer.close()
+                assert host.metrics.decode_errors.value == 1
+                documents = []
+                for _ in range(2):
+                    status, body = await http_get(
+                        *cluster.http_endpoints[victim], "/healthz"
+                    )
+                    assert status == 200
+                    documents.append(
+                        _without_clock_readings(json.loads(body))
+                    )
+                flagged = await collector.scrape_once()
+                after = await collector.scrape_once()
+            finally:
+                await cluster.stop()
+            return victim, before, documents, flagged, after
 
-        snapshot = run(scenario())
-        # A worker that has never answered is launch noise, not an
-        # incident: reported "starting", fleet not degraded.
-        assert snapshot.samples[0].status == "starting"
-        assert snapshot.state == "starting"
+        victim, before, documents, flagged, after = run(scenario())
+        assert before.state == "ok"
+        assert documents[0] == documents[1]
+        assert documents[0]["decode_errors"] == 1
+        assert documents[0]["status"] == "ok"
+        assert flagged.state == "degraded"
+        assert _by_device(flagged)[victim].status == "degraded"
+        assert [(a["kind"], a["device"]) for a in flagged.alerts] == [
+            ("degraded", victim)
+        ]
+        assert after.state == "ok" and not after.alerts
+
+
+class TestLateEndpoints:
+    """A target that has never answered reads unreachable at once: the
+    collector grants no launch grace."""
 
     def test_grace_expires_into_unreachable(self, run):
         async def scenario():
@@ -336,9 +366,7 @@ class TestLateEndpoints:
             await agent.server.start()
             target = agent.target
             await agent.server.stop()
-            collector = Collector(
-                [target], timeout=0.2, launch_grace_seconds=0.0
-            )
+            collector = Collector([target], timeout=0.2)
             return await collector.scrape_once()
 
         snapshot = run(scenario())

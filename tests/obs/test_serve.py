@@ -1,21 +1,20 @@
 """The telemetry HTTP server: endpoints, exposition edge cases, client."""
 
+import asyncio
 import json
-import threading
 
 import pytest
 
 from repro.obs.collector import parse_prometheus_text
 from repro.obs.metrics import MetricsRegistry
-from repro.obs.serve import (
-    CONTENT_TYPE_TEXT,
-    TelemetryServer,
-    http_get,
-    serve_registry,
-)
+from repro.obs.serve import CONTENT_TYPE_TEXT, TelemetryServer, http_get
 
 
-async def _served(registry, health_provider=None):
+def _healthy():
+    return {"status": "ok"}
+
+
+async def _served(registry, health_provider=_healthy):
     server = TelemetryServer(lambda: registry, health_provider)
     await server.start()
     return server
@@ -39,9 +38,7 @@ class TestEndpoints:
                 assert 'dvm_frames{device="r0"} 2' in body.decode()
                 status, body = await _get(server, "/healthz")
                 assert status == 200
-                health = json.loads(body)
-                assert health["status"] == "ok"
-                assert health["uptime_seconds"] >= 0
+                assert json.loads(body) == {"status": "ok"}
                 status, body = await _get(server, "/vars")
                 assert status == 200
                 assert json.loads(body)["dvm_frames"]["kind"] == "counter"
@@ -57,8 +54,6 @@ class TestEndpoints:
                 status, _ = await _get(server, "/nope")
                 assert status == 404
                 # A hand-rolled POST through the same client path.
-                import asyncio
-
                 reader, writer = await asyncio.open_connection(
                     server.host, server.port
                 )
@@ -73,6 +68,36 @@ class TestEndpoints:
                 assert b"405" in raw.split(b"\r\n", 1)[0]
             finally:
                 await server.stop()
+
+        run(scenario())
+
+    def test_head_sends_the_headers_without_the_body(self, run):
+        async def scenario():
+            registry = MetricsRegistry()
+            registry.counter("dvm_frames").inc(3)
+            server = await _served(registry)
+            try:
+                raws = []
+                for method in (b"GET", b"HEAD"):
+                    reader, writer = await asyncio.open_connection(
+                        server.host, server.port
+                    )
+                    writer.write(
+                        method + b" /metrics HTTP/1.1\r\n"
+                        b"Connection: close\r\n\r\n"
+                    )
+                    await writer.drain()
+                    raws.append(await reader.read(-1))
+                    writer.close()
+                    await writer.wait_closed()
+            finally:
+                await server.stop()
+            get_head, get_body = raws[0].split(b"\r\n\r\n", 1)
+            head_head, head_body = raws[1].split(b"\r\n\r\n", 1)
+            assert get_body and head_body == b""
+            # The same status line and headers, Content-Length included.
+            assert head_head == get_head
+            assert f"Content-Length: {len(get_body)}".encode() in head_head
 
         run(scenario())
 
@@ -183,51 +208,16 @@ class TestHttpGet:
         run(scenario())
 
 
-class TestServeRegistry:
-    def test_one_shot_server_serves_until_duration(self, run):
-        registry = MetricsRegistry()
-        registry.gauge("up").set(1.0)
-        ready = threading.Event()
-        bound = {}
-
-        def on_ready(port):
-            bound["port"] = port
-            ready.set()
-
-        thread = threading.Thread(
-            target=serve_registry,
-            args=(registry,),
-            kwargs=dict(duration=1.5, device="sim", on_ready=on_ready),
-            daemon=True,
-        )
-        thread.start()
-        assert ready.wait(10.0), "serve_registry never became ready"
-
-        async def scrape():
-            status, body = await http_get(
-                "127.0.0.1", bound["port"], "/metrics"
-            )
-            assert status == 200
-            assert "up 1" in body.decode()
-            status, body = await http_get(
-                "127.0.0.1", bound["port"], "/healthz"
-            )
-            health = json.loads(body)
-            assert health["device"] == "sim"
-            assert health["backend"] == "registry"
-
-        run(scrape())
-        thread.join(15.0)
-        assert not thread.is_alive()
-
-
 class TestPlannedPortRetry:
     def test_taken_port_shifts_within_the_window(self, run):
         async def scenario():
             registry = MetricsRegistry()
             squatter = await _served(registry)  # holds an ephemeral port
             server = TelemetryServer(
-                lambda: registry, port=squatter.port, port_retry_window=3
+                lambda: registry,
+                _healthy,
+                port=squatter.port,
+                port_retry_window=3,
             )
             await server.start()
             try:
@@ -251,7 +241,7 @@ class TestPlannedPortRetry:
                 # socket already holds blocks the window just as well.
                 for offset in (1, 2):
                     blocker = TelemetryServer(
-                        lambda: registry, port=squatter.port + offset
+                        lambda: registry, _healthy, port=squatter.port + offset
                     )
                     try:
                         await blocker.start()
@@ -260,6 +250,7 @@ class TestPlannedPortRetry:
                     blockers.append(blocker)
                 server = TelemetryServer(
                     lambda: registry,
+                    _healthy,
                     port=squatter.port,
                     port_retry_window=2,
                 )
@@ -275,7 +266,10 @@ class TestPlannedPortRetry:
     def test_ephemeral_request_never_retries(self, run):
         async def scenario():
             server = TelemetryServer(
-                lambda: MetricsRegistry(), port=0, port_retry_window=5
+                lambda: MetricsRegistry(),
+                _healthy,
+                port=0,
+                port_retry_window=5,
             )
             await server.start()
             try:

@@ -121,8 +121,8 @@ class TestRuntimeFacade:
             deployment.drop_connection("A", "B", hold_down=0.05)
             assert deployment.holds(plan_id)
 
-            rows = deployment.metrics_rows()
-            assert len(rows) == tulkun.topology.num_devices
+            records = deployment.statuses()
+            assert len(records) == tulkun.topology.num_devices
             assert deployment.metrics.total_messages > 0
             assert deployment.metrics.total_reconnects >= 1
 
