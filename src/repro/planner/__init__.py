@@ -13,7 +13,6 @@ from repro.planner.partition import (
     PartitionReport,
     verify_partitioned,
 )
-from repro.planner.product import product_dpvnet
 from repro.planner.tasks import (
     DeviceTask,
     NodeTask,
@@ -33,7 +32,6 @@ __all__ = [
     "NodeTask",
     "plan_invariant",
     "plan_invariants",
-    "product_dpvnet",
     "OneBigSwitchAbstraction",
     "PartitionReport",
     "verify_partitioned",

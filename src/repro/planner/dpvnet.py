@@ -116,14 +116,16 @@ def enumerate_valid_paths(
 
         bound = path_exp.max_hops(shortest)
         if bound is None:
-            # Unbounded above: loop_free caps paths at device count;
-            # otherwise forbid repeated product states, which bounds the
-            # path set while keeping every non-pumping path.
-            bound = topology.num_devices - 1
+            # Unbounded above.  A loop-free path visits each device once;
+            # any other path visits each live product state at most once
+            # (repeats are forbidden below), which bounds the path set
+            # while keeping every non-pumping path.
+            bound = (topology.num_devices if loop_free else len(reverse)) - 1
 
+        # What may not repeat on a path: devices under loop_free, product
+        # states otherwise.
         path: List[str] = [ingress]
-        on_path_devices: Set[str] = {ingress}
-        on_path_states: Set[Tuple[str, int]] = {start_key}
+        on_path: Set[object] = {ingress if loop_free else start_key}
 
         def extend(device: str, state: int) -> None:
             hops = len(path) - 1
@@ -143,18 +145,14 @@ def enumerate_valid_paths(
                     continue  # dead product state
                 if hops + 1 + remaining > bound:
                     continue
-                if loop_free:
-                    if peer in on_path_devices:
-                        continue
-                elif key in on_path_states:
-                    continue  # forbid product-state cycles
+                mark = peer if loop_free else key
+                if mark in on_path:
+                    continue
                 path.append(peer)
-                on_path_devices.add(peer)
-                on_path_states.add(key)
+                on_path.add(mark)
                 extend(peer, next_state)
                 path.pop()
-                on_path_devices.remove(peer)
-                on_path_states.remove(key)
+                on_path.remove(mark)
 
         extend(ingress, start_state)
     return paths

@@ -157,7 +157,6 @@ class SimulatedNetwork(AgentBackend):
         fibs: Dict[str, "Fib"],
         factory: PredicateFactory,
         profile: DeviceProfile = DeviceProfile(),
-        profiles: Optional[Dict[str, DeviceProfile]] = None,
         strict_wire: bool = False,
         verifier_hosts: Optional[Dict[str, str]] = None,
         flight: bool = False,
@@ -185,8 +184,7 @@ class SimulatedNetwork(AgentBackend):
         )
         self.queue = EventQueue()
         self.strict_wire = strict_wire
-        self._profiles = profiles or {}
-        self._default_profile = profile
+        self._cpu_scale = profile.cpu_scale
         self.verifier_hosts = dict(verifier_hosts or {})
         for device, host in self.verifier_hosts.items():
             if not topology.has_device(device) or not topology.has_device(host):
@@ -197,7 +195,7 @@ class SimulatedNetwork(AgentBackend):
         for device in topology.devices:
             self._spawn(device)
         self._busy_until: Dict[str, List[float]] = {
-            device: [0.0] * max(1, self.profile_of(device).cores)
+            device: [0.0] * max(1, profile.cores)
             for device in topology.devices
         }
         self._channel_clock: Dict[Tuple[str, str], float] = {}
@@ -222,12 +220,6 @@ class SimulatedNetwork(AgentBackend):
         return cached.get(destination, float("inf"))
 
     # ------------------------------------------------------------------
-    # profiles
-
-    def profile_of(self, device: str) -> DeviceProfile:
-        return self._profiles.get(device, self._default_profile)
-
-    # ------------------------------------------------------------------
     # core execution
 
     def _execute(self, device: str, step: Step) -> None:
@@ -244,9 +236,7 @@ class SimulatedNetwork(AgentBackend):
         start_sim = max(self.queue.now, cores[core_index])
         wall_start = _time.perf_counter()
         outgoing = step()
-        elapsed = (_time.perf_counter() - wall_start) * self.profile_of(
-            host
-        ).cpu_scale
+        elapsed = (_time.perf_counter() - wall_start) * self._cpu_scale
         step.timed(start_sim, elapsed)
         completion = start_sim + elapsed
         cores[core_index] = completion

@@ -13,11 +13,17 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import FrozenSet, Iterable, Optional, Sequence, Tuple, Union
+from dataclasses import dataclass
+from typing import FrozenSet, Optional, Tuple, Union
 
 from repro.packetspace.predicate import Predicate
-from repro.spec.automata import Dfa, compile_regex, named_devices, parse_regex
+from repro.spec.automata import (
+    Dfa,
+    compile_regex,
+    named_devices,
+    parse_regex,
+    strip_loop_free,
+)
 from repro.topology.graph import FaultScene
 
 #: Marker for the symbolic "shortest" length (resolved per topology/scene).
@@ -103,20 +109,16 @@ class PathExp:
     length_filters: Tuple[LengthFilter, ...] = ()
     loop_free: bool = False
 
-    def compile(self, extra_symbols: Iterable[str] = ()) -> Dfa:
+    def compile(self) -> Dfa:
         """The path DFA (``loop_free`` conjuncts stripped; see
         :meth:`effective_loop_free`)."""
-        from repro.spec.automata import strip_loop_free
-
-        node, _ = strip_loop_free(parse_regex(self.regex))
-        return compile_regex(node, extra_symbols)
+        term, _ = strip_loop_free(parse_regex(self.regex))
+        return compile_regex(term)
 
     @property
     def effective_loop_free(self) -> bool:
         """True when simple paths are required, whether via the
         ``loop_free`` field or an inline ``and loop_free`` conjunct."""
-        from repro.spec.automata import strip_loop_free
-
         _, inline = strip_loop_free(parse_regex(self.regex))
         return self.loop_free or inline
 

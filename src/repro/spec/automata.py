@@ -7,10 +7,11 @@ DFA never enumerates the full alphabet: it operates over *symbol classes*
 class standing for every unnamed device.  All devices in the OTHER class
 are indistinguishable to the regex, so this abstraction is exact.
 
-Pipeline: parse (recursive descent) -> Thompson NFA -> subset construction
--> dead/unreachable pruning -> Hopcroft minimization.  Boolean combinators
-(``intersect``, ``union_dfa``, ``complement``) implement the language's
-``and`` / ``or`` / ``not`` over path expressions.
+Pipeline: parse (recursive descent, straight to normalized terms) ->
+Brzozowski derivatives per symbol class, explored breadth-first -> Moore
+partition refinement.  Derivatives handle the language's ``and`` / ``or``
+/ ``not`` natively, anywhere in a regex (Owens, Reppy and Turon,
+"Regular-expression derivatives re-examined", JFP 2009).
 
 Concrete syntax (tokens may be separated by whitespace):
 
@@ -27,17 +28,7 @@ Concrete syntax (tokens may be separated by whitespace):
 
 from __future__ import annotations
 
-import itertools
-from typing import (
-    Dict,
-    FrozenSet,
-    Iterable,
-    List,
-    Optional,
-    Sequence,
-    Set,
-    Tuple,
-)
+from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
 
 #: The symbol class for devices not named in the regex.
 OTHER = "\x00OTHER"
@@ -48,103 +39,129 @@ class RegexSyntaxError(ValueError):
 
 
 # ---------------------------------------------------------------------------
-# regex AST
+# regex terms
+#
+# A term is a tuple whose first element is its operator:
+#
+#     ("empty",)  ("eps",)  ("loop_free",)
+#     ("sym", devices, negated)      one device in (or, negated, not in) a set
+#     ("cat", head, tail)            right-nested concatenation
+#     ("alt", terms) / ("and", terms)  over a frozenset of at least two terms
+#     ("star", inner)  ("not", inner)
+#
+# The constructors below normalize as they build: nested ``alt`` / ``and``
+# flatten into one set (so order and duplicates vanish), ∅ drops out of
+# ``alt`` and absorbs ``cat`` / ``and``, ε is the unit of ``cat``, and
+# ``**`` collapses.  That keeps the set of derivatives of a term finite.
+
+Term = tuple
+
+EMPTY: Term = ("empty",)
+EPS: Term = ("eps",)
+#: The ``loop_free`` shortcut.  Its automaton is exponential in the device
+#: count, so it never reaches the DFA: :func:`strip_loop_free` takes it out
+#: and the planner enforces it as an enumeration constraint.
+LOOP_FREE: Term = ("loop_free",)
 
 
-class _Node:
-    __slots__ = ()
+def _sym(devices: Iterable[str], negated: bool = False) -> Term:
+    return ("sym", frozenset(devices), negated)
 
 
-class Sym(_Node):
-    __slots__ = ("device",)
-
-    def __init__(self, device: str) -> None:
-        self.device = device
+ANY: Term = _sym((), negated=True)
 
 
-class AnySym(_Node):
-    __slots__ = ()
+def _cat(head: Term, tail: Term) -> Term:
+    if head == EMPTY or tail == EMPTY:
+        return EMPTY
+    if head == EPS:
+        return tail
+    if tail == EPS:
+        return head
+    if head[0] == "cat":
+        return _cat(head[1], _cat(head[2], tail))
+    return ("cat", head, tail)
 
 
-class SymIn(_Node):
-    __slots__ = ("devices",)
-
-    def __init__(self, devices: Iterable[str]) -> None:
-        self.devices = frozenset(devices)
-
-
-class SymNotIn(_Node):
-    __slots__ = ("devices",)
-
-    def __init__(self, devices: Iterable[str]) -> None:
-        self.devices = frozenset(devices)
+def _alt(terms: Iterable[Term]) -> Term:
+    flat: Set[Term] = set()
+    for term in terms:
+        if term[0] == "alt":
+            flat |= term[1]
+        elif term != EMPTY:
+            flat.add(term)
+    if not flat:
+        return EMPTY
+    return flat.pop() if len(flat) == 1 else ("alt", frozenset(flat))
 
 
-class Concat(_Node):
-    __slots__ = ("parts",)
-
-    def __init__(self, parts: Sequence[_Node]) -> None:
-        self.parts = tuple(parts)
-
-
-class Alt(_Node):
-    __slots__ = ("options",)
-
-    def __init__(self, options: Sequence[_Node]) -> None:
-        self.options = tuple(options)
+def _and(terms: Iterable[Term]) -> Term:
+    flat: Set[Term] = set()
+    for term in terms:
+        if term == EMPTY:
+            return EMPTY
+        if term[0] == "and":
+            flat |= term[1]
+        else:
+            flat.add(term)
+    return flat.pop() if len(flat) == 1 else ("and", frozenset(flat))
 
 
-class Star(_Node):
-    __slots__ = ("inner",)
-
-    def __init__(self, inner: _Node) -> None:
-        self.inner = inner
+def _not(term: Term) -> Term:
+    return term[1] if term[0] == "not" else ("not", term)
 
 
-class Plus(_Node):
-    __slots__ = ("inner",)
-
-    def __init__(self, inner: _Node) -> None:
-        self.inner = inner
-
-
-class Opt(_Node):
-    __slots__ = ("inner",)
-
-    def __init__(self, inner: _Node) -> None:
-        self.inner = inner
+def _star(term: Term) -> Term:
+    if term in (EMPTY, EPS):
+        return EPS
+    return term if term[0] == "star" else ("star", term)
 
 
-class Epsilon(_Node):
-    __slots__ = ()
+def _subterms(term: Term) -> Tuple[Term, ...]:
+    if term[0] in ("alt", "and"):
+        return tuple(term[1])
+    if term[0] == "cat":
+        return term[1:]
+    if term[0] in ("star", "not"):
+        return (term[1],)
+    return ()
 
 
-class Intersect(_Node):
-    """Language intersection (the path-expression ``and``)."""
-
-    __slots__ = ("parts",)
-
-    def __init__(self, parts: Sequence[_Node]) -> None:
-        self.parts = tuple(parts)
-
-
-class Neg(_Node):
-    """Language complement (the path-expression ``not``)."""
-
-    __slots__ = ("inner",)
-
-    def __init__(self, inner: _Node) -> None:
-        self.inner = inner
+def _nullable(term: Term) -> bool:
+    """True when the term matches the empty path."""
+    op = term[0]
+    if op in ("eps", "star"):
+        return True
+    if op == "cat":
+        return _nullable(term[1]) and _nullable(term[2])
+    if op == "alt":
+        return any(_nullable(part) for part in term[1])
+    if op == "and":
+        return all(_nullable(part) for part in term[1])
+    if op == "not":
+        return not _nullable(term[1])
+    return False
 
 
-class LoopFree(_Node):
-    """The ``loop_free`` shortcut: restrict matches to simple paths.
-
-    Its automaton is exponential in the device count, so it never reaches
-    the DFA; the planner extracts it as an enumeration constraint.
-    """
-
-    __slots__ = ()
+def _derive(term: Term, symbol: str) -> Term:
+    """The Brzozowski derivative: what ``term`` matches after ``symbol``."""
+    op = term[0]
+    if op == "sym":
+        return EPS if (symbol in term[1]) != term[2] else EMPTY
+    if op == "cat":
+        head = _cat(_derive(term[1], symbol), term[2])
+        if _nullable(term[1]):
+            return _alt((head, _derive(term[2], symbol)))
+        return head
+    if op == "star":
+        return _cat(_derive(term[1], symbol), term)
+    if op == "alt":
+        return _alt(_derive(part, symbol) for part in term[1])
+    if op == "and":
+        return _and(_derive(part, symbol) for part in term[1])
+    if op == "not":
+        return _not(_derive(term[1], symbol))
+    return EMPTY
 
 
 # ---------------------------------------------------------------------------
@@ -211,82 +228,83 @@ class _Parser:
             )
         self.advance()
 
-    def parse(self) -> _Node:
-        node = self.parse_or()
+    def parse(self) -> Term:
+        term = self.parse_or()
         if self.peek() is not None:
             raise RegexSyntaxError(
                 f"trailing tokens after position {self.position} in "
                 f"path regex {self.source!r}"
             )
-        return node
+        return term
 
     # Boolean layer: or < and < not, all over full path languages.
 
-    def parse_or(self) -> _Node:
+    def parse_or(self) -> Term:
         options = [self.parse_and()]
         while self.peek() == "or":
             self.advance()
             options.append(self.parse_and())
-        return options[0] if len(options) == 1 else Alt(options)
+        return _alt(options)
 
-    def parse_and(self) -> _Node:
+    def parse_and(self) -> Term:
         parts = [self.parse_unary()]
         while self.peek() == "and":
             self.advance()
             parts.append(self.parse_unary())
-        return parts[0] if len(parts) == 1 else Intersect(parts)
+        return _and(parts)
 
-    def parse_unary(self) -> _Node:
+    def parse_unary(self) -> Term:
         if self.peek() == "not":
             self.advance()
-            return Neg(self.parse_unary())
+            return _not(self.parse_unary())
         if self.peek() == "loop_free":
             self.advance()
-            return LoopFree()
+            return LOOP_FREE
         return self.parse_alt()
 
-    def parse_alt(self) -> _Node:
+    def parse_alt(self) -> Term:
         options = [self.parse_concat()]
         while self.peek() == "|":
             self.advance()
             options.append(self.parse_concat())
-        return options[0] if len(options) == 1 else Alt(options)
+        return _alt(options)
 
-    def parse_concat(self) -> _Node:
-        parts: List[_Node] = []
+    def parse_concat(self) -> Term:
+        parts: List[Term] = []
         while True:
             token = self.peek()
             if token is None or token in (")", "|") or token in RESERVED:
                 break
             parts.append(self.parse_repeat())
-        if not parts:
-            return Epsilon()
-        return parts[0] if len(parts) == 1 else Concat(parts)
+        term = EPS
+        for part in reversed(parts):
+            term = _cat(part, term)
+        return term
 
-    def parse_repeat(self) -> _Node:
-        node = self.parse_atom()
+    def parse_repeat(self) -> Term:
+        term = self.parse_atom()
         while self.peek() in ("*", "+", "?"):
             token = self.advance()
             if token == "*":
-                node = Star(node)
+                term = _star(term)
             elif token == "+":
-                node = Plus(node)
+                term = _cat(term, _star(term))
             else:
-                node = Opt(node)
-        return node
+                term = _alt((term, EPS))
+        return term
 
-    def parse_atom(self) -> _Node:
+    def parse_atom(self) -> Term:
         token = self.peek()
         if token is None:
             raise RegexSyntaxError(f"unexpected end of path regex {self.source!r}")
         if token == "(":
             self.advance()
-            node = self.parse_or()
+            term = self.parse_or()
             self.expect(")")
-            return node
+            return term
         if token == ".":
             self.advance()
-            return AnySym()
+            return ANY
         if token == "!":
             self.advance()
             ident = self.advance()
@@ -294,7 +312,7 @@ class _Parser:
                 raise RegexSyntaxError(
                     f"'!' must be followed by a device name in {self.source!r}"
                 )
-            return SymNotIn([ident])
+            return _sym([ident], negated=True)
         if token == "[":
             self.advance()
             negated = self.peek() == "^"
@@ -311,10 +329,10 @@ class _Parser:
             self.expect("]")
             if not devices:
                 raise RegexSyntaxError(f"empty device class in {self.source!r}")
-            return SymNotIn(devices) if negated else SymIn(devices)
+            return _sym(devices, negated)
         if _is_identifier(token):
             self.advance()
-            return Sym(token)
+            return _sym([token])
         raise RegexSyntaxError(
             f"unexpected token {token!r} in path regex {self.source!r}"
         )
@@ -328,149 +346,45 @@ def _is_identifier(token: Optional[str]) -> bool:
     )
 
 
-def parse_regex(source: str) -> _Node:
-    """Parse a path regex (with the and/or/not/loop_free layer) to an AST."""
+def parse_regex(source: str) -> Term:
+    """Parse a path regex (with the and/or/not/loop_free layer) to a term."""
     return _Parser(source).parse()
 
 
-def named_devices(node: _Node) -> FrozenSet[str]:
-    """All device names appearing in the regex."""
-    names: Set[str] = set()
-    stack = [node]
+def _walk(term: Term) -> Iterable[Term]:
+    stack = [term]
     while stack:
         current = stack.pop()
-        if isinstance(current, Sym):
-            names.add(current.device)
-        elif isinstance(current, (SymIn, SymNotIn)):
-            names.update(current.devices)
-        elif isinstance(current, Concat):
-            stack.extend(current.parts)
-        elif isinstance(current, (Alt, Intersect)):
-            stack.extend(current.options if isinstance(current, Alt) else current.parts)
-        elif isinstance(current, (Star, Plus, Opt, Neg)):
-            stack.append(current.inner)
+        yield current
+        stack.extend(_subterms(current))
+
+
+def named_devices(term: Term) -> FrozenSet[str]:
+    """All device names appearing in the regex."""
+    names: Set[str] = set()
+    for current in _walk(term):
+        if current[0] == "sym":
+            names |= current[1]
     return frozenset(names)
 
 
-def strip_loop_free(node: _Node) -> Tuple[_Node, bool]:
+def strip_loop_free(term: Term) -> Tuple[Term, bool]:
     """Remove ``loop_free`` conjuncts, returning (remaining regex, flag).
 
     ``loop_free`` is only legal as a top-level conjunct (possibly inside
     parentheses that are themselves top-level conjuncts); anywhere else its
     automaton would be required, which we deliberately do not build.
     """
-    if isinstance(node, LoopFree):
-        return Star(AnySym()), True  # bare loop_free == ".*" + flag
-    if isinstance(node, Intersect):
-        parts: List[_Node] = []
-        flag = False
-        for part in node.parts:
-            stripped, inner_flag = strip_loop_free(part)
-            flag = flag or inner_flag
-            if not isinstance(part, LoopFree):
-                parts.append(stripped)
-        if not parts:
-            return Star(AnySym()), flag
-        if len(parts) == 1:
-            return parts[0], flag
-        return Intersect(parts), flag
-    if _contains_loop_free(node):
+    flag = term == LOOP_FREE or (term[0] == "and" and LOOP_FREE in term[1])
+    if term == LOOP_FREE:
+        term = _star(ANY)  # bare loop_free == ".*" + flag
+    elif flag:
+        term = _and(term[1] - {LOOP_FREE})
+    if LOOP_FREE in _walk(term):
         raise RegexSyntaxError(
             "loop_free may only appear as a top-level conjunct"
         )
-    return node, False
-
-
-def _contains_loop_free(node: _Node) -> bool:
-    stack = [node]
-    while stack:
-        current = stack.pop()
-        if isinstance(current, LoopFree):
-            return True
-        if isinstance(current, Concat):
-            stack.extend(current.parts)
-        elif isinstance(current, Alt):
-            stack.extend(current.options)
-        elif isinstance(current, Intersect):
-            stack.extend(current.parts)
-        elif isinstance(current, (Star, Plus, Opt, Neg)):
-            stack.append(current.inner)
-    return False
-
-
-# ---------------------------------------------------------------------------
-# NFA (Thompson construction)
-
-
-class _Nfa:
-    """ε-NFA with symbol-class labeled edges."""
-
-    def __init__(self) -> None:
-        self.edges: List[List[Tuple[Optional[FrozenSet[str]], int]]] = []
-        # Edge label None = ε; otherwise a frozenset of symbol classes.
-
-    def new_state(self) -> int:
-        self.edges.append([])
-        return len(self.edges) - 1
-
-    def add_edge(self, src: int, label: Optional[FrozenSet[str]], dst: int) -> None:
-        self.edges[src].append((label, dst))
-
-
-def _classes_for(node: _Node, classes: FrozenSet[str]) -> FrozenSet[str]:
-    """Which symbol classes a single-symbol regex node matches."""
-    if isinstance(node, Sym):
-        return frozenset([node.device]) if node.device in classes else frozenset()
-    if isinstance(node, AnySym):
-        return classes
-    if isinstance(node, SymIn):
-        return frozenset(device for device in node.devices if device in classes)
-    if isinstance(node, SymNotIn):
-        return frozenset(c for c in classes if c not in node.devices)
-    raise TypeError(f"not a symbol node: {node!r}")
-
-
-def _build_nfa(
-    node: _Node, nfa: _Nfa, classes: FrozenSet[str]
-) -> Tuple[int, int]:
-    """Thompson construction; returns (start, accept) states."""
-    if isinstance(node, (Sym, AnySym, SymIn, SymNotIn)):
-        start, accept = nfa.new_state(), nfa.new_state()
-        matched = _classes_for(node, classes)
-        if matched:
-            nfa.add_edge(start, matched, accept)
-        return start, accept
-    if isinstance(node, Epsilon):
-        start, accept = nfa.new_state(), nfa.new_state()
-        nfa.add_edge(start, None, accept)
-        return start, accept
-    if isinstance(node, Concat):
-        start, accept = _build_nfa(node.parts[0], nfa, classes)
-        for part in node.parts[1:]:
-            nxt_start, nxt_accept = _build_nfa(part, nfa, classes)
-            nfa.add_edge(accept, None, nxt_start)
-            accept = nxt_accept
-        return start, accept
-    if isinstance(node, Alt):
-        start, accept = nfa.new_state(), nfa.new_state()
-        for option in node.options:
-            o_start, o_accept = _build_nfa(option, nfa, classes)
-            nfa.add_edge(start, None, o_start)
-            nfa.add_edge(o_accept, None, accept)
-        return start, accept
-    if isinstance(node, Star):
-        start, accept = nfa.new_state(), nfa.new_state()
-        i_start, i_accept = _build_nfa(node.inner, nfa, classes)
-        nfa.add_edge(start, None, i_start)
-        nfa.add_edge(start, None, accept)
-        nfa.add_edge(i_accept, None, i_start)
-        nfa.add_edge(i_accept, None, accept)
-        return start, accept
-    if isinstance(node, Plus):
-        return _build_nfa(Concat([node.inner, Star(node.inner)]), nfa, classes)
-    if isinstance(node, Opt):
-        return _build_nfa(Alt([node.inner, Epsilon()]), nfa, classes)
-    raise TypeError(f"unknown regex node: {node!r}")
+    return term, flag
 
 
 # ---------------------------------------------------------------------------
@@ -496,7 +410,6 @@ class Dfa:
         self.initial = initial
         self.accepting = accepting
         self.transitions = transitions
-        self._alive = self._compute_alive()
 
     @property
     def num_states(self) -> int:
@@ -511,118 +424,11 @@ class Dfa:
     def is_accepting(self, state: int) -> bool:
         return state in self.accepting
 
-    def is_alive(self, state: int) -> bool:
-        """True when some word leads from ``state`` to an accepting state."""
-        return state in self._alive
-
-    def _compute_alive(self) -> FrozenSet[int]:
-        reverse: Dict[int, Set[int]] = {s: set() for s in range(self.num_states)}
-        for state, row in enumerate(self.transitions):
-            for target in row.values():
-                reverse[target].add(state)
-        alive = set(self.accepting)
-        frontier = list(self.accepting)
-        while frontier:
-            state = frontier.pop()
-            for predecessor in reverse[state]:
-                if predecessor not in alive:
-                    alive.add(predecessor)
-                    frontier.append(predecessor)
-        return frozenset(alive)
-
     def accepts(self, word: Sequence[str]) -> bool:
         state = self.initial
         for device in word:
             state = self.step(state, device)
         return state in self.accepting
-
-    # -- boolean algebra ----------------------------------------------------
-
-    def complement(self) -> "Dfa":
-        accepting = frozenset(
-            state for state in range(self.num_states) if state not in self.accepting
-        )
-        return Dfa(self.symbols, self.initial, accepting, self.transitions).minimize()
-
-    def intersect(self, other: "Dfa") -> "Dfa":
-        return _product(self, other, lambda a, b: a and b)
-
-    def union_dfa(self, other: "Dfa") -> "Dfa":
-        return _product(self, other, lambda a, b: a or b)
-
-    def is_empty(self) -> bool:
-        return self.initial not in self._alive
-
-    # -- minimization ---------------------------------------------------------
-
-    def minimize(self) -> "Dfa":
-        """Hopcroft minimization (plus unreachable-state pruning)."""
-        reachable = self._reachable_states()
-        alphabet = tuple(sorted(self.symbols)) + (OTHER,)
-        # Initial partition: accepting vs non-accepting (restricted to
-        # reachable states).
-        accepting = frozenset(self.accepting & reachable)
-        rejecting = frozenset(reachable - accepting)
-        partition: List[FrozenSet[int]] = [p for p in (accepting, rejecting) if p]
-        work = [p for p in partition]
-        while work:
-            splitter = work.pop()
-            for symbol in alphabet:
-                preimage = {
-                    state
-                    for state in reachable
-                    if self.transitions[state][symbol] in splitter
-                }
-                next_partition: List[FrozenSet[int]] = []
-                for block in partition:
-                    inside = block & preimage
-                    outside = block - preimage
-                    if inside and outside:
-                        next_partition.append(frozenset(inside))
-                        next_partition.append(frozenset(outside))
-                        if block in work:
-                            work.remove(block)
-                            work.append(frozenset(inside))
-                            work.append(frozenset(outside))
-                        else:
-                            work.append(
-                                frozenset(inside)
-                                if len(inside) <= len(outside)
-                                else frozenset(outside)
-                            )
-                    else:
-                        next_partition.append(block)
-                partition = next_partition
-        block_index = {}
-        for index, block in enumerate(partition):
-            for state in block:
-                block_index[state] = index
-        transitions = tuple(
-            {
-                symbol: block_index[self.transitions[next(iter(block))][symbol]]
-                for symbol in alphabet
-            }
-            for block in partition
-        )
-        new_accepting = frozenset(
-            index
-            for index, block in enumerate(partition)
-            if next(iter(block)) in self.accepting
-        )
-        return Dfa(
-            self.symbols, block_index[self.initial], new_accepting, transitions
-        )
-
-    def _reachable_states(self) -> Set[int]:
-        reachable = {self.initial}
-        frontier = [self.initial]
-        while frontier:
-            state = frontier.pop()
-            for target in self.transitions[state].values():
-                if target not in reachable:
-                    reachable.add(target)
-                    frontier.append(target)
-        return reachable
 
     def __repr__(self) -> str:
         return (
@@ -631,160 +437,69 @@ class Dfa:
         )
 
 
-def _widen(dfa: Dfa, symbols: FrozenSet[str]) -> Dfa:
-    """Re-express ``dfa`` over a larger named-symbol set.
+def compile_regex(source_or_term) -> Dfa:
+    """Compile a path regex (string or parsed term) into a minimal DFA.
 
-    Newly named symbols behaved like OTHER before, so they inherit the
-    OTHER transition.
+    States are the term's derivatives, numbered breadth-first with the
+    symbol classes in sorted order (OTHER last); Moore refinement then
+    merges derivatives that denote the same language.  The numbering
+    depends on nothing but the regex, so it is the same in every process.
+    Minimality matters beyond size: without ``loop_free`` the planner
+    forbids repeated (device, state) pairs on a path, so a DFA with two
+    states for one language would admit other paths.
     """
-    if symbols == dfa.symbols:
-        return dfa
-    if not symbols >= dfa.symbols:
-        raise ValueError("can only widen to a superset of named symbols")
-    transitions = tuple(
-        {
-            **{symbol: row.get(symbol, row[OTHER]) for symbol in symbols},
-            OTHER: row[OTHER],
-        }
-        for row in dfa.transitions
+    term = (
+        parse_regex(source_or_term)
+        if isinstance(source_or_term, str)
+        else source_or_term
     )
-    return Dfa(symbols, dfa.initial, dfa.accepting, transitions)
-
-
-def _product(a: Dfa, b: Dfa, combine) -> Dfa:
-    symbols = a.symbols | b.symbols
-    a, b = _widen(a, symbols), _widen(b, symbols)
-    alphabet = tuple(sorted(symbols)) + (OTHER,)
-    index: Dict[Tuple[int, int], int] = {}
-    rows: List[Dict[str, int]] = []
-    accepting: Set[int] = set()
-
-    def state_of(pair: Tuple[int, int]) -> int:
-        if pair not in index:
-            index[pair] = len(rows)
-            rows.append({})
-            if combine(pair[0] in a.accepting, pair[1] in b.accepting):
-                accepting.add(index[pair])
-        return index[pair]
-
-    initial = state_of((a.initial, b.initial))
-    frontier = [(a.initial, b.initial)]
-    seen = {(a.initial, b.initial)}
-    while frontier:
-        pair = frontier.pop()
-        source = index[pair]
-        for symbol in alphabet:
-            target_pair = (
-                a.transitions[pair[0]][symbol],
-                b.transitions[pair[1]][symbol],
-            )
-            rows[source][symbol] = state_of(target_pair)
-            if target_pair not in seen:
-                seen.add(target_pair)
-                frontier.append(target_pair)
-    dfa = Dfa(symbols, initial, frozenset(accepting), tuple(rows))
-    return dfa.minimize()
-
-
-def compile_regex(source_or_ast, extra_symbols: Iterable[str] = ()) -> Dfa:
-    """Compile a path regex (string or AST) into a minimal DFA.
-
-    Handles the boolean layer structurally: ``and`` / ``not`` subtrees are
-    compiled to DFAs and combined with product/complement (they cannot be
-    expressed in a Thompson NFA).  ``extra_symbols`` forces additional
-    devices into the named-class set, which is needed when a DFA will
-    later be combined with regexes that name them.
-    """
-    node = parse_regex(source_or_ast) if isinstance(source_or_ast, str) else source_or_ast
-    classes = frozenset(named_devices(node)) | frozenset(extra_symbols)
-    for symbol in classes:
-        if symbol in RESERVED or symbol == OTHER:
-            raise RegexSyntaxError(f"illegal device name {symbol!r}")
-    return _compile_node(node, classes)
-
-
-def _compile_node(node: _Node, classes: FrozenSet[str]) -> Dfa:
-    if isinstance(node, LoopFree):
+    if LOOP_FREE in _walk(term):
         raise RegexSyntaxError(
             "loop_free must be stripped (strip_loop_free) before compilation"
         )
-    if isinstance(node, Intersect):
-        result = _compile_node(node.parts[0], classes)
-        for part in node.parts[1:]:
-            result = result.intersect(_compile_node(part, classes))
-        return result
-    if isinstance(node, Neg):
-        return _compile_node(node.inner, classes).complement()
-    if isinstance(node, Alt) and _is_extended(node):
-        result = _compile_node(node.options[0], classes)
-        for option in node.options[1:]:
-            result = result.union_dfa(_compile_node(option, classes))
-        return result
-    if _is_extended(node):
-        raise RegexSyntaxError(
-            "path-expression and/not may not appear under concatenation "
-            "or repetition"
-        )
-    return _thompson_compile(node, classes)
-
-
-def _is_extended(node: _Node) -> bool:
-    """True when the subtree contains Intersect/Neg/LoopFree nodes."""
-    stack = [node]
-    while stack:
-        current = stack.pop()
-        if isinstance(current, (Intersect, Neg, LoopFree)):
-            return True
-        if isinstance(current, Concat):
-            stack.extend(current.parts)
-        elif isinstance(current, Alt):
-            stack.extend(current.options)
-        elif isinstance(current, (Star, Plus, Opt)):
-            stack.append(current.inner)
-    return False
-
-
-def _thompson_compile(node: _Node, classes: FrozenSet[str]) -> Dfa:
-    nfa = _Nfa()
-    start, accept = _build_nfa(node, nfa, classes | {OTHER})
-
-    # ε-closure based subset construction.
-    def closure(states: FrozenSet[int]) -> FrozenSet[int]:
-        result = set(states)
-        frontier = list(states)
-        while frontier:
-            state = frontier.pop()
-            for label, target in nfa.edges[state]:
-                if label is None and target not in result:
-                    result.add(target)
-                    frontier.append(target)
-        return frozenset(result)
-
-    alphabet = tuple(sorted(classes)) + (OTHER,)
-    initial_set = closure(frozenset([start]))
-    index: Dict[FrozenSet[int], int] = {initial_set: 0}
-    rows: List[Dict[str, int]] = [{}]
-    accepting: Set[int] = set()
-    if accept in initial_set:
-        accepting.add(0)
-    frontier = [initial_set]
-    while frontier:
-        current = frontier.pop()
-        source = index[current]
+    symbols = named_devices(term)
+    alphabet = tuple(sorted(symbols)) + (OTHER,)
+    index: Dict[Term, int] = {term: 0}
+    states = [term]
+    rows: List[Tuple[int, ...]] = []
+    for state in states:  # grows while we walk it: breadth-first
+        row = []
         for symbol in alphabet:
-            moved = frozenset(
-                target
-                for state in current
-                for label, target in nfa.edges[state]
-                if label is not None and symbol in label
+            target = _derive(state, symbol)
+            if target not in index:
+                index[target] = len(states)
+                states.append(target)
+            row.append(index[target])
+        rows.append(tuple(row))
+    accepting = [_nullable(state) for state in states]
+
+    # Moore refinement: split blocks by their successors' blocks until no
+    # block splits.  Blocks are numbered by their first state, so the
+    # initial state stays 0.
+    blocks = [int(flag) for flag in accepting]
+    count = len(set(blocks))
+    while True:
+        ids: Dict[tuple, int] = {}
+        refined = [
+            ids.setdefault(
+                (blocks[state], tuple(blocks[target] for target in row)),
+                len(ids),
             )
-            target_set = closure(moved)
-            if target_set not in index:
-                index[target_set] = len(rows)
-                rows.append({})
-                if accept in target_set:
-                    accepting.add(index[target_set])
-                frontier.append(target_set)
-            rows[source][symbol] = index[target_set]
-    dfa = Dfa(frozenset(classes), 0, frozenset(accepting), tuple(rows))
-    return dfa.minimize()
+            for state, row in enumerate(rows)
+        ]
+        if len(ids) == count:
+            break
+        blocks, count = refined, len(ids)
+    first: Dict[int, int] = {}
+    for state, block in enumerate(refined):
+        first.setdefault(block, state)
+    transitions = tuple(
+        dict(zip(alphabet, (refined[target] for target in rows[first[block]])))
+        for block in range(count)
+    )
+    return Dfa(
+        symbols,
+        0,
+        frozenset(refined[state] for state, flag in enumerate(accepting) if flag),
+        transitions,
+    )

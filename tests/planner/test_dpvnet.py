@@ -10,7 +10,7 @@ from repro.planner.dpvnet import (
 )
 from repro.spec.ast import SHORTEST, LengthFilter, PathExp
 from repro.topology.generators import chained_diamond, fattree, line, paper_example
-from repro.topology.graph import FaultScene
+from repro.topology.graph import FaultScene, Topology
 
 
 @pytest.fixture()
@@ -89,6 +89,29 @@ class TestEnumeration:
         )
         assert ("B", "D") in paths
         assert any(path[0] == "S" for path in paths)
+
+
+class TestRevisitingPaths:
+    """Without ``loop_free`` a path may pass a device twice, in different
+    DFA states: S A W A D matches ``S .* W .* D`` only by going back to A."""
+
+    @pytest.fixture()
+    def spur(self):
+        topology = Topology()
+        for left, right in (("S", "A"), ("A", "D"), ("A", "W")):
+            topology.add_link(left, right)
+        return topology
+
+    def test_bounded_revisit(self, spur):
+        paths = enumerate_valid_paths(
+            spur, PathExp("S .* W .* D", (LengthFilter("<=", 4),)), ["S"]
+        )
+        assert paths == [("S", "A", "W", "A", "D")]
+
+    def test_unbounded_revisit(self, spur):
+        # Longer than the device count allows a simple path to be.
+        net = build_dpvnet(spur, [PathExp("S .* W .* D")], ["S"])
+        assert net.paths() == [("S", "A", "W", "A", "D")]
 
 
 class TestFigure2c:

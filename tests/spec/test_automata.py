@@ -109,9 +109,20 @@ class TestBooleanLayer:
         assert dfa.accepts(["S", "W", "D"])
         assert not dfa.accepts(["S", "D"])
 
-    def test_nested_complement_under_concat_rejected(self):
-        with pytest.raises(RegexSyntaxError):
-            compile_regex("S (not A) D")
+    def test_nested_complement_under_concat(self):
+        # "not A" inside a concatenation: any middle but exactly A.
+        dfa = compile_regex("S (not A) D")
+        assert dfa.accepts(["S", "D"])
+        assert dfa.accepts(["S", "A", "A", "D"])
+        assert dfa.accepts(["S", "B", "D"])
+        assert not dfa.accepts(["S", "A", "D"])
+
+    def test_intersection_under_repetition(self):
+        dfa = compile_regex("(. . and A .)* D")
+        assert dfa.accepts(["D"])
+        assert dfa.accepts(["A", "X", "A", "A", "D"])
+        assert not dfa.accepts(["X", "A", "D"])
+        assert not dfa.accepts(["A", "D"])
 
     def test_reserved_words_not_devices(self):
         with pytest.raises(RegexSyntaxError):
@@ -140,37 +151,40 @@ class TestLoopFree:
 
 class TestDfaOperations:
     def test_minimization_idempotent(self):
-        dfa = compile_regex("S.*W.*D")
-        again = dfa.minimize()
-        assert again.num_states == dfa.num_states
+        # Equivalent derivatives merge: a regex and a redundant spelling
+        # of the same language compile to the same DFA.
+        dfa = compile_regex("A*")
+        assert compile_regex("(A | A A)*").transitions == dfa.transitions
+        assert dfa.num_states == 2
 
     def test_double_complement_preserves_language(self):
         dfa = compile_regex("S.*D")
-        double = dfa.complement().complement()
+        double = compile_regex("not (not (S.*D))")
         for word in (["S", "D"], ["S", "A", "D"], ["S"], ["D"], []):
             assert dfa.accepts(word) == double.accepts(word)
 
     def test_intersection_with_self(self):
         dfa = compile_regex("S.*D")
-        both = dfa.intersect(dfa)
+        both = compile_regex("S.*D and S.*.*D")
         assert both.num_states == dfa.num_states
 
     def test_empty_intersection(self):
-        dfa = compile_regex("S.*D").intersect(compile_regex("E.*F"))
-        assert dfa.is_empty()
+        dfa = compile_regex("S.*D and E.*F")
+        assert not dfa.accepting
+        assert dfa.num_states == 1
 
     def test_alive_states(self):
         dfa = compile_regex("S.*D")
-        assert dfa.is_alive(dfa.initial)
-        # after an impossible first symbol the state is dead
+        # after an impossible first symbol the state is a rejecting sink
         dead = dfa.step(dfa.initial, "D")
-        assert not dfa.is_alive(dead)
+        assert not dfa.is_accepting(dead)
+        assert set(dfa.transitions[dead].values()) == {dead}
+        assert dfa.step(dfa.initial, "S") != dead
 
     def test_widening_via_product(self):
-        # product of DFAs naming different devices behaves correctly
-        left = compile_regex("S.*")
-        right = compile_regex(".*D")
-        both = left.intersect(right)
+        # conjuncts naming different devices share one symbol-class set
+        both = compile_regex("S.* and .*D")
+        assert both.symbols == frozenset({"S", "D"})
         assert both.accepts(["S", "Q", "D"])
         assert not both.accepts(["Q", "D"])
 
