@@ -223,7 +223,7 @@ def _cmd_testbed(args: argparse.Namespace) -> int:
         endpoints = deployment.http_endpoints
         if endpoints:
             say(
-                "live telemetry (/metrics /healthz /vars): "
+                "live telemetry (/metrics /healthz /debug/flight): "
                 + ", ".join(
                     f"{device}=http://{host}:{port}"
                     for device, (host, port) in endpoints.items()
@@ -329,7 +329,6 @@ def _cmd_testbed(args: argparse.Namespace) -> int:
             "total_messages": deployment.metrics.total_messages,
             "total_bytes": deployment.metrics.total_bytes,
             "total_reconnects": reconnects,
-            "registry": deployment.metrics.registry.as_dict(),
         }
         # Emit results *before* any linger so scripts (and CI) can read
         # them while the fleet keeps serving telemetry.
@@ -700,17 +699,16 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     """Export the trace derived from flight dumps.
 
     The dumps are the positional files (whatever ``repro explain``
-    accepts) or, with none given, those of one burst run here.  Writes
-    ``trace.jsonl`` and ``trace.chrome.json`` (plus the run's
-    ``metrics.json`` / ``metrics.prom``) into ``--out`` and validates
-    the trace against the schema in :mod:`repro.obs.export`.  Exit 1 on
-    a schema violation or when a ring lost events (the counts are
-    printed; the parents they took with them are ``null``), 2 on
-    unreadable input.
+    accepts) or, with none given, those of one burst run here.  Checks
+    the derived records with :func:`repro.obs.export.validate_records`
+    and writes ``trace.chrome.json`` (plus the run's ``metrics.prom``)
+    into ``--out``.  Exit 1 when the records fail validation or a ring
+    lost events (the counts are printed; the parents they took with
+    them are ``null``), 2 on unreadable input.
     """
     import os
 
-    from repro.obs.export import validate_jsonl, write_chrome, write_jsonl
+    from repro.obs.export import validate_records, write_chrome
     from repro.obs.flight import merge_dumps, records_from_flight
 
     registry = None
@@ -777,20 +775,16 @@ def _cmd_trace(args: argparse.Namespace) -> int:
         f"{len(merged['devices'])} device(s)"
     )
     os.makedirs(args.out, exist_ok=True)
-    jsonl_path = os.path.join(args.out, "trace.jsonl")
     chrome_path = os.path.join(args.out, "trace.chrome.json")
-    write_jsonl(records, jsonl_path)
     event_count = write_chrome(records, chrome_path)
     print(
-        f"  wrote {jsonl_path} ({len(records)} records), "
-        f"{chrome_path} ({event_count} Chrome trace events)"
+        f"  wrote {chrome_path} ({len(records)} records, "
+        f"{event_count} Chrome trace events)"
     )
     if registry is not None:
-        with open(os.path.join(args.out, "metrics.json"), "w") as handle:
-            handle.write(registry.render_json())
         with open(os.path.join(args.out, "metrics.prom"), "w") as handle:
             handle.write(registry.render_text())
-        print("  wrote metrics.json, metrics.prom")
+        print("  wrote metrics.prom")
 
     status = 0
     if merged["truncated"]:
@@ -801,7 +795,7 @@ def _cmd_trace(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
         status = 1
-    errors = validate_jsonl(jsonl_path)
+    errors = validate_records(records)
     if errors:
         print(
             f"trace schema validation FAILED ({len(errors)} errors):",

@@ -82,7 +82,7 @@ class FleetLauncher:
         self, spec: FleetSpec, run_dir: Optional[str] = None
     ) -> None:
         self.spec = spec
-        self.topology = fleet_topology(spec.topology, spec.scale)
+        self.topology = fleet_topology(spec.topology)
         self.plan: ShardPlan = make_shard_plan(
             self.topology, spec.workers, spec.base_port
         )

@@ -58,17 +58,10 @@ class FleetSpec:
     #: Ingresses sampled per invariant from the pre-prune owner pool
     #: (0 = every owner; sampling keeps k=16 plans tractable).
     ingresses: int = 8
-    ecmp: str = "any"
     seed: int = 11
-    scale: str = "bench"
     keepalive_interval: float = 0.5
-    hold_multiplier: float = 3.0
     op_timeout: float = 60.0
     handshake_timeout: float = 5.0
-    http_retry_window: int = 4
-    #: In-process fast path for co-located sessions (off = all-TCP,
-    #: for fast-path parity measurements).
-    fastpath: bool = True
 
     def to_json(self) -> str:
         return json.dumps(asdict(self), indent=2, sort_keys=True)
@@ -85,7 +78,7 @@ class FleetSpec:
         return cls(**fields)
 
 
-def fleet_topology(name: str, scale: str = "bench") -> Topology:
+def fleet_topology(name: str) -> Topology:
     """Resolve a fleet topology name: ``ftK``/``ftKhH`` or a dataset."""
     match = _FATTREE_NAME.match(name)
     if match:
@@ -103,7 +96,7 @@ def fleet_topology(name: str, scale: str = "bench") -> Topology:
             f"unknown fleet topology {name!r}: expected ftK, ftKhH, "
             f"or one of {sorted(DATASETS)}"
         )
-    return load_dataset(resolved, scale=scale)
+    return load_dataset(resolved)
 
 
 def build_fleet_workload(spec: FleetSpec) -> Workload:
@@ -116,7 +109,7 @@ def build_fleet_workload(spec: FleetSpec) -> Workload:
     owner set, so pruning destinations scales the rule/plan volume down
     without collapsing where traffic originates.
     """
-    topology = fleet_topology(spec.topology, spec.scale)
+    topology = fleet_topology(spec.topology)
     owner_pool = list(topology.devices_with_prefixes())
     if not owner_pool:
         raise ValueError(f"topology {spec.topology!r} has no prefixes")
@@ -128,7 +121,7 @@ def build_fleet_workload(spec: FleetSpec) -> Workload:
     fibs = install_routes(
         topology,
         factory,
-        RouteConfig(ecmp=spec.ecmp, seed=spec.seed),
+        RouteConfig(seed=spec.seed),
     )
     invariants = []
     for destination in destinations:

@@ -57,14 +57,15 @@ class FleetWorker:
             self.workload.fibs,
             self.workload.factory,
             keepalive_interval=spec.keepalive_interval,
-            hold_multiplier=spec.hold_multiplier,
             op_timeout=spec.op_timeout,
             handshake_timeout=spec.handshake_timeout,
             http_base_port=self.plan.http_base_port,
-            http_retry_window=spec.http_retry_window,
+            # A telemetry port still in TIME_WAIT shifts an agent up to
+            # four ports over instead of failing the boot.
+            http_retry_window=4,
             shard=self.shard,
             dvm_ports=self.plan.dvm_ports,
-            local_fastpath=spec.fastpath,
+            local_fastpath=True,
         )
         self.control = ControlServer(
             self, port=self.plan.control_port(worker_index)

@@ -7,11 +7,11 @@ and the asyncio/TCP runtime (see ``docs/OBSERVABILITY.md``):
   registry and the one DVM metric schema both backends install;
 * :mod:`repro.obs.trace` + :mod:`repro.obs.export` -- the span /
   instant trace record (derived from flight dumps, never recorded
-  live) with JSONL and Chrome-trace (Perfetto) exporters;
-* :mod:`repro.obs.log` -- structured (key=value / JSON) logging;
+  live) and its one rendering, the Chrome trace (Perfetto);
+* :mod:`repro.obs.log` -- structured ``key=value`` logging;
 * :mod:`repro.obs.serve` + :mod:`repro.obs.collector` -- the live
-  telemetry plane: per-agent ``/metrics`` + ``/healthz`` + ``/vars``
-  HTTP endpoints, the one per-device status record
+  telemetry plane: per-agent ``/metrics`` + ``/healthz`` +
+  ``/debug/flight`` HTTP endpoints, the one per-device status record
   (:class:`DeviceStatus`, what ``/healthz`` serves), and the collector
   behind ``python -m repro top`` that reads it;
 * :mod:`repro.obs.flight` -- the per-device flight recorder (bounded
@@ -38,19 +38,11 @@ from repro.obs.flight import (
     render_chain,
     render_timeline,
 )
-from repro.obs.export import (
-    read_jsonl,
-    to_chrome,
-    validate_jsonl,
-    validate_records,
-    write_chrome,
-    write_jsonl,
-)
+from repro.obs.export import to_chrome, validate_records, write_chrome
 from repro.obs.log import configure as configure_logging
 from repro.obs.log import get_logger, kv
 from repro.obs.metrics import (
     Counter,
-    Gauge,
     Histogram,
     MetricError,
     MetricFamily,
@@ -68,7 +60,6 @@ __all__ = [
     "DeviceStatus",
     "FleetSnapshot",
     "FlightRecorder",
-    "Gauge",
     "Histogram",
     "LamportClock",
     "MetricError",
@@ -87,13 +78,10 @@ __all__ = [
     "kv",
     "merge_dumps",
     "parse_prometheus_text",
-    "read_jsonl",
     "records_from_flight",
     "render_chain",
     "render_timeline",
     "to_chrome",
-    "validate_jsonl",
     "validate_records",
     "write_chrome",
-    "write_jsonl",
 ]

@@ -1,94 +1,30 @@
-"""Trace exporters: JSONL (canonical) and Chrome trace (visual).
+"""The trace's one rendering: the Chrome trace (Perfetto).
 
-The JSONL schema is one object per line::
+:func:`to_chrome` converts :class:`~repro.obs.trace.TraceRecord` lists
+to the Chrome Trace Event Format (load ``trace.chrome.json`` in Perfetto
+/ ``chrome://tracing``): one "thread" per device, ``X`` complete events
+for spans, ``i`` instants for events, and ``s``/``f`` flow arrows for
+every cross-device parent link -- so a verification session renders as
+the propagation wave travelling device to device.  Record timestamps are
+seconds on the recorders' clock (simulation seconds on the simulator,
+host-monotonic seconds on the runtime); the document carries
+microseconds.
 
-    {"kind": "span"|"event", "name": str, "cat": str, "device": str,
-     "trace": str, "id": int, "parent": int|null,
-     "ts": float, "dur": float, "attrs": {...}}
-
-``ts``/``dur`` are seconds in the backend's clock (simulation seconds
-for the simulator, wall seconds for the runtime).  ``parent`` points at
-the record that caused this one -- for message-processing spans that is
-the span that *emitted* the message, possibly on another device.
-
-:func:`to_chrome` converts records to the Chrome Trace Event Format
-(load ``trace.chrome.json`` in Perfetto / ``chrome://tracing``): one
-"thread" per device, ``X`` complete events for spans, ``i`` instants
-for events, and ``s``/``f`` flow arrows for every cross-device parent
-link -- so a verification session renders as the propagation wave
-travelling device to device.
+:func:`validate_records` checks the records themselves, in memory,
+before they are rendered.
 """
 
 from __future__ import annotations
 
 import json
 from pathlib import Path
-from typing import Dict, Iterable, List, Optional, Sequence, Union
+from typing import Dict, List, Sequence, Union
 
 from repro.obs.trace import KIND_EVENT, KIND_SPAN, TraceRecord
 
-__all__ = [
-    "read_jsonl",
-    "to_chrome",
-    "validate_jsonl",
-    "validate_records",
-    "write_chrome",
-    "write_jsonl",
-]
-
-#: Required JSONL fields and their accepted types.
-_FIELD_TYPES = {
-    "kind": str,
-    "name": str,
-    "cat": str,
-    "device": str,
-    "trace": str,
-    "id": int,
-    "ts": (int, float),
-    "dur": (int, float),
-    "attrs": dict,
-}
+__all__ = ["to_chrome", "validate_records", "write_chrome"]
 
 _KINDS = {KIND_SPAN, KIND_EVENT}
-
-
-def write_jsonl(
-    records: Iterable[TraceRecord], path: Union[str, Path]
-) -> int:
-    """Write records as JSON lines; returns the number written."""
-    count = 0
-    with Path(path).open("w", encoding="utf-8") as stream:
-        for record in records:
-            stream.write(json.dumps(record.as_dict(), sort_keys=True))
-            stream.write("\n")
-            count += 1
-    return count
-
-
-def read_jsonl(path: Union[str, Path]) -> List[TraceRecord]:
-    """Parse a JSONL trace back into records (inverse of write_jsonl)."""
-    records: List[TraceRecord] = []
-    with Path(path).open("r", encoding="utf-8") as stream:
-        for line in stream:
-            line = line.strip()
-            if not line:
-                continue
-            payload = json.loads(line)
-            records.append(
-                TraceRecord(
-                    kind=payload["kind"],
-                    name=payload["name"],
-                    cat=payload["cat"],
-                    device=payload["device"],
-                    trace_id=payload["trace"],
-                    span_id=payload["id"],
-                    parent_id=payload["parent"],
-                    start=payload["ts"],
-                    end=payload["ts"] + payload["dur"],
-                    attrs=payload["attrs"],
-                )
-            )
-    return records
 
 
 # ----------------------------------------------------------------------
@@ -99,7 +35,7 @@ def validate_records(records: Sequence[TraceRecord]) -> List[str]:
     """Schema errors in ``records`` (empty list == valid).
 
     Checks id uniqueness, parent references, kind vocabulary and
-    non-negative durations -- the invariants the exporters and the CI
+    non-negative durations -- the invariants the Chrome exporter and the CI
     trace-smoke step rely on.
     """
     errors: List[str] = []
@@ -129,43 +65,6 @@ def validate_records(records: Sequence[TraceRecord]) -> List[str]:
                 f"parent {record.parent_id}"
             )
     return errors
-
-
-def validate_jsonl(path: Union[str, Path]) -> List[str]:
-    """Validate a JSONL file: field presence/types, then record rules."""
-    errors: List[str] = []
-    with Path(path).open("r", encoding="utf-8") as stream:
-        for lineno, line in enumerate(stream, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                payload = json.loads(line)
-            except json.JSONDecodeError as exc:
-                errors.append(f"line {lineno}: not JSON: {exc}")
-                continue
-            if not isinstance(payload, dict):
-                errors.append(f"line {lineno}: not an object")
-                continue
-            for fieldname, types in _FIELD_TYPES.items():
-                if fieldname not in payload:
-                    errors.append(f"line {lineno}: missing {fieldname!r}")
-                elif not isinstance(payload[fieldname], types) or isinstance(
-                    payload[fieldname], bool
-                ):
-                    errors.append(
-                        f"line {lineno}: field {fieldname!r} has type "
-                        f"{type(payload[fieldname]).__name__}"
-                    )
-            if "parent" not in payload:
-                errors.append(f"line {lineno}: missing 'parent'")
-            elif payload["parent"] is not None and not isinstance(
-                payload["parent"], int
-            ):
-                errors.append(f"line {lineno}: 'parent' must be int or null")
-    if errors:
-        return errors
-    return validate_records(read_jsonl(path))
 
 
 # ----------------------------------------------------------------------

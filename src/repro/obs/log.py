@@ -9,11 +9,10 @@ under the ``repro.`` namespace -- and attach structured fields with the
     logger.info("session established", extra=kv(device="A", peer="B"))
 
 Formatting is opt-in: :func:`configure` installs a handler on the
-``repro`` root logger rendering either ``key=value`` lines (human) or
-one JSON object per line (machines).  Without :func:`configure` the
-records propagate to whatever logging setup the host application has
--- the library itself stays silent by default (stdlib last-resort
-handler only shows WARNING and above).
+``repro`` root logger rendering one ``key=value`` line per record.
+Without :func:`configure` the records propagate to whatever logging
+setup the host application has -- the library itself stays silent by
+default (stdlib last-resort handler only shows WARNING and above).
 """
 
 from __future__ import annotations
@@ -23,7 +22,7 @@ import logging
 import sys
 from typing import Any, Dict, Optional, TextIO
 
-__all__ = ["JsonFormatter", "KeyValueFormatter", "configure", "get_logger", "kv"]
+__all__ = ["KeyValueFormatter", "configure", "get_logger", "kv"]
 
 ROOT_LOGGER = "repro"
 
@@ -70,22 +69,6 @@ class KeyValueFormatter(logging.Formatter):
         return base
 
 
-class JsonFormatter(logging.Formatter):
-    """One JSON object per record (machine-readable log stream)."""
-
-    def format(self, record: logging.LogRecord) -> str:
-        payload: Dict[str, Any] = {
-            "ts": record.created,
-            "level": record.levelname,
-            "logger": record.name,
-            "message": record.getMessage(),
-        }
-        payload.update(_record_fields(record))
-        if record.exc_info:
-            payload["exception"] = self.formatException(record.exc_info)
-        return json.dumps(payload, sort_keys=True, default=str)
-
-
 def _scalar(value: Any) -> str:
     text = str(value)
     if " " in text or '"' in text:
@@ -94,9 +77,7 @@ def _scalar(value: Any) -> str:
 
 
 def configure(
-    level: str = "info",
-    json_lines: bool = False,
-    stream: Optional[TextIO] = None,
+    level: str = "info", stream: Optional[TextIO] = None
 ) -> logging.Logger:
     """Install (or replace) the ``repro`` handler; returns the root logger.
 
@@ -105,14 +86,11 @@ def configure(
     """
     logger = logging.getLogger(ROOT_LOGGER)
     logger.setLevel(getattr(logging, level.upper(), logging.INFO))
-    formatter: logging.Formatter = (
-        JsonFormatter() if json_lines else KeyValueFormatter()
-    )
     for handler in list(logger.handlers):
         if getattr(handler, "_repro_obs", False):
             logger.removeHandler(handler)
     handler = logging.StreamHandler(stream or sys.stderr)
-    handler.setFormatter(formatter)
+    handler.setFormatter(KeyValueFormatter())
     handler._repro_obs = True  # type: ignore[attr-defined]
     logger.addHandler(handler)
     logger.propagate = False

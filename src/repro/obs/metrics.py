@@ -1,4 +1,4 @@
-"""Zero-dependency metrics registry: counters, gauges, histograms.
+"""Zero-dependency metrics registry: counters and histograms.
 
 One :class:`MetricsRegistry` holds every instrument a backend emits.
 Instruments are created through the registry (``registry.counter(...)``)
@@ -16,9 +16,9 @@ Design notes:
   the same name with a different kind or label set raises
   :class:`MetricError` -- schema drift between backends must fail
   loudly, not fork silently.
-* **Exposition.**  ``render_text()`` emits the Prometheus text format
-  (close enough for scraping and for humans); ``as_dict()`` emits a
-  JSON-able snapshot the CLI dumps with ``--json`` / ``repro trace``.
+* **One exposition.**  ``render_text()`` emits the Prometheus text
+  format (close enough for scraping and for humans): what ``/metrics``
+  serves and what ``repro trace`` writes as ``metrics.prom``.
 * **Histograms** use fixed upper bounds (``le``) and record count + sum.
 
 Updates are plain attribute arithmetic (atomic enough under the GIL for
@@ -28,14 +28,12 @@ takes a lock.
 
 from __future__ import annotations
 
-import json
 import threading
 from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 __all__ = [
     "Counter",
     "DEFAULT_BUCKETS",
-    "Gauge",
     "Histogram",
     "MetricError",
     "MetricFamily",
@@ -80,30 +78,8 @@ class Counter:
 
     def inc(self, amount: float = 1.0) -> None:
         if amount < 0:
-            raise MetricError("counters only go up; use a gauge")
+            raise MetricError("counters only go up")
         self.value += amount
-
-    def sample(self) -> Dict[str, object]:
-        return {"labels": self.labels_map, "value": self.value}
-
-
-class Gauge:
-    """A value that can go up and down."""
-
-    __slots__ = ("labels_map", "value")
-
-    def __init__(self, labels_map: Mapping[str, str]) -> None:
-        self.labels_map = dict(labels_map)
-        self.value: float = 0.0
-
-    def set(self, value: float) -> None:
-        self.value = value
-
-    def inc(self, amount: float = 1.0) -> None:
-        self.value += amount
-
-    def sample(self) -> Dict[str, object]:
-        return {"labels": self.labels_map, "value": self.value}
 
 
 class Histogram:
@@ -153,32 +129,8 @@ class Histogram:
         pairs.append((float("inf"), running + self.overflow))
         return pairs
 
-    def quantile(self, q: float) -> float:
-        """Upper bound of the bucket containing the ``q`` quantile."""
-        if not 0.0 <= q <= 1.0:
-            raise MetricError(f"quantile must be in [0, 1], got {q}")
-        if self.count == 0:
-            return 0.0
-        rank = q * self.count
-        running = 0
-        for bound, bucket in zip(self.bounds, self.bucket_counts):
-            running += bucket
-            if running >= rank:
-                return bound
-        return float("inf")
 
-    def sample(self) -> Dict[str, object]:
-        return {
-            "labels": self.labels_map,
-            "count": self.count,
-            "sum": self.sum,
-            "buckets": [
-                [bound, count] for bound, count in self.cumulative()
-            ],
-        }
-
-
-_KINDS = {"counter": Counter, "gauge": Gauge, "histogram": Histogram}
+_KINDS = {"counter": Counter, "histogram": Histogram}
 
 
 class MetricFamily:
@@ -227,8 +179,6 @@ class MetricFamily:
                     labels_map = dict(zip(self.labelnames, key))
                     if self.kind == "histogram":
                         child = Histogram(labels_map, self.buckets)
-                    elif self.kind == "gauge":
-                        child = Gauge(labels_map)
                     else:
                         child = Counter(labels_map)
                     self._children[key] = child
@@ -250,13 +200,8 @@ class MetricFamily:
 
     def inc(self, amount: float = 1.0) -> None:
         child = self._solo()
-        assert isinstance(child, (Counter, Gauge))
+        assert isinstance(child, Counter)
         child.inc(amount)
-
-    def set(self, value: float) -> None:
-        child = self._solo()
-        assert isinstance(child, Gauge)
-        child.set(value)
 
     def observe(self, value: float) -> None:
         child = self._solo()
@@ -276,17 +221,6 @@ class MetricFamily:
                 else:
                     total += child.value  # type: ignore[union-attr]
         return total
-
-    def as_dict(self) -> Dict[str, object]:
-        return {
-            "kind": self.kind,
-            "help": self.help_text,
-            "labelnames": list(self.labelnames),
-            "samples": sorted(
-                (child.sample() for child in self.children()),  # type: ignore[attr-defined]
-                key=lambda sample: sorted(sample["labels"].items()),  # type: ignore[index,union-attr]
-            ),
-        }
 
 
 class MetricsRegistry:
@@ -327,11 +261,6 @@ class MetricsRegistry:
     ) -> MetricFamily:
         return self._declare(name, "counter", help_text, labelnames)
 
-    def gauge(
-        self, name: str, help_text: str = "", labelnames: Sequence[str] = ()
-    ) -> MetricFamily:
-        return self._declare(name, "gauge", help_text, labelnames)
-
     def histogram(
         self,
         name: str,
@@ -358,15 +287,6 @@ class MetricsRegistry:
             yield self._families[name]
 
     # -- exposition ----------------------------------------------------------
-
-    def as_dict(self) -> Dict[str, object]:
-        """JSON-able snapshot of every family and child."""
-        return {
-            family.name: family.as_dict() for family in self.families()
-        }
-
-    def render_json(self, indent: int = 2) -> str:
-        return json.dumps(self.as_dict(), indent=indent, sort_keys=True)
 
     def render_text(self) -> str:
         """Prometheus text exposition (one ``# TYPE`` block per family)."""

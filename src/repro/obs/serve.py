@@ -14,8 +14,6 @@ agent embeds a :class:`TelemetryServer` (wired into the
   counters); answers ``503`` when its ``"status"`` is anything but
   ``"ok"``.  This is the one document the fleet
   :class:`~repro.obs.collector.Collector` reads;
-* ``GET /vars``   -- the full registry as one JSON document (for
-  operators);
 * ``GET /debug/flight`` -- the device's flight-recorder dump (ring of
   typed events with Lamport clocks, see :mod:`repro.obs.flight`); 404
   when the owning backend records no flights.
@@ -251,9 +249,6 @@ class TelemetryServer:
         if path == "/metrics":
             registry = self._registry_provider()
             return 200, CONTENT_TYPE_TEXT, registry.render_text().encode("utf-8")
-        if path == "/vars":
-            registry = self._registry_provider()
-            return 200, CONTENT_TYPE_JSON, registry.render_json().encode("utf-8")
         if path == "/healthz":
             try:
                 health = self._health_provider()

@@ -25,11 +25,11 @@ from typing import Dict, Optional
 
 __all__ = ["TraceRecord"]
 
-#: Record kinds (the JSONL ``kind`` field).
+#: Record kinds.
 KIND_SPAN = "span"
 KIND_EVENT = "event"
 
-#: Record categories (the ``cat`` field).
+#: Record categories (the Chrome event's ``cat``).
 CAT_VERIFY = "verify"  # CIB deltas and verdict transitions
 CAT_SIM = "sim"  # simulator device steps
 CAT_RUNTIME = "runtime"  # runtime / fleet device steps
@@ -55,17 +55,3 @@ class TraceRecord:
     @property
     def duration(self) -> float:
         return max(0.0, self.end - self.start)
-
-    def as_dict(self) -> Dict[str, object]:
-        return {
-            "kind": self.kind,
-            "name": self.name,
-            "cat": self.cat,
-            "device": self.device,
-            "trace": self.trace_id,
-            "id": self.span_id,
-            "parent": self.parent_id,
-            "ts": self.start,
-            "dur": self.duration,
-            "attrs": self.attrs,
-        }

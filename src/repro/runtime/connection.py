@@ -473,10 +473,25 @@ class PeerSession:
             return
 
     async def _watchdog_loop(self, channel: FramedChannel) -> None:
+        """Abort the connection once the peer was silent for the hold time.
+
+        Silence is counted in ticks of this loop, not in wall time: a
+        tick that wakes late because the event loop was busy counts
+        once.  A stall of this process is not the peer's silence -- and
+        when both ends share the loop it also held the peer's
+        keepalives, so a wall-clock check would declare every session
+        dead after any pause longer than the hold time.
+        """
+        heard = channel.last_rx
+        silent = 0
         try:
             while True:
                 await asyncio.sleep(self.keepalive_interval)
-                if time.monotonic() - channel.last_rx > self.hold_time:
+                if channel.last_rx != heard:
+                    heard, silent = channel.last_rx, 0
+                    continue
+                silent += 1
+                if silent * self.keepalive_interval >= self.hold_time:
                     self._hold_expired = True
                     channel.abort()  # receive() unblocks with None
                     return

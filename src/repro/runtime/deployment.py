@@ -112,7 +112,7 @@ class RuntimeDeployment(Deployment):
     def http_endpoints(self) -> Dict[str, Tuple[str, int]]:
         """``device -> (host, port)`` of the agents' telemetry servers.
 
-        Scrape ``GET /metrics``, ``/healthz`` or ``/vars`` on any of
+        Scrape ``GET /metrics``, ``/healthz`` or ``/debug/flight`` on any of
         them (curl, Prometheus, :class:`repro.obs.collector.Collector`,
         or ``python -m repro top``) while the deployment runs.
         """

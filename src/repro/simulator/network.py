@@ -158,19 +158,9 @@ class SimulatedNetwork(AgentBackend):
         factory: PredicateFactory,
         profile: DeviceProfile = DeviceProfile(),
         strict_wire: bool = False,
-        verifier_hosts: Optional[Dict[str, str]] = None,
         flight: bool = False,
         flight_capacity: int = 512,
     ) -> None:
-        """``verifier_hosts`` enables §7's incremental deployment: map a
-        device to the host that runs its verifier off-device (a VM or a
-        neighboring switch).  The proxy collects the device's data plane
-        and exchanges DVM messages on its behalf; messaging latency
-        between two verifiers becomes the min-latency path between their
-        hosts, and a proxied device's FIB events reach the verifier after
-        the device→host latency.  Unmapped devices verify on-device, so
-        mixed deployments work (RCDC's all-off-device layout being one
-        extreme)."""
         self.stats = MessageStats()
         super().__init__(
             topology,
@@ -185,13 +175,6 @@ class SimulatedNetwork(AgentBackend):
         self.queue = EventQueue()
         self.strict_wire = strict_wire
         self._cpu_scale = profile.cpu_scale
-        self.verifier_hosts = dict(verifier_hosts or {})
-        for device, host in self.verifier_hosts.items():
-            if not topology.has_device(device) or not topology.has_device(host):
-                raise ValueError(
-                    f"verifier host mapping {device!r} -> {host!r} names an "
-                    "unknown device"
-                )
         for device in topology.devices:
             self._spawn(device)
         self._busy_until: Dict[str, List[float]] = {
@@ -200,24 +183,6 @@ class SimulatedNetwork(AgentBackend):
         }
         self._channel_clock: Dict[Tuple[str, str], float] = {}
         self._failed_links: set = set()
-        self._latency_cache: Dict[str, Dict[str, float]] = {}
-
-    # ------------------------------------------------------------------
-    # proxy placement helpers
-
-    def host_of(self, device: str) -> str:
-        """Where ``device``'s verifier runs (itself unless proxied)."""
-        return self.verifier_hosts.get(device, device)
-
-    def _host_latency(self, source: str, destination: str) -> float:
-        """Min-latency management-path delay between two hosts."""
-        if source == destination:
-            return 0.0
-        cached = self._latency_cache.get(source)
-        if cached is None:
-            cached = self.topology.latency_distances(source)
-            self._latency_cache[source] = cached
-        return cached.get(destination, float("inf"))
 
     # ------------------------------------------------------------------
     # core execution
@@ -230,8 +195,7 @@ class SimulatedNetwork(AgentBackend):
         flight record gets its simulated start and cost, so a derived
         trace shows the modeled wave, not host noise.
         """
-        host = self.host_of(device)
-        cores = self._busy_until[host]
+        cores = self._busy_until[device]
         core_index = min(range(len(cores)), key=cores.__getitem__)
         start_sim = max(self.queue.now, cores[core_index])
         wall_start = _time.perf_counter()
@@ -240,7 +204,7 @@ class SimulatedNetwork(AgentBackend):
         step.timed(start_sim, elapsed)
         completion = start_sim + elapsed
         cores[core_index] = completion
-        self.stats.record_processing(host, elapsed)
+        self.stats.record_processing(device, elapsed)
         for destination, message in outgoing:
             self._transmit(device, destination, message, completion)
 
@@ -252,25 +216,14 @@ class SimulatedNetwork(AgentBackend):
         when: float,
     ) -> None:
         link_key = (source, destination)
-        proxied = source in self.verifier_hosts or destination in self.verifier_hosts
-        if not proxied:
-            if not self.topology.has_link(source, destination):
-                raise RuntimeError(
-                    f"verifier on {source!r} addressed non-neighbor "
-                    f"{destination!r}"
-                )
-            normalized = tuple(sorted((source, destination)))
-            if normalized in self._failed_links:
-                return  # the physical link is down; TCP will stall -- drop
-            latency = self.topology.link(source, destination).latency
-        else:
-            # Off-device verifiers talk over the management network
-            # between their hosts.
-            latency = self._host_latency(
-                self.host_of(source), self.host_of(destination)
+        if not self.topology.has_link(source, destination):
+            raise RuntimeError(
+                f"verifier on {source!r} addressed non-neighbor "
+                f"{destination!r}"
             )
-            if latency == float("inf"):
-                return  # hosts disconnected
+        if tuple(sorted(link_key)) in self._failed_links:
+            return  # the physical link is down; TCP will stall -- drop
+        latency = self.topology.link(source, destination).latency
         # The stamp is threaded to the delivery explicitly: the same
         # message instance may be stamped again for the next peer.
         clock = self.agents[source].stamp(destination, message)
@@ -295,20 +248,14 @@ class SimulatedNetwork(AgentBackend):
     # open window -> inject -> settle
 
     def _inject(
-        self,
-        devices: Iterable[str],
-        event: str,
-        *args: object,
-        delay: float = 0.0,
-        **fields: object,
+        self, devices: Iterable[str], event: str, *args: object, **fields: object
     ) -> None:
         """Record ``event`` on each device now and schedule its step
-        there ``delay`` seconds on."""
+        there."""
         for device in devices:
             step = self.agents[device].event(event, *args, **fields)
             self.queue.schedule(
-                self.queue.now + delay,
-                lambda d=device, s=step: self._execute(d, s),
+                self.queue.now, lambda d=device, s=step: self._execute(d, s)
             )
 
     def _settle(self, window: OpWindow) -> float:
@@ -340,18 +287,10 @@ class SimulatedNetwork(AgentBackend):
         )
 
     def fib_update(self, device: str, mutate: Callable[[], None]) -> float:
-        """Apply one rule update at ``device`` and verify incrementally.
-
-        For proxied devices the update must first travel from the device
-        to its verifier's host over the management network.
-        """
+        """Apply one rule update at ``device`` and verify incrementally."""
         window = OpWindow(f"fib_update:{device}", self.queue.now)
         mutate()
-        self._inject(
-            (device,),
-            "fib_update",
-            delay=self._host_latency(device, self.host_of(device)),
-        )
+        self._inject((device,), "fib_update")
         return self._settle(window)
 
     def fail_link(self, a: str, b: str) -> float:

@@ -167,6 +167,8 @@ def test_a_wrapped_ring_gives_null_parents_and_a_failing_trace(tmp_path):
     out = tmp_path / "out"
     assert main(["trace", str(path), "--out", str(out)]) == 1
     assert (out / "trace.chrome.json").stat().st_size
+    # One rendering of the trace, and no registry: the dumps carry none.
+    assert [entry.name for entry in out.iterdir()] == ["trace.chrome.json"]
 
     whole = tmp_path / "whole.json"
     whole.write_text(

@@ -1,15 +1,8 @@
-"""Exporters: JSONL round-trip, schema validation, Chrome trace shape."""
+"""Record validation and the Chrome trace's shape."""
 
 import json
 
-from repro.obs.export import (
-    read_jsonl,
-    to_chrome,
-    validate_jsonl,
-    validate_records,
-    write_chrome,
-    write_jsonl,
-)
+from repro.obs.export import to_chrome, validate_records, write_chrome
 from repro.obs.trace import KIND_EVENT, KIND_SPAN, TraceRecord
 
 
@@ -48,47 +41,6 @@ def sample_records():
         span(2, name="recv UPDATE", device="B", parent=1, start=2.5, end=3.0),
         instant(3, name="quiescence", device="B", parent=2, when=3.0),
     ]
-
-
-class TestJsonl:
-    def test_round_trip_preserves_every_field(self, tmp_path):
-        records = sample_records()
-        records[0].attrs = {"plan": "p1"}
-        records[2].attrs = {"note": 1}
-        path = tmp_path / "trace.jsonl"
-        written = write_jsonl(records, path)
-        assert written == 3
-        loaded = read_jsonl(path)
-        assert [record.as_dict() for record in loaded] == [
-            record.as_dict() for record in records
-        ]
-        assert validate_jsonl(path) == []
-
-    def test_validate_jsonl_reports_malformed_lines(self, tmp_path):
-        path = tmp_path / "bad.jsonl"
-        good = sample_records()[0].as_dict()
-        missing = dict(good, id=2)
-        del missing["device"]
-        wrong_type = dict(good, id=3, ts="yesterday")
-        bool_ts = dict(good, id=4, ts=True)
-        no_parent = dict(good, id=5)
-        del no_parent["parent"]
-        lines = [
-            "not json at all",
-            json.dumps([1, 2, 3]),
-            json.dumps(missing),
-            json.dumps(wrong_type),
-            json.dumps(bool_ts),
-            json.dumps(no_parent),
-        ]
-        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-        errors = validate_jsonl(path)
-        assert any("line 1" in error and "not JSON" in error for error in errors)
-        assert any("line 2" in error and "not an object" in error for error in errors)
-        assert any("line 3" in error and "'device'" in error for error in errors)
-        assert any("line 4" in error and "'ts'" in error for error in errors)
-        assert any("line 5" in error and "'ts'" in error for error in errors)
-        assert any("line 6" in error and "'parent'" in error for error in errors)
 
 
 class TestValidateRecords:

@@ -1,16 +1,9 @@
-"""Structured logging: namespacing, kv fields, both formatters."""
+"""Structured logging: namespacing, kv fields, the key=value formatter."""
 
 import io
-import json
 import logging
 
-from repro.obs.log import (
-    JsonFormatter,
-    KeyValueFormatter,
-    configure,
-    get_logger,
-    kv,
-)
+from repro.obs.log import KeyValueFormatter, configure, get_logger, kv
 
 
 def make_record(message="session established", **fields):
@@ -36,16 +29,6 @@ def test_key_value_formatter_renders_fields_inline():
 def test_key_value_formatter_quotes_awkward_scalars():
     line = KeyValueFormatter().format(make_record(error="boom went it"))
     assert 'error="boom went it"' in line
-
-
-def test_json_formatter_emits_one_parseable_object():
-    payload = json.loads(
-        JsonFormatter().format(make_record(device="A", count=3))
-    )
-    assert payload["message"] == "session established"
-    assert payload["level"] == "INFO"
-    assert payload["device"] == "A"
-    assert payload["count"] == 3
 
 
 def test_configure_is_idempotent():

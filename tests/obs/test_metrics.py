@@ -1,13 +1,10 @@
 """The metrics registry: instruments, schema discipline, exposition."""
 
-import json
-
 import pytest
 
 from repro.obs.metrics import (
     DEFAULT_BUCKETS,
     Counter,
-    Gauge,
     Histogram,
     MetricError,
     MetricsRegistry,
@@ -36,22 +33,6 @@ class TestHistogram:
         counts = [count for _, count in pairs]
         assert counts == sorted(counts)
 
-    def test_quantile_returns_covering_bucket_bound(self):
-        hist = Histogram({}, bounds=(1.0, 2.0, 4.0))
-        for value in (0.5, 0.6, 1.5, 3.0):
-            hist.observe(value)
-        assert hist.quantile(0.5) == 1.0
-        assert hist.quantile(1.0) == 4.0
-        empty = Histogram({}, bounds=(1.0,))
-        assert empty.quantile(0.9) == 0.0
-        with pytest.raises(MetricError):
-            hist.quantile(1.5)
-
-    def test_overflow_only_histogram_quantile_is_inf(self):
-        hist = Histogram({}, bounds=(1.0,))
-        hist.observe(10.0)
-        assert hist.quantile(0.9) == float("inf")
-
     def test_bounds_must_be_strictly_increasing_and_nonempty(self):
         with pytest.raises(MetricError):
             Histogram({}, bounds=(2.0, 1.0))
@@ -61,7 +42,7 @@ class TestHistogram:
             Histogram({}, bounds=())
 
 
-class TestCounterAndGauge:
+class TestCounter:
     def test_counter_only_goes_up(self):
         counter = Counter({"device": "A"})
         counter.inc()
@@ -69,13 +50,6 @@ class TestCounterAndGauge:
         assert counter.value == pytest.approx(3.5)
         with pytest.raises(MetricError):
             counter.inc(-1.0)
-
-    def test_gauge_moves_both_ways(self):
-        gauge = Gauge({})
-        gauge.set(10.0)
-        gauge.inc(5.0)
-        gauge.inc(-2.0)
-        assert gauge.value == pytest.approx(13.0)
 
 
 class TestFamiliesAndRegistry:
@@ -108,7 +82,7 @@ class TestFamiliesAndRegistry:
         registry = MetricsRegistry()
         registry.counter("frames", labelnames=("device",))
         with pytest.raises(MetricError):
-            registry.gauge("frames", labelnames=("device",))
+            registry.histogram("frames", labelnames=("device",))
         with pytest.raises(MetricError):
             registry.counter("frames", labelnames=("device", "kind"))
 
@@ -127,8 +101,7 @@ class TestExposition:
         hist = registry.histogram("proc_seconds", buckets=(1.0, 2.0))
         hist.observe(0.5)
         hist.observe(9.0)
-        gauge = registry.gauge("up")
-        gauge.set(1.0)
+        registry.counter("up").inc()
         return registry
 
     def test_text_exposition_follows_prometheus_conventions(self):
@@ -141,14 +114,6 @@ class TestExposition:
         assert 'proc_seconds_bucket{le="+Inf"} 2' in text
         assert "proc_seconds_count 2" in text
         assert "up 1" in text
-
-    def test_json_exposition_round_trips(self):
-        registry = self.build()
-        parsed = json.loads(registry.render_json())
-        assert parsed == json.loads(json.dumps(registry.as_dict()))
-        assert parsed["dvm_frames"]["kind"] == "counter"
-        assert parsed["dvm_frames"]["samples"][0]["labels"] == {"device": "A"}
-        assert parsed["proc_seconds"]["samples"][0]["count"] == 2
 
 
 class TestSharedSchema:

@@ -39,9 +39,9 @@ class TestEndpoints:
                 status, body = await _get(server, "/healthz")
                 assert status == 200
                 assert json.loads(body) == {"status": "ok"}
-                status, body = await _get(server, "/vars")
-                assert status == 200
-                assert json.loads(body)["dvm_frames"]["kind"] == "counter"
+                # The registry has one rendering: /metrics.
+                status, _ = await _get(server, "/vars")
+                assert status == 404
             finally:
                 await server.stop()
 

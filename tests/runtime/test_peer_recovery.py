@@ -6,6 +6,8 @@ behavior) and on the TCP runtime (where loss detection and the re-OPEN
 refresh happen through real sockets).
 """
 
+import asyncio
+import time
 from collections import deque
 
 import pytest
@@ -161,6 +163,38 @@ class TestRuntimeBackend:
                 )
                 assert not cluster.hosts["A"].sessions["W"].is_established
                 assert not cluster.holds("p")
+            finally:
+                await cluster.stop()
+
+        run(drive())
+
+    def test_a_stalled_event_loop_declares_no_peer_dead(
+        self, run, fast_options, scenario, dst_factory
+    ):
+        """Every session's two ends share the event loop, so a pause of
+        the process longer than the hold time (a long step, a garbage-
+        collector pass) also held every keepalive: the process was
+        silent, not the peers."""
+        topology, fibs, plan = scenario
+        hold_time = fast_options["keepalive_interval"] * fast_options[
+            "hold_multiplier"
+        ]
+
+        async def drive():
+            cluster = RuntimeCluster(
+                topology, fibs, dst_factory, **fast_options
+            )
+            await cluster.start()
+            try:
+                await cluster.install_plan("p", plan)
+                converged = canonical(cluster.verdicts("p"))
+                time.sleep(3 * hold_time)  # blocks the loop
+                await asyncio.sleep(3 * hold_time)
+                assert not any(
+                    m.peer_down_events.value
+                    for m in cluster.metrics.devices.values()
+                )
+                assert canonical(cluster.verdicts("p")) == converged
             finally:
                 await cluster.stop()
 
