@@ -15,6 +15,7 @@ import pathlib
 import pytest
 
 from repro.bench.workloads import build_workload
+from repro.core import Tulkun
 
 #: Destination caps per dataset keeping the default bench run fast; the
 #: per-destination plans are independent, so times scale linearly.
@@ -95,3 +96,13 @@ def workload_for():
 
 def write_table(out_dir, name: str, text: str) -> None:
     (out_dir / name).write_text(text)
+
+
+def deploy_workload(workload):
+    """A simulator deployment of ``workload`` with every plan installed
+    as one batch (the burst); returns it and the burst's first report
+    (every report of a batch carries the batch's time and frames)."""
+    deployment = Tulkun(workload.topology, workload.factory).deploy(
+        workload.fibs
+    )
+    return deployment, deployment.install(dict(workload.plans))[0]

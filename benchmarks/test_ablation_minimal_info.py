@@ -10,12 +10,12 @@ import pytest
 from conftest import write_table
 
 from repro.bench.reporting import format_seconds, print_table
+from repro.core import Tulkun
 from repro.dataplane.actions import ALL, ANY, Deliver, Forward
 from repro.dataplane.fib import Fib
 from repro.packetspace.fields import DSTIP_ONLY_LAYOUT
 from repro.packetspace.predicate import PredicateFactory
 from repro.planner import plan_invariant
-from repro.simulator.network import SimulatedNetwork
 from repro.spec import library
 from repro.topology.generators import chained_diamond
 
@@ -52,14 +52,13 @@ def build(mode):
     plan = plan_invariant(invariant, topology)
     if mode == "full":
         plan.mode = "full"  # disable the Prop. 1 projection
-    network = SimulatedNetwork(topology, fibs, factory)
-    elapsed = network.install_plan("abl", plan)
+    report = Tulkun(topology, factory).deploy(fibs).install({"abl": plan})[0]
     return {
         "mode": mode,
-        "seconds": elapsed,
-        "messages": network.stats.messages,
-        "bytes": network.stats.bytes,
-        "holds": network.holds("abl"),
+        "seconds": report.verification_seconds,
+        "messages": report.message_count,
+        "bytes": report.message_bytes,
+        "holds": report.holds,
     }
 
 

@@ -11,18 +11,28 @@ crossover favors Tulkun (§9.3.2).
 """
 
 import pytest
-from conftest import BENCH_DC_DATASETS, BENCH_WAN_DATASETS, write_table
+from conftest import (
+    BENCH_DC_DATASETS,
+    BENCH_WAN_DATASETS,
+    deploy_workload,
+    write_table,
+)
 
 from repro.baselines import ALL_BASELINES
 from repro.bench.reporting import acceleration_row, print_table
-from repro.bench.runners import run_baseline_burst, run_tulkun_burst
+from repro.bench.runners import run_baseline_burst
 
 _RESULTS = {}
 
 
+def tulkun_burst(workload):
+    """Every plan installed at once: the burst's convergence time."""
+    return deploy_workload(workload)[1].verification_seconds
+
+
 def run_dataset(workload):
     if workload.name not in _RESULTS:
-        tulkun = run_tulkun_burst(workload)
+        tulkun = tulkun_burst(workload)
         baselines = {}
         for verifier_cls in ALL_BASELINES:
             timing = run_baseline_burst(verifier_cls, workload)
@@ -36,10 +46,9 @@ def test_burst_verification(dataset, workload_for, benchmark):
     workload = workload_for(dataset)
     tulkun, baselines = run_dataset(workload)
 
-    def measured():
-        return run_tulkun_burst(workload).burst_seconds
-
-    seconds = benchmark.pedantic(measured, rounds=1, iterations=1)
+    seconds = benchmark.pedantic(
+        tulkun_burst, args=(workload,), rounds=1, iterations=1
+    )
     assert seconds > 0
     assert all(value > 0 for value in baselines.values())
 
@@ -50,9 +59,7 @@ def test_fig11a_table(workload_for, out_dir, benchmark):
         for dataset in BENCH_WAN_DATASETS + BENCH_DC_DATASETS:
             workload = workload_for(dataset)
             tulkun, baselines = run_dataset(workload)
-            rows.append(
-                acceleration_row(dataset, tulkun.burst_seconds, baselines)
-            )
+            rows.append(acceleration_row(dataset, tulkun, baselines))
         return rows
 
     rows = benchmark.pedantic(build_rows, rounds=1, iterations=1)
@@ -71,9 +78,9 @@ def test_shape_dc_speedup(workload_for, benchmark):
         workload = workload_for(dataset)
         tulkun, baselines = run_dataset(workload)
         for name, seconds in baselines.items():
-            assert seconds > tulkun.burst_seconds, (
+            assert seconds > tulkun, (
                 f"{name} should be slower than Tulkun on {dataset}: "
-                f"{seconds:.4f}s vs {tulkun.burst_seconds:.4f}s"
+                f"{seconds:.4f}s vs {tulkun:.4f}s"
             )
 
 
@@ -91,7 +98,7 @@ def test_shape_rule_count_crossover(workload_for, benchmark):
     # rules) more than they cost Tulkun (per-device LECs in parallel).
     # Collection latency is identical on the shared topology, so the
     # heavy-light delta isolates compute.
-    tulkun_delta = tulkun_heavy.burst_seconds - tulkun_light.burst_seconds
+    tulkun_delta = tulkun_heavy - tulkun_light
     slower = sum(
         1
         for name in base_light

@@ -9,7 +9,12 @@ devices and never reach the management network.
 """
 
 import pytest
-from conftest import BENCH_DC_DATASETS, BENCH_WAN_DATASETS, write_table
+from conftest import (
+    BENCH_DC_DATASETS,
+    BENCH_WAN_DATASETS,
+    deploy_workload,
+    write_table,
+)
 
 from repro.baselines import ALL_BASELINES
 from repro.baselines.collection import CollectionModel
@@ -18,7 +23,6 @@ from repro.bench.runners import (
     fraction_below,
     quantile,
     run_baseline_incremental,
-    run_tulkun_incremental,
 )
 from repro.bench.workloads import random_rule_updates
 
@@ -37,7 +41,11 @@ def run_dataset(workload):
         return _RESULTS[workload.name]
     # Tulkun: converge the burst, then measure per-update times.
     updates = random_rule_updates(workload, NUM_UPDATES, seed=41)
-    tulkun = run_tulkun_incremental(workload, updates)
+    deployment, _ = deploy_workload(workload)
+    tulkun_times = [
+        deployment.update_rule(update.device, update.apply)
+        for update in updates
+    ]
 
     baseline_times = {}
     for verifier_cls in ALL_BASELINES:
@@ -49,7 +57,7 @@ def run_dataset(workload):
             workload, updates, verifier, collection
         )
         baseline_times[verifier_cls.name] = timing.incremental_seconds
-    _RESULTS[workload.name] = (tulkun.incremental_seconds, baseline_times)
+    _RESULTS[workload.name] = (tulkun_times, baseline_times)
     return _RESULTS[workload.name]
 
 

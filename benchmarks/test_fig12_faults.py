@@ -9,7 +9,7 @@ and (b) incremental verification after the scene.
 """
 
 import pytest
-from conftest import full_sweep, write_table
+from conftest import deploy_workload, full_sweep, write_table
 
 from repro.baselines import ALL_BASELINES
 from repro.baselines.collection import CollectionModel
@@ -19,17 +19,12 @@ from repro.bench.reporting import (
     quantile_row,
     under_10ms_row,
 )
-from repro.bench.runners import (
-    quantile,
-    run_baseline_incremental,
-    run_tulkun_incremental,
-)
+from repro.bench.runners import quantile, run_baseline_incremental
 from repro.bench.workloads import (
     build_workload,
     random_fault_scenes,
     random_rule_updates,
 )
-from repro.simulator.network import SimulatedNetwork
 
 FAULT_DATASETS = ("INet2", "B4-13", "STFD", "AT1-1")
 NUM_SCENES = 8
@@ -50,23 +45,20 @@ def run_dataset(dataset):
 
     # (a) full-network verification time per scene.
     tulkun_scene_times = []
-    network = SimulatedNetwork(
-        workload.topology, workload.fibs, workload.factory
-    )
-    network.install_plans(dict(workload.plans))
+    deployment, _ = deploy_workload(workload)
     failed_now = set()
     for scene in scenes:
-        start = network.queue.now
+        seconds = 0.0
         # transition from the previous scene to this one
         for link in list(failed_now):
             if link not in scene.failed:
-                network.recover_link(*link)
+                seconds += deployment.recover_link(*link)
                 failed_now.discard(link)
         for link in scene.failed:
             if link not in failed_now:
-                network.fail_link(*link)
+                seconds += deployment.fail_link(*link)
                 failed_now.add(link)
-        tulkun_scene_times.append(network.queue.now - start)
+        tulkun_scene_times.append(seconds)
 
     baseline_scene_times = {}
     for verifier_cls in ALL_BASELINES:
@@ -87,7 +79,8 @@ def run_dataset(dataset):
     # (b) incremental updates under the final scene.
     updates = random_rule_updates(workload, NUM_UPDATES, seed=78)
     tulkun_inc = [
-        network.fib_update(update.device, update.apply) for update in updates
+        deployment.update_rule(update.device, update.apply)
+        for update in updates
     ]
     baseline_inc = {}
     for verifier_cls in ALL_BASELINES:

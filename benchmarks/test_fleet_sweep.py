@@ -8,10 +8,9 @@ rack hosts add two hops.  The k=16 fabric has 67x the devices of k=4,
 and its burst converges within 10x of k=4's model time.
 """
 
-from conftest import write_table
+from conftest import deploy_workload, write_table
 
 from repro.bench.reporting import format_seconds, print_table
-from repro.bench.runners import run_tulkun_burst
 from repro.fleet.spec import FleetSpec, build_fleet_workload
 
 FABRICS = ("ft4", "ft8", "ft12", "ft16h8")
@@ -25,7 +24,7 @@ def run_sweep():
             workload = build_fleet_workload(
                 FleetSpec(topology=name, destinations=4, ingresses=8)
             )
-            _RESULTS[name] = (workload.topology, run_tulkun_burst(workload))
+            _RESULTS[name] = (workload.topology, deploy_workload(workload)[1])
     return _RESULTS
 
 
@@ -36,8 +35,8 @@ def test_latency_tracks_diameter_not_size(benchmark, out_dir):
             "fabric": name,
             "devices": topology.num_devices,
             "diameter": topology.diameter_hops(),
-            "burst (model)": format_seconds(burst.burst_seconds),
-            "frames": burst.messages,
+            "burst (model)": format_seconds(burst.verification_seconds),
+            "frames": burst.message_count,
         }
         for name, (topology, burst) in results.items()
     ]
@@ -48,4 +47,7 @@ def test_latency_tracks_diameter_not_size(benchmark, out_dir):
     smallest, small_burst = results["ft4"]
     largest, large_burst = results["ft16h8"]
     assert largest.num_devices >= 67 * smallest.num_devices
-    assert large_burst.burst_seconds < 10 * small_burst.burst_seconds
+    assert (
+        large_burst.verification_seconds
+        < 10 * small_burst.verification_seconds
+    )

@@ -8,10 +8,14 @@ upstream), which is why incremental verification stays local.
 """
 
 import pytest
-from conftest import BENCH_DC_DATASETS, BENCH_WAN_DATASETS, write_table
+from conftest import (
+    BENCH_DC_DATASETS,
+    BENCH_WAN_DATASETS,
+    deploy_workload,
+    write_table,
+)
 
 from repro.bench.reporting import print_table
-from repro.bench.runners import run_tulkun_burst
 from repro.bench.workloads import random_rule_updates
 
 DATASETS = BENCH_WAN_DATASETS[:4] + BENCH_DC_DATASETS
@@ -22,20 +26,19 @@ _RESULTS = {}
 def run_dataset(workload):
     if workload.name in _RESULTS:
         return _RESULTS[workload.name]
-    burst = run_tulkun_burst(workload)
-    network = burst.network
+    deployment, burst = deploy_workload(workload)
     updates = random_rule_updates(workload, 20, seed=55)
     per_update_messages = []
     for update in updates:
-        before = network.stats.messages
-        network.fib_update(update.device, update.apply)
-        per_update_messages.append(network.stats.messages - before)
+        before, _ = deployment.frames_sent()
+        deployment.update_rule(update.device, update.apply)
+        per_update_messages.append(deployment.frames_sent()[0] - before)
     _RESULTS[workload.name] = {
         "dataset": workload.name,
-        "burst_msgs": burst.messages,
-        "burst_KB": round(burst.bytes / 1024, 1),
+        "burst_msgs": burst.message_count,
+        "burst_KB": round(burst.message_bytes / 1024, 1),
         "msgs/device": round(
-            burst.messages / workload.topology.num_devices, 1
+            burst.message_count / workload.topology.num_devices, 1
         ),
         "quiet_updates_%": round(
             100

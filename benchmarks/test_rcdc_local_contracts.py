@@ -12,9 +12,8 @@ import pytest
 from conftest import write_table
 
 from repro.bench.reporting import format_seconds, print_table
-from repro.dvm.messages import UpdateMessage
+from repro.core import Tulkun
 from repro.planner import plan_invariant
-from repro.simulator.network import SimulatedNetwork
 from repro.spec import library
 
 DATASETS = ("FT-48", "NGDC")
@@ -22,30 +21,38 @@ DATASETS = ("FT-48", "NGDC")
 _RESULTS = {}
 
 
-def run_dataset(workload):
-    if workload.name in _RESULTS:
-        return _RESULTS[workload.name]
+def contract_plan(workload):
+    """All-shortest-path availability from the first ToR to the last."""
     tors = workload.topology.devices_with_prefixes()
     source, destination = tors[0], tors[-1]
     cidr = workload.topology.external_prefixes(destination)[0]
     packets = workload.factory.dst_prefix(cidr)
-    plan = plan_invariant(
+    return plan_invariant(
         library.all_shortest_path_availability(packets, source, destination),
         workload.topology,
     )
-    network = SimulatedNetwork(
-        workload.topology, workload.fibs, workload.factory
+
+
+def install(workload, plan, **options):
+    """A fresh simulator deployment with ``plan`` installed as "rcdc"."""
+    deployment = Tulkun(workload.topology, workload.factory).deploy(
+        workload.fibs, **options
     )
-    elapsed = network.install_plan("rcdc", plan)
+    return deployment, deployment.install({"rcdc": plan})[0]
+
+
+def run_dataset(workload):
+    if workload.name in _RESULTS:
+        return _RESULTS[workload.name]
+    plan = contract_plan(workload)
+    _, report = install(workload, plan)
     _RESULTS[workload.name] = {
         "dataset": workload.name,
         "mode": plan.mode,
         "nodes": plan.dpvnet.num_nodes,
-        "verify": format_seconds(elapsed),
-        "holds": network.holds("rcdc"),
-        "total_msgs": network.stats.messages,
-        "network": network,
-        "plan": plan,
+        "verify": format_seconds(report.verification_seconds),
+        "holds": report.holds,
+        "total_msgs": report.message_count,
     }
     return _RESULTS[workload.name]
 
@@ -61,11 +68,7 @@ def test_local_contracts_verify(dataset, workload_for, benchmark):
 
 def test_rcdc_table(workload_for, out_dir, benchmark):
     rows = benchmark.pedantic(
-        lambda: [
-            {k: v for k, v in run_dataset(workload_for(d)).items()
-             if k not in ("network", "plan")}
-            for d in DATASETS
-        ],
+        lambda: [run_dataset(workload_for(d)) for d in DATASETS],
         rounds=1,
         iterations=1,
     )
@@ -83,28 +86,13 @@ def test_shape_no_counting_messages(workload_for, benchmark):
     benchmark.pedantic(lambda: None, rounds=1, iterations=1)
     for dataset in DATASETS:
         workload = workload_for(dataset)
-        tors = workload.topology.devices_with_prefixes()
-        source, destination = tors[0], tors[-1]
-        cidr = workload.topology.external_prefixes(destination)[0]
-        packets = workload.factory.dst_prefix(cidr)
-        plan = plan_invariant(
-            library.all_shortest_path_availability(
-                packets, source, destination
-            ),
-            workload.topology,
-        )
-        network = SimulatedNetwork(
-            workload.topology, workload.fibs, workload.factory
-        )
-        captured = []
-        original = network._transmit
-
-        def spy(src, dst, message, when):
-            captured.append(message)
-            return original(src, dst, message, when)
-
-        network._transmit = spy
-        network.install_plan("rcdc", plan)
-        assert not any(
-            isinstance(message, UpdateMessage) for message in captured
-        ), dataset
+        deployment, _ = install(workload, contract_plan(workload), flight=True)
+        dumps = deployment.flight_dump().values()
+        assert not any(dump["truncated"] for dump in dumps), dataset
+        sent = [
+            event["kind"]
+            for dump in dumps
+            for event in dump["events"]
+            if event["etype"] == "frame_tx"
+        ]
+        assert sent and "UPDATE" not in sent, dataset

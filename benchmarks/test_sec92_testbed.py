@@ -11,7 +11,7 @@ both *relations* (Tulkun wins; sub-10 ms quantile), not the absolute
 numbers.
 """
 
-from conftest import write_table
+from conftest import deploy_workload, write_table
 
 from repro.baselines import ALL_BASELINES
 from repro.baselines.collection import CollectionModel
@@ -20,8 +20,6 @@ from repro.bench.runners import (
     quantile,
     run_baseline_burst,
     run_baseline_incremental,
-    run_tulkun_burst,
-    run_tulkun_incremental,
 )
 from repro.bench.workloads import build_workload, random_rule_updates
 
@@ -33,11 +31,12 @@ _RESULTS = {}
 def run_testbed():
     if "testbed" not in _RESULTS:
         workload = build_workload("INet2", prefixes_per_device=2)
-        tulkun_burst = run_tulkun_burst(workload)
+        deployment, tulkun_burst = deploy_workload(workload)
         updates = random_rule_updates(workload, NUM_UPDATES, seed=92)
-        tulkun_inc = run_tulkun_incremental(
-            workload, updates, network=tulkun_burst.network
-        )
+        tulkun_inc = [
+            deployment.update_rule(update.device, update.apply)
+            for update in updates
+        ]
         baselines = {}
         for verifier_cls in ALL_BASELINES:
             verifier = verifier_cls(workload.factory)
@@ -63,7 +62,7 @@ def test_experiment1_burst(benchmark, out_dir):
     rows = [
         {
             "metric": "Tulkun burst",
-            "value": format_seconds(tulkun_burst.burst_seconds),
+            "value": format_seconds(tulkun_burst.verification_seconds),
         },
         {
             "metric": "best centralized burst",
@@ -71,7 +70,7 @@ def test_experiment1_burst(benchmark, out_dir):
         },
         {
             "metric": "speedup",
-            "value": f"{best / tulkun_burst.burst_seconds:.2f}x",
+            "value": f"{best / tulkun_burst.verification_seconds:.2f}x",
         },
     ]
     text = print_table("§9.2 experiment 1: burst update", rows)
@@ -83,14 +82,14 @@ def test_experiment1_burst(benchmark, out_dir):
     # both sides are latency-bound; we assert same-order parity here and
     # verify the rule-volume trend separately
     # (test_fig11_burst.py::test_shape_rule_count_crossover).
-    assert best > tulkun_burst.burst_seconds / 3
+    assert best > tulkun_burst.verification_seconds / 3
 
 
 def test_experiment2_incremental(benchmark, out_dir):
     _, tulkun_inc, baselines = benchmark.pedantic(
         run_testbed, rounds=1, iterations=1
     )
-    tulkun_q = quantile(tulkun_inc.incremental_seconds, 0.8)
+    tulkun_q = quantile(tulkun_inc, 0.8)
     best_q = min(quantile(times, 0.8) for _, times in baselines.values())
     rows = [
         {"metric": "Tulkun 80% quantile", "value": format_seconds(tulkun_q)},

@@ -5,11 +5,11 @@ import pytest
 from conftest import write_table
 
 from repro.bench.reporting import format_seconds, print_table
+from repro.core import Tulkun
 from repro.dataplane.routes import RouteConfig, install_routes
 from repro.packetspace.fields import DSTIP_ONLY_LAYOUT
 from repro.packetspace.predicate import PredicateFactory
 from repro.planner import plan_invariant
-from repro.simulator.network import SimulatedNetwork
 from repro.spec import library
 from repro.topology.generators import paper_example
 
@@ -76,10 +76,9 @@ def run_family(family):
     start = time.perf_counter()
     plan = plan_invariant(invariant, topology)
     plan_seconds = time.perf_counter() - start
-    network = SimulatedNetwork(topology, fibs, factory)
-    verify_seconds = network.install_plan("t1", plan)
-    holds = network.holds("t1")
-    return plan_seconds, verify_seconds, holds, expected, plan
+    report = Tulkun(topology, factory).deploy(fibs).install({"t1": plan})[0]
+    verify_seconds = report.verification_seconds
+    return plan_seconds, verify_seconds, report.holds, expected, plan
 
 
 @pytest.mark.parametrize("family", FAMILIES)

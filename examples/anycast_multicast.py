@@ -10,6 +10,7 @@ from repro.core import Tulkun
 from repro.dataplane.actions import ALL, ANY, Deliver, Forward
 from repro.dataplane.fib import Fib
 from repro.packetspace.fields import DSTIP_ONLY_LAYOUT
+from repro.packetspace.predicate import PredicateFactory
 from repro.spec import library
 from repro.topology.graph import Topology
 
@@ -38,7 +39,7 @@ def build_fibs(tulkun, group_kind):
 
 
 def main() -> None:
-    tulkun = Tulkun(build_topology(), layout=DSTIP_ONLY_LAYOUT)
+    tulkun = Tulkun(build_topology(), PredicateFactory(DSTIP_ONLY_LAYOUT))
 
     # --- anycast: exactly one replica must receive each packet --------
     fibs, packets = build_fibs(tulkun, ANY)

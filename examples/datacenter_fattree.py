@@ -20,13 +20,14 @@ from repro.dataplane import RouteConfig, install_routes
 from repro.dataplane.actions import Forward
 from repro.dataplane.routes import PRIORITY_ERROR
 from repro.packetspace.fields import DSTIP_ONLY_LAYOUT
+from repro.packetspace.predicate import PredicateFactory
 from repro.spec import library
 from repro.topology import fattree
 
 
 def main(arity: int = 4) -> None:
     topology = fattree(arity)
-    tulkun = Tulkun(topology, layout=DSTIP_ONLY_LAYOUT)
+    tulkun = Tulkun(topology, PredicateFactory(DSTIP_ONLY_LAYOUT))
     fibs = install_routes(tulkun.topology, tulkun.factory, RouteConfig(ecmp="any"))
     deployment = tulkun.deploy(fibs)
     tors = topology.devices_with_prefixes()

@@ -17,6 +17,7 @@ from repro.dataplane.actions import Deliver, Forward
 from repro.dataplane.errors import inject_blackhole, inject_waypoint_bypass
 from repro.dataplane.routes import PRIORITY_ERROR
 from repro.packetspace.fields import DSTIP_ONLY_LAYOUT
+from repro.packetspace.predicate import PredicateFactory
 from repro.spec import library
 from repro.topology.graph import Topology
 
@@ -44,7 +45,7 @@ def show(demo: str, correct: bool, erroneous: bool) -> None:
 
 
 def main() -> None:
-    tulkun = Tulkun(build_topology(), layout=DSTIP_ONLY_LAYOUT)
+    tulkun = Tulkun(build_topology(), PredicateFactory(DSTIP_ONLY_LAYOUT))
     factory = tulkun.factory
     packets = factory.dst_prefix("10.0.0.0/24")
 

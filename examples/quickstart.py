@@ -15,12 +15,13 @@ from repro.dataplane import RouteConfig, install_routes
 from repro.dataplane.actions import Forward
 from repro.dataplane.routes import PRIORITY_ERROR
 from repro.packetspace.fields import DSTIP_ONLY_LAYOUT
+from repro.packetspace.predicate import PredicateFactory
 from repro.topology import paper_example
 
 
 def main() -> None:
     # 1. The network of Figure 2a: S - A - {B, W} - D.
-    tulkun = Tulkun(paper_example(), layout=DSTIP_ONLY_LAYOUT)
+    tulkun = Tulkun(paper_example(), PredicateFactory(DSTIP_ONLY_LAYOUT))
     print(f"topology: {tulkun.topology}")
 
     # 2. A data plane: shortest-path routes with ECMP (ANY-type groups).

@@ -16,12 +16,13 @@ Run:  python examples/wan_fault_tolerance.py
 from repro.core import Tulkun
 from repro.dataplane import RouteConfig, install_routes
 from repro.packetspace.fields import DSTIP_ONLY_LAYOUT
+from repro.packetspace.predicate import PredicateFactory
 from repro.topology import load_dataset
 
 
 def main() -> None:
     topology = load_dataset("INet2")
-    tulkun = Tulkun(topology, layout=DSTIP_ONLY_LAYOUT)
+    tulkun = Tulkun(topology, PredicateFactory(DSTIP_ONLY_LAYOUT))
     fibs = install_routes(tulkun.topology, tulkun.factory, RouteConfig(ecmp="single"))
     deployment = tulkun.deploy(fibs)
 

@@ -4,9 +4,9 @@ One module per concern:
 
 * :mod:`repro.bench.workloads` -- invariant sets, rule-update streams,
   error injection and fault scenes for each dataset;
-* :mod:`repro.bench.runners` -- drive Tulkun (simulated or on the
-  asyncio/TCP testbed runtime) and the centralized baselines over a
-  workload and collect timings;
+* :mod:`repro.bench.runners` -- drive the centralized baselines over a
+  workload and collect timings (Tulkun runs through
+  :class:`repro.core.Deployment` on either backend);
 * :mod:`repro.bench.reporting` -- print the rows/series each paper
   figure reports (acceleration ratios, <10 ms percentages, quantiles,
   CDFs).
@@ -20,13 +20,8 @@ from repro.bench.workloads import (
 )
 from repro.bench.runners import (
     BaselineTiming,
-    RuntimeTiming,
-    TulkunTiming,
     run_baseline_burst,
     run_baseline_incremental,
-    run_runtime_burst,
-    run_tulkun_burst,
-    run_tulkun_incremental,
 )
 
 __all__ = [
@@ -34,12 +29,7 @@ __all__ = [
     "build_workload",
     "random_rule_updates",
     "random_fault_scenes",
-    "TulkunTiming",
     "BaselineTiming",
-    "RuntimeTiming",
-    "run_tulkun_burst",
-    "run_tulkun_incremental",
-    "run_runtime_burst",
     "run_baseline_burst",
     "run_baseline_incremental",
 ]

@@ -63,6 +63,7 @@ from typing import List, Optional
 from repro.core import Tulkun
 from repro.dataplane.routes import RouteConfig, install_routes
 from repro.packetspace.fields import DSTIP_ONLY_LAYOUT
+from repro.packetspace.predicate import PredicateFactory
 
 
 def _resolve_dataset(name: str) -> str:
@@ -84,7 +85,7 @@ def _cmd_demo(_: argparse.Namespace) -> int:
     from repro.dataplane.routes import PRIORITY_ERROR
     from repro.topology.generators import paper_example
 
-    tulkun = Tulkun(paper_example(), layout=DSTIP_ONLY_LAYOUT)
+    tulkun = Tulkun(paper_example(), PredicateFactory(DSTIP_ONLY_LAYOUT))
     fibs = install_routes(tulkun.topology, tulkun.factory, RouteConfig(ecmp="any"))
     deployment = tulkun.deploy(fibs)
     invariant = tulkun.parse(
@@ -123,16 +124,15 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         except KeyError as exc:
             print(exc.args[0], file=sys.stderr)
             return 2
-        tulkun = Tulkun(topology, layout=DSTIP_ONLY_LAYOUT)
+        tulkun = Tulkun(topology, PredicateFactory(DSTIP_ONLY_LAYOUT))
         fibs = install_routes(
             topology, tulkun.factory, RouteConfig(ecmp=args.ecmp)
         )
     elif args.topology:
         from repro.io import load_fibs, load_topology
-        from repro.packetspace.fields import DEFAULT_LAYOUT
 
         topology = load_topology(args.topology)
-        tulkun = Tulkun(topology, layout=DEFAULT_LAYOUT)
+        tulkun = Tulkun(topology)
         if not args.fibs:
             print("--topology requires --fibs", file=sys.stderr)
             return 2
@@ -176,7 +176,7 @@ def _cmd_testbed(args: argparse.Namespace) -> int:
             print(text)
 
     topology = load_dataset(name, scale=args.scale)
-    tulkun = Tulkun(topology, layout=DSTIP_ONLY_LAYOUT)
+    tulkun = Tulkun(topology, PredicateFactory(DSTIP_ONLY_LAYOUT))
     fibs = install_routes(
         topology, tulkun.factory, RouteConfig(ecmp=args.ecmp)
     )
@@ -496,6 +496,20 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
     return 0 if ok else 1
 
 
+def _deploy_workload(workload, backend: str, **options):
+    """Deploy a built workload on ``backend`` with its plans installed
+    under their own ids (a runtime deployment must be closed)."""
+    deployment = Tulkun(workload.topology, workload.factory).deploy(
+        workload.fibs, backend, **options
+    )
+    try:
+        deployment.install(dict(workload.plans))
+    except BaseException:
+        deployment.close()
+        raise
+    return deployment
+
+
 def _fleet_simulator_parity(
     spec, fleet_verdicts: dict, updates: int, say
 ) -> bool:
@@ -504,25 +518,24 @@ def _fleet_simulator_parity(
     Replays the same workload -- burst install plus the same
     deterministic update stream -- on the simulator backend.
     """
-    from repro.bench.runners import run_tulkun_burst
     from repro.fleet.spec import build_fleet_workload, fleet_update_stream
 
     workload = build_fleet_workload(spec)
-    burst = run_tulkun_burst(workload)
+    deployment = _deploy_workload(workload, "sim")
     for update in fleet_update_stream(spec, workload, updates):
-        burst.network.fib_update(update.device, update.apply)
+        deployment.update_rule(update.device, update.apply)
     simulated: dict = {}
-    for plan_id, _ in workload.plans:
+    for report in deployment.reports():
         rows = [
             [
                 verdict.ingress,
                 verdict.holds,
                 sorted(list(entry) for entry in verdict.counts.tuples),
             ]
-            for verdict in burst.network.verdicts(plan_id)
+            for verdict in report.verdicts
         ]
         rows.sort(key=lambda row: str(row[0]))
-        simulated[plan_id] = rows
+        simulated[report.plan_id] = rows
     match = simulated == fleet_verdicts
     say(
         "simulator parity: "
@@ -719,9 +732,7 @@ def _cmd_trace(args: argparse.Namespace) -> int:
             print(f"cannot read flight dump: {exc}", file=sys.stderr)
             return 2
     else:
-        from repro.bench.runners import run_runtime_burst
         from repro.bench.workloads import build_workload
-        from repro.simulator.network import SimulatedNetwork
 
         try:
             name = _resolve_dataset(args.dataset)
@@ -738,30 +749,20 @@ def _cmd_trace(args: argparse.Namespace) -> int:
             f"({workload.topology.num_devices} devices, "
             f"{len(workload.plans)} plans) ..."
         )
-        if backend == "simulator":
-            network = SimulatedNetwork(
-                workload.topology,
-                workload.fibs,
-                workload.factory,
-                flight=True,
-                flight_capacity=_TRACE_RING,
-            )
-            seconds = network.install_plans(dict(workload.plans))
-            traffic = network.stats
-            registry = network.stats.registry
-            dumps = network.flight_dump()
-        else:
-            traffic = run_runtime_burst(
-                workload,
-                keepalive_interval=0.2,
-                flight_capacity=_TRACE_RING,
-            )
-            seconds = traffic.burst_seconds
-            registry = traffic.metrics.registry
-            dumps = traffic.flight
+        options = dict(flight=True, flight_capacity=_TRACE_RING)
+        if backend == "runtime":
+            options["keepalive_interval"] = 0.2
+        with Tulkun(workload.topology, workload.factory).deploy(
+            workload.fibs, "runtime" if backend == "runtime" else "sim",
+            **options,
+        ) as deployment:
+            report = deployment.install(dict(workload.plans))[0]
+            dumps = deployment.flight_dump()
+        registry = deployment.backend.registry
+        # The install's counting frames (no session control traffic).
         print(
-            f"  converged in {seconds * 1e3:.1f} ms; "
-            f"{traffic.messages} messages, {traffic.bytes} bytes"
+            f"  converged in {report.verification_seconds * 1e3:.1f} ms; "
+            f"{report.message_count} messages, {report.message_bytes} bytes"
         )
 
     try:
@@ -828,7 +829,6 @@ def _explain_scenario(
     (drop the first destination's prefix at the destination itself) is
     appended so the scenario always ends in a verdict flip.
     """
-    from repro.bench.runners import run_runtime_burst, run_tulkun_burst
     from repro.bench.workloads import (
         RuleUpdate,
         build_workload,
@@ -857,13 +857,13 @@ def _explain_scenario(
         )
 
     workload, updates = fresh()
-    probe = run_tulkun_burst(workload)
+    probe = _deploy_workload(workload, "sim")
     applied = 0
     violated = False
     for update in updates:
-        probe.network.fib_update(update.device, update.apply)
+        probe.update_rule(update.device, update.apply)
         applied += 1
-        if any(not probe.network.holds(pid) for pid, _ in workload.plans):
+        if any(not probe.holds(pid) for pid, _ in workload.plans):
             violated = True
             break
 
@@ -872,18 +872,15 @@ def _explain_scenario(
     if not violated:
         replay.append(blackhole(workload))
     if backend == "simulator":
-        burst = run_tulkun_burst(workload, flight=True)
-        for update in replay:
-            burst.network.fib_update(update.device, update.apply)
-        dumps = burst.network.flight_dump()
+        chosen = _deploy_workload(workload, "sim", flight=True)
     else:
-        timing = run_runtime_burst(
-            workload,
-            replay,
-            keepalive_interval=0.2,
-            http_enabled=False,
+        chosen = _deploy_workload(
+            workload, "runtime", keepalive_interval=0.2, http_enabled=False
         )
-        dumps = timing.flight or {}
+    with chosen:
+        for update in replay:
+            chosen.update_rule(update.device, update.apply)
+        dumps = chosen.flight_dump()
     description = f"{name} on the {backend} backend, {len(replay)} update(s)"
     if not violated:
         description += " incl. injected blackhole"

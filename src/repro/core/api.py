@@ -11,14 +11,14 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Optional, Sequence
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.errors import InconsistentInvariantError, TulkunError
 from repro.dataplane.fib import Fib
 from repro.dvm.agent import AgentBackend, Unplanned, plan_holds
 from repro.dvm.verifier import RootVerdict, Violation
 from repro.obs.flight import describe_unplanned
-from repro.packetspace.fields import DEFAULT_LAYOUT, HeaderLayout
+from repro.packetspace.fields import DEFAULT_LAYOUT
 from repro.packetspace.predicate import Predicate, PredicateFactory
 from repro.planner import Plan, plan_invariant, plan_invariants
 from repro.simulator.network import SimulatedNetwork
@@ -76,10 +76,15 @@ class Tulkun:
     def __init__(
         self,
         topology: Topology,
-        layout: HeaderLayout = DEFAULT_LAYOUT,
+        factory: Optional[PredicateFactory] = None,
     ) -> None:
+        """``factory`` is the predicate space every invariant, FIB and
+        verifier of this topology shares (default: a fresh one over
+        :data:`~repro.packetspace.fields.DEFAULT_LAYOUT`)."""
         self.topology = topology
-        self.factory = PredicateFactory(layout)
+        self.factory = (
+            factory if factory is not None else PredicateFactory(DEFAULT_LAYOUT)
+        )
         self._plan_ids = itertools.count(1)
 
     # -- specification ------------------------------------------------------
@@ -120,27 +125,27 @@ class Tulkun:
     # -- deployment -----------------------------------------------------------
 
     def deploy(
-        self,
-        fibs: Dict[str, Fib],
-        backend: str = "sim",
-        flight: Optional[bool] = None,
-        **runtime_options,
+        self, fibs: Dict[str, Fib], backend: str = "sim", **options: Any
     ) -> "Deployment":
         """Create on-device verifiers over ``fibs``.
 
         ``backend="sim"`` (default) runs them in the discrete-event
         simulator; ``backend="runtime"`` deploys them as concurrent
         asyncio agents over real localhost TCP sockets (testbed mode,
-        §9.2) and accepts :class:`~repro.runtime.cluster.RuntimeCluster`
-        keyword options (``keepalive_interval``, ``backoff``, ...).
-        Runtime deployments hold sockets and a background thread: close
-        them (``with`` statement or ``.close()``) when done.
+        §9.2).  ``options`` go to the backend built:
+        :class:`~repro.simulator.network.SimulatedNetwork`'s
+        (``profile``, ``strict_wire``, ...) or
+        :class:`~repro.runtime.cluster.RuntimeCluster`'s
+        (``keepalive_interval``, ``backoff``, ...); one the backend does
+        not take raises ``TypeError``.  Runtime deployments hold sockets
+        and a background thread: close them (``with`` statement or
+        ``.close()``) when done.
 
-        ``flight`` switches the per-device flight recorders on or off
-        (default: the backend's own -- off in the simulator, on in the
-        runtime); ``deployment.flight_dump()`` is the causal event log
-        and :func:`repro.obs.records_from_flight` its trace, see
-        ``docs/OBSERVABILITY.md``.
+        Both take ``flight`` and ``flight_capacity``: the per-device
+        flight recorders (default off in the simulator, on in the
+        runtime) and their ring size.  ``deployment.flight_dump()`` is
+        the causal event log and :func:`repro.obs.records_from_flight`
+        its trace, see ``docs/OBSERVABILITY.md``.
         """
         missing = [d for d in self.topology.devices if d not in fibs]
         if missing:
@@ -148,21 +153,12 @@ class Tulkun:
         if backend == "runtime":
             from repro.runtime.deployment import RuntimeDeployment
 
-            if flight is not None:
-                runtime_options["flight"] = flight
-            return RuntimeDeployment(self, fibs, **runtime_options)
+            return RuntimeDeployment(self, fibs, **options)
         if backend != "sim":
             raise TulkunError(
                 f"unknown backend {backend!r} (expected 'sim' or 'runtime')"
             )
-        if runtime_options:
-            raise TulkunError(
-                "runtime options "
-                f"{sorted(runtime_options)} require backend='runtime'"
-            )
-        network = SimulatedNetwork(
-            self.topology, fibs, self.factory, flight=bool(flight)
-        )
+        network = SimulatedNetwork(self.topology, fibs, self.factory, **options)
         return Deployment(self, network)
 
 
@@ -203,22 +199,27 @@ class Deployment:
         """Plan ``invariants`` as one set and verify them as one install:
         plans that share a DPVNet install as one group (§4.3).  Reports
         come in input order, under consecutive plan ids."""
-        return self._install(plan_invariants(invariants, self.tulkun.topology))
+        plans = plan_invariants(invariants, self.tulkun.topology)
+        return self.install(
+            {f"plan-{next(self.tulkun._plan_ids)}": plan for plan in plans}
+        )
 
     def verify_plan(self, plan: Plan) -> Report:
-        return self._install([plan])[0]
+        return self.install({f"plan-{next(self.tulkun._plan_ids)}": plan})[0]
 
-    def _install(self, plans: Sequence[Plan]) -> List[Report]:
-        batch = {f"plan-{next(self.tulkun._plan_ids)}": plan for plan in plans}
-        self.plans.update(batch)
-        frames, nbytes = self._call(self.backend.frames_sent)
-        elapsed = self._call(self.backend.install_plans, batch)
-        frames_now, bytes_now = self._call(self.backend.frames_sent)
+    def install(self, plans: Dict[str, Plan]) -> List[Report]:
+        """Install ``plans`` under their own ids as one batch and verify
+        them to convergence; one report per plan, in ``plans`` order.
+        Installing under an id already installed replaces that plan."""
+        self.plans.update(plans)
+        frames, nbytes = self.frames_sent()
+        elapsed = self._call(self.backend.install_plans, plans)
+        frames_now, bytes_now = self.frames_sent()
         return [
             self._report(
                 plan_id, elapsed, frames_now - frames, bytes_now - nbytes
             )
-            for plan_id in batch
+            for plan_id in plans
         ]
 
     def reports(self, plan_id: Optional[str] = None) -> List[Report]:
@@ -250,6 +251,11 @@ class Deployment:
 
     def holds(self, plan_id: str) -> bool:
         return self._call(self.backend.holds, plan_id)
+
+    def frames_sent(self) -> Tuple[int, int]:
+        """Counting frames and their wire bytes sent so far, all
+        devices."""
+        return self._call(self.backend.frames_sent)
 
     # -- dynamics -----------------------------------------------------------------
 

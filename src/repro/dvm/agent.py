@@ -57,8 +57,8 @@ from repro.dvm.verifier import (
     Violation,
 )
 from repro.obs.flight import FlightRecorder
-from repro.obs.metrics import MetricFamily
-from repro.obs.schema import DIRECTION_OUT, KIND_COUNTING
+from repro.obs.metrics import MetricsRegistry
+from repro.obs.schema import DIRECTION_OUT, KIND_COUNTING, install_dvm_schema
 from repro.packetspace.predicate import Predicate, PredicateFactory
 from repro.planner.tasks import Plan
 from repro.topology.graph import Topology
@@ -338,7 +338,7 @@ class AgentBackend:
     """What every backend is under its transport: a device agent per
     hosted device, the plans installed on them, the verdict read-out
     and the operation window.  Operation times go into, and frames sent
-    are read from, the backend's metric families
+    are read from, the DVM families of the backend's ``registry``
     (:func:`repro.obs.schema.install_dvm_schema`)."""
 
     #: Flight-dump label of the backend.
@@ -349,7 +349,7 @@ class AgentBackend:
         topology: Topology,
         fibs: Dict[str, Fib],
         factory: PredicateFactory,
-        families: Dict[str, MetricFamily],
+        registry: MetricsRegistry,
         flight: bool,
         flight_capacity: int,
         monotonic: Optional[Callable[[], float]] = None,
@@ -372,7 +372,8 @@ class AgentBackend:
         #: ``plan id -> (group id, its own packet space)`` of the members
         #: of groups of more than one.
         self._member_of: Dict[str, Tuple[str, Predicate]] = {}
-        self._families = families
+        self.registry = registry
+        self._families = install_dvm_schema(registry)
 
     def _recorder(self, device: str) -> FlightRecorder:
         return FlightRecorder(

@@ -198,18 +198,6 @@ class DpvNode:
             flow |= edge.labels
         self.flow: FrozenSet[Label] = frozenset(flow)
 
-    def downstream_devices(self, label: Optional[Label] = None) -> Tuple[str, ...]:
-        """Devices of downstream neighbors (optionally label-filtered)."""
-        if label is None:
-            return tuple(sorted(self.children))
-        return tuple(
-            sorted(
-                dev
-                for dev, edge in self.children.items()
-                if label in edge.labels
-            )
-        )
-
     def __repr__(self) -> str:
         return (
             f"DpvNode({self.node_id}, dev={self.dev!r}, "

@@ -3,9 +3,7 @@
 For networks whose DPVNets would carry a huge number of valid paths, the
 paper proposes dividing the network into partitions abstracted as
 one-big-switches, building the DPVNet on the abstract network, and
-verifying intra-/inter-partition separately.  The same mechanism backs
-incremental deployment: a partition can be served by one off-device
-verifier instance.
+verifying intra-/inter-partition separately.
 
 This module implements that scheme for reachability-style invariants
 (``exist >= 1`` of a source-to-destination pattern):

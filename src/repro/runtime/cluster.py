@@ -343,7 +343,7 @@ class RuntimeCluster(AgentBackend):
             topology,
             fibs,
             factory,
-            self.metrics.families,
+            self.metrics.registry,
             flight,
             flight_capacity,
         )
@@ -429,7 +429,9 @@ class RuntimeCluster(AgentBackend):
         Settled: every local inbox is empty and every link is balanced
         -- both ends ESTABLISHED on a live connection with ``a.out ==
         b.done`` and ``b.out == a.done``, or neither end holding a
-        connection that can still deliver.  One live end, or an
+        connection that can still deliver while the link is down or its
+        dialing end is held down (otherwise the session is *redialing*,
+        and its re-OPEN refresh is still coming).  One live end, or an
         ESTABLISHED end torn down before its ``on_peer_down`` ran, is
         *transitional*: frames or loss handling are still coming.  Ends
         toward other shards only need to be out of transition; the
@@ -452,7 +454,13 @@ class RuntimeCluster(AgentBackend):
                     continue  # other shard, or the link's second visit
                 there = remote.sessions[device].live_channel
                 if here is None and there is None:
-                    continue  # no connection: nothing can be in flight
+                    # No connection, so nothing is in flight; ``session``
+                    # is the dialing end (device < peer).
+                    if not session.held_down and self.link_admin_up(
+                        device, peer
+                    ):
+                        blocking.append(f"{device}-{peer} redialing")
+                    continue
                 if here is None or there is None:
                     blocking.append(f"{device}-{peer} one end live")
                     continue

@@ -245,6 +245,11 @@ class PeerSession:
         return self.established.is_set()
 
     @property
+    def held_down(self) -> bool:
+        """Whether a ``disconnect(hold_down)`` still suppresses redials."""
+        return time.monotonic() < self._suspend_until
+
+    @property
     def pending_out(self) -> int:
         return self._channel.pending_out if self._channel else 0
 

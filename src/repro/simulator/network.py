@@ -28,7 +28,6 @@ from typing import (
     Iterable,
     List,
     Optional,
-    Sequence,
     Tuple,
     cast,
 )
@@ -166,7 +165,7 @@ class SimulatedNetwork(AgentBackend):
             topology,
             fibs,
             factory,
-            self.stats.families,
+            self.stats.registry,
             flight,
             flight_capacity,
             # Flight timestamps are simulation seconds.
@@ -262,13 +261,6 @@ class SimulatedNetwork(AgentBackend):
         """Run to quiescence and close the operation window."""
         return self.close_op(window, self.run_to_quiescence() - window.start)
 
-    def _operate(
-        self, label: str, devices: Iterable[str], event: str, *args: object
-    ) -> float:
-        window = OpWindow(label, self.queue.now)
-        self._inject(devices, event, *args)
-        return self._settle(window)
-
     def install_plan(self, plan_id: str, plan: Plan) -> float:
         return self.install_plans({plan_id: plan})
 
@@ -278,13 +270,6 @@ class SimulatedNetwork(AgentBackend):
         window = OpWindow(f"install_plans:{len(plans)}", self.queue.now)
         self.inject_plans(plans)
         return self._settle(window)
-
-    def burst_fib_event(self, devices: Optional[Sequence[str]] = None) -> float:
-        """All devices (re)read their FIBs at once -- the burst-update
-        scenario of §9.2/§9.3.2."""
-        return self._operate(
-            "burst_fib_event", devices or self.topology.devices, "fib_burst"
-        )
 
     def fib_update(self, device: str, mutate: Callable[[], None]) -> float:
         """Apply one rule update at ``device`` and verify incrementally."""
@@ -310,7 +295,9 @@ class SimulatedNetwork(AgentBackend):
 
     def recover_link(self, a: str, b: str) -> float:
         self._failed_links.discard(tuple(sorted((a, b))))
-        return self._operate(f"link_recover:{a}-{b}", (a, b), "link", (a, b), True)
+        window = OpWindow(f"link_recover:{a}-{b}", self.queue.now)
+        self._inject((a, b), "link", (a, b), True)
+        return self._settle(window)
 
     def run_to_quiescence(self) -> float:
         """Drain all events; returns the simulation time reached.

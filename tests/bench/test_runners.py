@@ -9,8 +9,6 @@ from repro.bench.runners import (
     quantile,
     run_baseline_burst,
     run_baseline_incremental,
-    run_tulkun_burst,
-    run_tulkun_incremental,
 )
 from repro.bench.workloads import build_workload, random_rule_updates
 
@@ -42,21 +40,6 @@ class TestStatistics:
     def test_fraction_below(self):
         assert fraction_below([1, 2, 3, 4], 3) == pytest.approx(0.5)
         assert fraction_below([], 3) == 0.0
-
-
-class TestTulkunRunners:
-    def test_burst(self, workload):
-        timing = run_tulkun_burst(workload)
-        assert timing.burst_seconds > 0
-        assert timing.messages > 0
-        assert timing.network is not None
-
-    def test_incremental_reuses_network(self, workload):
-        burst = run_tulkun_burst(workload)
-        updates = random_rule_updates(workload, 5, seed=9)
-        timing = run_tulkun_incremental(workload, updates, network=burst.network)
-        assert len(timing.incremental_seconds) == 5
-        assert all(seconds >= 0 for seconds in timing.incremental_seconds)
 
 
 class TestBaselineRunners:

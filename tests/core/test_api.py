@@ -7,13 +7,14 @@ from repro.core.errors import InconsistentInvariantError
 from repro.dataplane.actions import Drop, Forward
 from repro.dataplane.routes import PRIORITY_ERROR, RouteConfig, install_routes
 from repro.packetspace.fields import DSTIP_ONLY_LAYOUT
+from repro.packetspace.predicate import PredicateFactory
 from repro.topology.generators import paper_example
 from tests.runtime.test_deployment import FAST
 
 
 @pytest.fixture()
 def tulkun():
-    return Tulkun(paper_example(), layout=DSTIP_ONLY_LAYOUT)
+    return Tulkun(paper_example(), PredicateFactory(DSTIP_ONLY_LAYOUT))
 
 
 def deploy(tulkun, **options):
@@ -146,6 +147,32 @@ class TestDeployment:
         assert report.holds
         assert report.verdicts == []  # local contracts produce no counts
 
+    def test_install_keeps_the_given_ids(self, tulkun, deployment):
+        """``install`` puts plans under the caller's ids (a built
+        workload's are its invariant names) as one batch."""
+        reach = tulkun.parse(
+            "(dstIP = 10.0.0.0/23, [S], (exist >= 1, S.*D, (<= 4)))",
+            name="reach",
+        )
+        waypoint = tulkun.parse(
+            "(dstIP = 10.0.0.0/23, [S], (exist >= 1, S.*W.*D and loop_free))",
+            name="waypoint",
+        )
+        plans = {"reach": tulkun.plan(reach), "waypoint": tulkun.plan(waypoint)}
+        batch = deployment.install(plans)
+        assert [report.plan_id for report in batch] == ["reach", "waypoint"]
+        assert [report.holds for report in batch] == [True, False]
+        assert list(deployment.plans) == ["reach", "waypoint"]
+        assert deployment.holds("reach") and not deployment.holds("waypoint")
+        assert [r.plan_id for r in deployment.reports()] == list(plans)
+        # The first install of a fresh deployment sent every counting
+        # frame so far.
+        assert deployment.frames_sent() == (
+            batch[0].message_count,
+            batch[0].message_bytes,
+        )
+        assert batch[0].message_count > 0
+
     def test_verify_all_equals_one_at_a_time(self, tulkun, deployment):
         """Invariants that differ only in packet space share a DPVNet and
         install as one group: a counting pair (read through verdicts)
@@ -190,3 +217,15 @@ class TestDeployment:
 
 class TestDeploymentOnTheRuntime(TestDeployment):
     options = dict(backend="runtime", **FAST)
+
+
+def test_deploy_passes_its_options_to_the_simulator(tulkun):
+    deployment = deploy(tulkun, flight=True, flight_capacity=8)
+    assert deployment.backend.flight_capacity == 8
+    deployment.verify(
+        tulkun.parse("(dstIP = 10.0.0.0/23, [S], (exist >= 1, S.*D, (<= 4)))")
+    )
+    dumps = deployment.flight_dump()
+    assert {dump["capacity"] for dump in dumps.values()} == {8}
+    # Eight slots cannot hold a device's install: the small ring wrapped.
+    assert any(dump["truncated"] for dump in dumps.values())

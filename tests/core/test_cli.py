@@ -130,9 +130,10 @@ class TestTopCommand:
         from repro.core import Tulkun
         from repro.dataplane.routes import RouteConfig, install_routes
         from repro.packetspace.fields import DSTIP_ONLY_LAYOUT
+        from repro.packetspace.predicate import PredicateFactory
         from repro.topology.generators import paper_example
 
-        tulkun = Tulkun(paper_example(), layout=DSTIP_ONLY_LAYOUT)
+        tulkun = Tulkun(paper_example(), PredicateFactory(DSTIP_ONLY_LAYOUT))
         fibs = install_routes(
             tulkun.topology, tulkun.factory, RouteConfig(ecmp="any")
         )

@@ -5,6 +5,7 @@ import pytest
 from repro.core import Tulkun
 from repro.dataplane.routes import RouteConfig, install_routes
 from repro.packetspace.fields import DSTIP_ONLY_LAYOUT
+from repro.packetspace.predicate import PredicateFactory
 from repro.topology.generators import paper_example
 
 
@@ -24,7 +25,7 @@ def local_counts(verifier, plan_id):
 
 @pytest.fixture()
 def deployment_and_plan():
-    tulkun = Tulkun(paper_example(), layout=DSTIP_ONLY_LAYOUT)
+    tulkun = Tulkun(paper_example(), PredicateFactory(DSTIP_ONLY_LAYOUT))
     fibs = install_routes(tulkun.topology, tulkun.factory, RouteConfig(ecmp="any"))
     deployment = tulkun.deploy(fibs)
     invariant = tulkun.parse(

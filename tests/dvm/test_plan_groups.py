@@ -36,7 +36,6 @@ from repro.dvm.agent import AgentBackend, group_plans
 from repro.dvm.messages import encode_message
 from repro.obs.flight import find_verdict, install_group, merge_dumps
 from repro.obs.metrics import MetricsRegistry
-from repro.obs.schema import install_dvm_schema
 from repro.packetspace.index import PredicateIndex
 from repro.packetspace.predicate import Predicate
 from repro.planner import plan_invariant
@@ -44,10 +43,6 @@ from repro.runtime.cluster import RuntimeCluster
 from repro.simulator.network import SimulatedNetwork
 from repro.topology.graph import FaultScene
 from tests.runtime.conftest import FAST_CLUSTER, run_async
-
-#: Fast timers, but a hold time no busy event loop outlasts: a session
-#: declared dead mid-checkpoint would make one install read differently.
-STEADY_CLUSTER = dict(FAST_CLUSTER, hold_multiplier=40.0)
 
 #: The planned fault scene, and a failure set that matches none.
 PLANNED = ("INet2-r0", "INet2-r1")
@@ -69,7 +64,7 @@ class SyncNetwork(AgentBackend):
             workload.topology,
             workload.fibs,
             workload.factory,
-            install_dvm_schema(MetricsRegistry()),
+            MetricsRegistry(),
             flight,
             1 << 16,
         )
@@ -312,7 +307,7 @@ def test_grouped_install_reads_out_as_one_plan_at_a_time_on_the_runtime():
                     workload.fibs,
                     workload.factory,
                     http_enabled=False,
-                    **STEADY_CLUSTER,
+                    **FAST_CLUSTER,
                 )
                 worlds.append((workload, cluster))
                 await cluster.start()

@@ -9,6 +9,7 @@ from repro.dataplane.actions import Drop, Forward
 from repro.dataplane.errors import inject_blackhole, inject_waypoint_bypass
 from repro.dataplane.routes import PRIORITY_ERROR, RouteConfig, install_routes
 from repro.packetspace.fields import DSTIP_ONLY_LAYOUT
+from repro.packetspace.predicate import PredicateFactory
 from repro.planner import plan_invariant
 from repro.spec import library
 from repro.topology.graph import Topology
@@ -30,7 +31,7 @@ def demo_topology():
 
 @pytest.fixture()
 def tulkun(demo_topology):
-    return Tulkun(demo_topology, layout=DSTIP_ONLY_LAYOUT)
+    return Tulkun(demo_topology, PredicateFactory(DSTIP_ONLY_LAYOUT))
 
 
 def fresh_fibs(tulkun, ecmp="any"):

@@ -141,7 +141,7 @@ class TestUnplannedScene:
 
     @pytest.mark.parametrize("backend", ["sim", "runtime"])
     def test_cut_off_destination_never_reads_holds(self, backend):
-        tulkun = Tulkun(paper_example(), layout=DSTIP_ONLY_LAYOUT)
+        tulkun = Tulkun(paper_example(), PredicateFactory(DSTIP_ONLY_LAYOUT))
         fibs = install_routes(
             tulkun.topology, tulkun.factory, RouteConfig(ecmp="any")
         )

@@ -7,6 +7,7 @@ from repro.obs.export import validate_records
 from repro.obs.flight import records_from_flight
 from repro.obs.trace import CAT_OP, CAT_SIM, KIND_SPAN
 from repro.packetspace.fields import DSTIP_ONLY_LAYOUT
+from repro.packetspace.predicate import PredicateFactory
 from repro.topology.generators import paper_example
 
 
@@ -15,7 +16,7 @@ class TestSimulatorCausality:
     trace as a causally-linked propagation wave."""
 
     def trace_install(self):
-        tulkun = Tulkun(paper_example(), layout=DSTIP_ONLY_LAYOUT)
+        tulkun = Tulkun(paper_example(), PredicateFactory(DSTIP_ONLY_LAYOUT))
         fibs = install_routes(
             tulkun.topology, tulkun.factory, RouteConfig(ecmp="any")
         )

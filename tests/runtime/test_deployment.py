@@ -14,6 +14,7 @@ from repro.dataplane.routes import (
     install_routes,
 )
 from repro.packetspace.fields import DSTIP_ONLY_LAYOUT
+from repro.packetspace.predicate import PredicateFactory
 from repro.topology.generators import paper_example
 
 
@@ -50,7 +51,7 @@ WAYPOINT = "(dstIP = 10.0.0.0/23, [S], (exist >= 1, S.*W.*D and loop_free))"
 
 @pytest.fixture()
 def tulkun_and_fibs():
-    tulkun = Tulkun(paper_example(), layout=DSTIP_ONLY_LAYOUT)
+    tulkun = Tulkun(paper_example(), PredicateFactory(DSTIP_ONLY_LAYOUT))
     fibs = install_routes(
         tulkun.topology, tulkun.factory, RouteConfig(ecmp="any")
     )
@@ -64,8 +65,9 @@ class TestBackendSelection:
             tulkun.deploy(fibs, backend="quantum")
 
     def test_runtime_options_need_runtime_backend(self, tulkun_and_fibs):
+        # Options go to the backend built; the simulator has no sessions.
         tulkun, fibs = tulkun_and_fibs
-        with pytest.raises(TulkunError, match="require backend='runtime'"):
+        with pytest.raises(TypeError, match="keepalive_interval"):
             tulkun.deploy(fibs, keepalive_interval=0.1)
 
     def test_sim_backend_is_default_and_context_managed(

@@ -196,6 +196,35 @@ def test_chaos_scenes_settle_exactly_without_a_timeout(run, fast_options):
     run(scenario())
 
 
+def test_a_dropped_session_is_back_when_the_drop_returns(run, fast_options):
+    """With no wait for the reconnect, the redial itself still blocks
+    quiescence: the call returns with the session re-established and
+    the verdicts refreshed, not in the gap after both ends ran their
+    loss handling and before the dialing end reconnected."""
+    workload = make_workload()
+    plan_ids = [plan_id for plan_id, _ in workload.plans]
+    link = next(iter(workload.topology.links))
+    a, b = link.a, link.b
+
+    async def scenario():
+        cluster = RuntimeCluster(
+            workload.topology, workload.fibs, workload.factory, **fast_options
+        )
+        await cluster.start()
+        try:
+            await cluster.install_plans(dict(workload.plans))
+            converged = state(cluster, plan_ids)
+            await cluster.drop_connection(a, b, 0.0, reconnect=False)
+            assert cluster.hosts[a].sessions[b].live_channel is not None
+            assert cluster.hosts[b].sessions[a].live_channel is not None
+            assert state(cluster, plan_ids) == converged
+            assert not cluster.unsettled()
+        finally:
+            await cluster.stop()
+
+    run(scenario())
+
+
 def test_timeout_names_what_is_unbalanced(run, fast_options, hold):
     workload = make_workload()
     options = dict(fast_options, keepalive_interval=0.5)
