@@ -1,8 +1,9 @@
 """Figure 14: on-device initialization overhead CDFs.
 
-Per device and per switch model (Mellanox/UfiSpace/Edgecore x86, Centec
-ARM -- modeled as CPU scale factors): total time, peak memory and CPU
-load to compute the initial LEC table and CIBs in a burst update.
+Per device, measured once on this host, and per switch model
+(Mellanox/UfiSpace/Edgecore x86, Centec ARM -- each a CPU scale factor
+times that one reading): total time, peak memory and CPU load to compute
+the initial LEC table and CIBs in a burst update.
 
 Paper's observations to reproduce in shape: all devices initialize in
 about a second, memory stays in the tens of MB, the ARM-based Centec is
@@ -60,17 +61,17 @@ def test_fig14_cdfs(out_dir, benchmark):
             )
         ]
         sections.append(
-            print_table(f"Figure 14 CDF -- {profile.name}", rows)
+            print_table(
+                f"Figure 14 CDF -- {profile.name} "
+                f"({profile.cpu_scale:.2f}x one x86 reading)",
+                rows,
+            )
         )
     write_table(out_dir, "fig14_init_overhead.txt", "\n".join(sections))
 
 
 def test_shape_centec_slowest(benchmark):
-    """The ARM-based Centec model has the worst time CDF (paper §9.4).
-
-    Medians, not maxima: the first-measured model's first device pays a
-    one-off cold start as large as Centec's slowest device.
-    """
+    """The ARM-based Centec model has the worst time CDF (paper §9.4)."""
     benchmark.pedantic(lambda: None, rounds=1, iterations=1)
     results = run_measurements()
     by_model = {}

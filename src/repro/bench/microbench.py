@@ -1,6 +1,6 @@
 """On-device microbenchmarks (paper §9.4, Figures 14 and 15).
 
-Measures, per device and per switch model:
+Measures, per device:
 
 * initialization overhead -- time and peak memory to compute the initial
   LEC table and CIBs from a burst of rules (Fig. 14), the plans installed
@@ -9,9 +9,11 @@ Measures, per device and per switch model:
   UPDATE trace and measuring per-message time, total time and peak
   memory (Fig. 15).
 
-Switch models are emulated by CPU scale factors
-(:data:`repro.simulator.network.SWITCH_PROFILES`); memory is measured
-with :mod:`tracemalloc` on the real data structures.
+Each device is measured once, on this host; a switch model's reading is
+that one reading times the model's CPU scale factor
+(:data:`repro.simulator.network.SWITCH_PROFILES`), so every model sees
+the same cache state.  Memory is measured with :mod:`tracemalloc` on the
+real data structures and is the same on every model.
 """
 
 from __future__ import annotations
@@ -58,30 +60,30 @@ def measure_initialization(
     if max_devices:
         devices = devices[:max_devices]
     results: List[DeviceOverhead] = []
-    for profile in profiles:
-        for device in devices:
-            tracemalloc.start()
-            start = _time.perf_counter()
-            verifier = OnDeviceVerifier(
-                device,
-                workload.factory,
-                workload.fibs[device],
-                workload.topology.neighbors(device),
+    for device in devices:
+        tracemalloc.start()
+        start = _time.perf_counter()
+        verifier = OnDeviceVerifier(
+            device,
+            workload.factory,
+            workload.fibs[device],
+            workload.topology.neighbors(device),
+        )
+        for group in group_plans(dict(workload.plans)):
+            verifier.install_plan(group.plan_id, group.plan)
+        elapsed = _time.perf_counter() - start
+        _, peak = tracemalloc.get_traced_memory()
+        tracemalloc.stop()
+        results.extend(
+            DeviceOverhead(
+                device=device,
+                model=profile.name,
+                total_seconds=elapsed * profile.cpu_scale,
+                peak_memory_bytes=peak,
+                cpu_load=0.5,
             )
-            for group in group_plans(dict(workload.plans)):
-                verifier.install_plan(group.plan_id, group.plan)
-            elapsed = (_time.perf_counter() - start) * profile.cpu_scale
-            _, peak = tracemalloc.get_traced_memory()
-            tracemalloc.stop()
-            results.append(
-                DeviceOverhead(
-                    device=device,
-                    model=profile.name,
-                    total_seconds=elapsed,
-                    peak_memory_bytes=peak,
-                    cpu_load=0.5,
-                )
-            )
+            for profile in profiles
+        )
     return results
 
 
@@ -117,34 +119,33 @@ def measure_update_processing(
     if max_devices:
         devices = devices[:max_devices]
     results: List[DeviceOverhead] = []
-    for profile in profiles:
-        for device in devices:
-            verifier = OnDeviceVerifier(
-                device,
-                workload.factory,
-                workload.fibs[device],
-                workload.topology.neighbors(device),
-            )
-            for group in group_plans(dict(workload.plans)):
-                verifier.install_plan(group.plan_id, group.plan)
-            tracemalloc.start()
-            per_message: List[float] = []
-            for message in traces[device]:
-                start = _time.perf_counter()
-                verifier.on_message(message)
-                per_message.append(
-                    (_time.perf_counter() - start) * profile.cpu_scale
-                )
-            _, peak = tracemalloc.get_traced_memory()
-            tracemalloc.stop()
+    for device in devices:
+        verifier = OnDeviceVerifier(
+            device,
+            workload.factory,
+            workload.fibs[device],
+            workload.topology.neighbors(device),
+        )
+        for group in group_plans(dict(workload.plans)):
+            verifier.install_plan(group.plan_id, group.plan)
+        tracemalloc.start()
+        per_message: List[float] = []
+        for message in traces[device]:
+            start = _time.perf_counter()
+            verifier.on_message(message)
+            per_message.append(_time.perf_counter() - start)
+        _, peak = tracemalloc.get_traced_memory()
+        tracemalloc.stop()
+        for profile in profiles:
+            scaled = [seconds * profile.cpu_scale for seconds in per_message]
             results.append(
                 DeviceOverhead(
                     device=device,
                     model=profile.name,
-                    total_seconds=sum(per_message),
+                    total_seconds=sum(scaled),
                     peak_memory_bytes=peak,
                     cpu_load=0.5,
-                    per_message_seconds=per_message,
+                    per_message_seconds=scaled,
                 )
             )
     return results

@@ -119,15 +119,9 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     if args.dataset:
         from repro.topology.datasets import load_dataset
 
-        try:
-            topology = load_dataset(_resolve_dataset(args.dataset))
-        except KeyError as exc:
-            print(exc.args[0], file=sys.stderr)
-            return 2
+        topology = load_dataset(args.dataset)
         tulkun = Tulkun(topology, PredicateFactory(DSTIP_ONLY_LAYOUT))
-        fibs = install_routes(
-            topology, tulkun.factory, RouteConfig(ecmp=args.ecmp)
-        )
+        fibs = install_routes(topology, tulkun.factory, RouteConfig())
     elif args.topology:
         from repro.io import load_fibs, load_topology
 
@@ -161,11 +155,7 @@ def _cmd_testbed(args: argparse.Namespace) -> int:
     from repro.bench.workloads import reachability_invariant
     from repro.topology.datasets import load_dataset
 
-    try:
-        name = _resolve_dataset(args.dataset)
-    except KeyError as exc:
-        print(exc.args[0], file=sys.stderr)
-        return 2
+    name = args.dataset
     if args.destinations < 1:
         print("--destinations must be at least 1", file=sys.stderr)
         return 2
@@ -177,9 +167,7 @@ def _cmd_testbed(args: argparse.Namespace) -> int:
 
     topology = load_dataset(name, scale=args.scale)
     tulkun = Tulkun(topology, PredicateFactory(DSTIP_ONLY_LAYOUT))
-    fibs = install_routes(
-        topology, tulkun.factory, RouteConfig(ecmp=args.ecmp)
-    )
+    fibs = install_routes(topology, tulkun.factory, RouteConfig())
     owners = list(topology.devices_with_prefixes())[: args.destinations]
     if not owners:
         print(f"dataset {name} has no destination prefixes", file=sys.stderr)
@@ -362,8 +350,6 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
         workers=args.workers,
         base_port=args.base_port,
         destinations=args.destinations,
-        ingresses=args.ingresses,
-        seed=args.seed,
         keepalive_interval=args.keepalive,
         op_timeout=args.timeout,
         handshake_timeout=args.handshake_timeout,
@@ -402,7 +388,7 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
         try:
             # start() inside the try: a crash during boot must still
             # tear the surviving workers down in the finally below.
-            await launcher.start(ready_timeout=args.ready_timeout)
+            await launcher.start(ready_timeout=180.0)
             say(
                 "workers ready; installing "
                 f"{spec.destinations or 'all'} destination plan(s) ..."
@@ -645,9 +631,7 @@ def _cmd_top(args: argparse.Namespace) -> int:
             )
             return 2
         targets.append(target)
-    collector = Collector(
-        targets, timeout=args.timeout, stall_scrapes=args.stall_scrapes
-    )
+    collector = Collector(targets, timeout=args.timeout)
     refreshing = not (args.once or args.json) and sys.stdout.isatty()
 
     async def watch() -> int:
@@ -677,7 +661,7 @@ def _cmd_top(args: argparse.Namespace) -> int:
                         f"ALERT [{alert['kind']}] {alert['device']}: "
                         f"{alert['detail']}"
                     )
-            if args.once or (args.count and cycles >= args.count):
+            if args.once:
                 return 0 if snapshot.state == "ok" else 1
             await asyncio.sleep(args.interval)
 
@@ -734,12 +718,7 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     else:
         from repro.bench.workloads import build_workload
 
-        try:
-            name = _resolve_dataset(args.dataset)
-        except KeyError as exc:
-            print(exc.args[0], file=sys.stderr)
-            return 2
-        backend = "simulator" if args.backend == "sim" else args.backend
+        name, backend = args.dataset, args.backend
         max_destinations = args.destinations if args.destinations > 0 else None
         workload = build_workload(
             name, scale=args.scale, max_destinations=max_destinations
@@ -914,16 +893,7 @@ def _cmd_explain(args: argparse.Namespace) -> int:
             return 2
         source = ", ".join(args.dumps)
     else:
-        try:
-            name = _resolve_dataset(args.dataset)
-        except KeyError as exc:
-            print(exc.args[0], file=sys.stderr)
-            return 2
-        backend = {
-            "sim": "simulator",
-            "simulator": "simulator",
-            "runtime": "runtime",
-        }[args.backend]
+        name, backend = args.dataset, args.backend
         print(
             f"no dump files given; generating a violation scenario "
             f"({name}, {backend} backend) ..."
@@ -973,7 +943,7 @@ def _cmd_explain(args: argparse.Namespace) -> int:
     if args.timeline:
         print()
         print("convergence timeline (causally ordered):")
-        print(render_timeline(merged, limit=args.timeline_limit))
+        print(render_timeline(merged, limit=40))
     if args.out:
         with open(args.out, "w", encoding="utf-8") as handle:
             json.dump(
@@ -1005,6 +975,27 @@ def build_parser() -> argparse.ArgumentParser:
         description="Tulkun: distributed, on-device data plane verification",
     )
     commands = parser.add_subparsers(dest="command", required=True)
+    # The flags of every command that runs a built-in dataset here; main()
+    # resolves the name and normalises the backend once.
+    dataset = argparse.ArgumentParser(add_help=False)
+    dataset.add_argument(
+        "--dataset",
+        default="INet2",
+        help="built-in dataset name, case-insensitive (default: INet2)",
+    )
+    dataset.add_argument(
+        "--scale",
+        default="bench",
+        choices=("paper", "bench", "tiny"),
+        help="dataset scale (default: bench)",
+    )
+    backend = argparse.ArgumentParser(add_help=False)
+    backend.add_argument(
+        "--backend",
+        default="simulator",
+        choices=("simulator", "sim", "runtime"),
+        help="backend to run on (default: simulator)",
+    )
 
     commands.add_parser("demo", help="run the Figure 2 walkthrough")
     commands.add_parser("datasets", help="print Figure 10 dataset statistics")
@@ -1014,35 +1005,13 @@ def build_parser() -> argparse.ArgumentParser:
     verify.add_argument("--topology", help="topology JSON file")
     verify.add_argument("--fibs", help="data plane JSON file")
     verify.add_argument(
-        "--ecmp",
-        default="any",
-        choices=("any", "single", "all"),
-        help="route generation mode for --dataset (default: any)",
-    )
-    verify.add_argument(
         "--invariant", required=True, help="invariant program (§3 syntax)"
     )
 
     testbed = commands.add_parser(
         "testbed",
+        parents=[dataset],
         help="run a dataset on the asyncio/TCP runtime backend",
-    )
-    testbed.add_argument(
-        "--dataset",
-        default="INet2",
-        help="built-in dataset name, case-insensitive (default: INet2)",
-    )
-    testbed.add_argument(
-        "--scale",
-        default="bench",
-        choices=("paper", "bench", "tiny"),
-        help="dataset scale (default: bench)",
-    )
-    testbed.add_argument(
-        "--ecmp",
-        default="any",
-        choices=("any", "single", "all"),
-        help="route generation mode (default: any)",
     )
     testbed.add_argument(
         "--destinations",
@@ -1138,22 +1107,10 @@ def build_parser() -> argparse.ArgumentParser:
         help="destination prefixes kept for the workload (0 = all; default: 4)",
     )
     fleet.add_argument(
-        "--ingresses",
-        type=int,
-        default=8,
-        help="ingresses sampled per invariant (0 = all owners; default: 8)",
-    )
-    fleet.add_argument(
         "--updates",
         type=int,
         default=0,
         help="incremental rule updates to apply after install (default: 0)",
-    )
-    fleet.add_argument(
-        "--seed",
-        type=int,
-        default=11,
-        help="workload seed (default: 11)",
     )
     fleet.add_argument(
         "--keepalive",
@@ -1176,12 +1133,6 @@ def build_parser() -> argparse.ArgumentParser:
             "together with --keepalive on oversubscribed machines "
             "(default: 5)"
         ),
-    )
-    fleet.add_argument(
-        "--ready-timeout",
-        type=float,
-        default=180.0,
-        help="deadline for all workers to boot and establish (default: 180)",
     )
     fleet.add_argument(
         "--check-simulator",
@@ -1240,12 +1191,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="scrape once and exit (0 = fleet ok, 1 = degraded)",
     )
     top.add_argument(
-        "--count",
-        type=int,
-        default=0,
-        help="exit after this many scrapes (0 = run until interrupted)",
-    )
-    top.add_argument(
         "--json",
         action="store_true",
         help="emit one JSON snapshot per scrape instead of a table",
@@ -1256,18 +1201,10 @@ def build_parser() -> argparse.ArgumentParser:
         default=2.0,
         help="per-endpoint scrape timeout in seconds (default: 2.0)",
     )
-    top.add_argument(
-        "--stall-scrapes",
-        type=int,
-        default=2,
-        help=(
-            "consecutive frozen scrapes mid-convergence before a stall "
-            "alert (default: 2)"
-        ),
-    )
 
     trace = commands.add_parser(
         "trace",
+        parents=[dataset, backend],
         help="export the span trace derived from flight-recorder dumps",
     )
     trace.add_argument(
@@ -1278,23 +1215,6 @@ def build_parser() -> argparse.ArgumentParser:
             "flight dump file(s), as for `explain`; with none given, one "
             "burst is run via --dataset/--backend and its dumps traced"
         ),
-    )
-    trace.add_argument(
-        "--dataset",
-        default="INet2",
-        help="built-in dataset name, case-insensitive (default: INet2)",
-    )
-    trace.add_argument(
-        "--backend",
-        default="simulator",
-        choices=("simulator", "sim", "runtime"),
-        help="which backend to trace (default: simulator)",
-    )
-    trace.add_argument(
-        "--scale",
-        default="bench",
-        choices=("paper", "bench", "tiny"),
-        help="dataset scale (default: bench)",
     )
     trace.add_argument(
         "--destinations",
@@ -1310,6 +1230,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     explain = commands.add_parser(
         "explain",
+        parents=[dataset, backend],
         help="reconstruct the causal chain behind a verdict transition",
     )
     explain.add_argument(
@@ -1322,23 +1243,6 @@ def build_parser() -> argparse.ArgumentParser:
             "with none given, a violation scenario is generated via "
             "--dataset/--backend"
         ),
-    )
-    explain.add_argument(
-        "--dataset",
-        default="INet2",
-        help="dataset for the generated scenario (default: INet2)",
-    )
-    explain.add_argument(
-        "--backend",
-        default="simulator",
-        choices=("simulator", "sim", "runtime"),
-        help="backend for the generated scenario (default: simulator)",
-    )
-    explain.add_argument(
-        "--scale",
-        default="bench",
-        choices=("paper", "bench", "tiny"),
-        help="dataset scale for the generated scenario (default: bench)",
     )
     explain.add_argument(
         "--destinations",
@@ -1368,13 +1272,7 @@ def build_parser() -> argparse.ArgumentParser:
     explain.add_argument(
         "--timeline",
         action="store_true",
-        help="also print the merged convergence timeline",
-    )
-    explain.add_argument(
-        "--timeline-limit",
-        type=int,
-        default=40,
-        help="events shown in the --timeline view (default: 40)",
+        help="also print the first 40 events of the merged timeline",
     )
     explain.add_argument(
         "--out",
@@ -1394,6 +1292,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
+    if getattr(args, "dataset", None):
+        try:
+            args.dataset = _resolve_dataset(args.dataset)
+        except KeyError as exc:
+            print(exc.args[0], file=sys.stderr)
+            return 2
+    if getattr(args, "backend", None) == "sim":
+        args.backend = "simulator"
     handlers = {
         "demo": _cmd_demo,
         "datasets": _cmd_datasets,

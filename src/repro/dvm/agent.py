@@ -85,7 +85,6 @@ class Event(NamedTuple):
 #: freezes the ring tail.
 EVENTS: Dict[str, Event] = {
     "install": Event("install_plan", "install_plan", "install", "{0}"),
-    "fib_burst": Event("on_fib_changed", "fib_changed", "fib_burst", ""),
     "fib_update": Event("on_fib_changed", "fib_changed", "fib_update", "{device}"),
     "link": Event("on_link_event", "link_event", "link", "{0[0]}-{0[1]} up={1}"),
     "peer_down": Event("on_peer_down", "peer_down", "", "{0}"),

@@ -8,11 +8,6 @@ specified fault scenes, labeled per scene (§6).
 """
 
 from repro.planner.dpvnet import DpvEdge, DpvNet, DpvNode, PlannerError, build_dpvnet
-from repro.planner.partition import (
-    OneBigSwitchAbstraction,
-    PartitionReport,
-    verify_partitioned,
-)
 from repro.planner.tasks import (
     DeviceTask,
     NodeTask,
@@ -32,7 +27,4 @@ __all__ = [
     "NodeTask",
     "plan_invariant",
     "plan_invariants",
-    "OneBigSwitchAbstraction",
-    "PartitionReport",
-    "verify_partitioned",
 ]

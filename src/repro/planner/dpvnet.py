@@ -45,6 +45,11 @@ class PlannerError(RuntimeError):
     """Raised when a DPVNet cannot be constructed."""
 
 
+#: Valid paths one (path expression, scene) may have before planning stops:
+#: past this the path set, not the network, is the problem.
+MAX_PATHS = 200_000
+
+
 # ---------------------------------------------------------------------------
 # path enumeration
 
@@ -91,14 +96,12 @@ def enumerate_valid_paths(
     path_exp: PathExp,
     ingresses: Sequence[str],
     scene: FaultScene = NO_FAULTS,
-    max_paths: int = 200_000,
 ) -> List[Tuple[str, ...]]:
     """All paths from any ingress matching ``path_exp`` under ``scene``.
 
     Paths include the ingress device as their first element (traces start
     at the ingress, §2.1).  Raises :class:`PlannerError` when the path set
-    exceeds ``max_paths`` -- the paper's guidance (§7) is to bound path
-    length or partition the network in that regime.
+    exceeds :data:`MAX_PATHS`.
     """
     dfa = path_exp.compile()
     loop_free = path_exp.effective_loop_free
@@ -131,11 +134,10 @@ def enumerate_valid_paths(
             hops = len(path) - 1
             if dfa.is_accepting(state) and path_exp.admits_length(hops, shortest):
                 paths.append(tuple(path))
-                if len(paths) > max_paths:
+                if len(paths) > MAX_PATHS:
                     raise PlannerError(
-                        f"more than {max_paths} valid paths for "
-                        f"{path_exp.regex!r}; add length filters or "
-                        f"partition the network (§7)"
+                        f"more than {MAX_PATHS} valid paths for "
+                        f"{path_exp.regex!r}; add length filters"
                     )
             for peer in topology.neighbors(device, scene):
                 next_state = dfa.step(state, peer)
@@ -368,7 +370,6 @@ def build_dpvnet(
     path_exps: Sequence[PathExp],
     ingresses: Sequence[str],
     scenes: Sequence[FaultScene] = (),
-    max_paths: int = 200_000,
 ) -> DpvNet:
     """Construct the (fault-tolerant, compound) DPVNet.
 
@@ -397,9 +398,7 @@ def build_dpvnet(
                             (regex_index, scene_index)
                         )
                 continue
-            found = enumerate_valid_paths(
-                topology, path_exp, ingresses, scene, max_paths
-            )
+            found = enumerate_valid_paths(topology, path_exp, ingresses, scene)
             if scene_index == 0 and not symbolic:
                 intact_paths = set(found)
             for path in found:

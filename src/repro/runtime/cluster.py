@@ -655,6 +655,11 @@ class RuntimeCluster(AgentBackend):
         )
 
     async def stop(self) -> None:
+        # Hosts close one at a time: a peer that is still up must read
+        # the loss as the shutdown, not redial into the closing cluster.
+        for host in self.hosts.values():
+            for session in host.sessions.values():
+                session.begin_stop()
         for host in self.hosts.values():
             await host.stop()
         pending = list(self._accept_tasks)
@@ -748,11 +753,6 @@ class RuntimeCluster(AgentBackend):
         window = self.begin_operation(f"fib_update:{device}")
         if not self.inject_fib_update(device, mutate):
             raise KeyError(f"device {device!r} is not hosted locally")
-        return await self.settle_operation(window)
-
-    async def burst_fib_event(self) -> float:
-        window = self.begin_operation("burst_fib_event")
-        self._inject(self.hosts, "fib_burst")
         return await self.settle_operation(window)
 
     async def fail_link(self, a: str, b: str) -> float:

@@ -220,8 +220,14 @@ class PeerSession:
                 self._dial_loop()
             )
 
-    async def stop(self) -> None:
+    def begin_stop(self) -> None:
+        """Read every loss from now on as shutdown: no loss handling, no
+        redial.  ``stop()`` does this first; a cluster does it for all
+        its sessions before any of them closes a socket."""
         self._stopped = True
+
+    async def stop(self) -> None:
+        self.begin_stop()
         self._fire("stop")
         for task in (self._dial_task, self._serve_task):
             if task is not None:
@@ -346,7 +352,13 @@ class PeerSession:
             channel.send(
                 OpenMessage(plan_id=SESSION_PLAN, device=self.device)
             )
-            opened = await self._await_peer_open(channel)
+            try:
+                opened = await self._await_peer_open(channel)
+            except BaseException:
+                # Cancelled by stop() or failed mid-handshake: the
+                # channel's writer task must not outlive the session.
+                await channel.close()
+                raise
             # stop() cancels this task, but a cancellation landing while
             # an await below is already completing is absorbed
             # (``FramedChannel.close`` forwards it to the writer task it

@@ -108,11 +108,6 @@ class Wire:
         self.inject(self.plan.devices(), "install", "p", self.plan)
         return self.plan.devices()
 
-    def fib_burst(self):
-        self.blackhole("B")
-        self.inject(self.topology.devices, "fib_burst")
-        return self.topology.devices
-
     def fib_update(self):
         self.blackhole("W")
         self.inject(("W",), "fib_update")

@@ -259,7 +259,8 @@ class TestLiveFleet:
                     # read enough bodies, however fast one operation
                     # converges (a settled wait may not yield at all).
                     while len(bodies) < 4:
-                        await cluster.burst_fib_event()
+                        for device in sorted(cluster.hosts):
+                            await cluster.fib_update(device, lambda: None)
                         await asyncio.sleep(0)
                     await collector.scrape_once()
                 finally:

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.planner import dpvnet
 from repro.planner.dpvnet import (
     PlannerError,
     build_dpvnet,
@@ -73,14 +74,12 @@ class TestEnumeration:
         )
         assert paths == []
 
-    def test_max_paths_guard(self):
+    def test_max_paths_guard(self, monkeypatch):
+        monkeypatch.setattr(dpvnet, "MAX_PATHS", 10)
         topology = chained_diamond(8)
         with pytest.raises(PlannerError):
             enumerate_valid_paths(
-                topology,
-                PathExp("j0 .* j8", loop_free=True),
-                ["j0"],
-                max_paths=10,
+                topology, PathExp("j0 .* j8", loop_free=True), ["j0"]
             )
 
     def test_multi_ingress(self, topology):
